@@ -1,7 +1,7 @@
 """Batch front door: reproducible experiment runs from JSON configs.
 
 Experiments are described by a config file, not flags; flags only pick
-paths, thread counts and verbosity.  Every artifact embeds a short hash
+output paths and thread counts.  Every artifact embeds a short hash
 of the canonicalized config so outputs can be matched to the exact run
 that produced them, and reruns with the same config, seed and thread
 count are byte-identical.
@@ -536,11 +536,18 @@ def cmd_dependence(args) -> int:
     return 0
 
 
+_REMAINDER_KEYS = frozenset({"shells", "theta_nodes", "static"})
+
+
 def cmd_remainder(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
+    block = rc.raw.get("remainder", {})
+    unknown = sorted(set(block) - _REMAINDER_KEYS)
+    if unknown:
+        raise ConfigError("unknown key " + ", ".join(
+            f"remainder.{key}" for key in unknown))
     family = _build_family(rc.raw, rc.grid, rc.params, rc.seed)
     tg = _build_timegrid(rc.raw)
-    block = rc.raw.get("remainder", {})
     quad = ShellQuadrature(shells=int(block.get("shells", 16)))
     theta = int(block.get("theta_nodes", 32))
     if block.get("static", False):

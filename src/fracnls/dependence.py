@@ -18,6 +18,7 @@ convergence to convergence with derivatives.
 """
 
 import math
+from contextlib import contextmanager
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -242,15 +243,18 @@ def lipschitz_constant(report: DependenceReport,
 # -------------------------------------------------------------- experiments
 
 
-def _row_indices(family: PerturbationFamily):
-    return range(family.depth + 1)
+@contextmanager
+def _index_mapper(threads: int):
+    """Yield run(worker, count) -> (worker(0), ..., worker(count - 1)).
 
-
-def _map_rows(worker, family: PerturbationFamily, threads: int) -> tuple:
+    With threads > 1 every run shares one thread pool; results are
+    assembled in index order either way, so output does not depend on
+    the thread count."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(worker, _row_indices(family)))
-    return tuple(worker(k) for k in _row_indices(family))
+            yield lambda worker, count: tuple(pool.map(worker, range(count)))
+    else:
+        yield lambda worker, count: tuple(worker(k) for k in range(count))
 
 
 def _gate_smallness(family, tg, cfg, params):
@@ -310,7 +314,8 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
             converged=converged, iterations=rep.iterations,
             oracle_gap=gap, oracle_agrees=agrees)
 
-    rows = _map_rows(solve_row, family, threads)
+    with _index_mapper(threads) as run:
+        rows = run(solve_row, family.depth + 1)
     slope = intercept = r2 = None
     usable = [row for row in rows if row.valid]
     if len(usable) >= 4:
@@ -364,6 +369,9 @@ def remainder_decay_experiment(params: ProblemParams,
     in time at the dual of the metric's time exponent.  remainder_map
     overrides the map inside the functional only, so the decay can be
     probed along linear flows where the model map is switched off.
+    With threads > 1 the row solves, and then the per-slice remainder
+    evaluations (the base slice against every row's slice), share one
+    pool; both are assembled by index.
     """
     _gate_smallness(family, tg, cfg, params)
     nl = PowerNonlinearity.from_params(params)
@@ -373,21 +381,25 @@ def remainder_decay_experiment(params: ProblemParams,
     time_exponent = dual(gamma)
     base_traj, _ = picard_duhamel(family.base, nl, tg, cfg)
 
-    def solve_row(k: int) -> RemainderDecayRow:
-        converged = True
+    def solve_row(k: int):
         try:
-            traj, _ = picard_duhamel(family.datum(k), nl, tg, cfg)
+            return picard_duhamel(family.datum(k), nl, tg, cfg)[0], True
         except NonConvergenceError as err:
-            traj, converged = err.trajectory, False
-        slicewise = np.array([
-            remainder_K(base_traj.field(m), traj.field(m), rmap,
-                        s, dual(rho), 2.0, rho, theta_nodes, quad)
-            for m in range(tg.slices + 1)])
-        return RemainderDecayRow(family.scales[k],
-                                 _time_integral(slicewise, tg.dt,
-                                                time_exponent), converged)
+            return err.trajectory, False
 
-    return _map_rows(solve_row, family, threads)
+    def slice_remainders(m: int) -> tuple:
+        return remainder_K(base_traj.field(m),
+                           [traj.field(m) for traj, _ in solved], rmap,
+                           s, dual(rho), 2.0, rho, theta_nodes, quad)
+
+    with _index_mapper(threads) as run:
+        solved = run(solve_row, family.depth + 1)
+        by_slice = run(slice_remainders, tg.slices + 1)
+    by_row = np.array(by_slice).T
+    return tuple(RemainderDecayRow(family.scales[k],
+                                   _time_integral(by_row[k], tg.dt,
+                                                  time_exponent), converged)
+                 for k, (_, converged) in enumerate(solved))
 
 
 def static_remainder_decay(base: Field, direction: Field, scales,
@@ -395,9 +407,7 @@ def static_remainder_decay(base: Field, direction: Field, scales,
                            r: float, theta_nodes: int = 32,
                            quad: Optional[ShellQuadrature] = None) -> tuple:
     """Remainder of base against base + eps * direction, no dynamics."""
-    rows = []
-    for eps in scales:
-        value = remainder_K(base, base + eps * direction, nl,
-                            s, p, q, r, theta_nodes, quad)
-        rows.append(RemainderDecayRow(float(eps), value))
-    return tuple(rows)
+    values = remainder_K(base, [base + eps * direction for eps in scales],
+                         nl, s, p, q, r, theta_nodes, quad)
+    return tuple(RemainderDecayRow(float(eps), value)
+                 for eps, value in zip(scales, values))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,13 +35,12 @@ from .spaces import (
 def _phase_square(values: np.ndarray, power: float) -> np.ndarray:
     """|z|^(power-2) z^2 = (z/|z|)^2 |z|^power, extended by 0 at z = 0."""
     values = np.asarray(values, dtype=complex)
+    if power == 2.0:
+        return values * values  # |z|^0 = 1, and z^2 already vanishes at 0
     mag = np.abs(values)
-    out = np.zeros_like(values)
-    mask = mag > 0.0
-    if np.any(mask):
-        unit = values[mask] / mag[mask]
-        out[mask] = unit * unit * mag[mask] ** power
-    return out
+    scale = np.power(mag, power - 2.0, out=np.zeros_like(mag),
+                     where=mag > 0.0)
+    return values * values * scale
 
 
 @dataclass(frozen=True)
@@ -310,9 +309,11 @@ def _check_difference_exponents(s: float, p: float, q: float, r: float,
     return power / inv_gap
 
 
-def remainder_K(u: Field, v: Field, nl: Nonlinearity, s: float, p: float,
-                q: float, r: float, theta_nodes: int = 64,
-                quad: Optional[ShellQuadrature] = None) -> float:
+def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
+                nl: Nonlinearity, s: float, p: float, q: float, r: float,
+                theta_nodes: int = 64,
+                quad: Optional[ShellQuadrature] = None
+                ) -> Union[float, tuple]:
     """Lower-order remainder of the Besov difference bound.
 
     For each offset y, the integrand is u's translation increment times
@@ -321,37 +322,62 @@ def remainder_K(u: Field, v: Field, nl: Nonlinearity, s: float, p: float,
     exactly like the finite-difference norm of smoothness s.  The result
     is zero when v = u (the gap vanishes identically) and also when u = 0
     (the increment does), and it decays as v -> u in the companion
-    Lebesgue norm of order power/(1/p - 1/r)."""
-    if u.grid is not v.grid and u.grid != v.grid:
-        raise ValueError("fields live on different grids")
+    Lebesgue norm of order power/(1/p - 1/r).
+
+    v is one Field, giving a float, or a sequence of Fields, giving a
+    tuple with one value per entry.  The base side (u's increments and its
+    derivative pair along each segment) is computed once per offset and
+    shared by every entry; each value equals the single-pair call's bit
+    for bit."""
+    single = isinstance(v, Field)
+    others = (v,) if single else tuple(v)
+    for w in others:
+        if u.grid is not w.grid and u.grid != w.grid:
+            raise ValueError("fields live on different grids")
     _check_difference_exponents(s, p, q, r, nl.power)
     grid = u.grid
     if quad is None:
         quad = ShellQuadrature()
     offsets, weights, radii = quad.offsets_weights(grid)
     nodes, wts = _gauss_unit(theta_nodes)
-    theta = nodes.reshape((-1,) + (1,) * grid.dim)
+    # complex nodes spare the real-to-complex cast in every broadcast
+    theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
+
+    def averaged_gap(along_v, along_u):
+        # node-wise difference before the theta sum, so v = u gives 0
+        gap = (along_v - along_u).reshape(theta_nodes, -1)
+        return (wts @ gap).reshape(grid.shape)
+
     uhat = np.fft.fftn(u.values)
-    vhat = np.fft.fftn(v.values)
-    norms = np.empty(len(offsets))
+    others_hat = [np.fft.fftn(w.values) for w in others]
+    norms = np.empty((len(others), len(offsets)))
     for i, y in enumerate(offsets):
         phase = np.zeros(grid.shape)
         for ka, ya in zip(grid.wavenumber_arrays, y):
             phase = phase + ka * ya
         shift = np.exp(-1j * phase)
         inc_u = np.fft.ifftn(uhat * shift) - u.values
-        inc_v = np.fft.ifftn(vhat * shift) - v.values
         path_u = u.values[None] + theta * inc_u[None]
-        path_v = v.values[None] + theta * inc_v[None]
-        dz_gap = np.tensordot(wts, nl.dz(path_v) - nl.dz(path_u), axes=(0, 0))
-        dzbar_gap = np.tensordot(wts, nl.dzbar(path_v) - nl.dzbar(path_u),
-                                 axes=(0, 0))
-        residual = inc_u * dz_gap + np.conj(inc_u) * dzbar_gap
-        norms[i] = lebesgue_norm(Field(grid, residual), p)
+        dz_u = nl.dz(path_u)
+        dzbar_u = nl.dzbar(path_u)
+        conj_inc_u = np.conj(inc_u)
+        for j, (w, what) in enumerate(zip(others, others_hat)):
+            inc_w = np.fft.ifftn(what * shift) - w.values
+            path_w = w.values[None] + theta * inc_w[None]
+            residual = (inc_u * averaged_gap(nl.dz(path_w), dz_u)
+                        + conj_inc_u * averaged_gap(nl.dzbar(path_w),
+                                                    dzbar_u))
+            norms[j, i] = lebesgue_norm(Field(grid, residual), p)
+    kernel = radii ** (-grid.dim - s * q) * weights
+    values = tuple(_kernel_sum(row, kernel, q) for row in norms)
+    return values[0] if single else values
+
+
+def _kernel_sum(norms: np.ndarray, kernel: np.ndarray, q: float) -> float:
+    """(sum norms^q kernel)^(1/q) with the peak factored out."""
     top = float(norms.max())
     if top == 0.0:
         return 0.0
-    kernel = radii ** (-grid.dim - s * q) * weights
     total = float(np.sum((norms / top) ** q * kernel))
     return top * total ** (1.0 / q)
 

@@ -271,6 +271,16 @@ def test_remainder_static_mode(tmp_path):
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
 
+def test_remainder_rejects_unknown_key(tmp_path, capsys):
+    path, _ = _write_config(
+        tmp_path,
+        family={"initial_scale": 0.01, "depth": 3},
+        remainder={"theta": 8, "shells": 10})
+    assert main(["remainder", "--config", str(path)]) == 2
+    assert "remainder.theta" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "remainder.csv").exists()
+
+
 # ---------------------------------------------------- config handling
 
 

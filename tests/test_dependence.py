@@ -295,6 +295,17 @@ def test_remainder_decay_identical_trajectories(direction):
     assert all(row.integrated == 0.0 for row in rows)
 
 
+def test_remainder_decay_threads_match_serial(direction):
+    fam = PerturbationFamily(BASE, direction, 0.01, 3, 0.4)
+    tg = TimeGrid(0.25, 8)
+    light = dict(theta_nodes=8, quad=ShellQuadrature(shells=8))
+    serial = remainder_decay_experiment(PARAMS, fam, _config(), tg,
+                                        threads=1, **light)
+    parallel = remainder_decay_experiment(PARAMS, fam, _config(), tg,
+                                          threads=2, **light)
+    assert serial == parallel
+
+
 def test_remainder_decay_along_solved_trajectories(direction):
     fam = PerturbationFamily(BASE, direction, 0.01, 6, 0.4)
     rows = remainder_decay_experiment(PARAMS, fam, _config(),

@@ -98,6 +98,18 @@ def test_power_envelope_is_exact(rng):
     assert np.allclose(measured, expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0 / 3.0, 2.0, 3.0])
+def test_dzbar_closed_form(alpha, rng):
+    nl = PowerNonlinearity(coupling=0.7 - 0.3j, power=alpha)
+    z = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+    expected = (nl.coupling * (alpha / 2.0) * np.abs(z) ** (alpha - 2.0)
+                * z ** 2)
+    measured = nl.dzbar(z)
+    assert np.all(np.abs(measured - expected) <= 1e-15 * np.abs(expected))
+    at_origin = nl.dzbar(np.array([0.0, 1.0, 0.0], dtype=complex))
+    assert at_origin[0] == 0.0 and at_origin[2] == 0.0
+
+
 # -------------------------------------------------------------- general maps
 
 def test_general_rejects_nonvanishing_origin():
@@ -230,6 +242,37 @@ def test_remainder_vanishes_for_zero_base(bump_pair, line_grid):
 def test_remainder_positive_off_diagonal(bump_pair):
     u, v = bump_pair
     assert remainder_K(u, v, CUBIC, s=0.5, p=2.0, q=2.0, r=6.0) > 0.0
+
+
+@pytest.mark.parametrize(
+    "nl", [CUBIC, as_general(CUBIC),
+           PowerNonlinearity(coupling=0.7 - 0.3j, power=1.5)],
+    ids=["power", "general", "fractional"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_remainder_batch_matches_single_calls(dim, nl):
+    grid = Grid(dim, 64 if dim == 1 else 16, 16.0)
+    u = gaussian(grid, amplitude=1.0, width=2.0)
+    bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
+    others = [u + (2.0 ** -k) * bump for k in range(4)]
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=8,
+                  quad=ShellQuadrature(shells=6))
+    batched = remainder_K(u, others, nl, **kwargs)
+    assert batched == tuple(remainder_K(u, v, nl, **kwargs) for v in others)
+    assert all(value > 0.0 for value in batched)
+
+
+def test_remainder_batch_diagonal_row_is_zero(bump_pair):
+    u, v = bump_pair
+    values = remainder_K(u, [v, u, v], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
+    assert values[1] == 0.0
+    assert values[0] == values[2] > 0.0
+
+
+def test_remainder_batch_checks_grids(bump_pair, plane_grid):
+    u, v = bump_pair
+    elsewhere = gaussian(plane_grid, amplitude=1.0, width=2.0)
+    with pytest.raises(ValueError, match="different grids"):
+        remainder_K(u, [v, elsewhere], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
 
 
 def test_remainder_validates_exponents(bump_pair):
