@@ -98,8 +98,20 @@ def _build_timegrid(config: dict) -> TimeGrid:
     raise ConfigError("time needs either slices or dt")
 
 
+def _reject_unknown(block: dict, allowed: frozenset, where: str):
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ConfigError("unknown key " + ", ".join(
+            f"{where}.{key}" for key in unknown))
+
+
+_SOLVER_KEYS = frozenset({"tol", "max_iter", "smallness_delta"})
+_REMAINDER_KEYS = frozenset({"shells", "theta_nodes", "static"})
+
+
 def _build_solver(config: dict, params: ProblemParams) -> PicardConfig:
     block = config.get("solver", {})
+    _reject_unknown(block, _SOLVER_KEYS, "solver")
     return PicardConfig(
         metric_pair=canonical_pair(params),
         tol=float(block.get("tol", 1e-10)),
@@ -506,9 +518,12 @@ def cmd_dependence(args) -> int:
     family = _build_family(rc.raw, rc.grid, rc.params, rc.seed)
     auto = rc.raw.get("auto_horizon")
     if auto is not None:
-        tg = choose_horizon(rc.params, family, rc.solver,
-                            float(_require(auto, "start", "auto_horizon")),
-                            int(_require(auto, "slices", "auto_horizon")))
+        try:
+            tg = choose_horizon(rc.params, family, rc.solver,
+                                float(_require(auto, "start", "auto_horizon")),
+                                int(_require(auto, "slices", "auto_horizon")))
+        except RuntimeError as exc:
+            raise ConfigError(f"auto_horizon gave up: {exc}") from exc
     else:
         tg = _build_timegrid(rc.raw)
     report = run_dependence(rc.params, family, rc.solver, tg,
@@ -536,16 +551,10 @@ def cmd_dependence(args) -> int:
     return 0
 
 
-_REMAINDER_KEYS = frozenset({"shells", "theta_nodes", "static"})
-
-
 def cmd_remainder(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
     block = rc.raw.get("remainder", {})
-    unknown = sorted(set(block) - _REMAINDER_KEYS)
-    if unknown:
-        raise ConfigError("unknown key " + ", ".join(
-            f"remainder.{key}" for key in unknown))
+    _reject_unknown(block, _REMAINDER_KEYS, "remainder")
     family = _build_family(rc.raw, rc.grid, rc.params, rc.seed)
     tg = _build_timegrid(rc.raw)
     quad = ShellQuadrature(shells=int(block.get("shells", 16)))

@@ -30,7 +30,8 @@ from .grid import Field, gaussian, inner_product, lebesgue_norm
 from .nonlinearity import Nonlinearity, PowerNonlinearity, remainder_K
 from .solver import (NonConvergenceError, PicardConfig, TimeGrid,
                      picard_duhamel, smallness_check, split_step)
-from .spaces import NormSpec, ShellQuadrature, sobolev_norm, spacetime_norm
+from .spaces import (NormSpec, ShellQuadrature, sobolev_norm, spacetime_norm,
+                     trapezoid_norm)
 
 __all__ = [
     "PerturbationFamily", "DependenceRow", "DependenceReport",
@@ -341,19 +342,6 @@ class RemainderDecayRow:
                 "converged": self.converged}
 
 
-def _time_integral(values: np.ndarray, dt: float, exponent: float) -> float:
-    weights = np.full(values.size, dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    top = float(values.max())
-    if top == 0.0:
-        return 0.0
-    if np.isinf(exponent):
-        return top
-    return top * float(np.sum(weights * (values / top) ** exponent)
-                       ) ** (1.0 / exponent)
-
-
 def remainder_decay_experiment(params: ProblemParams,
                                family: PerturbationFamily,
                                cfg: PicardConfig, tg: TimeGrid, *,
@@ -397,7 +385,7 @@ def remainder_decay_experiment(params: ProblemParams,
         by_slice = run(slice_remainders, tg.slices + 1)
     by_row = np.array(by_slice).T
     return tuple(RemainderDecayRow(family.scales[k],
-                                   _time_integral(by_row[k], tg.dt,
+                                   trapezoid_norm(by_row[k], tg.dt,
                                                   time_exponent), converged)
                  for k, (_, converged) in enumerate(solved))
 

@@ -242,16 +242,21 @@ def lebesgue_norm(f: Field, p: float) -> float:
     p = inf returns the max of |f|; otherwise
     (h^N sum |f|^p)^(1/p).  p must be positive.
     """
+    return lp_norm(f.values, p, f.grid.cell_volume)
+
+
+def lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
+    """`lebesgue_norm` of raw samples on a lattice with cells h^N."""
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
-    mag = np.abs(f.values)
+    mag = np.abs(values)
     if np.isinf(p):
         return float(mag.max())
     top = float(mag.max())
     if top == 0.0:
         return 0.0
     # factor out the peak so mag**p cannot underflow or overflow
-    acc = float(np.sum((mag / top) ** p)) * f.grid.cell_volume
+    acc = float(np.sum((mag / top) ** p)) * cell_volume
     return top * acc ** (1.0 / p)
 
 

@@ -27,6 +27,7 @@ from .spaces import (
     NormSpec,
     ShellQuadrature,
     besov_norm_fd,
+    peak_factored_norm,
     transition_profile,
     transition_profile_derivative,
 )
@@ -369,17 +370,8 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
                                                     dzbar_u))
             norms[j, i] = lebesgue_norm(Field(grid, residual), p)
     kernel = radii ** (-grid.dim - s * q) * weights
-    values = tuple(_kernel_sum(row, kernel, q) for row in norms)
+    values = tuple(peak_factored_norm(row, q, kernel) for row in norms)
     return values[0] if single else values
-
-
-def _kernel_sum(norms: np.ndarray, kernel: np.ndarray, q: float) -> float:
-    """(sum norms^q kernel)^(1/q) with the peak factored out."""
-    top = float(norms.max())
-    if top == 0.0:
-        return 0.0
-    total = float(np.sum((norms / top) ** q * kernel))
-    return top * total ** (1.0 / q)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .exponents import is_admissible
-from .grid import Field, Grid
+from .grid import Field, Grid, lp_norm
 from .nonlinearity import Nonlinearity, PowerNonlinearity
-from .spaces import NormSpec, sobolev_norm, spacetime_norm
+from .spaces import NormSpec, sobolev_norm, spacetime_norm, trapezoid_norm
 
 __all__ = [
     "TimeGrid", "Trajectory", "PicardConfig", "IterationReport",
@@ -204,10 +204,17 @@ class IterationReport:
                      if a > 0.0)
 
 
+def _distance(us, vs, grid: Grid, tg: TimeGrid, pair) -> float:
+    """L^gamma((0,T), L^rho) distance of two sequences of slice arrays."""
+    return trapezoid_norm([lp_norm(a - b, pair[1], grid.cell_volume)
+                           for a, b in zip(us, vs)], tg.dt, pair[0])
+
+
 def contraction_distance(u: Trajectory, v: Trajectory, pair) -> float:
     """d(u, v) = || u - v ||_{L^gamma((0,T), L^rho)}."""
-    gamma, rho = pair
-    return spacetime_norm(u - v, gamma, NormSpec("lebesgue", p=rho))
+    if (v.timegrid, v.grid) != (u.timegrid, u.grid):
+        raise ValueError("trajectories live on different (time) grids")
+    return _distance(u.stack(), v.stack(), u.grid, u.timegrid, pair)
 
 
 def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
@@ -220,6 +227,8 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     spectral multipliers, so a sweep costs O(slices) transforms.  The
     two-thirds rule is applied to g(u^k) to keep the quadratic and
     higher interactions from aliasing back into the resolved band.
+    A sweep streams over the slices, so only three trajectory-sized
+    arrays are live: the phases, the current iterate and the next one.
 
     Returns (trajectory, report).  Raises NonConvergenceError when
     max_iter sweeps do not reach the relative tolerance (the usual cause
@@ -232,40 +241,48 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
         raise ValueError(
             f"metric pair {cfg.metric_pair} is not admissible in "
             f"dimension {grid.dim}")
-    axes = tuple(range(1, grid.dim + 1))
     tcol = tg.times.reshape((-1,) + (1,) * grid.dim)
+    # conj(unwind[m]) is bitwise exp(-i t_m k^2), the rewind phase
     unwind = np.exp(1j * tcol * grid.wavenumber_square)
-    rewind = np.exp(-1j * tcol * grid.wavenumber_square)
     keep = grid.dealias_mask
     phihat = np.fft.fftn(phi.values)
 
-    current = np.fft.ifftn(rewind * phihat, axes=axes)
-    current[0] = phi.values
+    # slice 0 of both iterates is the datum and is never written again
+    current, new = np.empty_like(unwind), np.empty_like(unwind)
+    current[0] = new[0] = phi.values
+    # complex multiply is not bitwise commutative; the first iterate takes
+    # the sweep's operand order so that zero coupling gives distance 0.0
+    for m in range(1, tg.slices + 1):
+        current[m] = np.fft.ifftn(phihat * np.conj(unwind[m]))
     distances = []
     first = None
     converged = False
     for _ in range(cfg.max_iter):
         # divergence is detected below, not warned about mid-sweep
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            ghat = np.fft.fftn(nl.g(current), axes=axes) * keep
-            integrand = unwind * ghat
-            running = np.cumsum(integrand, axis=0)
-            integral = tg.dt * (running
-                                - 0.5 * integrand[0] - 0.5 * integrand)
-            new = np.fft.ifftn(rewind * (phihat + 1j * integral), axes=axes)
-        new[0] = phi.values
+            for m in range(tg.slices + 1):
+                ghat = np.fft.fftn(nl.g(current[m])) * keep
+                integrand = unwind[m] * ghat
+                if m == 0:
+                    running, half0 = integrand, 0.5 * integrand
+                    continue
+                running += integrand
+                buf = phihat + 1j * (tg.dt * (running - half0
+                                              - 0.5 * integrand))
+                buf *= np.conj(unwind[m])
+                new[m] = np.fft.ifftn(buf)
         if not np.all(np.isfinite(new.view(float))):
             raise BlowUpError("fixed-point iterate overflowed; the datum "
                               "or horizon is outside the contraction regime")
-        dist = spacetime_norm(_wrap(grid, tg, new - current), gamma,
-                              NormSpec("lebesgue", p=rho))
+        dist = _distance(new, current, grid, tg, cfg.metric_pair)
         distances.append(dist)
         if first is None:
             first = dist
-        current = new
+        current, new = new, current
         if dist <= cfg.tol * max(1.0, first):
             converged = True
             break
+    del unwind, new  # two stacks fewer while _wrap copies the iterate
     report = IterationReport(tuple(distances), converged)
     trajectory = _wrap(grid, tg, current)
     if not converged:

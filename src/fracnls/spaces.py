@@ -199,17 +199,6 @@ def decompose(f: Field, jmin: Optional[int] = None,
                         low_block=low)
 
 
-def _sequence_norm(terms: np.ndarray, q: float) -> float:
-    if terms.size == 0:
-        return 0.0
-    if np.isinf(q):
-        return float(terms.max())
-    top = float(terms.max())
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum((terms / top) ** q)) ** (1.0 / q)
-
-
 def besov_norm_lp(f: Field, spec: NormSpec) -> float:
     """Dyadic-block Besov norm ( sum_j (2^(js) ||block_j||_Lp)^q )^(1/q).
 
@@ -228,7 +217,7 @@ def besov_norm_lp(f: Field, spec: NormSpec) -> float:
     if not spec.homogeneous:
         low = Field(f.grid, np.fft.ifftn(fhat * low_mult))
         terms.append(lebesgue_norm(low, spec.p))
-    return _sequence_norm(np.asarray(terms), spec.q)
+    return peak_factored_norm(terms, spec.q)
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
@@ -342,13 +331,8 @@ def besov_norm_fd(f: Field, spec: NormSpec,
         quad = ShellQuadrature()
     offsets, weights, radii = quad.offsets_weights(f.grid)
     diffs = _difference_norms(f, offsets, spec.p)
-    g, s, q = f.grid, spec.s, spec.q
-    top = float(diffs.max())
-    if top == 0.0:
-        return 0.0
-    kernel = radii ** (-g.dim - s * q) * weights
-    total = float(np.sum((diffs / top) ** q * kernel))
-    return top * total ** (1.0 / q)
+    kernel = radii ** (-f.grid.dim - spec.s * spec.q) * weights
+    return peak_factored_norm(diffs, spec.q, kernel)
 
 
 def besov_fd_tail_bound(f: Field, spec: NormSpec,
@@ -384,21 +368,34 @@ def spacetime_norm(traj, q_time: float, spatial: NormSpec,
                    quad: Optional[ShellQuadrature] = None) -> float:
     """Mixed norm ( integral_0^T ||u(t)||^q dt )^(1/q) over a trajectory.
 
-    Time integration uses trapezoid weights on the trajectory's slices;
-    q_time = inf takes the sup over slices.  `traj` is anything exposing
-    `timegrid` and `field(m)` (see solver.Trajectory).
+    Time integration is `trapezoid_norm` over the slices; `traj` is
+    anything exposing `timegrid` and `field(m)` (see solver.Trajectory).
     """
     tg = traj.timegrid
-    vals = np.array([evaluate_norm(traj.field(m), spatial, quad)
-                     for m in range(tg.slices + 1)])
-    if np.isinf(q_time):
-        return float(vals.max())
-    if not q_time > 0:
-        raise ValueError(f"time exponent must be positive, got {q_time}")
-    w = np.full(tg.slices + 1, tg.dt)
+    return trapezoid_norm([evaluate_norm(traj.field(m), spatial, quad)
+                           for m in range(tg.slices + 1)], tg.dt, q_time)
+
+
+def trapezoid_norm(values, dt: float, q: float) -> float:
+    """( integral_0^T v(t)^q dt )^(1/q) from samples v(t_m), t_m = m dt.
+
+    Trapezoid weights on the uniform slices; q = inf takes the max.
+    """
+    if not q > 0:
+        raise ValueError(f"time exponent must be positive, got {q}")
+    w = np.full(len(values), dt)
     w[0] *= 0.5
     w[-1] *= 0.5
+    return peak_factored_norm(values, q, w)
+
+
+def peak_factored_norm(values, q: float, weights=1.0) -> float:
+    """( sum_i w_i v_i^q )^(1/q) of nonnegative v; q = inf takes the max.
+
+    The peak is factored out so v^q cannot underflow or overflow.
+    """
+    vals = np.asarray(values, dtype=float)
     top = float(vals.max())
-    if top == 0.0:
-        return 0.0
-    return top * float(np.sum(w * (vals / top) ** q_time)) ** (1.0 / q_time)
+    if np.isinf(q) or top == 0.0:
+        return top
+    return top * float(np.sum(weights * (vals / top) ** q)) ** (1.0 / q)

@@ -148,6 +148,15 @@ def test_solve_unknown_integrator(tmp_path, capsys):
     assert "integrator" in capsys.readouterr().err
 
 
+def test_solve_rejects_unknown_solver_key(tmp_path, capsys):
+    path, _ = _write_config(tmp_path,
+                            solver={"tolerance": 1e-3, "maxiter": 1})
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "solver.maxiter" in err and "solver.tolerance" in err
+    assert not (tmp_path / "out" / "solve.csv").exists()
+
+
 def test_solve_plane_wave_datum(tmp_path):
     path, _ = _write_config(
         tmp_path, datum={"kind": "plane_wave", "mode": 2, "amplitude": 0.3})
@@ -239,6 +248,17 @@ def test_dependence_smallness_gate(tmp_path, capsys):
         tmp_path, datum={"kind": "gaussian", "amplitude": 0.8, "width": 2.0})
     assert main(["dependence", "--config", str(path)]) == 2
     assert "shrink" in capsys.readouterr().err
+
+
+def test_dependence_auto_horizon_give_up_exits_2(tmp_path, capsys):
+    path, _ = _dependence_config(
+        tmp_path, datum={"kind": "gaussian", "amplitude": 50.0, "width": 2.0},
+        auto_horizon={"start": 1.0, "slices": 64})
+    assert main(["dependence", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: auto_horizon")
+    assert "smallness" in err and err.count("\n") == 1
+    assert not (tmp_path / "out" / "dependence.csv").exists()
 
 
 # -------------------------------------------------------------- remainder

@@ -1,12 +1,15 @@
 """Integrator tests: free-flow exactness, oracle cross-checks, failure modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fracnls.exponents import ProblemParams, canonical_pair
 from fracnls.grid import (Field, Grid, free_propagate, gaussian,
                           lebesgue_norm, plane_wave)
-from fracnls.nonlinearity import GeneralNonlinearity, PowerNonlinearity
+from fracnls.nonlinearity import (GeneralNonlinearity, PowerNonlinearity,
+                                  as_general)
 from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
                             TimeGrid, Trajectory, contraction_distance,
                             detect_blowup, free_trajectory, picard_duhamel,
@@ -162,6 +165,34 @@ def test_picard_general_map_accepted():
     assert len(traj.slices) == 129
 
 
+def test_picard_general_view_matches_power_map(line_grid):
+    # g is applied slice by slice; the callable view must see the same slices
+    phi = gaussian(line_grid, 0.3, 2.0)
+    tg = TimeGrid(0.5, 64)
+    ref, ref_report = picard_duhamel(phi, CUBIC, tg, _config())
+    traj, report = picard_duhamel(phi, as_general(CUBIC), tg, _config())
+    assert report.iterations == ref_report.iterations
+    assert np.abs(traj.stack() - ref.stack()).max() < 1e-14
+
+
+def test_picard_peak_memory_three_stacks():
+    # a sweep streams over the slices: phases plus two iterates stay live
+    params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
+    grid = Grid(2, 64, 32.0)
+    grid.wavenumber_square, grid.dealias_mask  # warm the cached arrays
+    phi = gaussian(grid, 0.08, 2.0)
+    tg = TimeGrid(0.25, 32)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    stack = (tg.slices + 1) * grid.size * 16
+    tracemalloc.start()
+    try:
+        picard_duhamel(phi, PowerNonlinearity(1.0, 2.0), tg, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * stack
+
+
 def test_picard_report_contracts(line_grid):
     phi = plane_wave(line_grid, 3, 0.5)
     _, report = picard_duhamel(phi, CUBIC, TimeGrid(1.0, 256), _config())
@@ -217,6 +248,13 @@ def test_contraction_distance_matches_spacetime_norm(line_grid):
     assert contraction_distance(u, v, PAIR) == pytest.approx(direct,
                                                              rel=1e-14)
     assert contraction_distance(u, u, PAIR) == 0.0
+
+
+def test_contraction_distance_needs_matching_timegrid(line_grid):
+    phi = gaussian(line_grid, 1.0, 2.0)
+    with pytest.raises(ValueError, match="time"):
+        contraction_distance(free_trajectory(phi, TimeGrid(1.0, 4)),
+                             free_trajectory(phi, TimeGrid(1.0, 8)), PAIR)
 
 
 # --------------------------------------------------------------- split step
