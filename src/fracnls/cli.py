@@ -143,14 +143,7 @@ def _build_field(block: dict, grid: Grid, where: str,
 def _band_limited_field(grid: Grid, rng, band: int) -> Field:
     coefs = (rng.standard_normal(grid.shape)
              + 1j * rng.standard_normal(grid.shape))
-    idx = np.fft.fftfreq(grid.points, d=1.0 / grid.points)
-    axis_ok = np.abs(idx) <= band
-    mask = np.ones(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[a] = grid.points
-        mask &= axis_ok.reshape(shape)
-    values = np.fft.ifftn(coefs * mask)
+    values = np.fft.ifftn(coefs * grid.band_mask(band))
     top = np.abs(values).max()
     return Field(grid, values / top if top > 0 else values)
 
@@ -474,6 +467,14 @@ def cmd_solve(args) -> int:
     tg = _build_timegrid(rc.raw)
     phi = _build_field(_require(rc.raw, "datum", "config"), rc.grid,
                        "datum", rc.seed)
+    snapshots = rc.raw.get("snapshots", [])
+    if not isinstance(snapshots, list):
+        raise ConfigError("snapshots must be a list of slice indices")
+    for i, m in enumerate(snapshots):
+        if (isinstance(m, bool) or not isinstance(m, int)
+                or not 0 <= m <= tg.slices):
+            raise ConfigError(f"snapshots[{i}] must be an integer in "
+                              f"[0, {tg.slices}], got {m!r}")
     nl = PowerNonlinearity.from_params(rc.params)
     integrator = rc.raw.get("integrator", "picard")
     if integrator == "picard":
@@ -487,9 +488,9 @@ def cmd_solve(args) -> int:
     _write_csv(rc.output_dir / "solve.csv", rc.digest,
                ("t", "l2", "sobolev", "besov"),
                _slice_norm_rows(traj, rc.params, rho))
-    for m in rc.raw.get("snapshots", ()):
-        values = traj.field(int(m)).values.ravel()
-        _write_csv(rc.output_dir / f"solve_snapshot_{int(m)}.csv", rc.digest,
+    for m in snapshots:
+        values = traj.field(m).values.ravel()
+        _write_csv(rc.output_dir / f"solve_snapshot_{m}.csv", rc.digest,
                    ("index", "re", "im"),
                    [(i, v.real, v.imag) for i, v in enumerate(values)])
     print(f"wrote {rc.output_dir / 'solve.csv'}")

@@ -108,18 +108,25 @@ class Grid:
     @cached_property
     def origin_phase(self) -> np.ndarray:
         """exp(-i k.x0) with x0 the lower-left corner, mesh shaped."""
+        return self.translation_multiplier(
+            (self.axis_coordinates[0],) * self.dim)
+
+    def translation_multiplier(self, y) -> np.ndarray:
+        """exp(-i k.y) on the mesh: the Fourier multiplier of a shift by y."""
         phase = np.zeros(self.shape)
-        x0 = self.axis_coordinates[0]
-        for ka in self.wavenumber_arrays:
-            phase = phase + ka * x0
+        for ka, ya in zip(self.wavenumber_arrays, y):
+            phase = phase + ka * ya
         return np.exp(-1j * phase)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Two-thirds-rule mask: True where every axis index |j| <= M/3."""
-        keep = self.points // 3
+        return self.band_mask(self.points // 3)
+
+    def band_mask(self, band: int) -> np.ndarray:
+        """True where every axis index |j| <= band, in FFT ordering."""
         idx = np.fft.fftfreq(self.points, d=1.0 / self.points)
-        axis_ok = np.abs(idx) <= keep
+        axis_ok = np.abs(idx) <= band
         mask = np.ones(self.shape, dtype=bool)
         for a in range(self.dim):
             shape = [1] * self.dim
@@ -154,6 +161,14 @@ class Field:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _view(cls, grid: Grid, values: np.ndarray) -> "Field":
+        """Wrap an array already checked, finite and read-only; no copy."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "values", values)
+        return f
 
     def __add__(self, other: "Field") -> "Field":
         self._check_same_grid(other)
@@ -230,10 +245,7 @@ def translate(f: Field, y) -> Field:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (g.dim,):
         raise ValueError(f"offset must have {g.dim} components, got {y.shape}")
-    phase = np.zeros(g.shape)
-    for ka, ya in zip(g.wavenumber_arrays, y):
-        phase = phase + ka * ya
-    return _apply_multiplier(f, np.exp(-1j * phase))
+    return _apply_multiplier(f, g.translation_multiplier(y))
 
 
 def lebesgue_norm(f: Field, p: float) -> float:

@@ -22,15 +22,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import Field, lebesgue_norm
-from .spaces import (
-    NormSpec,
-    ShellQuadrature,
-    besov_norm_fd,
-    peak_factored_norm,
-    transition_profile,
-    transition_profile_derivative,
-)
+from .grid import Field, lebesgue_norm, lp_norm
+from .spaces import (NormSpec, ShellQuadrature, besov_norm_fd,
+                     peak_factored_norm)
 
 
 def _phase_square(values: np.ndarray, power: float) -> np.ndarray:
@@ -144,41 +138,6 @@ def as_general(nl: Nonlinearity) -> GeneralNonlinearity:
                                power=nl.power,
                                growth_const=nl.growth_const,
                                growth_coeff=nl.growth_coeff)
-
-
-@dataclass(frozen=True)
-class SplitNonlinearity:
-    """A map written as bounded_part + power_part.
-
-    bounded_part has a globally bounded derivative pair (envelope with
-    growth_coeff = 0); power_part's derivative vanishes near the origin
-    and obeys a pure-power envelope (growth_const = 0).  The sum quacks
-    like a single nonlinearity.
-    """
-
-    bounded_part: GeneralNonlinearity
-    power_part: GeneralNonlinearity
-
-    @property
-    def power(self) -> float:
-        return self.power_part.power
-
-    @property
-    def growth_const(self) -> float:
-        return self.bounded_part.growth_const
-
-    @property
-    def growth_coeff(self) -> float:
-        return self.power_part.growth_coeff
-
-    def g(self, values):
-        return self.bounded_part.g(values) + self.power_part.g(values)
-
-    def dz(self, values):
-        return self.bounded_part.dz(values) + self.power_part.dz(values)
-
-    def dzbar(self, values):
-        return self.bounded_part.dzbar(values) + self.power_part.dzbar(values)
 
 
 def apply_g(f: Field, nl: Nonlinearity) -> Field:
@@ -353,10 +312,7 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
     others_hat = [np.fft.fftn(w.values) for w in others]
     norms = np.empty((len(others), len(offsets)))
     for i, y in enumerate(offsets):
-        phase = np.zeros(grid.shape)
-        for ka, ya in zip(grid.wavenumber_arrays, y):
-            phase = phase + ka * ya
-        shift = np.exp(-1j * phase)
+        shift = grid.translation_multiplier(y)
         inc_u = np.fft.ifftn(uhat * shift) - u.values
         path_u = u.values[None] + theta * inc_u[None]
         dz_u = nl.dz(path_u)
@@ -368,7 +324,7 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
             residual = (inc_u * averaged_gap(nl.dz(path_w), dz_u)
                         + conj_inc_u * averaged_gap(nl.dzbar(path_w),
                                                     dzbar_u))
-            norms[j, i] = lebesgue_norm(Field(grid, residual), p)
+            norms[j, i] = lp_norm(residual, p, grid.cell_volume)
     kernel = radii ** (-grid.dim - s * q) * weights
     values = tuple(peak_factored_norm(row, q, kernel) for row in norms)
     return values[0] if single else values
@@ -455,89 +411,3 @@ def besov_difference_report(u: Field, v: Field, nl: Nonlinearity,
         refined = lipschitz_term + extra
     return DifferenceReport(lhs=lhs, lipschitz_term=lipschitz_term,
                             k_term=k_term, sigma=sigma, refined_term=refined)
-
-
-# ------------------------------------------------------------------ splitting
-
-@lru_cache(maxsize=1)
-def _profile_slope() -> float:
-    """Sampled sup of |d/dr transition_profile| over the transition."""
-    r = np.linspace(0.5, 1.0, 8193)
-    return float(np.max(np.abs(transition_profile_derivative(r))))
-
-
-def _windowed(general: GeneralNonlinearity, cutoff: float,
-              keep_inside: bool):
-    """Callable triple for g times the radial window chi(|z|/cutoff)
-    (keep_inside) or its complement 1 - chi."""
-    sign = 1.0 if keep_inside else -1.0
-
-    def window(t):
-        chi = transition_profile(t)
-        return chi if keep_inside else 1.0 - chi
-
-    def gfun(z):
-        z = np.asarray(z, dtype=complex)
-        return general.g(z) * window(np.abs(z) / cutoff)
-
-    def correction(z, out, conjugate):
-        # d/dz of the window contributes g * chi' * zbar / (2 c |z|);
-        # d/dzbar the same with z in place of zbar.  chi' vanishes off
-        # the transition band, which keeps |z| safely positive.
-        t = np.abs(z) / cutoff
-        dchi = transition_profile_derivative(t)
-        mask = dchi != 0.0
-        if np.any(mask):
-            zm = z[mask]
-            factor = np.conj(zm) if conjugate else zm
-            out[mask] = out[mask] + sign * general.g(zm) * dchi[mask] \
-                * factor / (2.0 * cutoff * np.abs(zm))
-        return out
-
-    def dzfun(z):
-        z = np.asarray(z, dtype=complex)
-        out = general.dz(z) * window(np.abs(z) / cutoff)
-        return correction(z, out, conjugate=True)
-
-    def dzbarfun(z):
-        z = np.asarray(z, dtype=complex)
-        out = general.dzbar(z) * window(np.abs(z) / cutoff)
-        return correction(z, out, conjugate=False)
-
-    return gfun, dzfun, dzbarfun
-
-
-def split(nl: Nonlinearity, cutoff: float) -> SplitNonlinearity:
-    """Write g as a bounded-slope part plus a pure-power part.
-
-    A smooth radial switch at scale `cutoff` (one below cutoff/2, zero
-    above cutoff) multiplies g to give the bounded part; the complement's
-    derivative is supported on |z| >= cutoff/2, where the constant part of
-    the envelope is dominated by a multiple of |z|^power.  Both parts
-    vanish at the origin and sum back to g exactly.  The stored envelope
-    constants are provable bounds, not sampled fits.  A map already in
-    pure-power form (growth_const = 0) splits into zero plus itself."""
-    if not cutoff > 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    general = as_general(nl)
-    if general.growth_const == 0.0:
-        zero = GeneralNonlinearity(
-            gfun=lambda z: np.zeros_like(z),
-            dzfun=lambda z: np.zeros_like(z),
-            dzbarfun=lambda z: np.zeros_like(z),
-            power=general.power, growth_const=0.0, growth_coeff=0.0)
-        return SplitNonlinearity(bounded_part=zero, power_part=general)
-    slope = _profile_slope()
-    a, b = general.growth_const, general.growth_coeff
-    alpha = general.power
-    g1fun, dz1, dzbar1 = _windowed(general, cutoff, keep_inside=True)
-    bounded = GeneralNonlinearity(
-        gfun=g1fun, dzfun=dz1, dzbarfun=dzbar1, power=alpha,
-        growth_const=(a + b * cutoff ** alpha) * (1.0 + slope),
-        growth_coeff=0.0)
-    g2fun, dz2, dzbar2 = _windowed(general, cutoff, keep_inside=False)
-    power_part = GeneralNonlinearity(
-        gfun=g2fun, dzfun=dz2, dzbarfun=dzbar2, power=alpha,
-        growth_const=0.0,
-        growth_coeff=(a * (2.0 / cutoff) ** alpha + b) * (1.0 + slope))
-    return SplitNonlinearity(bounded_part=bounded, power_part=power_part)

@@ -94,58 +94,54 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A field per time slice; slice 0 is the initial datum, bit for bit."""
+    """Samples of a solution at every slice time, one read-only array.
+
+    values has shape (slices + 1,) + grid.shape; row 0 is the initial
+    datum, bit for bit.  Like Field, the constructor checks the shape and
+    finiteness and keeps its own copy.
+    """
 
     timegrid: TimeGrid
-    slices: tuple
+    grid: Grid
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "slices", tuple(self.slices))
-        if len(self.slices) != self.timegrid.slices + 1:
+        # copies even a solver's own buffer: adopting it measured a higher
+        # peak RSS, as the allocator reuses freed stack-sized blocks
+        vals = np.array(self.values, dtype=complex, order="C")
+        expected = (self.timegrid.slices + 1,) + self.grid.shape
+        if vals.shape != expected:
             raise ValueError(
-                f"expected {self.timegrid.slices + 1} slices, "
-                f"got {len(self.slices)}")
-        grid = self.slices[0].grid
-        if any(f.grid != grid for f in self.slices):
-            raise ValueError("all slices must share one grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.slices[0].grid
+                f"expected values of shape (slices + 1,) + grid.shape = "
+                f"{expected}, got {vals.shape}")
+        if not np.all(np.isfinite(vals.view(float))):
+            raise ValueError("trajectory values must be finite")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     def field(self, m: int) -> Field:
-        return self.slices[m]
-
-    def stack(self) -> np.ndarray:
-        """Slices as one array of shape (slices + 1,) + grid.shape."""
-        return np.stack([f.values for f in self.slices])
+        """Slice m as a Field: a read-only view of row m, not a copy."""
+        return Field._view(self.grid, self.values[m])
 
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         if other.timegrid != self.timegrid:
             raise ValueError("trajectories live on different time grids")
-        return Trajectory(self.timegrid,
-                          tuple(a - b for a, b in zip(self.slices,
-                                                      other.slices)))
+        if other.grid != self.grid:
+            raise ValueError("trajectories live on different grids")
+        return Trajectory(self.timegrid, self.grid, self.values - other.values)
 
 
-def _free_stack(phi: Field, tg: TimeGrid) -> np.ndarray:
-    """Free evolution of phi at every slice, slice 0 forced to the datum."""
+def free_trajectory(phi: Field, tg: TimeGrid) -> Trajectory:
+    """Trajectory of the free group e^{itLap} phi on the slice times.
+
+    Slice 0 is forced to the datum itself."""
     grid = phi.grid
     tcol = tg.times.reshape((-1,) + (1,) * grid.dim)
     phases = np.exp(-1j * tcol * grid.wavenumber_square)
     axes = tuple(range(1, grid.dim + 1))
     out = np.fft.ifftn(phases * np.fft.fftn(phi.values), axes=axes)
     out[0] = phi.values
-    return out
-
-
-def _wrap(grid: Grid, tg: TimeGrid, stacked: np.ndarray) -> Trajectory:
-    return Trajectory(tg, tuple(Field(grid, row) for row in stacked))
-
-
-def free_trajectory(phi: Field, tg: TimeGrid) -> Trajectory:
-    """Trajectory of the free group e^{itLap} phi on the slice times."""
-    return _wrap(phi.grid, tg, _free_stack(phi, tg))
+    return Trajectory(tg, grid, out)
 
 
 # -------------------------------------------------------------- fixed point
@@ -214,7 +210,7 @@ def contraction_distance(u: Trajectory, v: Trajectory, pair) -> float:
     """d(u, v) = || u - v ||_{L^gamma((0,T), L^rho)}."""
     if (v.timegrid, v.grid) != (u.timegrid, u.grid):
         raise ValueError("trajectories live on different (time) grids")
-    return _distance(u.stack(), v.stack(), u.grid, u.timegrid, pair)
+    return _distance(u.values, v.values, u.grid, u.timegrid, pair)
 
 
 def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
@@ -282,9 +278,9 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
         if dist <= cfg.tol * max(1.0, first):
             converged = True
             break
-    del unwind, new  # two stacks fewer while _wrap copies the iterate
+    del unwind, new  # two stacks fewer while Trajectory copies the iterate
     report = IterationReport(tuple(distances), converged)
-    trajectory = _wrap(grid, tg, current)
+    trajectory = Trajectory(tg, grid, current)
     if not converged:
         raise NonConvergenceError(
             f"no contraction after {cfg.max_iter} sweeps "
@@ -345,14 +341,14 @@ def split_step(phi: Field, nl: PowerNonlinearity, horizon: float,
     half = np.exp(-0.5j * h * grid.wavenumber_square)
     lam = complex(nl.coupling)
     alpha = float(nl.power)
-    work = np.array(phi.values, dtype=complex)
-    rows = [work.copy()]
+    out = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
+    out[0] = work = phi.values
     for m in range(tg.slices):
         work = np.fft.ifftn(half * np.fft.fftn(work))
         work = _power_substep(work, lam, alpha, h, (m + 0.5) * h)
         work = np.fft.ifftn(half * np.fft.fftn(work))
-        rows.append(work.copy())
-    return _wrap(grid, tg, np.stack(rows))
+        out[m + 1] = work
+    return Trajectory(tg, grid, out)
 
 
 # ---------------------------------------------------------------- heuristics

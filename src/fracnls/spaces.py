@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, Grid, forward_transform, lebesgue_norm
+from .grid import Field, Grid, forward_transform, lebesgue_norm, lp_norm
 
 _NORM_KINDS = ("sobolev_multiplier", "besov_lp", "besov_fd", "lebesgue")
 
@@ -88,21 +88,6 @@ def transition_profile(r):
         a = np.exp(-1.0 / (1.0 - rm))
         b = np.exp(-1.0 / (rm - 0.5))
         out[mid] = a / (a + b)
-    return out
-
-
-def transition_profile_derivative(r):
-    """d/dr of transition_profile, analytic on the transition interval."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    mid = (r > 0.5) & (r < 1.0)
-    if np.any(mid):
-        rm = r[mid]
-        a = np.exp(-1.0 / (1.0 - rm))
-        b = np.exp(-1.0 / (rm - 0.5))
-        da = -a / (1.0 - rm) ** 2
-        db = b / (rm - 0.5) ** 2
-        out[mid] = (da * b - a * db) / (a + b) ** 2
     return out
 
 
@@ -210,13 +195,13 @@ def besov_norm_lp(f: Field, spec: NormSpec) -> float:
     jmin, jmax = default_band(f.grid)
     low_mult, annuli = _annulus_multipliers(f.grid, jmin, jmax)
     fhat = np.fft.fftn(f.values)
+    cell = f.grid.cell_volume
     terms = []
     for j, mult in zip(range(jmin, jmax + 1), annuli):
-        piece = Field(f.grid, np.fft.ifftn(fhat * mult))
-        terms.append(2.0 ** (j * spec.s) * lebesgue_norm(piece, spec.p))
+        piece = np.fft.ifftn(fhat * mult)
+        terms.append(2.0 ** (j * spec.s) * lp_norm(piece, spec.p, cell))
     if not spec.homogeneous:
-        low = Field(f.grid, np.fft.ifftn(fhat * low_mult))
-        terms.append(lebesgue_norm(low, spec.p))
+        terms.append(lp_norm(np.fft.ifftn(fhat * low_mult), spec.p, cell))
     return peak_factored_norm(terms, spec.q)
 
 
@@ -309,11 +294,8 @@ def _difference_norms(f: Field, offsets: np.ndarray, p: float) -> np.ndarray:
     fhat = np.fft.fftn(f.values)
     out = np.empty(len(offsets))
     for i, y in enumerate(offsets):
-        phase = np.zeros(g.shape)
-        for ka, ya in zip(g.wavenumber_arrays, y):
-            phase = phase + ka * ya
-        shifted = np.fft.ifftn(fhat * np.exp(-1j * phase))
-        out[i] = lebesgue_norm(Field(g, shifted - f.values), p)
+        shifted = np.fft.ifftn(fhat * g.translation_multiplier(y))
+        out[i] = lp_norm(shifted - f.values, p, g.cell_volume)
     return out
 
 

@@ -123,6 +123,17 @@ def test_solve_snapshots(tmp_path):
     assert len(rows) == 64
 
 
+@pytest.mark.parametrize("snapshots, bad", [([-1], 0), ([0, 17], 1),
+                                            ([2.5], 0), ([True], 0)])
+def test_solve_snapshots_out_of_range_exit_2(tmp_path, capsys, snapshots,
+                                             bad):
+    path, _ = _write_config(tmp_path, snapshots=snapshots)
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"snapshots[{bad}]" in err and "[0, 16]" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_nonconvergence_exits_3(tmp_path, capsys):
     path, _ = _write_config(
         tmp_path,

@@ -8,7 +8,6 @@ from fracnls.nonlinearity import (
     DifferenceExponents,
     GeneralNonlinearity,
     PowerNonlinearity,
-    SplitNonlinearity,
     apply_g,
     as_general,
     besov_difference_report,
@@ -17,7 +16,6 @@ from fracnls.nonlinearity import (
     derivative_envelope,
     difference_identity_residual,
     remainder_K,
-    split,
     wirtinger,
 )
 from fracnls.spaces import NormSpec, ShellQuadrature, besov_norm_fd
@@ -368,69 +366,3 @@ def test_difference_report_general_map_has_no_refinement(bump_pair):
     report = besov_difference_report(u, v, _cubic_plus_linear(), exps)
     assert report.refined_term is None
     assert report.lhs > 0.0
-
-
-# ------------------------------------------------------------------ splitting
-
-def test_split_pure_power_is_trivial(rng):
-    parts = split(CUBIC, cutoff=1.0)
-    z = rng.normal(size=200) + 1j * rng.normal(size=200)
-    assert np.all(parts.bounded_part.g(z) == 0.0)
-    assert np.allclose(parts.power_part.g(z), CUBIC.g(z), rtol=1e-15)
-    assert np.allclose(parts.g(z), CUBIC.g(z), rtol=1e-15)
-
-
-def test_split_rejects_bad_cutoff():
-    with pytest.raises(ValueError):
-        split(_cubic_plus_linear(), cutoff=0.0)
-
-
-def test_split_reconstructs_general_map(rng):
-    nl = _cubic_plus_linear()
-    parts = split(nl, cutoff=1.0)
-    mag = rng.lognormal(mean=0.0, sigma=2.0, size=100_000)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=100_000)
-    z = mag * np.exp(1j * phase)
-    recon = parts.g(z)
-    exact = nl.g(z)
-    scale = np.maximum(np.abs(exact), 1.0)
-    assert np.max(np.abs(recon - exact) / scale) < 1e-12
-    assert complex(parts.bounded_part.g(np.zeros(1, complex))[0]) == 0.0
-    assert complex(parts.power_part.g(np.zeros(1, complex))[0]) == 0.0
-
-
-def test_split_bounded_part_has_small_derivative(rng):
-    parts = split(_cubic_plus_linear(), cutoff=1.0)
-    mag = rng.uniform(0.0, 1000.0, size=50_000)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=50_000)
-    z = mag * np.exp(1j * phase)
-    # concentrate extra samples on the transition band, where the
-    # derivative of the window peaks
-    band = rng.uniform(0.4, 1.1, size=50_000) * np.exp(
-        1j * rng.uniform(0.0, 2.0 * np.pi, size=50_000))
-    z = np.concatenate([z, band])
-    measured = derivative_envelope(parts.bounded_part, z)
-    assert float(measured.max()) <= 10.0
-    assert parts.bounded_part.check_growth(z) == 0
-    assert parts.bounded_part.growth_coeff == 0.0
-
-
-def test_split_power_part_vanishes_near_origin(rng):
-    parts = split(_cubic_plus_linear(), cutoff=1.0)
-    z = 0.5 * rng.uniform(0.0, 1.0, size=1000) * np.exp(
-        1j * rng.uniform(0.0, 2.0 * np.pi, size=1000))
-    assert np.all(parts.power_part.g(z) == 0.0)
-    assert np.all(derivative_envelope(parts.power_part, z) == 0.0)
-    wide = rng.lognormal(0.0, 2.0, size=20_000) * np.exp(
-        1j * rng.uniform(0.0, 2.0 * np.pi, size=20_000))
-    assert parts.power_part.check_growth(wide) == 0
-    assert parts.power_part.growth_const == 0.0
-
-
-def test_split_derivatives_sum_to_original(rng):
-    nl = _cubic_plus_linear()
-    parts = split(nl, cutoff=1.0)
-    z = rng.lognormal(0.0, 1.0, size=5000) * np.exp(
-        1j * rng.uniform(0.0, 2.0 * np.pi, size=5000))
-    assert np.allclose(parts.dz(z), nl.dz(z), rtol=1e-12, atol=1e-12)
-    assert np.allclose(parts.dzbar(z), nl.dzbar(z), rtol=1e-12, atol=1e-12)

@@ -44,7 +44,45 @@ def test_timegrid_validation():
 def test_trajectory_slice_count_checked(line_grid):
     phi = gaussian(line_grid, 1.0, 2.0)
     with pytest.raises(ValueError, match="slices"):
-        Trajectory(TimeGrid(1.0, 4), (phi, phi))
+        Trajectory(TimeGrid(1.0, 4), line_grid, np.stack([phi.values] * 2))
+
+
+def test_trajectory_rejects_wrong_spatial_shape(line_grid):
+    with pytest.raises(ValueError, match="shape"):
+        Trajectory(TimeGrid(1.0, 4), line_grid,
+                   np.zeros((5, line_grid.points // 2), dtype=complex))
+
+
+def test_trajectory_rejects_nan(line_grid):
+    values = np.zeros((5,) + line_grid.shape, dtype=complex)
+    values[3, 7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(TimeGrid(1.0, 4), line_grid, values)
+
+
+def test_trajectory_field_is_read_only_view(line_grid):
+    traj = free_trajectory(gaussian(line_grid, 1.0, 2.0), TimeGrid(1.0, 4))
+    f = traj.field(2)
+    assert not f.values.flags.writeable
+    assert np.shares_memory(f.values, traj.values)
+    assert np.array_equal(f.values, traj.values[2])
+
+
+def test_trajectory_owns_its_values(line_grid):
+    source = np.ones((5,) + line_grid.shape, dtype=complex)
+    traj = Trajectory(TimeGrid(1.0, 4), line_grid, source)
+    source[2] = 7.0
+    assert np.all(traj.values == 1.0)
+
+
+def test_trajectory_subtraction_needs_matching_grid(line_grid):
+    tg = TimeGrid(1.0, 4)
+    other = Grid(1, line_grid.points, 2.0 * line_grid.period)
+    a = free_trajectory(gaussian(line_grid, 1.0, 2.0), tg)
+    b = free_trajectory(gaussian(other, 1.0, 2.0), tg)
+    with pytest.raises(ValueError,
+                       match="trajectories live on different grids"):
+        a - b
 
 
 def test_trajectory_subtraction_needs_matching_timegrid(line_grid):
@@ -81,7 +119,7 @@ def test_free_trajectory_conserves_mass(line_grid):
 
 def test_trajectory_stack_shape(line_grid):
     traj = free_trajectory(gaussian(line_grid, 1.0, 2.0), TimeGrid(1.0, 4))
-    assert traj.stack().shape == (5,) + line_grid.shape
+    assert traj.values.shape == (5,) + line_grid.shape
 
 
 # -------------------------------------------------------------- fixed point
@@ -162,7 +200,7 @@ def test_picard_general_map_accepted():
     phi = gaussian(grid, 0.3, 2.0)
     traj, report = picard_duhamel(phi, nl, TimeGrid(0.5, 128), _config())
     assert report.converged
-    assert len(traj.slices) == 129
+    assert len(traj.values) == 129
 
 
 def test_picard_general_view_matches_power_map(line_grid):
@@ -172,7 +210,7 @@ def test_picard_general_view_matches_power_map(line_grid):
     ref, ref_report = picard_duhamel(phi, CUBIC, tg, _config())
     traj, report = picard_duhamel(phi, as_general(CUBIC), tg, _config())
     assert report.iterations == ref_report.iterations
-    assert np.abs(traj.stack() - ref.stack()).max() < 1e-14
+    assert np.abs(traj.values - ref.values).max() < 1e-14
 
 
 def test_picard_peak_memory_three_stacks():
@@ -230,7 +268,7 @@ def test_picard_nonconvergence_carries_report():
     report = err.value.report
     assert not report.converged
     assert report.iterations == 3
-    assert len(err.value.trajectory.slices) == 129
+    assert len(err.value.trajectory.values) == 129
 
 
 def test_picard_overflow_raises_blowup():

@@ -25,7 +25,6 @@ from fracnls.spaces import (
     sobolev_norm,
     spacetime_norm,
     transition_profile,
-    transition_profile_derivative,
 )
 from conftest import band_limited_random_field, smooth_random_field
 
@@ -67,11 +66,6 @@ def test_transition_profile_shape():
     assert np.all(v[r <= 0.5] == 1.0)
     assert np.all(v[r >= 1.0] == 0.0)
     assert np.all(np.diff(v) <= 1e-15)  # monotone
-    # derivative consistent with finite differences on the transition
-    rm = np.linspace(0.55, 0.95, 41)
-    h = 1e-6
-    fd = (transition_profile(rm + h) - transition_profile(rm - h)) / (2 * h)
-    assert np.max(np.abs(fd - transition_profile_derivative(rm))) < 1e-5
 
 
 def test_decompose_zero_field():
