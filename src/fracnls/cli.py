@@ -105,13 +105,54 @@ def _reject_unknown(block: dict, allowed: frozenset, where: str):
             f"{where}.{key}" for key in unknown))
 
 
-_SOLVER_KEYS = frozenset({"tol", "max_iter", "smallness_delta"})
-_REMAINDER_KEYS = frozenset({"shells", "theta_nodes", "static"})
+# every key some command reads; anything else is a config error
+_TOP_KEYS = frozenset({
+    "problem", "grid", "time", "datum", "direction", "family", "solver",
+    "remainder", "auto_horizon", "seed", "threads", "output_dir",
+    "integrator", "snapshots", "cross_check", "cross_tol"})
+_BLOCK_KEYS = {
+    "problem": frozenset({"dimension", "regularity", "power", "coupling",
+                          "growth_const", "growth_coeff"}),
+    "grid": frozenset({"points", "period"}),
+    "time": frozenset({"horizon", "slices", "dt"}),
+    "family": frozenset({"initial_scale", "depth"}),
+    "auto_horizon": frozenset({"start", "slices"}),
+    "solver": frozenset({"tol", "max_iter", "smallness_delta"}),
+    "remainder": frozenset({"shells", "theta_nodes", "static"}),
+}
+# field keys by kind; an unknown kind is left to _build_field
+_FIELD_KEYS = {
+    "gaussian": frozenset({"kind", "amplitude", "width", "center"}),
+    "plane_wave": frozenset({"kind", "mode", "amplitude"}),
+    "random": frozenset({"kind", "band"}),
+}
+_DIRECTION_KEYS = dict(_FIELD_KEYS,
+                       default=frozenset({"kind", "center", "width"}))
+
+
+def _check_keys(config: dict):
+    """Reject unknown keys at the top level and in every block."""
+    _reject_unknown(config, _TOP_KEYS, "config")
+    for where, allowed in _BLOCK_KEYS.items():
+        _reject_unknown(_block(config, where), allowed, where)
+    for where, kinds, default in (("datum", _FIELD_KEYS, None),
+                                  ("direction", _DIRECTION_KEYS, "default")):
+        block = _block(config, where)
+        kind = block.get("kind", default)
+        allowed = kinds.get(kind) if isinstance(kind, str) else None
+        if allowed is not None:
+            _reject_unknown(block, allowed, where)
+
+
+def _block(config: dict, where: str) -> dict:
+    block = config.get(where, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    return block
 
 
 def _build_solver(config: dict, params: ProblemParams) -> PicardConfig:
     block = config.get("solver", {})
-    _reject_unknown(block, _SOLVER_KEYS, "solver")
     return PicardConfig(
         metric_pair=canonical_pair(params),
         tol=float(block.get("tol", 1e-10)),
@@ -200,6 +241,7 @@ class RunConfig:
                               f"{exc}") from exc
         if not isinstance(raw, dict) or not raw:
             raise ConfigError("config must be a non-empty JSON object")
+        _check_keys(raw)
         params = _build_params(raw)
         env = os.environ.get("FRACNLS_THREADS")
         if env is not None:
@@ -555,7 +597,6 @@ def cmd_dependence(args) -> int:
 def cmd_remainder(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
     block = rc.raw.get("remainder", {})
-    _reject_unknown(block, _REMAINDER_KEYS, "remainder")
     family = _build_family(rc.raw, rc.grid, rc.params, rc.seed)
     tg = _build_timegrid(rc.raw)
     quad = ShellQuadrature(shells=int(block.get("shells", 16)))

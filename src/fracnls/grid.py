@@ -213,10 +213,14 @@ def forward_transform(f: Field) -> Spectrum:
     resolved by the grid c_k approximates L^(-N/2) times the continuum
     Fourier transform at k.
     """
+    return Spectrum(f.grid, _coefficients(f))
+
+
+def _coefficients(f: Field) -> np.ndarray:
+    """The coefficients of `forward_transform` as a new writable array."""
     g = f.grid
     scale = g.cell_volume / g.period ** (g.dim / 2.0)
-    coef = np.fft.fftn(f.values) * g.origin_phase * scale
-    return Spectrum(g, coef)
+    return np.fft.fftn(f.values) * g.origin_phase * scale
 
 
 def inverse_transform(sp: Spectrum) -> Field:
@@ -267,8 +271,11 @@ def lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
     top = float(mag.max())
     if top == 0.0:
         return 0.0
-    # factor out the peak so mag**p cannot underflow or overflow
-    acc = float(np.sum((mag / top) ** p)) * cell_volume
+    # factor out the peak so mag**p cannot underflow or overflow; in
+    # place, as mag is this call's own array
+    mag /= top
+    mag **= p
+    acc = float(np.sum(mag)) * cell_volume
     return top * acc ** (1.0 / p)
 
 

@@ -249,7 +249,13 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     # complex multiply is not bitwise commutative; the first iterate takes
     # the sweep's operand order so that zero coupling gives distance 0.0
     for m in range(1, tg.slices + 1):
-        current[m] = np.fft.ifftn(phihat * np.conj(unwind[m]))
+        np.fft.ifftn(phihat * np.conj(unwind[m]), out=current[m])
+    # one slice each, reused by every sweep; the sweep writes each step in
+    # place, in the operand order of
+    #   new[m] = ifftn(conj(unwind[m])
+    #                  * (phihat + 1j dt (running - half0 - integrand / 2)))
+    ghat, integrand, running, half0 = (np.empty(grid.shape, dtype=complex)
+                                       for _ in range(4))
     distances = []
     first = None
     converged = False
@@ -257,16 +263,22 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
         # divergence is detected below, not warned about mid-sweep
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for m in range(tg.slices + 1):
-                ghat = np.fft.fftn(nl.g(current[m])) * keep
-                integrand = unwind[m] * ghat
+                np.fft.fftn(nl.g(current[m]), out=ghat)
+                ghat *= keep
                 if m == 0:
-                    running, half0 = integrand, 0.5 * integrand
+                    np.multiply(unwind[0], ghat, out=running)
+                    np.multiply(0.5, running, out=half0)
                     continue
+                np.multiply(unwind[m], ghat, out=integrand)
                 running += integrand
-                buf = phihat + 1j * (tg.dt * (running - half0
-                                              - 0.5 * integrand))
-                buf *= np.conj(unwind[m])
-                new[m] = np.fft.ifftn(buf)
+                buf = new[m]
+                np.subtract(running, half0, out=buf)
+                buf -= np.multiply(0.5, integrand, out=ghat)
+                buf *= tg.dt
+                buf *= 1j
+                buf += phihat
+                buf *= np.conjugate(unwind[m], out=ghat)
+                np.fft.ifftn(buf, out=buf)
         if not np.all(np.isfinite(new.view(float))):
             raise BlowUpError("fixed-point iterate overflowed; the datum "
                               "or horizon is outside the contraction regime")

@@ -18,13 +18,14 @@ is available as an explicit bound (`besov_fd_tail_bound`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .grid import Field, Grid, forward_transform, lebesgue_norm, lp_norm
+from .grid import Field, Grid, _coefficients, lebesgue_norm, lp_norm
 
 _NORM_KINDS = ("sobolev_multiplier", "besov_lp", "besov_fd", "lebesgue")
 
@@ -110,8 +111,20 @@ def default_band(grid: Grid) -> tuple[int, int]:
 _multiplier_cache: dict = {}
 
 
+def _support_runs(mult: np.ndarray) -> tuple:
+    """Per leading axis, the index runs (slices) where mult is nonzero."""
+    runs = []
+    for a in range(mult.ndim - 1):
+        other = tuple(b for b in range(mult.ndim) if b != a)
+        hit = np.any(mult != 0, axis=other).astype(np.int8)
+        edges = np.flatnonzero(np.diff(hit, prepend=0, append=0))
+        runs.append(tuple(slice(int(lo), int(hi))
+                          for lo, hi in zip(edges[::2], edges[1::2])))
+    return tuple(runs)
+
+
 def _annulus_multipliers(grid: Grid, jmin: int, jmax: int):
-    """Low-block multiplier and the list of annulus multipliers."""
+    """Low block and annuli, each a (multiplier, support runs) pair."""
     key = (grid, jmin, jmax, id(transition_profile))
     hit = _multiplier_cache.get(key)
     if hit is not None:
@@ -123,8 +136,25 @@ def _annulus_multipliers(grid: Grid, jmin: int, jmax: int):
               for j in range(jmin, jmax + 1)]
     if len(_multiplier_cache) > 64:
         _multiplier_cache.clear()
-    _multiplier_cache[key] = (low, annuli)
-    return low, annuli
+    hit = ((low, _support_runs(low)),
+           [(m, _support_runs(m)) for m in annuli])
+    _multiplier_cache[key] = hit
+    return hit
+
+
+def _inverse_on_support(buf: np.ndarray, runs) -> np.ndarray:
+    """np.fft.ifftn(buf), in place, for buf that vanishes off `runs`.
+
+    The passes run last axis first, as in ifftn.  The pass along axis a
+    transforms only the lines whose indices on axes 0..a-1 lie in the
+    support runs; the other lines are all zero, so the result is
+    bitwise that of ifftn.
+    """
+    for a in range(buf.ndim - 1, -1, -1):
+        for block in itertools.product(*runs[:a]):
+            lines = buf[block]
+            np.fft.ifft(lines, axis=a, out=lines)
+    return buf
 
 
 @dataclass
@@ -176,9 +206,9 @@ def decompose(f: Field, jmin: Optional[int] = None,
         raise ValueError(
             f"band [2^{jmin}, 2^{jmax}] lies outside the resolvable "
             f"wavenumbers [{kmin:.3g}, {kmax:.3g}]")
-    low_mult, annuli = _annulus_multipliers(f.grid, jmin, jmax)
+    (low_mult, _), annuli = _annulus_multipliers(f.grid, jmin, jmax)
     fhat = np.fft.fftn(f.values)
-    blocks = [Field(f.grid, np.fft.ifftn(fhat * m)) for m in annuli]
+    blocks = [Field(f.grid, np.fft.ifftn(fhat * m)) for m, _ in annuli]
     low = Field(f.grid, np.fft.ifftn(fhat * low_mult)) if include_low else None
     return DyadicBlocks(grid=f.grid, jmin=jmin, jmax=jmax, blocks=blocks,
                         low_block=low)
@@ -193,22 +223,27 @@ def besov_norm_lp(f: Field, spec: NormSpec) -> float:
     if spec.kind != "besov_lp":
         raise ValueError(f"spec kind {spec.kind!r} is not besov_lp")
     jmin, jmax = default_band(f.grid)
-    low_mult, annuli = _annulus_multipliers(f.grid, jmin, jmax)
-    fhat = np.fft.fftn(f.values)
+    low, annuli = _annulus_multipliers(f.grid, jmin, jmax)
+    # every block is multiplied and inverted in place in one buffer
+    fhat = np.fft.fftn(f.values, out=np.empty(f.grid.shape, dtype=complex))
+    piece = np.empty_like(fhat)
     cell = f.grid.cell_volume
-    terms = []
-    for j, mult in zip(range(jmin, jmax + 1), annuli):
-        piece = np.fft.ifftn(fhat * mult)
-        terms.append(2.0 ** (j * spec.s) * lp_norm(piece, spec.p, cell))
+
+    def block_norm(mult, runs):
+        np.multiply(fhat, mult, out=piece)
+        return lp_norm(_inverse_on_support(piece, runs), spec.p, cell)
+
+    terms = [2.0 ** (j * spec.s) * block_norm(*block)
+             for j, block in zip(range(jmin, jmax + 1), annuli)]
     if not spec.homogeneous:
-        terms.append(lp_norm(np.fft.ifftn(fhat * low_mult), spec.p, cell))
+        terms.append(block_norm(*low))
     return peak_factored_norm(terms, spec.q)
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     """Multiplier norm: weights |k|^(2s) (homogeneous, mean dropped for
     s > 0) or (1+|k|^2)^s on the Plancherel-normalized coefficients."""
-    coef = forward_transform(f).coefficients
+    coef = _coefficients(f)
     k2 = f.grid.wavenumber_square
     if homogeneous:
         weight = np.power(k2, s)  # 0^s = 0 kills the mean for s > 0

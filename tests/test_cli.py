@@ -2,6 +2,8 @@
 reproducibility."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,21 @@ def test_solve_rejects_unknown_solver_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver.maxiter" in err and "solver.tolerance" in err
     assert not (tmp_path / "out" / "solve.csv").exists()
+
+
+def test_solve_3d_picard_deterministic(tmp_path):
+    path, _ = _write_config(
+        tmp_path, problem={"dimension": 3, "regularity": 0.4, "power": 1.0},
+        grid={"points": 16, "period": 16.0},
+        time={"horizon": 0.25, "slices": 8}, snapshots=[8])
+    outputs = []
+    for run, threads in (("first", "1"), ("second", "1"), ("threaded", "2")):
+        out = tmp_path / run
+        assert main(["solve", "--config", str(path), "--output", str(out),
+                     "--threads", threads]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("solve.csv", "solve_snapshot_8.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_solve_plane_wave_datum(tmp_path):
@@ -357,6 +374,57 @@ def test_config_complex_amplitude(tmp_path):
         tmp_path,
         datum={"kind": "gaussian", "amplitude": [0.05, 0.05], "width": 2.0})
     assert main(["solve", "--config", str(path)]) == 0
+
+
+UNKNOWN_KEY_CASES = [
+    ("solve", {"integrater": "split_step"}, "config.integrater"),
+    ("solve", {"grid": {"point": 64, "period": 32.0}}, "grid.point"),
+    ("solve", {"datum": {"kind": "gaussian", "amplitude": 0.08,
+                         "widht": 2.0}}, "datum.widht"),
+    ("dependence", {"family": {"initial_scale": 0.01, "deph": 4}},
+     "family.deph"),
+    ("dependence", {"family": {"initial_scale": 0.01, "depth": 4},
+                    "direction": {"centre": 3.0}}, "direction.centre"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, name", UNKNOWN_KEY_CASES,
+                         ids=[case[2] for case in UNKNOWN_KEY_CASES])
+def test_config_rejects_unknown_key(tmp_path, capsys, command, overrides,
+                                    name):
+    path, _ = _write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(path)]) == 2
+    assert f"unknown key {name}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_checked_per_field_kind(tmp_path):
+    # plane_wave takes no width, random takes no amplitude
+    for datum in ({"kind": "plane_wave", "mode": 2, "width": 1.0},
+                  {"kind": "random", "band": 4, "amplitude": 1.0}):
+        path, _ = _write_config(tmp_path, seed=3, datum=datum)
+        with pytest.raises(ConfigError, match="unknown key datum."):
+            RunConfig.load(str(path), None, None)
+
+
+def test_config_block_must_be_object(tmp_path, capsys):
+    path, _ = _write_config(tmp_path, time=[0.25, 16])
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "time must be a JSON object" in capsys.readouterr().err
+
+
+def test_benchmark_workload_configs_load(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]
+                           / "perfbench"))
+    try:
+        from workloads import DEFAULT_SEED, WORKLOADS
+    finally:
+        sys.path.pop(0)
+    for workload in WORKLOADS.values():
+        path = tmp_path / f"{workload.name}.json"
+        path.write_text(json.dumps(workload.config(DEFAULT_SEED)))
+        rc = RunConfig.load(str(path), None, workload.threads)
+        assert rc.params.dimension == workload.problem["dimension"]
 
 
 def test_config_hash_ignores_key_order():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from fracnls.grid import (
 )
 from fracnls.spaces import (
     NormSpec,
+    _annulus_multipliers,
+    _inverse_on_support,
     ShellQuadrature,
     besov_fd_tail_bound,
     besov_norm_fd,
@@ -22,6 +26,7 @@ from fracnls.spaces import (
     decompose,
     default_band,
     evaluate_norm,
+    peak_factored_norm,
     sobolev_norm,
     spacetime_norm,
     transition_profile,
@@ -170,6 +175,80 @@ def test_besov_lp_triangle_inequality(rng):
         a = besov_norm_lp(f + g, spec)
         b = besov_norm_lp(f, spec) + besov_norm_lp(g, spec)
         assert a <= b * (1 + 1e-12)
+
+
+KERNEL_GRIDS = [Grid(1, 128, 32.0), Grid(2, 128, 32.0), Grid(3, 32, 32.0)]
+
+
+def _random_complex(grid, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(grid.shape)
+            + 1j * rng.standard_normal(grid.shape))
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_inverse_on_support_matches_ifftn_bitwise(grid):
+    fhat = np.fft.fftn(_random_complex(grid, 5))
+    low, annuli = _annulus_multipliers(grid, *default_band(grid))
+    pruned = 0
+    for mult, runs in [low] + annuli:
+        pruned += any(r != (slice(0, grid.points),) for r in runs)
+        expected = np.fft.ifftn(fhat * mult)
+        got = _inverse_on_support(fhat * mult, runs)
+        assert got.tobytes() == expected.tobytes()
+    # the low block and the lowest annuli do skip lines beyond 1D
+    assert pruned >= (3 if grid.dim > 1 else 0)
+
+
+def _reference_besov_lp(values, grid, spec):
+    """One ifftn(fftn(x) * multiplier) per block, then the L^p formula."""
+    def lp(x):
+        mag = np.abs(x)
+        top = float(mag.max())
+        if top == 0.0:
+            return 0.0
+        acc = float(np.sum((mag / top) ** spec.p)) * grid.cell_volume
+        return top * acc ** (1.0 / spec.p)
+
+    jmin, jmax = default_band(grid)
+    kmag = grid.wavenumber_magnitude
+    terms = []
+    for j in range(jmin, jmax + 1):
+        mult = (transition_profile(kmag / 2.0 ** (j + 1))
+                - transition_profile(kmag / 2.0 ** j))
+        piece = np.fft.ifftn(np.fft.fftn(values) * mult)
+        terms.append(2.0 ** (j * spec.s) * lp(piece))
+    if not spec.homogeneous:
+        low = transition_profile(kmag / 2.0 ** jmin)
+        terms.append(lp(np.fft.ifftn(np.fft.fftn(values) * low)))
+    return peak_factored_norm(terms, spec.q)
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS + [Grid(2, 64, 16.0)],
+                         ids=lambda g: f"{g.dim}d{g.points}")
+@pytest.mark.parametrize("homogeneous", [False, True])
+def test_besov_lp_matches_reference_bitwise(grid, homogeneous):
+    f = Field(grid, _random_complex(grid, 11))
+    for p in (1.5, 2.0, 20.0 / 7.0):
+        spec = NormSpec("besov_lp", s=0.4, p=p, q=2.0,
+                        homogeneous=homogeneous)
+        assert besov_norm_lp(f, spec) == _reference_besov_lp(f.values, grid,
+                                                             spec)
+
+
+@pytest.mark.parametrize("grid", [Grid(3, 32, 32.0), Grid(2, 64, 16.0)],
+                         ids=lambda g: f"{g.dim}d")
+def test_besov_lp_peak_memory(grid):
+    f = Field(grid, _random_complex(grid, 13))
+    spec = NormSpec("besov_lp", s=0.4, p=20.0 / 7.0, q=2.0)
+    besov_norm_lp(f, spec)  # warm: multipliers and supports are cached
+    tracemalloc.start()
+    try:
+        besov_norm_lp(f, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * f.values.nbytes
 
 
 # ------------------------------------------------------------------ sobolev
