@@ -144,6 +144,21 @@ def _check_keys(config: dict):
             _reject_unknown(block, allowed, where)
 
 
+def _check_types(config: dict):
+    """Flags must be JSON booleans and counts integers >= 2."""
+    remainder = _block(config, "remainder")
+    for where, block, key in (("config", config, "cross_check"),
+                              ("remainder", remainder, "static")):
+        if not isinstance(block.get(key, False), bool):
+            raise ConfigError(f"{where}.{key} must be true or false, "
+                              f"got {block[key]!r}")
+    for key in ("shells", "theta_nodes"):
+        value = remainder.get(key, 2)  # absent: the command default
+        if type(value) is not int or value < 2:  # bool is not a count
+            raise ConfigError(f"remainder.{key} must be an integer >= 2, "
+                              f"got {value!r}")
+
+
 def _block(config: dict, where: str) -> dict:
     block = config.get(where, {})
     if not isinstance(block, dict):
@@ -242,6 +257,7 @@ class RunConfig:
         if not isinstance(raw, dict) or not raw:
             raise ConfigError("config must be a non-empty JSON object")
         _check_keys(raw)
+        _check_types(raw)
         params = _build_params(raw)
         env = os.environ.get("FRACNLS_THREADS")
         if env is not None:
@@ -570,8 +586,7 @@ def cmd_dependence(args) -> int:
     else:
         tg = _build_timegrid(rc.raw)
     report = run_dependence(rc.params, family, rc.solver, tg,
-                            cross_check=bool(rc.raw.get("cross_check",
-                                                        False)),
+                            cross_check=rc.raw.get("cross_check", False),
                             cross_tol=float(rc.raw.get("cross_tol", 1e-4)),
                             threads=rc.threads)
     slopes = _running_slopes(report.rows)
@@ -599,8 +614,8 @@ def cmd_remainder(args) -> int:
     block = rc.raw.get("remainder", {})
     family = _build_family(rc.raw, rc.grid, rc.params, rc.seed)
     tg = _build_timegrid(rc.raw)
-    quad = ShellQuadrature(shells=int(block.get("shells", 16)))
-    theta = int(block.get("theta_nodes", 32))
+    quad = ShellQuadrature(shells=block.get("shells", 16))
+    theta = block.get("theta_nodes", 32)
     if block.get("static", False):
         gamma, rho = rc.solver.metric_pair
         rows = static_remainder_decay(

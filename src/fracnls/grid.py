@@ -105,6 +105,21 @@ class Grid:
     def wavenumber_magnitude(self) -> np.ndarray:
         return np.sqrt(self.wavenumber_square)
 
+    def sobolev_weight(self, s: float, homogeneous: bool) -> np.ndarray:
+        """|k|^(2s) (homogeneous; 0^s = 0 drops the mean) or (1+|k|^2)^s
+        on the mesh, read-only and built once per (s, homogeneous)."""
+        key = (float(s), bool(homogeneous))
+        if key not in self._sobolev_weights:
+            k2 = self.wavenumber_square
+            weight = np.power(k2 if homogeneous else 1.0 + k2, key[0])
+            weight.setflags(write=False)
+            self._sobolev_weights[key] = weight
+        return self._sobolev_weights[key]
+
+    @cached_property
+    def _sobolev_weights(self) -> dict:
+        return {}
+
     @cached_property
     def origin_phase(self) -> np.ndarray:
         """exp(-i k.x0) with x0 the lower-left corner, mesh shaped."""

@@ -151,12 +151,6 @@ def derivative_envelope(nl, values) -> np.ndarray:
     return np.abs(nl.dz(values)) + np.abs(nl.dzbar(values))
 
 
-def wirtinger(z: complex, nl: Nonlinearity) -> tuple[complex, complex]:
-    """Derivative pair (dz g, dzbar g) at one point."""
-    arr = np.asarray(z, dtype=complex).reshape(-1)
-    return complex(nl.dz(arr)[0]), complex(nl.dzbar(arr)[0])
-
-
 @lru_cache(maxsize=8)
 def _gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], read-only."""
@@ -168,26 +162,6 @@ def _gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def difference_identity_residual(z1: complex, z2: complex, nl: Nonlinearity,
-                                 n_theta: int = 64) -> float:
-    """Residual of the segment-integral reconstruction of g(z1) - g(z2):
-
-        g(z1) - g(z2) = (z1-z2) int_0^1 dz g(z2 + t(z1-z2)) dt
-                      + conj(z1-z2) int_0^1 dzbar g(z2 + t(z1-z2)) dt,
-
-    with the integrals evaluated by Gauss-Legendre quadrature.  The
-    residual decays at the quadrature's rate when the segment stays away
-    from the origin (where fractional powers lose smoothness)."""
-    nodes, weights = _gauss_unit(n_theta)
-    gap = complex(z1) - complex(z2)
-    path = complex(z2) + nodes * gap
-    rhs = gap * np.sum(weights * nl.dz(path)) \
-        + np.conj(gap) * np.sum(weights * nl.dzbar(path))
-    lhs = complex(nl.g(np.asarray(z1, dtype=complex).reshape(-1))[0]) \
-        - complex(nl.g(np.asarray(z2, dtype=complex).reshape(-1))[0])
-    return abs(lhs - rhs)
 
 
 # -------------------------------------------------- pointwise power bounds
@@ -212,32 +186,6 @@ def _pointwise_sides(z1, z2, alpha: float):
         return modulus_lhs, base, phase_lhs, 9.0 * base
     base = (m1 ** (alpha - 1.0) + m2 ** (alpha - 1.0)) * gap
     return modulus_lhs, alpha * base, phase_lhs, 5.0 * base
-
-
-@dataclass(frozen=True)
-class PointwiseReport:
-    """Both pointwise inequalities evaluated at one pair."""
-
-    modulus_lhs: float
-    modulus_bound: float
-    phase_lhs: float
-    phase_bound: float
-
-    @property
-    def satisfied(self) -> bool:
-        slack = 1.0 + 1e-12  # equality cases up to roundoff
-        return (self.modulus_lhs <= self.modulus_bound * slack
-                and self.phase_lhs <= self.phase_bound * slack)
-
-
-def check_pointwise_power(z1: complex, z2: complex,
-                          alpha: float) -> PointwiseReport:
-    """Evaluate the two pointwise power inequalities at a pair of points."""
-    if not alpha > 0:
-        raise ValueError(f"power must be positive, got {alpha}")
-    ml, mb, pl, pb = _pointwise_sides(z1, z2, alpha)
-    return PointwiseReport(modulus_lhs=float(ml), modulus_bound=float(mb),
-                           phase_lhs=float(pl), phase_bound=float(pb))
 
 
 def count_pointwise_violations(z1, z2, alpha: float,
@@ -288,7 +236,11 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
     tuple with one value per entry.  The base side (u's increments and its
     derivative pair along each segment) is computed once per offset and
     shared by every entry; each value equals the single-pair call's bit
-    for bit."""
+    for bit.
+
+    theta_nodes is the Gauss-Legendre node count of the segment average;
+    for the power map with an even integer power 2m it is an upper bound,
+    since m + 1 nodes already integrate that map's derivatives exactly."""
     single = isinstance(v, Field)
     others = (v,) if single else tuple(v)
     for w in others:
@@ -299,27 +251,37 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
     if quad is None:
         quad = ShellQuadrature()
     offsets, weights, radii = quad.offsets_weights(grid)
-    nodes, wts = _gauss_unit(theta_nodes)
+    n_theta = theta_nodes
+    if isinstance(nl, PowerNonlinearity) and nl.power % 2 == 0:
+        # for power 2m both derivatives along u + theta inc are polynomials
+        # of degree 2m in theta, and m + 1 Gauss nodes are exact to 2m + 1
+        n_theta = min(theta_nodes, int(nl.power) // 2 + 1)
+    nodes, wts = _gauss_unit(n_theta)
     # complex nodes spare the real-to-complex cast in every broadcast
     theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
 
     def averaged_gap(along_v, along_u):
         # node-wise difference before the theta sum, so v = u gives 0
-        gap = (along_v - along_u).reshape(theta_nodes, -1)
+        gap = (along_v - along_u).reshape(n_theta, -1)
         return (wts @ gap).reshape(grid.shape)
 
-    uhat = np.fft.fftn(u.values)
-    others_hat = [np.fft.fftn(w.values) for w in others]
+    # row 0 is u and row 1 + j is others[j]: one inverse transform per
+    # offset serves every row
+    stack = np.stack([u.values] + [w.values for w in others])
+    axes = tuple(range(1, grid.dim + 1))
+    stack_hat = np.fft.fftn(stack, axes=axes)
     norms = np.empty((len(others), len(offsets)))
     for i, y in enumerate(offsets):
-        shift = grid.translation_multiplier(y)
-        inc_u = np.fft.ifftn(uhat * shift) - u.values
+        incs = np.fft.ifftn(stack_hat * grid.translation_multiplier(y),
+                            axes=axes)
+        incs -= stack
+        inc_u = incs[0]
         path_u = u.values[None] + theta * inc_u[None]
         dz_u = nl.dz(path_u)
         dzbar_u = nl.dzbar(path_u)
         conj_inc_u = np.conj(inc_u)
-        for j, (w, what) in enumerate(zip(others, others_hat)):
-            inc_w = np.fft.ifftn(what * shift) - w.values
+        for j, w in enumerate(others):
+            inc_w = incs[1 + j]
             path_w = w.values[None] + theta * inc_w[None]
             residual = (inc_u * averaged_gap(nl.dz(path_w), dz_u)
                         + conj_inc_u * averaged_gap(nl.dzbar(path_w),

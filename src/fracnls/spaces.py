@@ -243,13 +243,8 @@ def besov_norm_lp(f: Field, spec: NormSpec) -> float:
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     """Multiplier norm: weights |k|^(2s) (homogeneous, mean dropped for
     s > 0) or (1+|k|^2)^s on the Plancherel-normalized coefficients."""
-    coef = _coefficients(f)
-    k2 = f.grid.wavenumber_square
-    if homogeneous:
-        weight = np.power(k2, s)  # 0^s = 0 kills the mean for s > 0
-    else:
-        weight = np.power(1.0 + k2, s)
-    return float(np.sqrt(np.sum(weight * np.abs(coef) ** 2)))
+    weight = f.grid.sobolev_weight(s, homogeneous)
+    return float(np.sqrt(np.sum(weight * np.abs(_coefficients(f)) ** 2)))
 
 
 # --------------------------------------------------- difference realization

@@ -1,7 +1,7 @@
 """Acceptance gate: the eight headline checks, one test each (criterion 5
-has a second test in 2D), each at its stated tolerance and time budget.
-Every test prints a single pass line; a failure anywhere here means the
-build does not meet its contract."""
+has further tests in 2D and 3D), each at its stated tolerance and time
+budget.  Every test prints a single pass line; a failure anywhere here
+means the build does not meet its contract."""
 
 import json
 import time
@@ -221,6 +221,38 @@ def test_criterion_5_remainder_decay_2d():
     assert all(a > b for a, b in zip(solved_vals, solved_vals[1:]))
     assert solved_vals[8] <= 1e-2 * solved_vals[0]
     _pass_line(5, "remainder decay, 2D", started, 300.0)
+
+
+def test_criterion_5_remainder_decay_3d():
+    # s = 1/2 makes the cubic map H^(1/2)-critical in 3D, inside the
+    # admissible range alpha <= 4/(N - 2s)
+    started = time.perf_counter()
+    params = ProblemParams(3, 0.5, 2.0)
+    grid = Grid(3, 16, 32.0)
+    rho = canonical_pair(params)[1]
+    quad = ShellQuadrature(shells=12)
+
+    base = gaussian(grid, 1.0, 2.0)
+    scales = tuple(0.5 * 0.5 ** k for k in range(9))
+    static_rows = static_remainder_decay(
+        base, default_direction(base, 0.5), scales, CUBIC,
+        0.5, dual(rho), 2.0, rho, theta_nodes=16, quad=quad)
+    static_vals = [row.integrated for row in static_rows]
+    assert all(a > b for a, b in zip(static_vals, static_vals[1:]))
+    assert static_vals[8] <= 1e-2 * static_vals[0]
+
+    small = gaussian(grid, 0.08, 2.0)
+    family = PerturbationFamily(small, default_direction(small, 0.5),
+                                0.01, 8, 0.5)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    solved_rows = remainder_decay_experiment(params, family, cfg,
+                                             TimeGrid(0.25, 4),
+                                             theta_nodes=16, quad=quad)
+    solved_vals = [row.integrated for row in solved_rows]
+    assert all(row.converged for row in solved_rows)
+    assert all(a > b for a, b in zip(solved_vals, solved_vals[1:]))
+    assert solved_vals[8] <= 1e-2 * solved_vals[0]
+    _pass_line(5, "remainder decay, 3D", started, 300.0)
 
 
 def test_criterion_6_difference_bound():

@@ -413,6 +413,33 @@ def test_config_block_must_be_object(tmp_path, capsys):
     assert "time must be a JSON object" in capsys.readouterr().err
 
 
+BAD_TYPE_CASES = [
+    ("remainder", "remainder.static", "no"),
+    ("remainder", "remainder.static", 1),
+    ("remainder", "remainder.theta_nodes", 2.7),
+    ("remainder", "remainder.theta_nodes", True),
+    ("remainder", "remainder.theta_nodes", 1),
+    ("remainder", "remainder.shells", "12"),
+    ("remainder", "remainder.shells", 12.0),
+    ("dependence", "config.cross_check", "false"),
+    ("dependence", "config.cross_check", 0),
+]
+
+
+@pytest.mark.parametrize("command, name, value", BAD_TYPE_CASES,
+                         ids=[f"{name}={value!r}"
+                              for _, name, value in BAD_TYPE_CASES])
+def test_config_rejects_mistyped_flag_or_count(tmp_path, capsys, command,
+                                               name, value):
+    block, key = name.split(".")
+    override = {key: value} if block == "config" else {block: {key: value}}
+    path, _ = _write_config(
+        tmp_path, family={"initial_scale": 0.01, "depth": 3}, **override)
+    assert main([command, "--config", str(path)]) == 2
+    assert f"config error: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_benchmark_workload_configs_load(tmp_path):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]
                            / "perfbench"))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import fracnls.nonlinearity
 from fracnls.grid import Field, Grid, gaussian, lebesgue_norm
 from fracnls.nonlinearity import (
     DifferenceExponents,
@@ -11,14 +12,13 @@ from fracnls.nonlinearity import (
     apply_g,
     as_general,
     besov_difference_report,
-    check_pointwise_power,
     count_pointwise_violations,
     derivative_envelope,
-    difference_identity_residual,
     remainder_K,
-    wirtinger,
 )
 from fracnls.spaces import NormSpec, ShellQuadrature, besov_norm_fd
+from pointwise_checks import (check_pointwise_power,
+                              difference_identity_residual, wirtinger)
 
 CUBIC = PowerNonlinearity(coupling=1.0, power=2.0)
 
@@ -179,6 +179,21 @@ def test_difference_identity_needs_two_nodes():
         difference_identity_residual(1.0, 0.0, CUBIC, n_theta=1)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+def test_difference_identity_exact_at_m_plus_one_nodes(alpha, rng):
+    # for alpha = 2m the derivative pair is a degree-2m polynomial along
+    # the segment, which m + 1 Gauss-Legendre nodes integrate exactly
+    nl = PowerNonlinearity(coupling=0.7 - 0.3j, power=alpha)
+    m = int(alpha) // 2
+    for _ in range(50):
+        z1, z2 = (np.sqrt(rng.uniform(size=2))
+                  * np.exp(2j * np.pi * rng.uniform(size=2)))
+        assert difference_identity_residual(z1, z2, nl, n_theta=m + 1) \
+            <= 1e-14
+    if m >= 2:  # one node fewer is not exact
+        assert difference_identity_residual(1.0, -0.5j, nl, n_theta=m) > 1e-6
+
+
 # ---------------------------------------------------------- pointwise bounds
 
 def test_pointwise_boundary_case_is_equality():
@@ -257,6 +272,64 @@ def test_remainder_batch_matches_single_calls(dim, nl):
     batched = remainder_K(u, others, nl, **kwargs)
     assert batched == tuple(remainder_K(u, v, nl, **kwargs) for v in others)
     assert all(value > 0.0 for value in batched)
+
+
+@pytest.mark.parametrize("coupling", [1.0, 0.7 - 0.3j],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_remainder_exact_nodes_match_full_quadrature(dim, alpha, coupling):
+    # the power map takes m + 1 of the 16 nodes; the general view of the
+    # same map takes all 16
+    grid = Grid(dim, {1: 64, 2: 16, 3: 8}[dim], 16.0)
+    u = gaussian(grid, amplitude=1.0, width=2.0)
+    bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
+    others = [u + (2.0 ** -k) * bump for k in range(4)]
+    nl = PowerNonlinearity(coupling=coupling, power=alpha)
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=16,
+                  quad=ShellQuadrature(shells=6))
+    exact = remainder_K(u, others, nl, **kwargs)
+    full = remainder_K(u, others, as_general(nl), **kwargs)
+    assert all(value > 0.0 for value in full)
+    assert np.allclose(exact, full, rtol=1e-13, atol=0.0)
+
+
+def _node_counts(monkeypatch, nl, theta_nodes):
+    """The Gauss-Legendre node counts remainder_K asks for."""
+    asked = []
+    real = fracnls.nonlinearity._gauss_unit
+
+    def spy(n):
+        asked.append(n)
+        return real(n)
+
+    monkeypatch.setattr(fracnls.nonlinearity, "_gauss_unit", spy)
+    grid = Grid(1, 32, 16.0)
+    u = gaussian(grid, amplitude=1.0, width=2.0)
+    remainder_K(u, [u * 0.5, u * 0.25], nl, s=0.5, p=2.0, q=2.0, r=6.0,
+                theta_nodes=theta_nodes, quad=ShellQuadrature(shells=4))
+    return asked
+
+
+@pytest.mark.parametrize("nl, expected", [
+    (CUBIC, 2),
+    (PowerNonlinearity(coupling=0.7 - 0.3j, power=4.0), 3),
+    (PowerNonlinearity(power=1.0), 16),
+    (PowerNonlinearity(power=4.0 / 3.0), 16),
+    (PowerNonlinearity(power=3.0), 16),
+    (as_general(CUBIC), 16),
+    (_cubic_plus_linear(), 16),
+], ids=["alpha2", "alpha4", "alpha1", "alpha4/3", "alpha3", "general_view",
+        "general"])
+def test_remainder_node_count(monkeypatch, nl, expected):
+    assert _node_counts(monkeypatch, nl, 16) == [expected]
+
+
+def test_remainder_node_count_is_an_upper_bound(monkeypatch):
+    quartic = PowerNonlinearity(power=4.0)
+    assert _node_counts(monkeypatch, quartic, 2) == [2]
+    with pytest.raises(ValueError, match="at least 2"):
+        _node_counts(monkeypatch, CUBIC, 1)
 
 
 def test_remainder_batch_diagonal_row_is_zero(bump_pair):
