@@ -23,7 +23,7 @@ import numpy as np
 
 from . import spaces
 from .dependence import (PerturbationFamily, choose_horizon,
-                         default_direction, fit_slope, lipschitz_constant,
+                         default_direction, lipschitz_constant,
                          loglog_fit, remainder_decay_experiment,
                          run_dependence, static_remainder_decay)
 from .exponents import (HypothesisViolation, ProblemParams, canonical_pair,
@@ -73,9 +73,7 @@ def _build_params(config: dict) -> ProblemParams:
         dimension=int(_require(block, "dimension", "problem")),
         regularity=float(_require(block, "regularity", "problem")),
         power=float(_require(block, "power", "problem")),
-        coupling=_as_complex(block.get("coupling", 1.0), "problem.coupling"),
-        growth_const=float(block.get("growth_const", 0.0)),
-        growth_coeff=float(block.get("growth_coeff", 1.0)))
+        coupling=_as_complex(block.get("coupling", 1.0), "problem.coupling"))
     validate(params)
     return params
 
@@ -111,8 +109,7 @@ _TOP_KEYS = frozenset({
     "remainder", "auto_horizon", "seed", "threads", "output_dir",
     "integrator", "snapshots", "cross_check", "cross_tol"})
 _BLOCK_KEYS = {
-    "problem": frozenset({"dimension", "regularity", "power", "coupling",
-                          "growth_const", "growth_coeff"}),
+    "problem": frozenset({"dimension", "regularity", "power", "coupling"}),
     "grid": frozenset({"points", "period"}),
     "time": frozenset({"horizon", "slices", "dt"}),
     "family": frozenset({"initial_scale", "depth"}),
@@ -144,8 +141,31 @@ def _check_keys(config: dict):
             _reject_unknown(block, allowed, where)
 
 
+# numeric keys by block ("config" is the top level): a count must be a
+# JSON integer and a real any JSON number; a bool is neither
+_REAL = (int, float)
+_NUMBER_KEYS = {
+    "config": {"threads": int, "seed": int, "cross_tol": _REAL},
+    "problem": {"dimension": int, "regularity": _REAL, "power": _REAL},
+    "grid": {"points": int, "period": _REAL},
+    "time": {"slices": int, "horizon": _REAL, "dt": _REAL},
+    "family": {"depth": int, "initial_scale": _REAL},
+    "solver": {"max_iter": int, "tol": _REAL, "smallness_delta": _REAL},
+    "auto_horizon": {"slices": int, "start": _REAL},
+}
+
+
 def _check_types(config: dict):
-    """Flags must be JSON booleans and counts integers >= 2."""
+    """Numbers must have their JSON type, flags be JSON booleans and the
+    remainder counts integers >= 2."""
+    for where, keys in _NUMBER_KEYS.items():
+        block = config if where == "config" else _block(config, where)
+        for key, kind in keys.items():
+            value = block.get(key, 0)  # absent: nothing to check
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is int else "a number"
+                raise ConfigError(f"{where}.{key} must be {noun}, "
+                                  f"got {value!r}")
     remainder = _block(config, "remainder")
     for where, block, key in (("config", config, "cross_check"),
                               ("remainder", remainder, "static")):
@@ -275,11 +295,10 @@ class RunConfig:
             raise ConfigError(f"thread count must be >= 1, got {resolved}")
         out = Path(output if output is not None
                    else raw.get("output_dir", "."))
-        seed = raw.get("seed")
         return cls(raw=raw, digest=config_hash(raw), params=params,
                    grid=_build_grid(raw, params),
                    solver=_build_solver(raw, params),
-                   seed=None if seed is None else int(seed),
+                   seed=raw.get("seed"),
                    threads=resolved, output_dir=out)
 
 

@@ -340,10 +340,6 @@ class RemainderDecayRow:
     integrated: float
     converged: bool = True
 
-    def to_dict(self) -> dict:
-        return {"scale": self.scale, "integrated": self.integrated,
-                "converged": self.converged}
-
 
 def remainder_decay_experiment(params: ProblemParams,
                                family: PerturbationFamily,

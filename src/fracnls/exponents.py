@@ -245,15 +245,6 @@ def is_admissible(q: Number, r: Number, dimension: int,
     return abs(lhs - rhs) <= tol
 
 
-def time_gain_exponent(params: ProblemParams) -> float:
-    """Exponent of the horizon factor gained below the maximal power:
-    (4 - alpha (N - 2s)) / 4, positive exactly in the subcritical case."""
-    n = params.dimension
-    s = _frac(params.regularity)
-    a = _exact_power(n, s, params.power)
-    return float((4 - a * (n - 2 * s)) / 4)
-
-
 def derive(params: ProblemParams) -> ExponentSet:
     """Validate and produce the full exponent set for the parameters."""
     criticality = validate(params)

@@ -203,46 +203,17 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Fourier coefficients of a field, in FFT ordering."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=complex)
-        if coef.shape != self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {coef.shape} does not match grid "
-                f"shape {self.grid.shape}")
-        coef = coef.copy()
-        coef.setflags(write=False)
-        object.__setattr__(self, "coefficients", coef)
-
-
-def forward_transform(f: Field) -> Spectrum:
-    """Spectral coefficients with exact Plancherel normalization.
+def forward_transform(f: Field) -> np.ndarray:
+    """Spectral coefficients with exact Plancherel normalization, as a new
+    writable array in FFT ordering.
 
     sum_k |c_k|^2 equals h^N sum_x |f(x)|^2 to roundoff, and for fields
     resolved by the grid c_k approximates L^(-N/2) times the continuum
     Fourier transform at k.
     """
-    return Spectrum(f.grid, _coefficients(f))
-
-
-def _coefficients(f: Field) -> np.ndarray:
-    """The coefficients of `forward_transform` as a new writable array."""
     g = f.grid
     scale = g.cell_volume / g.period ** (g.dim / 2.0)
     return np.fft.fftn(f.values) * g.origin_phase * scale
-
-
-def inverse_transform(sp: Spectrum) -> Field:
-    g = sp.grid
-    scale = g.cell_volume / g.period ** (g.dim / 2.0)
-    vals = np.fft.ifftn(sp.coefficients / g.origin_phase / scale)
-    return Field(g, vals)
 
 
 def _apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
@@ -298,16 +269,6 @@ def inner_product(f: Field, g: Field) -> complex:
     """L^2 pairing h^N sum conj(f) g."""
     f._check_same_grid(g)
     return complex(np.vdot(f.values, g.values) * f.grid.cell_volume)
-
-
-def boundary_magnitude(f: Field) -> float:
-    """Largest |f| on the outermost lattice shell; decay diagnostic."""
-    mag = np.abs(f.values)
-    top = 0.0
-    for a in range(f.grid.dim):
-        top = max(top, float(np.take(mag, 0, axis=a).max()),
-                  float(np.take(mag, -1, axis=a).max()))
-    return top
 
 
 def plane_wave(grid: Grid, mode: Sequence[int] | int,

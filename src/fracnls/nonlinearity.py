@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .grid import Field, lebesgue_norm, lp_norm
-from .spaces import (NormSpec, ShellQuadrature, besov_norm_fd,
-                     peak_factored_norm)
+from .spaces import (NormSpec, ShellQuadrature, besov_norm_fd, fd_quadrature,
+                     peak_factored_norm, translation_increments)
 
 
 def _phase_square(values: np.ndarray, power: float) -> np.ndarray:
@@ -248,9 +248,7 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
             raise ValueError("fields live on different grids")
     _check_difference_exponents(s, p, q, r, nl.power)
     grid = u.grid
-    if quad is None:
-        quad = ShellQuadrature()
-    offsets, weights, radii = quad.offsets_weights(grid)
+    offsets, kernel = fd_quadrature(grid, quad, s, q)
     n_theta = theta_nodes
     if isinstance(nl, PowerNonlinearity) and nl.power % 2 == 0:
         # for power 2m both derivatives along u + theta inc are polynomials
@@ -268,13 +266,8 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
     # row 0 is u and row 1 + j is others[j]: one inverse transform per
     # offset serves every row
     stack = np.stack([u.values] + [w.values for w in others])
-    axes = tuple(range(1, grid.dim + 1))
-    stack_hat = np.fft.fftn(stack, axes=axes)
     norms = np.empty((len(others), len(offsets)))
-    for i, y in enumerate(offsets):
-        incs = np.fft.ifftn(stack_hat * grid.translation_multiplier(y),
-                            axes=axes)
-        incs -= stack
+    for i, incs in enumerate(translation_increments(stack, grid, offsets)):
         inc_u = incs[0]
         path_u = u.values[None] + theta * inc_u[None]
         dz_u = nl.dz(path_u)
@@ -287,7 +280,6 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
                         + conj_inc_u * averaged_gap(nl.dzbar(path_w),
                                                     dzbar_u))
             norms[j, i] = lp_norm(residual, p, grid.cell_volume)
-    kernel = radii ** (-grid.dim - s * q) * weights
     values = tuple(peak_factored_norm(row, q, kernel) for row in norms)
     return values[0] if single else values
 
@@ -347,8 +339,6 @@ def besov_difference_report(u: Field, v: Field, nl: Nonlinearity,
     and times (||u||_sigma^(power-1) + ||v||_sigma^(power-1)) ||v - u||_sigma
     for power >= 1."""
     sigma = exps.sigma(nl.power)
-    if quad is None:
-        quad = ShellQuadrature()
     spec_p = NormSpec("besov_fd", s=exps.s, p=exps.p, q=exps.q,
                       homogeneous=True)
     spec_r = NormSpec("besov_fd", s=exps.s, p=exps.r, q=exps.q,

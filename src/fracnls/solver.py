@@ -15,9 +15,6 @@ Two routes to a numerical solution of i u_t + Lap u + g(u) = 0:
   of i u_t + g(u) = 0 for the power map.  It has no smallness
   restriction and serves as the oracle the fixed point is checked
   against.
-
-Blow-up is only ever detected, never resolved: `detect_blowup` scans a
-trajectory for the first Sobolev-norm threshold crossing.
 """
 
 from dataclasses import dataclass
@@ -29,13 +26,13 @@ import numpy as np
 from .exponents import is_admissible
 from .grid import Field, Grid, lp_norm
 from .nonlinearity import Nonlinearity, PowerNonlinearity
-from .spaces import NormSpec, sobolev_norm, spacetime_norm, trapezoid_norm
+from .spaces import NormSpec, spacetime_norm, trapezoid_norm
 
 __all__ = [
     "TimeGrid", "Trajectory", "PicardConfig", "IterationReport",
     "BlowUpError", "NonConvergenceError", "free_trajectory",
     "contraction_distance", "picard_duhamel", "split_step",
-    "smallness_check", "detect_blowup",
+    "smallness_check",
 ]
 
 
@@ -378,23 +375,3 @@ def smallness_check(phi: Field, tg: TimeGrid, cfg: PicardConfig,
     gamma, rho = cfg.metric_pair
     spec = NormSpec("besov_lp", s=float(params.regularity), p=rho, q=2.0)
     return spacetime_norm(free_trajectory(phi, tg), gamma, spec)
-
-
-def detect_blowup(traj: Trajectory, threshold: float,
-                  regularity: float) -> Optional[float]:
-    """First slice time with Sobolev norm above threshold, if any.
-
-    A heuristic proxy for leaving the maximal existence interval; the
-    threshold must exceed the initial norm so a constant-norm flow never
-    triggers.
-    """
-    norms = [sobolev_norm(traj.field(m), regularity)
-             for m in range(traj.timegrid.slices + 1)]
-    if not threshold > norms[0]:
-        raise ValueError(
-            f"threshold {threshold} does not exceed the initial norm "
-            f"{norms[0]:.6g}")
-    for t, val in zip(traj.timegrid.times, norms):
-        if val > threshold:
-            return float(t)
-    return None

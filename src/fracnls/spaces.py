@@ -12,20 +12,20 @@ separate so they can cross-check each other:
 The dyadic partition is built from a C-infinity radial transition profile,
 so block multipliers overlap only between neighbours and telescope to one
 on the resolvable band.  The finite-difference integral is truncated to
-radii [h/2, L/2]; the discarded far tail is controlled by the L^p norm and
-is available as an explicit bound (`besov_fd_tail_bound`).
+radii [h/2, L/2].  `fd_quadrature` and `translation_increments` are the
+one engine for that integral, shared with the remainder functional.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .grid import Field, Grid, _coefficients, lebesgue_norm, lp_norm
+from .grid import Field, Grid, forward_transform, lebesgue_norm, lp_norm
 
 _NORM_KINDS = ("sobolev_multiplier", "besov_lp", "besov_fd", "lebesgue")
 
@@ -60,16 +60,6 @@ class NormSpec:
                 raise ValueError("difference characterization needs q < inf")
         if self.kind in ("besov_lp", "besov_fd") and not self.q > 0:
             raise ValueError("norm needs q > 0")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "s": self.s, "p": self.p, "q": self.q,
-                "homogeneous": self.homogeneous}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormSpec":
-        return cls(kind=d["kind"], s=float(d.get("s", 0.0)),
-                   p=float(d.get("p", 2.0)), q=float(d.get("q", 2.0)),
-                   homogeneous=bool(d.get("homogeneous", False)))
 
 
 # ------------------------------------------------------------- dyadic blocks
@@ -157,63 +147,6 @@ def _inverse_on_support(buf: np.ndarray, runs) -> np.ndarray:
     return buf
 
 
-@dataclass
-class DyadicBlocks:
-    """Littlewood-Paley pieces of a field.
-
-    blocks[i] carries the annulus 2^(j-1) <= |k| <= 2^(j+1) for
-    j = jmin + i; low_block carries |k| <= 2^jmin (including the mean)
-    when requested.  The pieces sum back to the original field.
-    """
-
-    grid: Grid
-    jmin: int
-    jmax: int
-    blocks: list = field(default_factory=list)
-    low_block: Optional[Field] = None
-
-    @property
-    def levels(self) -> list[int]:
-        return list(range(self.jmin, self.jmax + 1))
-
-    def reconstruct(self) -> Field:
-        total = np.zeros(self.grid.shape, dtype=complex)
-        if self.low_block is not None:
-            total = total + self.low_block.values
-        for b in self.blocks:
-            total = total + b.values
-        return Field(self.grid, total)
-
-
-def decompose(f: Field, jmin: Optional[int] = None,
-              jmax: Optional[int] = None,
-              include_low: bool = True) -> DyadicBlocks:
-    """Split a field into dyadic frequency blocks.
-
-    Defaults cover the grid's whole resolvable band, in which case the
-    blocks (plus the low block) reconstruct the field to roundoff.
-    """
-    auto_min, auto_max = default_band(f.grid)
-    if jmin is None:
-        jmin = auto_min
-    if jmax is None:
-        jmax = auto_max
-    if jmin >= jmax:
-        raise ValueError(f"need jmin < jmax, got ({jmin}, {jmax})")
-    kmin = 2.0 * np.pi / f.grid.period
-    kmax = math.sqrt(f.grid.dim) * f.grid.nyquist
-    if 2.0 ** (jmin - 1) > kmax or 2.0 ** (jmax + 1) < kmin:
-        raise ValueError(
-            f"band [2^{jmin}, 2^{jmax}] lies outside the resolvable "
-            f"wavenumbers [{kmin:.3g}, {kmax:.3g}]")
-    (low_mult, _), annuli = _annulus_multipliers(f.grid, jmin, jmax)
-    fhat = np.fft.fftn(f.values)
-    blocks = [Field(f.grid, np.fft.ifftn(fhat * m)) for m, _ in annuli]
-    low = Field(f.grid, np.fft.ifftn(fhat * low_mult)) if include_low else None
-    return DyadicBlocks(grid=f.grid, jmin=jmin, jmax=jmax, blocks=blocks,
-                        low_block=low)
-
-
 def besov_norm_lp(f: Field, spec: NormSpec) -> float:
     """Dyadic-block Besov norm ( sum_j (2^(js) ||block_j||_Lp)^q )^(1/q).
 
@@ -244,7 +177,7 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     """Multiplier norm: weights |k|^(2s) (homogeneous, mean dropped for
     s > 0) or (1+|k|^2)^s on the Plancherel-normalized coefficients."""
     weight = f.grid.sobolev_weight(s, homogeneous)
-    return float(np.sqrt(np.sum(weight * np.abs(_coefficients(f)) ** 2)))
+    return float(np.sqrt(np.sum(weight * np.abs(forward_transform(f)) ** 2)))
 
 
 # --------------------------------------------------- difference realization
@@ -318,15 +251,28 @@ class ShellQuadrature:
                 radii.reshape(-1))
 
 
-def _difference_norms(f: Field, offsets: np.ndarray, p: float) -> np.ndarray:
-    """||f(.-y) - f||_Lp for every offset row, via spectral translation."""
-    g = f.grid
-    fhat = np.fft.fftn(f.values)
-    out = np.empty(len(offsets))
-    for i, y in enumerate(offsets):
-        shifted = np.fft.ifftn(fhat * g.translation_multiplier(y))
-        out[i] = lp_norm(shifted - f.values, p, g.cell_volume)
-    return out
+def fd_quadrature(grid: Grid, quad: Optional[ShellQuadrature], s: float,
+                  q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets y and kernel |y|^(-N-sq) times the dy weight of each, for
+    the quadrature (default `ShellQuadrature()`) at smoothness s and
+    summability q."""
+    if quad is None:
+        quad = ShellQuadrature()
+    offsets, weights, radii = quad.offsets_weights(grid)
+    return offsets, radii ** (-grid.dim - s * q) * weights
+
+
+def translation_increments(stack: np.ndarray, grid: Grid, offsets):
+    """For each offset y, a new array holding f(. - y) - f for every row f
+    of stack (shape (rows, *grid.shape)): one forward transform over the
+    spatial axes up front, then one inverse transform per offset."""
+    axes = tuple(range(1, grid.dim + 1))
+    stack_hat = np.fft.fftn(stack, axes=axes)
+    for y in offsets:
+        incs = np.fft.ifftn(stack_hat * grid.translation_multiplier(y),
+                            axes=axes)
+        incs -= stack
+        yield incs
 
 
 def besov_norm_fd(f: Field, spec: NormSpec,
@@ -339,25 +285,11 @@ def besov_norm_fd(f: Field, spec: NormSpec,
     """
     if spec.kind != "besov_fd":
         raise ValueError(f"spec kind {spec.kind!r} is not besov_fd")
-    if quad is None:
-        quad = ShellQuadrature()
-    offsets, weights, radii = quad.offsets_weights(f.grid)
-    diffs = _difference_norms(f, offsets, spec.p)
-    kernel = radii ** (-f.grid.dim - spec.s * spec.q) * weights
+    offsets, kernel = fd_quadrature(f.grid, quad, spec.s, spec.q)
+    diffs = [lp_norm(incs[0], spec.p, f.grid.cell_volume)
+             for incs in translation_increments(f.values[None], f.grid,
+                                                offsets)]
     return peak_factored_norm(diffs, spec.q, kernel)
-
-
-def besov_fd_tail_bound(f: Field, spec: NormSpec,
-                        quad: Optional[ShellQuadrature] = None) -> float:
-    """Upper bound for the discarded |y| > rmax tail of the difference
-    integral: differences are at most 2||f||_Lp there."""
-    if quad is None:
-        quad = ShellQuadrature()
-    rmax = quad.rmax if quad.rmax is not None else 0.5 * f.grid.period
-    sphere_area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[f.grid.dim]
-    fp = lebesgue_norm(f, spec.p)
-    return 2.0 * fp * (sphere_area / (spec.s * spec.q)) ** (1.0 / spec.q) \
-        * rmax ** (-spec.s)
 
 
 # ------------------------------------------------------------------ dispatch

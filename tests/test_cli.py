@@ -385,6 +385,10 @@ UNKNOWN_KEY_CASES = [
      "family.deph"),
     ("dependence", {"family": {"initial_scale": 0.01, "depth": 4},
                     "direction": {"centre": 3.0}}, "direction.centre"),
+    ("solve", {"problem": dict(PROBLEM, growth_const=5.0)},
+     "problem.growth_const"),
+    ("solve", {"problem": dict(PROBLEM, growth_coeff=0.0)},
+     "problem.growth_coeff"),
 ]
 
 
@@ -423,6 +427,26 @@ BAD_TYPE_CASES = [
     ("remainder", "remainder.shells", 12.0),
     ("dependence", "config.cross_check", "false"),
     ("dependence", "config.cross_check", 0),
+    ("solve", "grid.points", 64.9),
+    ("solve", "grid.points", "64"),
+    ("solve", "grid.points", True),
+    ("solve", "grid.period", "32"),
+    ("solve", "time.slices", 8.7),
+    ("solve", "time.horizon", None),
+    ("solve", "time.dt", "0.01"),
+    ("solve", "problem.dimension", 1.9),
+    ("solve", "problem.regularity", "0.4"),
+    ("solve", "problem.power", True),
+    ("solve", "solver.max_iter", 40.9),
+    ("solve", "solver.tol", "1e-10"),
+    ("solve", "solver.smallness_delta", False),
+    ("solve", "config.threads", 1.5),
+    ("solve", "config.seed", 7.5),
+    ("dependence", "family.depth", 3.0),
+    ("dependence", "family.initial_scale", "0.01"),
+    ("dependence", "auto_horizon.slices", 8.5),
+    ("dependence", "auto_horizon.start", "0.5"),
+    ("dependence", "config.cross_tol", "1e-4"),
 ]
 
 
@@ -431,13 +455,22 @@ BAD_TYPE_CASES = [
                               for _, name, value in BAD_TYPE_CASES])
 def test_config_rejects_mistyped_flag_or_count(tmp_path, capsys, command,
                                                name, value):
+    overrides = {"family": {"initial_scale": 0.01, "depth": 3}}
     block, key = name.split(".")
-    override = {key: value} if block == "config" else {block: {key: value}}
-    path, _ = _write_config(
-        tmp_path, family={"initial_scale": 0.01, "depth": 3}, **override)
+    overrides.update({key: value} if block == "config"
+                     else {block: {key: value}})
+    path, _ = _write_config(tmp_path, **overrides)
     assert main([command, "--config", str(path)]) == 2
     assert f"config error: {name} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_integer_reals(tmp_path):
+    path, _ = _write_config(
+        tmp_path, problem=dict(PROBLEM, power=2, regularity=0.4),
+        grid={"points": 64, "period": 32}, cross_tol=1)
+    rc = RunConfig.load(str(path), None, None)
+    assert rc.grid.period == 32.0 and rc.params.power == 2.0
 
 
 def test_benchmark_workload_configs_load(tmp_path):

@@ -17,7 +17,6 @@ from fracnls.exponents import (
     max_power,
     nu,
     sigma,
-    time_gain_exponent,
     validate,
 )
 
@@ -170,12 +169,6 @@ def test_is_admissible_edges():
     assert not is_admissible(7.9, 8.0 / 3.0, 2)  # identity violated
 
 
-def test_time_gain_exponent_sign():
-    assert np.isclose(time_gain_exponent(ProblemParams(2, 0.5, 2.0)), 0.5,
-                      rtol=1e-15)
-    assert time_gain_exponent(ProblemParams(3, 0.5, 2.0)) == 0.0  # critical
-
-
 def test_derive_bundles_everything():
     exps = derive(ProblemParams(3, 0.5, 2.0))
     assert exps.criticality == "critical"
@@ -207,16 +200,13 @@ def test_identities_on_random_tuples():
         # conjugate split used by the difference estimates:
         # alpha/sigma = 1/rho' - 1/rho
         assert abs(float(a) / sig - (1.0 / dual(rho) - 1.0 / rho)) < 1e-12
-        gain = time_gain_exponent(params)
         if critical:
-            assert gain == 0.0
             assert np.isclose(gamma, float(a) + 2.0, rtol=1e-13)
             q0, r0 = critical_pair(params)
             assert is_admissible(q0, r0, n)
             assert r0 < n / float(s)
             assert abs(nu(r0, n, float(s)) - (float(a) + 2.0)) < 1e-12
         else:
-            assert gain > 0.0
             with pytest.raises(ValueError):
                 critical_pair(params)
 

@@ -12,9 +12,9 @@ from fracnls.nonlinearity import (GeneralNonlinearity, PowerNonlinearity,
                                   as_general)
 from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
                             TimeGrid, Trajectory, contraction_distance,
-                            detect_blowup, free_trajectory, picard_duhamel,
+                            free_trajectory, picard_duhamel,
                             smallness_check, split_step)
-from fracnls.spaces import NormSpec, sobolev_norm, spacetime_norm
+from fracnls.spaces import NormSpec, spacetime_norm
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
 PAIR = canonical_pair(PARAMS)
@@ -400,37 +400,3 @@ def test_smallness_degree_one_homogeneous(line_grid):
     three = smallness_check(3.0 * phi, tg, _config(), PARAMS)
     assert three == pytest.approx(3.0 * one, rel=1e-12)
 
-
-def test_detect_blowup_constant_norm_flow_is_silent(line_grid):
-    phi = gaussian(line_grid, 1.0, 2.0)
-    traj = free_trajectory(phi, TimeGrid(1.0, 32))
-    initial = sobolev_norm(phi, 0.4)
-    assert detect_blowup(traj, 1.5 * initial, 0.4) is None
-
-
-def test_detect_blowup_threshold_must_exceed_initial(line_grid):
-    phi = gaussian(line_grid, 1.0, 2.0)
-    traj = free_trajectory(phi, TimeGrid(1.0, 8))
-    with pytest.raises(ValueError, match="exceed"):
-        detect_blowup(traj, 0.5 * sobolev_norm(phi, 0.4), 0.4)
-
-
-def test_detect_blowup_defocusing_stays_quiet():
-    grid = Grid(1, 128, 32.0)
-    phi = gaussian(grid, 1.0, 2.0)
-    traj = split_step(phi, PowerNonlinearity(-1.0, 2.0), 1.0, 1e-3)
-    assert detect_blowup(traj, 10.0 * sobolev_norm(phi, 0.4), 0.4) is None
-
-
-def test_detect_blowup_time_shrinks_with_amplitude():
-    # focusing quintic: stronger data concentrate sooner
-    grid = Grid(1, 256, 16.0)
-    quintic = PowerNonlinearity(1.0, 4.0)
-    detections = []
-    for amp in (3.0, 3.5, 4.0):
-        phi = gaussian(grid, amp, 1.0)
-        traj = split_step(phi, quintic, 0.3, 2e-4)
-        hit = detect_blowup(traj, 3.0 * sobolev_norm(phi, 0.4), 0.4)
-        assert hit is not None
-        detections.append(hit)
-    assert detections[0] > detections[1] > detections[2]

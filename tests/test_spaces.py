@@ -8,10 +8,10 @@ import pytest
 from fracnls.grid import (
     Field,
     Grid,
-    forward_transform,
     free_propagate,
     gaussian,
     lebesgue_norm,
+    lp_norm,
     plane_wave,
     translate,
 )
@@ -20,10 +20,8 @@ from fracnls.spaces import (
     _annulus_multipliers,
     _inverse_on_support,
     ShellQuadrature,
-    besov_fd_tail_bound,
     besov_norm_fd,
     besov_norm_lp,
-    decompose,
     default_band,
     evaluate_norm,
     peak_factored_norm,
@@ -44,11 +42,6 @@ GAUSS_H_03 = 1.2205394668178944
 
 
 # ------------------------------------------------------------------ NormSpec
-
-def test_normspec_roundtrip():
-    spec = NormSpec("besov_lp", s=0.4, p=1.8, q=2.0, homogeneous=True)
-    assert NormSpec.from_dict(spec.to_dict()) == spec
-
 
 def test_normspec_validation():
     with pytest.raises(ValueError):
@@ -73,42 +66,25 @@ def test_transition_profile_shape():
     assert np.all(np.diff(v) <= 1e-15)  # monotone
 
 
-def test_decompose_zero_field():
-    f = Field(WIDE, np.zeros(WIDE.shape, dtype=complex))
-    blocks = decompose(f)
-    assert all(np.all(b.values == 0) for b in blocks.blocks)
-
-
 def test_decompose_plane_wave_support():
-    # |k0| = 2^j exactly: content may touch blocks j-1, j, j+1 only
-    j = 3  # |k0| = 8; modes are 2*pi*m/64 = m*pi/32, m = 256/pi... use exact
-    # pick k0 = 2^3 = 8 = 2*pi*m/L -> m = 8*64/(2*pi) not integer; instead
-    # test with the nearest representable structure: a mode inside block j
+    # at a wavenumber inside level j's annulus only levels j-1..j+1 are
+    # nonzero
+    j = 3
     m = 82  # k = 2*pi*82/64 = 8.05, inside (4, 16) for j = 3
-    f = plane_wave(WIDE, m)
-    blocks = decompose(f)
-    energies = np.array([lebesgue_norm(b, 2.0) for b in blocks.blocks])
-    hot = np.nonzero(energies > 1e-12 * energies.max())[0]
-    levels = np.array(blocks.levels)[hot]
-    assert set(levels).issubset({j - 1, j, j + 1})
+    jmin, jmax = default_band(WIDE)
+    _, annuli = _annulus_multipliers(WIDE, jmin, jmax)
+    hot = {jmin + i for i, (mult, _) in enumerate(annuli) if mult[m] != 0.0}
+    assert hot and hot <= {j - 1, j, j + 1}
 
 
 @pytest.mark.parametrize("dim,points,period", [(1, 256, 32.0), (2, 64, 16.0)])
-def test_decompose_reconstruction(dim, points, period, rng):
+def test_decompose_reconstruction(dim, points, period):
+    # the low block and the annuli sum to one at every lattice k, so the
+    # dyadic pieces of a field reconstruct it
     grid = Grid(dim=dim, points=points, period=period)
-    for _ in range(3):
-        f = band_limited_random_field(grid, rng)
-        back = decompose(f).reconstruct()
-        scale = np.abs(f.values).max()
-        assert np.max(np.abs(back.values - f.values)) < 1e-10 * scale
-
-
-def test_decompose_band_validation(line_grid, rng):
-    f = band_limited_random_field(line_grid, rng)
-    with pytest.raises(ValueError):
-        decompose(f, jmin=5, jmax=5)
-    with pytest.raises(ValueError):
-        decompose(f, jmin=40, jmax=50)  # entirely above Nyquist
+    (low, _), annuli = _annulus_multipliers(grid, *default_band(grid))
+    total = low + sum(mult for mult, _ in annuli)
+    assert np.max(np.abs(total - 1.0)) <= 1e-14
 
 
 # ----------------------------------------------------------------- besov_lp
@@ -361,14 +337,21 @@ def test_besov_fd_quadrature_self_convergence():
     assert abs(coarse - fine) <= 0.01 * fine
 
 
-def test_besov_fd_tail_bound_scales():
-    spec = NormSpec("besov_fd", s=0.5, p=2, q=2)
-    f = gaussian(WIDE)
-    bound = besov_fd_tail_bound(f, spec)
-    assert bound > 0
-    # bound decays like rmax^(-s)
-    wide = besov_fd_tail_bound(f, spec, ShellQuadrature(rmax=128.0))
-    assert np.isclose(wide / bound, (128.0 / 32.0) ** -0.5, rtol=1e-12)
+@pytest.mark.parametrize("grid", [Grid(1, 128, 32.0), Grid(2, 32, 8.0),
+                                  Grid(3, 16, 4.0)], ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("p", [1.5, 2.0, 20.0 / 7.0])
+def test_besov_fd_matches_reference_bitwise(grid, p):
+    # the stacked engine against one plain ifftn(fftn(f) * multiplier)
+    # per offset
+    f = Field(grid, _random_complex(grid, 17))
+    spec = NormSpec("besov_fd", s=0.4, p=p, q=2.0)
+    offsets, weights, radii = ShellQuadrature().offsets_weights(grid)
+    fhat = np.fft.fftn(f.values)
+    diffs = [lp_norm(np.fft.ifftn(fhat * grid.translation_multiplier(y))
+                     - f.values, p, grid.cell_volume) for y in offsets]
+    kernel = radii ** (-grid.dim - spec.s * spec.q) * weights
+    assert besov_norm_fd(f, spec) == peak_factored_norm(diffs, spec.q,
+                                                        kernel)
 
 
 def test_shell_quadrature_validation():
