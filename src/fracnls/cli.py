@@ -58,13 +58,9 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
-def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where} must be a number or [re, im], got {value!r}")
+def _as_complex(value) -> complex:
+    # a JSON number or [re, im], as _check_types has made sure
+    return complex(*value) if isinstance(value, list) else complex(value)
 
 
 def _build_params(config: dict) -> ProblemParams:
@@ -73,7 +69,7 @@ def _build_params(config: dict) -> ProblemParams:
         dimension=int(_require(block, "dimension", "problem")),
         regularity=float(_require(block, "regularity", "problem")),
         power=float(_require(block, "power", "problem")),
-        coupling=_as_complex(block.get("coupling", 1.0), "problem.coupling"))
+        coupling=_as_complex(block.get("coupling", 1.0)))
     validate(params)
     return params
 
@@ -141,31 +137,64 @@ def _check_keys(config: dict):
             _reject_unknown(block, allowed, where)
 
 
-# numeric keys by block ("config" is the top level): a count must be a
-# JSON integer and a real any JSON number; a bool is neither
-_REAL = (int, float)
+def _is_count(value) -> bool:
+    return type(value) is int  # a JSON integer; a bool is not one
+
+
+def _is_real(value) -> bool:
+    return type(value) in (int, float)  # any JSON number, never a bool
+
+
+def _is_complex(value) -> bool:
+    return _is_real(value) or (type(value) is list and len(value) == 2
+                               and all(map(_is_real, value)))
+
+
+_COUNT = (_is_count, "an integer")
+_REAL = (_is_real, "a number")
+_COMPLEX = (_is_complex, "a number or [re, im]")
+# numeric keys by block ("config" is the top level): (test, noun)
 _NUMBER_KEYS = {
-    "config": {"threads": int, "seed": int, "cross_tol": _REAL},
-    "problem": {"dimension": int, "regularity": _REAL, "power": _REAL},
-    "grid": {"points": int, "period": _REAL},
-    "time": {"slices": int, "horizon": _REAL, "dt": _REAL},
-    "family": {"depth": int, "initial_scale": _REAL},
-    "solver": {"max_iter": int, "tol": _REAL, "smallness_delta": _REAL},
-    "auto_horizon": {"slices": int, "start": _REAL},
+    "config": {"threads": _COUNT, "seed": _COUNT, "cross_tol": _REAL},
+    "problem": {"dimension": _COUNT, "regularity": _REAL, "power": _REAL,
+                "coupling": _COMPLEX},
+    "grid": {"points": _COUNT, "period": _REAL},
+    "time": {"slices": _COUNT, "horizon": _REAL, "dt": _REAL},
+    "family": {"depth": _COUNT, "initial_scale": _REAL},
+    "solver": {"max_iter": _COUNT, "tol": _REAL, "smallness_delta": _REAL},
+    "auto_horizon": {"slices": _COUNT, "start": _REAL},
 }
+
+
+def _field_number_keys(kind, dim) -> dict:
+    """Numeric keys of a datum or direction block of this kind.  A
+    gaussian center or a plane-wave mode is one value or a list of dim;
+    the default direction takes a single center."""
+    def one_or_dim(test, noun):
+        return (lambda v: test(v) or (type(v) is list and len(v) == dim
+                                      and all(map(test, v))),
+                f"{noun} or a list of {dim} of them")
+    return {"band": _COUNT, "width": _REAL, "amplitude": _COMPLEX,
+            "mode": one_or_dim(_is_count, "an integer"),
+            "center": (one_or_dim(_is_real, "a number")
+                       if kind == "gaussian" else _REAL)}
 
 
 def _check_types(config: dict):
     """Numbers must have their JSON type, flags be JSON booleans and the
     remainder counts integers >= 2."""
-    for where, keys in _NUMBER_KEYS.items():
-        block = config if where == "config" else _block(config, where)
-        for key, kind in keys.items():
-            value = block.get(key, 0)  # absent: nothing to check
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is int else "a number"
+    checks = [(where, config if where == "config" else _block(config, where),
+               keys) for where, keys in _NUMBER_KEYS.items()]
+    dim = _block(config, "problem").get("dimension")
+    for where, default in (("datum", None), ("direction", "default")):
+        block = _block(config, where)
+        checks.append((where, block,
+                       _field_number_keys(block.get("kind", default), dim)))
+    for where, block, keys in checks:
+        for key, (test, noun) in keys.items():
+            if key in block and not test(block[key]):
                 raise ConfigError(f"{where}.{key} must be {noun}, "
-                                  f"got {value!r}")
+                                  f"got {block[key]!r}")
     remainder = _block(config, "remainder")
     for where, block, key in (("config", config, "cross_check"),
                               ("remainder", remainder, "static")):
@@ -200,19 +229,17 @@ def _build_field(block: dict, grid: Grid, where: str,
     kind = _require(block, "kind", where)
     if kind == "gaussian":
         return gaussian(grid,
-                        amplitude=_as_complex(block.get("amplitude", 1.0),
-                                              f"{where}.amplitude"),
+                        amplitude=_as_complex(block.get("amplitude", 1.0)),
                         width=float(block.get("width", 1.0)),
                         center=block.get("center", 0.0))
     if kind == "plane_wave":
         return plane_wave(grid, mode=block.get("mode", 1),
-                          amplitude=_as_complex(block.get("amplitude", 1.0),
-                                                f"{where}.amplitude"))
+                          amplitude=_as_complex(block.get("amplitude", 1.0)))
     if kind == "random":
         if seed is None:
             raise ConfigError(f"{where}.kind random needs a top-level seed")
         rng = np.random.default_rng(seed)
-        return _band_limited_field(grid, rng, int(block.get("band", 6)))
+        return _band_limited_field(grid, rng, block.get("band", 6))
     raise ConfigError(f"unknown field kind {kind!r} at {where}")
 
 

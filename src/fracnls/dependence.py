@@ -308,7 +308,9 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
             cell = datum.grid.cell_volume
             gap = max(lp_norm(a - b, 2.0, cell)
                       for a, b in zip(traj.values, oracle.values))
+            del oracle
             agrees = gap <= cross_tol
+        del traj  # only diff is measured below; free the stack first
         return DependenceRow(
             scale=family.scales[k],
             input_distance=sobolev_norm(datum - family.base, s),

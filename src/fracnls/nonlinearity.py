@@ -67,9 +67,17 @@ class PowerNonlinearity:
     def growth_coeff(self) -> float:
         return abs(complex(self.coupling)) * (1.0 + self.power)
 
-    def g(self, values):
+    def g(self, values, out=None):
+        """coupling |values|^power values; with out, written into that
+        complex array with one real temporary, bitwise the same."""
         values = np.asarray(values, dtype=complex)
-        return self.coupling * np.abs(values) ** self.power * values
+        if out is None:
+            return self.coupling * np.abs(values) ** self.power * values
+        mag = np.abs(values)
+        mag **= self.power  # the scalar-power fast paths of ** apply
+        np.multiply(self.coupling, mag, out=out)
+        out *= values
+        return out
 
     def dz(self, values):
         values = np.asarray(values, dtype=complex)
@@ -107,9 +115,12 @@ class GeneralNonlinearity:
         if not float(origin[0]) <= 1e-12:
             raise ValueError("the map must vanish at the origin")
 
-    def g(self, values):
+    def g(self, values, out=None):
         values = np.asarray(values, dtype=complex)
-        return np.asarray(self.gfun(values), dtype=complex)
+        if out is None:
+            return np.asarray(self.gfun(values), dtype=complex)
+        out[...] = self.gfun(values)
+        return out
 
     def dz(self, values):
         values = np.asarray(values, dtype=complex)

@@ -103,15 +103,32 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        # copies even a solver's own buffer: adopting it measured a higher
-        # peak RSS, as the allocator reuses freed stack-sized blocks
-        vals = np.array(self.values, dtype=complex, order="C")
+        # the public constructor copies; a solver hands its own fresh
+        # stack over through _adopt, so its result is never held twice
+        self._keep(np.array(self.values, dtype=complex, order="C"))
+
+    @classmethod
+    def _adopt(cls, timegrid: TimeGrid, grid: Grid,
+               values: np.ndarray) -> "Trajectory":
+        """Keep a fresh complex C-ordered stack without copying it.
+
+        The stack is checked like the constructor's copy and marked
+        read-only; the caller must hold no other reference it writes
+        through."""
+        traj = object.__new__(cls)
+        object.__setattr__(traj, "timegrid", timegrid)
+        object.__setattr__(traj, "grid", grid)
+        traj._keep(values)
+        return traj
+
+    def _keep(self, vals: np.ndarray):
         expected = (self.timegrid.slices + 1,) + self.grid.shape
         if vals.shape != expected:
             raise ValueError(
                 f"expected values of shape (slices + 1,) + grid.shape = "
                 f"{expected}, got {vals.shape}")
-        if not np.all(np.isfinite(vals.view(float))):
+        # slice by slice, so no stack-sized mask is built
+        if not all(np.isfinite(row.view(float)).all() for row in vals):
             raise ValueError("trajectory values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -125,20 +142,36 @@ class Trajectory:
             raise ValueError("trajectories live on different time grids")
         if other.grid != self.grid:
             raise ValueError("trajectories live on different grids")
-        return Trajectory(self.timegrid, self.grid, self.values - other.values)
+        return Trajectory._adopt(self.timegrid, self.grid,
+                                 self.values - other.values)
+
+
+def _phase_table(tg: TimeGrid, grid: Grid, unit: complex) -> np.ndarray:
+    """exp(unit t_m level) for every slice time t_m and |k|^2 level.
+
+    Row m gathered through grid.wavenumber_levels is bitwise
+    exp(unit t_m |k|^2) on the mesh, at the cost of one exponential per
+    distinct level instead of one per mesh point."""
+    return np.exp(unit * tg.times[:, None] * grid.wavenumber_levels[0])
 
 
 def free_trajectory(phi: Field, tg: TimeGrid) -> Trajectory:
     """Trajectory of the free group e^{itLap} phi on the slice times.
 
-    Slice 0 is forced to the datum itself."""
+    Slice 0 is the datum itself; slice m is ifftn(exp(-i t_m |k|^2)
+    fftn(phi)), filled one slice at a time into the one stack."""
     grid = phi.grid
-    tcol = tg.times.reshape((-1,) + (1,) * grid.dim)
-    phases = np.exp(-1j * tcol * grid.wavenumber_square)
-    axes = tuple(range(1, grid.dim + 1))
-    out = np.fft.ifftn(phases * np.fft.fftn(phi.values), axes=axes)
+    phases = _phase_table(tg, grid, -1j)
+    index = grid.wavenumber_levels[1]
+    phihat = np.fft.fftn(phi.values)
+    out = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
     out[0] = phi.values
-    return Trajectory(tg, grid, out)
+    buf = np.empty(grid.shape, dtype=complex)
+    for m in range(1, tg.slices + 1):
+        np.take(phases[m], index, out=buf, mode="wrap")
+        buf *= phihat
+        np.fft.ifftn(buf, out=out[m])
+    return Trajectory._adopt(tg, grid, out)
 
 
 # -------------------------------------------------------------- fixed point
@@ -197,17 +230,14 @@ class IterationReport:
                      if a > 0.0)
 
 
-def _distance(us, vs, grid: Grid, tg: TimeGrid, pair) -> float:
-    """L^gamma((0,T), L^rho) distance of two sequences of slice arrays."""
-    return trapezoid_norm([lp_norm(a - b, pair[1], grid.cell_volume)
-                           for a, b in zip(us, vs)], tg.dt, pair[0])
-
-
 def contraction_distance(u: Trajectory, v: Trajectory, pair) -> float:
     """d(u, v) = || u - v ||_{L^gamma((0,T), L^rho)}."""
     if (v.timegrid, v.grid) != (u.timegrid, u.grid):
         raise ValueError("trajectories live on different (time) grids")
-    return _distance(u.values, v.values, u.grid, u.timegrid, pair)
+    cell = u.grid.cell_volume
+    return trapezoid_norm([lp_norm(a - b, pair[1], cell)
+                           for a, b in zip(u.values, v.values)],
+                          u.timegrid.dt, pair[0])
 
 
 def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
@@ -220,8 +250,12 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     spectral multipliers, so a sweep costs O(slices) transforms.  The
     two-thirds rule is applied to g(u^k) to keep the quadratic and
     higher interactions from aliasing back into the resolved band.
-    A sweep streams over the slices, so only three trajectory-sized
-    arrays are live: the phases, the current iterate and the next one.
+    The map is causal: slice m of the new iterate reads the old one at
+    slices 0..m only.  So a sweep overwrites one trajectory stack in
+    place, slice by slice, once it has read the old slice; beside that
+    stack it holds a few slice-sized arrays and a table of the phases
+    exp(i t_m |k|^2) over the distinct values of |k|^2.  The stack is
+    handed to the returned trajectory without a copy.
 
     Returns (trajectory, report).  Raises NonConvergenceError when
     max_iter sweeps do not reach the relative tolerance (the usual cause
@@ -234,62 +268,71 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
         raise ValueError(
             f"metric pair {cfg.metric_pair} is not admissible in "
             f"dimension {grid.dim}")
-    tcol = tg.times.reshape((-1,) + (1,) * grid.dim)
-    # conj(unwind[m]) is bitwise exp(-i t_m k^2), the rewind phase
-    unwind = np.exp(1j * tcol * grid.wavenumber_square)
+    # gather(m) writes unwind[m] on the mesh into phase: bitwise
+    # exp(i t_m k^2), whose conjugate exp(-i t_m k^2) is the rewind phase
+    unwind = _phase_table(tg, grid, 1j)
+    index = grid.wavenumber_levels[1]
     keep = grid.dealias_mask
     phihat = np.fft.fftn(phi.values)
-
-    # slice 0 of both iterates is the datum and is never written again
-    current, new = np.empty_like(unwind), np.empty_like(unwind)
-    current[0] = new[0] = phi.values
-    # complex multiply is not bitwise commutative; the first iterate takes
-    # the sweep's operand order so that zero coupling gives distance 0.0
-    for m in range(1, tg.slices + 1):
-        np.fft.ifftn(phihat * np.conj(unwind[m]), out=current[m])
-    # one slice each, reused by every sweep; the sweep writes each step in
+    # one slice each, reused by every sweep; a sweep writes each step in
     # place, in the operand order of
-    #   new[m] = ifftn(conj(unwind[m])
-    #                  * (phihat + 1j dt (running - half0 - integrand / 2)))
-    ghat, integrand, running, half0 = (np.empty(grid.shape, dtype=complex)
-                                       for _ in range(4))
+    #   new = ifftn(conj(unwind[m])
+    #               * (phihat + 1j dt (running - half0 - integrand / 2)))
+    ghat, integrand, running, half0, phase, new = (
+        np.empty(grid.shape, dtype=complex) for _ in range(6))
+
+    def gather(m: int) -> np.ndarray:
+        return np.take(unwind[m], index, out=phase, mode="wrap")
+
+    # the iterate; slice 0 is the datum and is never written again
+    u = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
+    u[0] = phi.values
+    # complex multiply is not bitwise commutative, and for slices of
+    # 256 KiB and up numpy evaluates this product in its temporary, as
+    # conj * phihat; the expression stays as it is to keep those bits
+    for m in range(1, tg.slices + 1):
+        np.fft.ifftn(phihat * np.conj(gather(m)), out=u[m])
+    cell = grid.cell_volume
     distances = []
     first = None
     converged = False
     for _ in range(cfg.max_iter):
-        # divergence is detected below, not warned about mid-sweep
+        gaps = [0.0]  # slice 0 is the datum in both iterates
+        # divergence raises per slice below, not warned about mid-sweep
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for m in range(tg.slices + 1):
-                np.fft.fftn(nl.g(current[m]), out=ghat)
+                np.fft.fftn(nl.g(u[m], out=ghat), out=ghat)
                 ghat *= keep
+                gather(m)
                 if m == 0:
-                    np.multiply(unwind[0], ghat, out=running)
+                    np.multiply(phase, ghat, out=running)
                     np.multiply(0.5, running, out=half0)
                     continue
-                np.multiply(unwind[m], ghat, out=integrand)
+                np.multiply(phase, ghat, out=integrand)
                 running += integrand
-                buf = new[m]
-                np.subtract(running, half0, out=buf)
-                buf -= np.multiply(0.5, integrand, out=ghat)
-                buf *= tg.dt
-                buf *= 1j
-                buf += phihat
-                buf *= np.conjugate(unwind[m], out=ghat)
-                np.fft.ifftn(buf, out=buf)
-        if not np.all(np.isfinite(new.view(float))):
-            raise BlowUpError("fixed-point iterate overflowed; the datum "
-                              "or horizon is outside the contraction regime")
-        dist = _distance(new, current, grid, tg, cfg.metric_pair)
+                np.subtract(running, half0, out=new)
+                new -= np.multiply(0.5, integrand, out=ghat)
+                new *= tg.dt
+                new *= 1j
+                new += phihat
+                new *= np.conjugate(phase, out=phase)
+                np.fft.ifftn(new, out=new)
+                if not np.isfinite(new.view(float)).all():
+                    raise BlowUpError(
+                        "fixed-point iterate overflowed; the datum or "
+                        "horizon is outside the contraction regime")
+                gaps.append(lp_norm(np.subtract(new, u[m], out=ghat), rho,
+                                    cell))
+                u[m] = new
+        dist = trapezoid_norm(gaps, tg.dt, gamma)
         distances.append(dist)
         if first is None:
             first = dist
-        current, new = new, current
         if dist <= cfg.tol * max(1.0, first):
             converged = True
             break
-    del unwind, new  # two stacks fewer while Trajectory copies the iterate
     report = IterationReport(tuple(distances), converged)
-    trajectory = Trajectory(tg, grid, current)
+    trajectory = Trajectory._adopt(tg, grid, u)
     if not converged:
         raise NonConvergenceError(
             f"no contraction after {cfg.max_iter} sweeps "
@@ -357,7 +400,7 @@ def split_step(phi: Field, nl: PowerNonlinearity, horizon: float,
         work = _power_substep(work, lam, alpha, h, (m + 0.5) * h)
         work = np.fft.ifftn(half * np.fft.fftn(work))
         out[m + 1] = work
-    return Trajectory(tg, grid, out)
+    return Trajectory._adopt(tg, grid, out)
 
 
 # ---------------------------------------------------------------- heuristics

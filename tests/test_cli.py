@@ -465,6 +465,49 @@ def test_config_rejects_mistyped_flag_or_count(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+FIELD_NUMBER_CASES = [
+    ("solve", "datum.band", {"datum": {"kind": "random", "band": 4.9}}),
+    ("solve", "datum.band", {"datum": {"kind": "random", "band": True}}),
+    ("solve", "problem.coupling", {"problem": dict(PROBLEM, coupling=True)}),
+    ("solve", "problem.coupling",
+     {"problem": dict(PROBLEM, coupling=[1.0, False])}),
+    ("solve", "datum.width", {"datum": {"kind": "gaussian", "width": True}}),
+    ("solve", "datum.center", {"datum": {"kind": "gaussian",
+                                         "center": False}}),
+    ("solve", "datum.center", {"datum": {"kind": "gaussian",
+                                         "center": [0.0, 1.0]}}),
+    ("solve", "datum.amplitude", {"datum": {"kind": "gaussian",
+                                            "amplitude": "0.1"}}),
+    ("solve", "datum.mode", {"datum": {"kind": "plane_wave", "mode": 1.5}}),
+    ("solve", "datum.mode", {"datum": {"kind": "plane_wave",
+                                       "mode": [True]}}),
+    ("dependence", "direction.center", {"direction": {"center": [3.0]}}),
+    ("dependence", "direction.width", {"direction": {"kind": "default",
+                                                     "width": "1.5"}}),
+]
+
+
+@pytest.mark.parametrize("command, name, overrides", FIELD_NUMBER_CASES,
+                         ids=[f"{name}={list(o.values())[0]!r}"
+                              for _, name, o in FIELD_NUMBER_CASES])
+def test_config_rejects_mistyped_field_number(tmp_path, capsys, command,
+                                              name, overrides):
+    path, _ = _write_config(tmp_path, seed=3,
+                            family={"initial_scale": 0.01, "depth": 3},
+                            **overrides)
+    assert main([command, "--config", str(path)]) == 2
+    assert f"config error: {name} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_field_lists(tmp_path):
+    for datum in ({"kind": "gaussian", "amplitude": [0.05, 0],
+                   "center": [0.5]},
+                  {"kind": "plane_wave", "mode": [2], "amplitude": 0.05}):
+        path, _ = _write_config(tmp_path, datum=datum)
+        assert main(["solve", "--config", str(path)]) == 0
+
+
 def test_config_accepts_integer_reals(tmp_path):
     path, _ = _write_config(
         tmp_path, problem=dict(PROBLEM, power=2, regularity=0.4),

@@ -61,6 +61,18 @@ def test_wavenumber_layout(line_grid):
                       -np.pi * line_grid.points / line_grid.period)
 
 
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 16)])
+def test_wavenumber_levels_index_the_mesh(dim, points):
+    grid = Grid(dim, points, 32.0)
+    levels, index = grid.wavenumber_levels
+    assert np.all(np.diff(levels) > 0.0)
+    assert index.dtype == np.intp and index.shape == grid.shape
+    assert np.array_equal(levels[index].view(np.uint64),
+                          grid.wavenumber_square.view(np.uint64))
+    assert not levels.flags.writeable and not index.flags.writeable
+    assert grid.wavenumber_levels[0] is levels
+
+
 # ---------------------------------------------------------------- transforms
 
 def test_zero_field_zero_spectrum(line_grid):

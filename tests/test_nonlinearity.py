@@ -58,6 +58,30 @@ def test_apply_g_modulus_identity(line_grid, rng):
     assert np.allclose(np.abs(image.values), expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("coupling", [1.0, -0.5, 0.7 - 0.3j],
+                         ids=["unit", "real", "complex"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0 / 3.0, 2.0, 3.0])
+def test_power_g_into_buffer_is_bitwise_the_allocating_form(alpha, coupling,
+                                                            rng):
+    # sizes below and above numpy's temporary-elision threshold (256 KiB)
+    nl = PowerNonlinearity(coupling=coupling, power=alpha)
+    for size in (1000, 40000):
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        values[::97] = 0.0
+        out = np.empty_like(values)
+        assert nl.g(values, out=out) is out
+        assert np.array_equal(out.view(np.uint64),
+                              nl.g(values).view(np.uint64))
+
+
+def test_general_g_into_buffer(rng):
+    nl = _cubic_plus_linear()
+    values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    out = np.empty_like(values)
+    assert nl.g(values, out=out) is out
+    assert np.array_equal(out, nl.g(values))
+
+
 # ----------------------------------------------------------------- wirtinger
 
 def test_wirtinger_worked_example():

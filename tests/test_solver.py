@@ -10,11 +10,12 @@ from fracnls.grid import (Field, Grid, free_propagate, gaussian,
                           lebesgue_norm, plane_wave)
 from fracnls.nonlinearity import (GeneralNonlinearity, PowerNonlinearity,
                                   as_general)
+from fracnls.grid import lp_norm
 from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
-                            TimeGrid, Trajectory, contraction_distance,
-                            free_trajectory, picard_duhamel,
-                            smallness_check, split_step)
-from fracnls.spaces import NormSpec, spacetime_norm
+                            TimeGrid, Trajectory, _phase_table,
+                            contraction_distance, free_trajectory,
+                            picard_duhamel, smallness_check, split_step)
+from fracnls.spaces import NormSpec, spacetime_norm, trapezoid_norm
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
 PAIR = canonical_pair(PARAMS)
@@ -75,6 +76,26 @@ def test_trajectory_owns_its_values(line_grid):
     assert np.all(traj.values == 1.0)
 
 
+def test_trajectory_copies_a_solver_stack(line_grid):
+    traj = free_trajectory(gaussian(line_grid, 1.0, 2.0), TimeGrid(1.0, 4))
+    again = Trajectory(traj.timegrid, line_grid, traj.values)
+    assert not np.shares_memory(again.values, traj.values)
+    assert np.array_equal(again.values, traj.values)
+
+
+def test_solver_results_are_read_only(line_grid):
+    phi = gaussian(line_grid, 0.3, 2.0)
+    tg = TimeGrid(0.5, 16)
+    picard, _ = picard_duhamel(phi, CUBIC, tg, _config())
+    results = (picard, free_trajectory(phi, tg),
+               split_step(phi, CUBIC, 0.5, 0.5 / 16),
+               picard - free_trajectory(phi, tg))
+    for traj in results:
+        assert not traj.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            traj.values[1, 0] = 0.0
+
+
 def test_trajectory_subtraction_needs_matching_grid(line_grid):
     tg = TimeGrid(1.0, 4)
     other = Grid(1, line_grid.points, 2.0 * line_grid.period)
@@ -106,6 +127,35 @@ def test_free_trajectory_matches_pointwise_propagator(line_grid):
     for m in (1, 7, 16):
         ref = free_propagate(phi, tg.times[m])
         assert np.abs(traj.field(m).values - ref.values).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 16)])
+def test_phase_table_gathers_the_mesh_phases(dim, points):
+    grid = Grid(dim, points, 32.0)
+    tg = TimeGrid(0.7, 12)
+    tcol = tg.times.reshape((-1,) + (1,) * dim)
+    index = grid.wavenumber_levels[1]
+    for unit in (1j, -1j):
+        table = _phase_table(tg, grid, unit)
+        mesh = np.exp(unit * tcol * grid.wavenumber_square)
+        for m in range(tg.slices + 1):
+            gathered = np.take(table[m], index, mode="wrap")
+            assert np.array_equal(gathered.view(np.uint64),
+                                  mesh[m].view(np.uint64))
+
+
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 16)])
+def test_free_trajectory_bitwise_stacked_formula(dim, points):
+    grid = Grid(dim, points, 32.0)
+    phi = gaussian(grid, 0.7 - 0.2j, 1.5)
+    tg = TimeGrid(0.6, 10)
+    tcol = tg.times.reshape((-1,) + (1,) * dim)
+    phases = np.exp(-1j * tcol * grid.wavenumber_square)
+    axes = tuple(range(1, dim + 1))
+    ref = np.fft.ifftn(phases * np.fft.fftn(phi.values), axes=axes)
+    ref[0] = phi.values
+    traj = free_trajectory(phi, tg)
+    assert np.array_equal(traj.values.view(np.uint64), ref.view(np.uint64))
 
 
 def test_free_trajectory_conserves_mass(line_grid):
@@ -229,6 +279,129 @@ def test_picard_peak_memory_three_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * stack
+
+
+def _stack_bytes(grid, tg):
+    return (tg.slices + 1) * grid.size * 16
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _warm(grid):
+    grid.wavenumber_square, grid.wavenumber_levels, grid.dealias_mask
+
+
+def test_picard_peak_memory_one_stack():
+    # the sweep overwrites one stack in place and hands it over
+    params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
+    grid = Grid(2, 64, 32.0)
+    _warm(grid)
+    phi = gaussian(grid, 0.08, 2.0)
+    tg = TimeGrid(0.25, 32)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    peak = _traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
+    assert peak <= 1.5 * _stack_bytes(grid, tg)
+
+
+def test_free_trajectory_peak_memory_one_stack():
+    grid = Grid(2, 64, 32.0)
+    _warm(grid)
+    phi = gaussian(grid, 0.08, 2.0)
+    tg = TimeGrid(0.25, 32)
+    peak = _traced_peak(free_trajectory, phi, tg)
+    assert peak <= 1.5 * _stack_bytes(grid, tg)
+
+
+def _three_stack_picard(phi, nl, tg, cfg):
+    """The Picard sweep as it was written with a phase stack and two
+    iterate stacks, kept here as the bitwise reference."""
+    grid = phi.grid
+    tcol = tg.times.reshape((-1,) + (1,) * grid.dim)
+    unwind = np.exp(1j * tcol * grid.wavenumber_square)
+    keep = grid.dealias_mask
+    phihat = np.fft.fftn(phi.values)
+    current, new = np.empty_like(unwind), np.empty_like(unwind)
+    current[0] = new[0] = phi.values
+    for m in range(1, tg.slices + 1):
+        np.fft.ifftn(phihat * np.conj(unwind[m]), out=current[m])
+    ghat, integrand, running, half0 = (np.empty(grid.shape, dtype=complex)
+                                       for _ in range(4))
+    distances = []
+    for _ in range(cfg.max_iter):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            for m in range(tg.slices + 1):
+                np.fft.fftn(nl.g(current[m]), out=ghat)
+                ghat *= keep
+                if m == 0:
+                    np.multiply(unwind[0], ghat, out=running)
+                    np.multiply(0.5, running, out=half0)
+                    continue
+                np.multiply(unwind[m], ghat, out=integrand)
+                running += integrand
+                buf = new[m]
+                np.subtract(running, half0, out=buf)
+                buf -= np.multiply(0.5, integrand, out=ghat)
+                buf *= tg.dt
+                buf *= 1j
+                buf += phihat
+                buf *= np.conjugate(unwind[m], out=ghat)
+                np.fft.ifftn(buf, out=buf)
+        dist = trapezoid_norm([lp_norm(a - b, cfg.metric_pair[1],
+                                       grid.cell_volume)
+                               for a, b in zip(new, current)],
+                              tg.dt, cfg.metric_pair[0])
+        distances.append(dist)
+        current, new = new, current
+        if dist <= cfg.tol * max(1.0, distances[0]):
+            break
+    return current, tuple(distances)
+
+
+# 2D 128^2 and 3D 32^3 slices reach numpy's 256 KiB temporary-elision
+# threshold, 1D and 3D 16^3 stay below it; the 1D amplitude-1 case stops
+# at its iteration cap
+PICARD_BITWISE_CASES = [
+    (1, 128, 0.3, 1.0, 2.0, 40),
+    (1, 128, 0.3, 0.5 - 0.25j, 4.0 / 3.0, 40),
+    (1, 128, 1.0, 1.0, 2.0, 3),
+    (2, 128, 0.1, 1.0, 1.0, 40),
+    (2, 32, 0.3, -1.0 + 0.5j, 2.0, 40),
+    (3, 16, 0.2, 1.0, 2.0, 40),
+    (3, 32, 0.1, 0.8 + 0.3j, 1.0, 40),
+]
+
+
+@pytest.mark.parametrize(
+    "dim, points, amplitude, coupling, power, max_iter", PICARD_BITWISE_CASES,
+    ids=[f"{c[0]}d{c[1]}-{c[3]}-a{c[4]:.2f}-it{c[5]}"
+         for c in PICARD_BITWISE_CASES])
+def test_picard_bitwise_three_stack_sweep(dim, points, amplitude, coupling,
+                                          power, max_iter):
+    grid = Grid(dim, points, 32.0)
+    params = ProblemParams(dimension=dim, regularity=0.4, power=power)
+    cfg = PicardConfig(metric_pair=canonical_pair(params), tol=1e-12,
+                       max_iter=max_iter)
+    phi = gaussian(grid, amplitude, 2.0)
+    tg = TimeGrid(0.5, 8)
+    nl = PowerNonlinearity(coupling, power)
+    ref, ref_distances = _three_stack_picard(phi, nl, tg, cfg)
+    if max_iter == 3:
+        with pytest.raises(NonConvergenceError) as err:
+            picard_duhamel(phi, nl, tg, cfg)
+        traj, report = err.value.trajectory, err.value.report
+        assert len(ref_distances) == max_iter and not report.converged
+    else:
+        traj, report = picard_duhamel(phi, nl, tg, cfg)
+    assert report.distances == ref_distances
+    assert np.array_equal(traj.values.view(np.uint64), ref.view(np.uint64))
 
 
 def test_picard_report_contracts(line_grid):
