@@ -68,11 +68,12 @@ class PowerNonlinearity:
         return abs(complex(self.coupling)) * (1.0 + self.power)
 
     def g(self, values, out=None):
-        """coupling |values|^power values; with out, written into that
-        complex array with one real temporary, bitwise the same."""
+        """coupling |values|^power values, written into out (a complex
+        array of the same shape; a fresh one if None) with one real
+        temporary."""
         values = np.asarray(values, dtype=complex)
         if out is None:
-            return self.coupling * np.abs(values) ** self.power * values
+            out = np.empty(values.shape, dtype=complex)
         mag = np.abs(values)
         mag **= self.power  # the scalar-power fast paths of ** apply
         np.multiply(self.coupling, mag, out=out)
@@ -118,7 +119,7 @@ class GeneralNonlinearity:
     def g(self, values, out=None):
         values = np.asarray(values, dtype=complex)
         if out is None:
-            return np.asarray(self.gfun(values), dtype=complex)
+            out = np.empty(values.shape, dtype=complex)
         out[...] = self.gfun(values)
         return out
 

@@ -7,10 +7,9 @@ import pytest
 
 from fracnls.exponents import ProblemParams, canonical_pair
 from fracnls.grid import (Field, Grid, free_propagate, gaussian,
-                          lebesgue_norm, plane_wave)
+                          lebesgue_norm, lp_norm, plane_wave)
 from fracnls.nonlinearity import (GeneralNonlinearity, PowerNonlinearity,
                                   as_general)
-from fracnls.grid import lp_norm
 from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
                             TimeGrid, Trajectory, _phase_table,
                             contraction_distance, free_trajectory,
