@@ -15,11 +15,15 @@ A second experiment integrates the lower-order remainder functional
 along the solved trajectories and watches it vanish as the perturbation
 scale shrinks, which is the mechanism that upgrades weak-norm
 convergence to convergence with derivatives.
+
+Both experiments run as tasks of one thread pool: the two smallness
+gate norms side by side, then the base solve and the row solves beside
+it.  With one thread the same tasks run inline in the same order.
 """
 
 import math
 from contextlib import contextmanager
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,12 +104,21 @@ class PerturbationFamily:
         return self.base + self.scales[k] * self.direction
 
 
-def _endpoint_smallness(family: PerturbationFamily, tg: TimeGrid,
-                        cfg: PicardConfig, params: ProblemParams):
+def _run_inline(fn, *args) -> Future:
+    """Run fn(*args) now and hand back its result as a done future; an
+    exception propagates at once."""
+    future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
+def _endpoint_smallness(submit, family: PerturbationFamily, tg: TimeGrid,
+                        cfg: PicardConfig, params: ProblemParams) -> tuple:
     # the free-evolution norm is convex along the affine family, so the
     # base and the largest perturbation bound every intermediate scale
-    return (smallness_check(family.base, tg, cfg, params),
-            smallness_check(family.datum(0), tg, cfg, params))
+    pending = [submit(smallness_check, phi, tg, cfg, params)
+               for phi in (family.base, family.datum(0))]
+    return tuple(future.result() for future in pending)
 
 
 def choose_horizon(params: ProblemParams, family: PerturbationFamily,
@@ -121,7 +134,8 @@ def choose_horizon(params: ProblemParams, family: PerturbationFamily,
     """
     tg = TimeGrid(horizon, slices)
     for _ in range(max_halvings + 1):
-        worst = max(_endpoint_smallness(family, tg, cfg, params))
+        worst = max(_endpoint_smallness(_run_inline, family, tg, cfg,
+                                        params))
         if worst < cfg.smallness_delta:
             return tg
         tg = TimeGrid(0.5 * tg.horizon, max(2, tg.slices // 2))
@@ -246,21 +260,45 @@ def lipschitz_constant(report: DependenceReport,
 
 
 @contextmanager
-def _index_mapper(threads: int):
-    """Yield run(worker, count) -> (worker(0), ..., worker(count - 1)).
+def _task_runner(threads: int):
+    """Yield submit(fn, *args) -> a future of fn(*args).
 
-    With threads > 1 every run shares one thread pool; results are
-    assembled in index order either way, so output does not depend on
-    the thread count."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield lambda worker, count: tuple(pool.map(worker, range(count)))
-    else:
-        yield lambda worker, count: tuple(worker(k) for k in range(count))
+    With threads > 1 every task goes to one thread pool, which starts
+    them in submission order, and the first task to raise cancels every
+    task not yet started, as does an exception leaving the block.  With
+    one thread submit runs the task inline, so tasks run one after
+    another in submission order.  Callers assemble results by index,
+    so output does not depend on the thread count."""
+    if threads <= 1:
+        yield _run_inline
+        return
+    futures = []
+
+    def cancel_pending():
+        for future in list(futures):
+            future.cancel()
+
+    def on_done(future):
+        if not future.cancelled() and future.exception() is not None:
+            cancel_pending()
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        def submit(fn, *args) -> Future:
+            future = pool.submit(fn, *args)
+            futures.append(future)
+            future.add_done_callback(on_done)
+            return future
+
+        try:
+            yield submit
+        except BaseException:
+            cancel_pending()
+            raise
 
 
-def _gate_smallness(family, tg, cfg, params):
-    base_small, worst_small = _endpoint_smallness(family, tg, cfg, params)
+def _gate_smallness(submit, family, tg, cfg, params):
+    base_small, worst_small = _endpoint_smallness(submit, family, tg, cfg,
+                                                  params)
     if max(base_small, worst_small) >= cfg.smallness_delta:
         raise ValueError(
             f"free evolution reaches {max(base_small, worst_small):.4f} "
@@ -281,26 +319,30 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
     its partial trajectory and is flagged rather than aborting the
     experiment; with cross_check each row is also integrated by the
     split-step oracle and flagged when the two disagree beyond
-    cross_tol in supremum-in-time L^2.  Rows are independent solves, so
-    threads > 1 distributes them; assembly order is fixed by index.
+    cross_tol in supremum-in-time L^2.
+
+    The two gate norms, the base solve and the rows are tasks of one
+    pool when threads > 1: the gate norms run side by side and are
+    checked before any solve starts; then the base solve goes first and
+    the rows after it.  A row solves its datum and takes its oracle gap
+    before it waits for the base solution and forms the difference, so
+    beside the shared base it holds at most two trajectory stacks.
+    Rows are assembled by index, so output does not depend on threads.
     """
-    base_small, worst_small = _gate_smallness(family, tg, cfg, params)
     nl = PowerNonlinearity.from_params(params)
     s = float(params.regularity)
     gamma, rho = cfg.metric_pair
     sup_spec = NormSpec("sobolev_multiplier", s=s)
     besov_spec = NormSpec("besov_lp", s=s, p=rho, q=2.0, homogeneous=True)
     lebesgue_spec = NormSpec("lebesgue", p=sigma(params))
-    base_traj, _ = picard_duhamel(family.base, nl, tg, cfg)
 
-    def solve_row(k: int) -> DependenceRow:
+    def solve_row(k: int, base: Future) -> DependenceRow:
         datum = family.datum(k)
         converged = True
         try:
             traj, rep = picard_duhamel(datum, nl, tg, cfg)
         except NonConvergenceError as err:
             traj, rep, converged = err.trajectory, err.report, False
-        diff = traj - base_traj
         gap = agrees = None
         if cross_check:
             oracle = split_step(datum, nl, tg.horizon, tg.dt)
@@ -310,6 +352,7 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
                       for a, b in zip(traj.values, oracle.values))
             del oracle
             agrees = gap <= cross_tol
+        diff = traj - base.result()[0]
         del traj  # only diff is measured below; free the stack first
         return DependenceRow(
             scale=family.scales[k],
@@ -320,8 +363,15 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
             converged=converged, iterations=rep.iterations,
             oracle_gap=gap, oracle_agrees=agrees)
 
-    with _index_mapper(threads) as run:
-        rows = run(solve_row, family.depth + 1)
+    with _task_runner(threads) as submit:
+        base_small, worst_small = _gate_smallness(submit, family, tg, cfg,
+                                                  params)
+        base = submit(picard_duhamel, family.base, nl, tg, cfg)
+        pending = [submit(solve_row, k, base)
+                   for k in range(family.depth + 1)]
+        # a failed base solve fails the rows waiting on it; raise its own
+        base.result()
+        rows = tuple(future.result() for future in pending)
     slope = intercept = r2 = None
     usable = [row for row in rows if row.valid]
     if len(usable) >= 4:
@@ -358,17 +408,17 @@ def remainder_decay_experiment(params: ProblemParams,
     in time at the dual of the metric's time exponent.  remainder_map
     overrides the map inside the functional only, so the decay can be
     probed along linear flows where the model map is switched off.
-    With threads > 1 the row solves, and then the per-slice remainder
-    evaluations (the base slice against every row's slice), share one
-    pool; both are assembled by index.
+    With threads > 1 the two gate norms run side by side in one pool,
+    checked before any solve starts; then the base solve and the row
+    solves, and then the per-slice remainder evaluations (the base
+    slice against every row's slice), share that pool.  Everything is
+    assembled by index.
     """
-    _gate_smallness(family, tg, cfg, params)
     nl = PowerNonlinearity.from_params(params)
     rmap = nl if remainder_map is None else remainder_map
     s = float(params.regularity)
     gamma, rho = cfg.metric_pair
     time_exponent = dual(gamma)
-    base_traj, _ = picard_duhamel(family.base, nl, tg, cfg)
 
     def solve_row(k: int):
         try:
@@ -381,9 +431,14 @@ def remainder_decay_experiment(params: ProblemParams,
                            [traj.field(m) for traj, _ in solved], rmap,
                            s, dual(rho), 2.0, rho, theta_nodes, quad)
 
-    with _index_mapper(threads) as run:
-        solved = run(solve_row, family.depth + 1)
-        by_slice = run(slice_remainders, tg.slices + 1)
+    with _task_runner(threads) as submit:
+        _gate_smallness(submit, family, tg, cfg, params)
+        base = submit(picard_duhamel, family.base, nl, tg, cfg)
+        pending = [submit(solve_row, k) for k in range(family.depth + 1)]
+        base_traj = base.result()[0]
+        solved = tuple(future.result() for future in pending)
+        pending = [submit(slice_remainders, m) for m in range(tg.slices + 1)]
+        by_slice = [future.result() for future in pending]
     by_row = np.array(by_slice).T
     return tuple(RemainderDecayRow(family.scales[k],
                                    trapezoid_norm(by_row[k], tg.dt,

@@ -26,7 +26,7 @@ import numpy as np
 from .exponents import is_admissible
 from .grid import Field, Grid, lp_norm
 from .nonlinearity import Nonlinearity, PowerNonlinearity
-from .spaces import NormSpec, spacetime_norm, trapezoid_norm
+from .spaces import NormSpec, besov_norm_lp, trapezoid_norm
 
 __all__ = [
     "TimeGrid", "Trajectory", "PicardConfig", "IterationReport",
@@ -155,23 +155,37 @@ def _phase_table(tg: TimeGrid, grid: Grid, unit: complex) -> np.ndarray:
     return np.exp(unit * tg.times[:, None] * grid.wavenumber_levels[0])
 
 
-def free_trajectory(phi: Field, tg: TimeGrid) -> Trajectory:
-    """Trajectory of the free group e^{itLap} phi on the slice times.
+def _free_slices(phi: Field, tg: TimeGrid):
+    """Yield the slices of e^{itLap} phi at t_0, ..., t_slices, read-only.
 
     Slice 0 is the datum itself; slice m is ifftn(exp(-i t_m |k|^2)
-    fftn(phi)), filled one slice at a time into the one stack."""
+    fftn(phi)), computed in place in one slice buffer that the next
+    slice overwrites, so a consumer is done with a slice before it asks
+    for the next one."""
     grid = phi.grid
     phases = _phase_table(tg, grid, -1j)
     index = grid.wavenumber_levels[1]
     phihat = np.fft.fftn(phi.values)
-    out = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
-    out[0] = phi.values
+    yield phi.values
     buf = np.empty(grid.shape, dtype=complex)
+    view = buf.view()
+    view.setflags(write=False)
     for m in range(1, tg.slices + 1):
         np.take(phases[m], index, out=buf, mode="wrap")
         buf *= phihat
-        np.fft.ifftn(buf, out=out[m])
-    return Trajectory._adopt(tg, grid, out)
+        np.fft.ifftn(buf, out=buf)
+        yield view
+
+
+def free_trajectory(phi: Field, tg: TimeGrid) -> Trajectory:
+    """Trajectory of the free group e^{itLap} phi on the slice times.
+
+    Slice 0 is the datum itself; slice m is ifftn(exp(-i t_m |k|^2)
+    fftn(phi)), copied slice by slice into the one stack."""
+    out = np.empty((tg.slices + 1,) + phi.grid.shape, dtype=complex)
+    for m, values in enumerate(_free_slices(phi, tg)):
+        out[m] = values
+    return Trajectory._adopt(tg, phi.grid, out)
 
 
 # -------------------------------------------------------------- fixed point
@@ -413,8 +427,13 @@ def smallness_check(phi: Field, tg: TimeGrid, cfg: PicardConfig,
     The fixed point is guaranteed on [0, T] only while this stays below
     the configured smallness threshold; the value is monotone
     nondecreasing in T and exactly degree-1 homogeneous in phi.  params
-    supplies the smoothness order s (ProblemParams.regularity).
+    supplies the smoothness order s (ProblemParams.regularity).  The
+    free-flow slices are streamed through the Besov norm one at a time,
+    so no trajectory stack is built; the value is bitwise
+    spacetime_norm(free_trajectory(phi, tg), gamma, spec).
     """
     gamma, rho = cfg.metric_pair
     spec = NormSpec("besov_lp", s=float(params.regularity), p=rho, q=2.0)
-    return spacetime_norm(free_trajectory(phi, tg), gamma, spec)
+    return trapezoid_norm([besov_norm_lp(Field._view(phi.grid, values), spec)
+                           for values in _free_slices(phi, tg)],
+                          tg.dt, gamma)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +221,101 @@ def test_run_dependence_threads_match_serial(direction):
     parallel = run_dependence(PARAMS, fam, _config(), tg, threads=3)
     assert serial.rows == parallel.rows
     assert serial.slope == parallel.slope
+
+
+def test_run_dependence_cross_check_report_independent_of_threads(direction):
+    fam = PerturbationFamily(BASE, direction, 0.01, 3, 0.4)
+    tg = TimeGrid(0.25, 16)
+    reports = [run_dependence(PARAMS, fam, _config(), tg, cross_check=True,
+                              threads=threads).to_dict()
+               for threads in (1, 2, 3)]
+    assert reports[0]["base_smallness"] > 0.0
+    assert reports[0]["worst_smallness"] > 0.0
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def _count_picard(monkeypatch) -> dict:
+    calls = {"n": 0}
+    real = picard_duhamel
+
+    def counted(phi, nl, tg, cfg):
+        calls["n"] += 1
+        return real(phi, nl, tg, cfg)
+
+    monkeypatch.setattr(dep, "picard_duhamel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_gate_raises_before_any_solve(direction, monkeypatch,
+                                             threads):
+    fam = PerturbationFamily(gaussian(GRID, 0.5, 2.0), direction,
+                             0.01, 4, 0.4)
+    tg = TimeGrid(0.25, 16)
+    calls = _count_picard(monkeypatch)
+    with pytest.raises(ValueError, match="shrink"):
+        run_dependence(PARAMS, fam, _config(), tg, threads=threads)
+    with pytest.raises(ValueError, match="shrink"):
+        remainder_decay_experiment(PARAMS, fam, _config(), tg,
+                                   theta_nodes=8, quad=LIGHT_QUAD,
+                                   threads=threads)
+    assert calls["n"] == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nonconverging_base_solve_raises(family, threads):
+    # every solve stops at the cap; rows are flagged, the base raises
+    tg = TimeGrid(0.25, 8)
+    cfg = _config(max_iter=1)
+    with pytest.raises(NonConvergenceError):
+        run_dependence(PARAMS, family, cfg, tg, threads=threads)
+    with pytest.raises(NonConvergenceError):
+        remainder_decay_experiment(PARAMS, family, cfg, tg, theta_nodes=8,
+                                   quad=LIGHT_QUAD, threads=threads)
+
+
+def test_task_runner_first_error_cancels_pending_tasks():
+    go, release = threading.Event(), threading.Event()
+    ran = []
+
+    def fail():
+        go.wait(30.0)
+        raise RuntimeError("first")
+
+    with pytest.raises(RuntimeError, match="first"):
+        with dep._task_runner(2) as submit:
+            submit(release.wait, 30.0)  # keeps the other worker busy
+            failing = submit(fail)
+            later = [submit(ran.append, k) for k in range(3)]
+            go.set()
+            try:
+                failing.result()
+            finally:
+                release.set()
+    assert ran == []
+    assert all(future.cancelled() for future in later)
+
+
+def test_run_dependence_row_peak_memory():
+    # beside the base stack a row holds its trajectory and either the
+    # oracle or the difference, never all three
+    params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
+    grid = Grid(2, 64, 32.0)
+    base = gaussian(grid, 0.08, 2.0)
+    fam = PerturbationFamily(base, default_direction(base, 0.4),
+                             0.01, 2, 0.4)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    tg = TimeGrid(0.25, 32)
+    # fill the grid caches and the annulus multipliers first
+    run_dependence(params, fam, cfg, TimeGrid(0.25, 2), cross_check=True)
+    tracemalloc.start()
+    try:
+        run_dependence(params, fam, cfg, tg, cross_check=True, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * (tg.slices + 1) * grid.size * 16
 
 
 # -------------------------------------------------------------------- fits

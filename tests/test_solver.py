@@ -572,3 +572,28 @@ def test_smallness_degree_one_homogeneous(line_grid):
     three = smallness_check(3.0 * phi, tg, _config(), PARAMS)
     assert three == pytest.approx(3.0 * one, rel=1e-12)
 
+
+@pytest.mark.parametrize("dim, points", [(1, 128), (2, 32), (3, 16)])
+def test_smallness_streamed_is_bitwise_the_stacked_norm(dim, points):
+    params = ProblemParams(dimension=dim, regularity=0.4, power=2.0)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    gamma, rho = cfg.metric_pair
+    grid = Grid(dim, points, 16.0)
+    phi = gaussian(grid, 0.2, 2.0, center=[1.0] * dim)
+    tg = TimeGrid(0.5, 8)
+    spec = NormSpec("besov_lp", s=0.4, p=rho, q=2.0)
+    stacked = spacetime_norm(free_trajectory(phi, tg), gamma, spec)
+    assert smallness_check(phi, tg, cfg, params) == stacked
+
+
+def test_smallness_peak_memory_no_stack():
+    # the free-flow slices stream through the norm; no stack is built
+    params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
+    grid = Grid(2, 64, 32.0)
+    _warm(grid)
+    phi = gaussian(grid, 0.08, 2.0)
+    tg = TimeGrid(0.25, 32)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    smallness_check(phi, tg, cfg, params)  # builds the annulus multipliers
+    peak = _traced_peak(smallness_check, phi, tg, cfg, params)
+    assert peak <= 0.5 * _stack_bytes(grid, tg)
