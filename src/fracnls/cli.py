@@ -622,11 +622,13 @@ def cmd_dependence(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
     family = _build_family(rc.raw, rc.grid, rc.params, rc.seed)
     auto = rc.raw.get("auto_horizon")
+    smallness = None
     if auto is not None:
         try:
-            tg = choose_horizon(rc.params, family, rc.solver,
-                                float(_require(auto, "start", "auto_horizon")),
-                                int(_require(auto, "slices", "auto_horizon")))
+            tg, smallness = choose_horizon(
+                rc.params, family, rc.solver,
+                float(_require(auto, "start", "auto_horizon")),
+                int(_require(auto, "slices", "auto_horizon")))
         except RuntimeError as exc:
             raise ConfigError(f"auto_horizon gave up: {exc}") from exc
     else:
@@ -634,7 +636,7 @@ def cmd_dependence(args) -> int:
     report = run_dependence(rc.params, family, rc.solver, tg,
                             cross_check=rc.raw.get("cross_check", False),
                             cross_tol=float(rc.raw.get("cross_tol", 1e-4)),
-                            threads=rc.threads)
+                            threads=rc.threads, smallness=smallness)
     slopes = _running_slopes(report.rows)
     csv_rows = [(k, row.scale, row.input_distance, row.sup_sobolev,
                  row.spacetime_besov, row.spacetime_lebesgue, slopes[k])

@@ -34,7 +34,7 @@ from .grid import Field, gaussian, inner_product, lp_norm
 from .grid import lebesgue_norm  # noqa: F401  perfbench/tests patch it here
 from .nonlinearity import Nonlinearity, PowerNonlinearity, remainder_K
 from .solver import (NonConvergenceError, PicardConfig, TimeGrid,
-                     picard_duhamel, smallness_check, split_step)
+                     _split_slices, picard_duhamel, smallness_check)
 from .spaces import (NormSpec, ShellQuadrature, sobolev_norm, spacetime_norm,
                      trapezoid_norm)
 
@@ -123,7 +123,7 @@ def _endpoint_smallness(submit, family: PerturbationFamily, tg: TimeGrid,
 
 def choose_horizon(params: ProblemParams, family: PerturbationFamily,
                    cfg: PicardConfig, horizon: float, slices: int,
-                   max_halvings: int = 60) -> TimeGrid:
+                   max_halvings: int = 60) -> tuple:
     """Shrink the horizon until the whole family passes the smallness gate.
 
     Halves T (and the slice count with it, keeping dt) until the free
@@ -131,18 +131,19 @@ def choose_horizon(params: ProblemParams, family: PerturbationFamily,
     With a large time exponent each halving only shaves a few percent
     off the norm, so a datum well above the threshold cannot be rescued
     by any reasonable horizon; that case raises rather than looping.
+    Returns the accepted grid and its (base, worst) gate norms, which
+    `run_dependence` takes as `smallness` rather than recomputing them.
     """
     tg = TimeGrid(horizon, slices)
     for _ in range(max_halvings + 1):
-        worst = max(_endpoint_smallness(_run_inline, family, tg, cfg,
-                                        params))
-        if worst < cfg.smallness_delta:
-            return tg
+        smallness = _endpoint_smallness(_run_inline, family, tg, cfg, params)
+        if max(smallness) < cfg.smallness_delta:
+            return tg, smallness
         tg = TimeGrid(0.5 * tg.horizon, max(2, tg.slices // 2))
     raise RuntimeError(
-        f"smallness {worst:.4f} still >= {cfg.smallness_delta} after "
-        f"{max_halvings} halvings; the datum itself is too large for "
-        "the threshold")
+        f"smallness {max(smallness):.4f} still >= {cfg.smallness_delta} "
+        f"after {max_halvings} halvings; the datum itself is too large "
+        "for the threshold")
 
 
 # ------------------------------------------------------------- measurements
@@ -296,21 +297,22 @@ def _task_runner(threads: int):
             raise
 
 
-def _gate_smallness(submit, family, tg, cfg, params):
-    base_small, worst_small = _endpoint_smallness(submit, family, tg, cfg,
-                                                  params)
-    if max(base_small, worst_small) >= cfg.smallness_delta:
+def _gate_smallness(submit, family, tg, cfg, params, smallness=None):
+    if smallness is None:
+        smallness = _endpoint_smallness(submit, family, tg, cfg, params)
+    if max(smallness) >= cfg.smallness_delta:
         raise ValueError(
-            f"free evolution reaches {max(base_small, worst_small):.4f} "
+            f"free evolution reaches {max(smallness):.4f} "
             f">= {cfg.smallness_delta} over the horizon; shrink it "
             "(see choose_horizon)")
-    return base_small, worst_small
+    return smallness
 
 
 def run_dependence(params: ProblemParams, family: PerturbationFamily,
                    cfg: PicardConfig, tg: TimeGrid, *,
                    cross_check: bool = False, cross_tol: float = 1e-4,
-                   threads: int = 1) -> DependenceReport:
+                   threads: int = 1,
+                   smallness: Optional[tuple] = None) -> DependenceReport:
     """Solve the family and measure all three output-distance columns.
 
     One solve per scale plus the base solve, all on the shared time
@@ -319,15 +321,17 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
     its partial trajectory and is flagged rather than aborting the
     experiment; with cross_check each row is also integrated by the
     split-step oracle and flagged when the two disagree beyond
-    cross_tol in supremum-in-time L^2.
+    cross_tol in supremum-in-time L^2.  A given smallness, the (base,
+    worst) gate norms on tg from `choose_horizon`, is checked as is.
 
     The two gate norms, the base solve and the rows are tasks of one
     pool when threads > 1: the gate norms run side by side and are
     checked before any solve starts; then the base solve goes first and
-    the rows after it.  A row solves its datum and takes its oracle gap
-    before it waits for the base solution and forms the difference, so
-    beside the shared base it holds at most two trajectory stacks.
-    Rows are assembled by index, so output does not depend on threads.
+    the rows after it.  Beside the shared base a row holds only its own
+    trajectory stack: it streams the oracle slices for its gap, then
+    forms traj[m] - base[m] in one slice buffer and feeds each slice to
+    all three norms.  Rows are assembled by index, so output does not
+    depend on threads.
     """
     nl = PowerNonlinearity.from_params(params)
     s = float(params.regularity)
@@ -337,35 +341,38 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
     lebesgue_spec = NormSpec("lebesgue", p=sigma(params))
 
     def solve_row(k: int, base: Future) -> DependenceRow:
-        datum = family.datum(k)
+        datum, grid = family.datum(k), family.base.grid
         converged = True
         try:
             traj, rep = picard_duhamel(datum, nl, tg, cfg)
         except NonConvergenceError as err:
             traj, rep, converged = err.trajectory, err.report, False
+        buf = np.empty(grid.shape, dtype=complex)
         gap = agrees = None
         if cross_check:
-            oracle = split_step(datum, nl, tg.horizon, tg.dt)
-            # row by row, so no difference stack is built
-            cell = datum.grid.cell_volume
-            gap = max(lp_norm(a - b, 2.0, cell)
-                      for a, b in zip(traj.values, oracle.values))
-            del oracle
+            oracle = _split_slices(datum, nl, tg)
+            gap = max(lp_norm(np.subtract(a, b, out=buf), 2.0,
+                              grid.cell_volume)
+                      for a, b in zip(traj.values, oracle))
             agrees = gap <= cross_tol
-        diff = traj - base.result()[0]
-        del traj  # only diff is measured below; free the stack first
+
+        def diffs():
+            view = buf.view()  # Field._view takes read-only arrays only
+            view.setflags(write=False)
+            for a, b in zip(traj.values, base.result()[0].values):
+                np.subtract(a, b, out=buf)
+                yield Field._view(grid, view)
+
         return DependenceRow(
-            scale=family.scales[k],
-            input_distance=sobolev_norm(datum - family.base, s),
-            sup_sobolev=spacetime_norm(diff, math.inf, sup_spec),
-            spacetime_besov=spacetime_norm(diff, gamma, besov_spec),
-            spacetime_lebesgue=spacetime_norm(diff, gamma, lebesgue_spec),
+            family.scales[k], sobolev_norm(datum - family.base, s),
+            *spacetime_norm(diffs(), tg.dt, (math.inf, sup_spec),
+                            (gamma, besov_spec), (gamma, lebesgue_spec)),
             converged=converged, iterations=rep.iterations,
             oracle_gap=gap, oracle_agrees=agrees)
 
     with _task_runner(threads) as submit:
         base_small, worst_small = _gate_smallness(submit, family, tg, cfg,
-                                                  params)
+                                                  params, smallness)
         base = submit(picard_duhamel, family.base, nl, tg, cfg)
         pending = [submit(solve_row, k, base)
                    for k in range(family.depth + 1)]

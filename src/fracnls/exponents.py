@@ -150,18 +150,18 @@ def canonical_pair(params: ProblemParams) -> tuple[float, float]:
 
         rho   = N (alpha+2) / (N + s alpha),
         gamma = 4 (alpha+2) / (alpha (N - 2s)).
+
+    A subnormal power puts gamma past the float range; its pair is the
+    limit (inf, 2) of the pairs as alpha -> 0.
     """
     n = params.dimension
     s = _frac(params.regularity)
-    g, r = _canonical_pair_exact(n, s, _exact_power(n, s, params.power))
-    return float(g), float(r)
-
-
-def _canonical_pair_exact(n: int, s: Fraction,
-                          a: Fraction) -> tuple[Fraction, Fraction]:
-    rho = n * (a + 2) / (n + s * a)
-    gamma = 4 * (a + 2) / (a * (n - 2 * s))
-    return gamma, rho
+    a = _exact_power(n, s, params.power)
+    rho = float(n * (a + 2) / (n + s * a))
+    try:
+        return float(4 * (a + 2) / (a * (n - 2 * s))), rho
+    except OverflowError:
+        return math.inf, rho
 
 
 def sigma(params: ProblemParams) -> float:
@@ -169,11 +169,8 @@ def sigma(params: ProblemParams) -> float:
     and equal to nu(rho)."""
     n = params.dimension
     s = _frac(params.regularity)
-    return float(_sigma_exact(n, s, _exact_power(n, s, params.power)))
-
-
-def _sigma_exact(n: int, s: Fraction, a: Fraction) -> Fraction:
-    return n * (a + 2) / (n - 2 * s)
+    a = _exact_power(n, s, params.power)
+    return float(n * (a + 2) / (n - 2 * s))
 
 
 def nu(r: Number, dimension: int, regularity: Number) -> float:
@@ -248,13 +245,9 @@ def is_admissible(q: Number, r: Number, dimension: int,
 def derive(params: ProblemParams) -> ExponentSet:
     """Validate and produce the full exponent set for the parameters."""
     criticality = validate(params)
-    n = params.dimension
-    s = _frac(params.regularity)
-    a = _exact_power(n, s, params.power)
-    gamma, rho = _canonical_pair_exact(n, s, a)
-    sig = _sigma_exact(n, s, a)
+    gamma, rho = canonical_pair(params)
     q0 = r0 = None
     if criticality == "critical":
         q0, r0 = critical_pair(params)
-    return ExponentSet(gamma=float(gamma), rho=float(rho), sigma=float(sig),
+    return ExponentSet(gamma=gamma, rho=rho, sigma=sigma(params),
                        criticality=criticality, q0=q0, r0=r0)

@@ -26,13 +26,12 @@ import numpy as np
 from .exponents import is_admissible
 from .grid import Field, Grid, lp_norm
 from .nonlinearity import Nonlinearity, PowerNonlinearity
-from .spaces import NormSpec, besov_norm_lp, trapezoid_norm
+from .spaces import NormSpec, spacetime_norm, trapezoid_norm
 
 __all__ = [
     "TimeGrid", "Trajectory", "PicardConfig", "IterationReport",
-    "BlowUpError", "NonConvergenceError", "free_trajectory",
-    "contraction_distance", "picard_duhamel", "split_step",
-    "smallness_check",
+    "BlowUpError", "NonConvergenceError", "contraction_distance",
+    "picard_duhamel", "split_step", "smallness_check",
 ]
 
 
@@ -137,14 +136,6 @@ class Trajectory:
         """Slice m as a Field: a read-only view of row m, not a copy."""
         return Field._view(self.grid, self.values[m])
 
-    def __sub__(self, other: "Trajectory") -> "Trajectory":
-        if other.timegrid != self.timegrid:
-            raise ValueError("trajectories live on different time grids")
-        if other.grid != self.grid:
-            raise ValueError("trajectories live on different grids")
-        return Trajectory._adopt(self.timegrid, self.grid,
-                                 self.values - other.values)
-
 
 def _phase_table(tg: TimeGrid, grid: Grid, unit: complex) -> np.ndarray:
     """exp(unit t_m level) for every slice time t_m and |k|^2 level.
@@ -175,17 +166,6 @@ def _free_slices(phi: Field, tg: TimeGrid):
         buf *= phihat
         np.fft.ifftn(buf, out=buf)
         yield view
-
-
-def free_trajectory(phi: Field, tg: TimeGrid) -> Trajectory:
-    """Trajectory of the free group e^{itLap} phi on the slice times.
-
-    Slice 0 is the datum itself; slice m is ifftn(exp(-i t_m |k|^2)
-    fftn(phi)), copied slice by slice into the one stack."""
-    out = np.empty((tg.slices + 1,) + phi.grid.shape, dtype=complex)
-    for m, values in enumerate(_free_slices(phi, tg)):
-        out[m] = values
-    return Trajectory._adopt(tg, phi.grid, out)
 
 
 # -------------------------------------------------------------- fixed point
@@ -384,6 +364,24 @@ def _power_substep(values: np.ndarray, lam: complex, alpha: float,
     return out
 
 
+def _split_slices(phi: Field, nl: PowerNonlinearity, tg: TimeGrid):
+    """Yield the Strang split-step slices at t_0, ..., t_slices.
+
+    Slice 0 is the datum itself; each later slice is a new array from
+    which the next step starts, so no stack is held."""
+    h = tg.dt
+    half = np.exp(-0.5j * h * phi.grid.wavenumber_square)
+    lam = complex(nl.coupling)
+    alpha = float(nl.power)
+    work = phi.values
+    yield work
+    for m in range(tg.slices):
+        work = np.fft.ifftn(half * np.fft.fftn(work))
+        work = _power_substep(work, lam, alpha, h, (m + 0.5) * h)
+        work = np.fft.ifftn(half * np.fft.fftn(work))
+        yield work
+
+
 def split_step(phi: Field, nl: PowerNonlinearity, horizon: float,
                dt: float) -> Trajectory:
     """Strang splitting: half free flow, exact power substep, half free flow.
@@ -393,7 +391,8 @@ def split_step(phi: Field, nl: PowerNonlinearity, horizon: float,
     composition is exact.  The requested dt is rounded to an integer
     number of slices of the horizon.  For real coupling the power
     substep leaves the modulus untouched pointwise and the free flow is
-    unitary, so the L^2 norm is conserved to rounding.
+    unitary, so the L^2 norm is conserved to rounding.  The stack holds
+    the slices of `_split_slices`, which callers may stream instead.
     """
     if not isinstance(nl, PowerNonlinearity):
         raise TypeError("the closed-form substep needs the pure power map")
@@ -402,19 +401,10 @@ def split_step(phi: Field, nl: PowerNonlinearity, horizon: float,
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     tg = TimeGrid(horizon, max(2, int(round(horizon / dt))))
-    h = tg.dt
-    grid = phi.grid
-    half = np.exp(-0.5j * h * grid.wavenumber_square)
-    lam = complex(nl.coupling)
-    alpha = float(nl.power)
-    out = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
-    out[0] = work = phi.values
-    for m in range(tg.slices):
-        work = np.fft.ifftn(half * np.fft.fftn(work))
-        work = _power_substep(work, lam, alpha, h, (m + 0.5) * h)
-        work = np.fft.ifftn(half * np.fft.fftn(work))
-        out[m + 1] = work
-    return Trajectory._adopt(tg, grid, out)
+    out = np.empty((tg.slices + 1,) + phi.grid.shape, dtype=complex)
+    for m, values in enumerate(_split_slices(phi, nl, tg)):
+        out[m] = values
+    return Trajectory._adopt(tg, phi.grid, out)
 
 
 # ---------------------------------------------------------------- heuristics
@@ -428,12 +418,12 @@ def smallness_check(phi: Field, tg: TimeGrid, cfg: PicardConfig,
     the configured smallness threshold; the value is monotone
     nondecreasing in T and exactly degree-1 homogeneous in phi.  params
     supplies the smoothness order s (ProblemParams.regularity).  The
-    free-flow slices are streamed through the Besov norm one at a time,
-    so no trajectory stack is built; the value is bitwise
-    spacetime_norm(free_trajectory(phi, tg), gamma, spec).
+    free-flow slices of `_free_slices` are streamed through
+    `spacetime_norm` one at a time, so no trajectory stack is built.
     """
     gamma, rho = cfg.metric_pair
     spec = NormSpec("besov_lp", s=float(params.regularity), p=rho, q=2.0)
-    return trapezoid_norm([besov_norm_lp(Field._view(phi.grid, values), spec)
-                           for values in _free_slices(phi, tg)],
-                          tg.dt, gamma)
+    (value,) = spacetime_norm((Field._view(phi.grid, values)
+                               for values in _free_slices(phi, tg)),
+                              tg.dt, (gamma, spec))
+    return value

@@ -308,16 +308,20 @@ def evaluate_norm(f: Field, spec: NormSpec,
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 
-def spacetime_norm(traj, q_time: float, spatial: NormSpec,
-                   quad: Optional[ShellQuadrature] = None) -> float:
-    """Mixed norm ( integral_0^T ||u(t)||^q dt )^(1/q) over a trajectory.
+def spacetime_norm(fields, dt: float, *pairs) -> tuple:
+    """Mixed norms ( integral_0^T ||u(t)||^q dt )^(1/q), one per pair.
 
-    Time integration is `trapezoid_norm` over the slices; `traj` is
-    anything exposing `timegrid` and `field(m)` (see solver.Trajectory).
+    `fields` yields the slices u(t_m), t_m = m dt, and each pair is
+    (q, spatial NormSpec).  Every slice is measured in every norm before
+    the next is asked for, so one pass serves a stream whose slices
+    share a buffer; each column is then integrated by `trapezoid_norm`.
     """
-    tg = traj.timegrid
-    return trapezoid_norm([evaluate_norm(traj.field(m), spatial, quad)
-                           for m in range(tg.slices + 1)], tg.dt, q_time)
+    columns = [[] for _ in pairs]
+    for f in fields:
+        for column, (_, spatial) in zip(columns, pairs):
+            column.append(evaluate_norm(f, spatial))
+    return tuple(trapezoid_norm(column, dt, q_time)
+                 for column, (q_time, _) in zip(columns, pairs))
 
 
 def trapezoid_norm(values, dt: float, q: float) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracnls.dependence
 import fracnls.spaces
 from fracnls.cli import ConfigError, RunConfig, config_hash, main
 
@@ -287,6 +288,30 @@ def test_dependence_auto_horizon_give_up_exits_2(tmp_path, capsys):
     assert err.startswith("config error: auto_horizon")
     assert "smallness" in err and err.count("\n") == 1
     assert not (tmp_path / "out" / "dependence.csv").exists()
+
+
+def test_dependence_auto_horizon_gates_each_horizon_once(tmp_path,
+                                                        monkeypatch):
+    tried = []
+    real = fracnls.dependence.smallness_check
+
+    def counted(phi, tg, cfg, params):
+        tried.append(tg)
+        return real(phi, tg, cfg, params)
+
+    monkeypatch.setattr(fracnls.dependence, "smallness_check", counted)
+    path, _ = _dependence_config(
+        tmp_path, datum={"kind": "gaussian", "amplitude": 0.11, "width": 2.0},
+        auto_horizon={"start": 1.0, "slices": 128})
+    assert main(["dependence", "--config", str(path)]) == 0
+    summary = json.loads(
+        (tmp_path / "out" / "dependence_summary.json").read_text())
+    horizons = sorted(set(tried), key=lambda tg: -tg.horizon)
+    assert len(horizons) >= 2  # the start horizon fails the gate
+    # two gate norms per horizon tried, in order, and none after the last
+    assert tried == [tg for tg in horizons for _ in range(2)]
+    assert (horizons[-1].horizon, horizons[-1].slices) == (
+        summary["horizon"], summary["slices"])
 
 
 # -------------------------------------------------------------- remainder

@@ -15,13 +15,15 @@ from fracnls.dependence import (DependenceReport, DependenceRow,
                                 lipschitz_constant, loglog_fit,
                                 remainder_decay_experiment, run_dependence,
                                 static_remainder_decay)
-from fracnls.exponents import ProblemParams, canonical_pair
-from fracnls.grid import Grid, gaussian, inner_product
+from fracnls.exponents import ProblemParams, canonical_pair, sigma
+from fracnls.grid import Field, Grid, gaussian, inner_product, lp_norm
 from fracnls.nonlinearity import PowerNonlinearity
 from fracnls.solver import (IterationReport, NonConvergenceError,
-                            PicardConfig, TimeGrid, free_trajectory,
-                            picard_duhamel, smallness_check)
-from fracnls.spaces import ShellQuadrature, sobolev_norm
+                            PicardConfig, TimeGrid, picard_duhamel,
+                            smallness_check, split_step)
+from fracnls.spaces import (NormSpec, ShellQuadrature, sobolev_norm,
+                            spacetime_norm)
+from trajectories import free_trajectory
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
 FREE = ProblemParams(dimension=1, regularity=0.4, power=2.0, coupling=0.0)
@@ -92,7 +94,7 @@ def test_family_zero_scale_allowed(direction):
 
 
 def test_choose_horizon_keeps_passing_grid(family):
-    tg = choose_horizon(PARAMS, family, _config(), 0.25, 32)
+    tg, _ = choose_horizon(PARAMS, family, _config(), 0.25, 32)
     assert tg.horizon == 0.25 and tg.slices == 32
 
 
@@ -101,7 +103,7 @@ def test_choose_horizon_shrinks_marginal_datum(direction):
     fam = PerturbationFamily(base, default_direction(base, 0.4),
                              0.005, 4, 0.4)
     cfg = _config()
-    tg = choose_horizon(PARAMS, fam, cfg, 1.0, 128)
+    tg, _ = choose_horizon(PARAMS, fam, cfg, 1.0, 128)
     assert tg.horizon < 1.0
     assert smallness_check(fam.datum(0), tg, cfg, PARAMS) < 0.1
     assert smallness_check(base, tg, cfg, PARAMS) < 0.1
@@ -297,9 +299,10 @@ def test_task_runner_first_error_cancels_pending_tasks():
     assert all(future.cancelled() for future in later)
 
 
-def test_run_dependence_row_peak_memory():
-    # beside the base stack a row holds its trajectory and either the
-    # oracle or the difference, never all three
+@pytest.fixture(scope="module")
+def row_peak_stacks():
+    """tracemalloc peak of a cross-checked 2D 64^2, 32-slice, depth-2
+    run on one thread, in trajectory stacks."""
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 64, 32.0)
     base = gaussian(grid, 0.08, 2.0)
@@ -315,7 +318,83 @@ def test_run_dependence_row_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * (tg.slices + 1) * grid.size * 16
+    return peak / ((tg.slices + 1) * grid.size * 16)
+
+
+def test_run_dependence_row_peak_memory(row_peak_stacks):
+    # the base stack, one row's stack and its slice buffers
+    assert row_peak_stacks <= 3.5
+
+
+def test_run_dependence_row_holds_one_stack(row_peak_stacks):
+    # the oracle and the differences stream through slice buffers, so
+    # beside the base a row holds only its own trajectory stack
+    assert row_peak_stacks <= 2.6
+
+
+def _stacked_rows(params, family, cfg, tg, cross_tol):
+    """Rows measured as they were before streaming: a whole oracle stack,
+    a whole difference stack and one spacetime_norm call per column,
+    kept here as the bitwise reference."""
+    nl = PowerNonlinearity.from_params(params)
+    s = float(params.regularity)
+    gamma, rho = cfg.metric_pair
+    grid = family.base.grid
+    base, _ = picard_duhamel(family.base, nl, tg, cfg)
+    pairs = ((math.inf, NormSpec("sobolev_multiplier", s=s)),
+             (gamma, NormSpec("besov_lp", s=s, p=rho, q=2.0,
+                              homogeneous=True)),
+             (gamma, NormSpec("lebesgue", p=sigma(params))))
+    rows = []
+    for k in range(family.depth + 1):
+        datum = family.datum(k)
+        traj, rep = picard_duhamel(datum, nl, tg, cfg)
+        oracle = split_step(datum, nl, tg.horizon, tg.dt)
+        gap = max(lp_norm(a - b, 2.0, grid.cell_volume)
+                  for a, b in zip(traj.values, oracle.values))
+        diff = traj.values - base.values
+        columns = [spacetime_norm((Field(grid, v) for v in diff), tg.dt,
+                                  pair)[0] for pair in pairs]
+        rows.append(DependenceRow(
+            family.scales[k], sobolev_norm(datum - family.base, s),
+            *columns, converged=True, iterations=rep.iterations,
+            oracle_gap=gap, oracle_agrees=gap <= cross_tol).to_dict())
+    return rows
+
+
+@pytest.mark.parametrize("dim, points, coupling", [(1, 128, 1.0),
+                                                   (2, 32, 0.8 + 0.3j)])
+def test_run_dependence_rows_bitwise_the_stacked_measurement(dim, points,
+                                                             coupling):
+    params = ProblemParams(dimension=dim, regularity=0.4, power=2.0,
+                           coupling=coupling)
+    grid = Grid(dim, points, 32.0)
+    base = gaussian(grid, 0.08, 2.0)
+    fam = PerturbationFamily(base, default_direction(base, 0.4),
+                             0.01, 2, 0.4)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    tg = TimeGrid(0.25, 16)
+    expected = _stacked_rows(params, fam, cfg, tg, 1e-4)
+    assert all(row["oracle_gap"] > 0.0 for row in expected)
+    for threads in (1, 2, 3):
+        report = run_dependence(params, fam, cfg, tg, cross_check=True,
+                                threads=threads).to_dict()
+        assert report["rows"] == expected
+
+
+def test_given_smallness_is_checked_not_recomputed(family, monkeypatch):
+    def recomputed(*args):
+        raise AssertionError("gate norms computed again")
+
+    monkeypatch.setattr(dep, "smallness_check", recomputed)
+    tg = TimeGrid(0.25, 8)
+    report = run_dependence(PARAMS, family, _config(), tg,
+                            smallness=(0.01, 0.02))
+    assert (report.base_smallness, report.worst_smallness) == (0.01, 0.02)
+    calls = _count_picard(monkeypatch)
+    with pytest.raises(ValueError, match="shrink"):
+        run_dependence(PARAMS, family, _config(), tg, smallness=(0.01, 0.5))
+    assert calls["n"] == 0
 
 
 # -------------------------------------------------------------------- fits

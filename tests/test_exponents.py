@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracnls.exponents import (
     HypothesisViolation,
@@ -219,3 +221,68 @@ def test_rho_range_inside_admissible_window():
         assert 2.0 <= rho
         if n == 3:
             assert rho < 6.0
+
+
+# ---------------------------------------------------------- property checks
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def _hypotheses(draw):
+    """(N, s, alpha) over the whole range the standing hypotheses admit:
+    N in 1..3, 0 < s < min(N/2, 1), 0 < alpha <= 4/(N - 2s)."""
+    n = draw(st.integers(1, 3))
+    s = draw(st.floats(0.0, min(1.0, n / 2.0), exclude_min=True,
+                       exclude_max=True))
+    a = draw(st.floats(0.0, float(max_power(n, s)), exclude_min=True))
+    return n, s, a
+
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(_hypotheses())
+def test_property_canonical_pair_admissible(nsa):
+    n, s, a = nsa
+    params = ProblemParams(n, s, a)
+    validate(params)
+    gamma, rho = canonical_pair(params)
+    assert is_admissible(gamma, rho, n)
+    assert abs(2.0 / gamma - n * (0.5 - 1.0 / rho)) <= 4 * EPS * n
+
+
+@PROPERTY_SETTINGS
+@given(_hypotheses())
+def test_property_sigma_is_nu_of_rho(nsa):
+    # compared as 1/nu(rho) = 1/rho - s/N, where rounding rho to a float
+    # moves the value by at most an ulp of 1/rho; nu itself is steep as
+    # rho approaches N/s
+    n, s, a = nsa
+    params = ProblemParams(n, s, a)
+    _, rho = canonical_pair(params)
+    sig = sigma(params)
+    edge = Fraction(n) / Fraction(s)
+    if Fraction(rho) < edge:
+        assert abs(1.0 / nu(rho, n, s) - 1.0 / sig) <= 2 * EPS
+    else:
+        # s within ulps of N/2 at the maximal power: the exact rho lies
+        # below N/s, and rounding it to a float lands on the first float
+        # at or above it, outside the domain of nu
+        assert Fraction(math.nextafter(rho, 0.0)) < edge
+        with pytest.raises(ValueError, match="gain exponent"):
+            nu(rho, n, s)
+
+
+@PROPERTY_SETTINGS
+@given(_hypotheses())
+def test_property_dual_is_an_involution(nsa):
+    # compared as 1/dual(dual(x)) = 1 - (1 - 1/x), to rounding in 1/x
+    n, s, a = nsa
+    params = ProblemParams(n, s, a)
+    gamma, rho = canonical_pair(params)
+    for x in (gamma, rho, sigma(params)):
+        assert abs(1.0 / dual(dual(x)) - 1.0 / x) <= 2 * EPS
+    assert dual(dual(1.0)) == 1.0 and dual(dual(math.inf)) == math.inf

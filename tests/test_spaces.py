@@ -377,49 +377,60 @@ def test_shell_quadrature_measures():
 
 # ----------------------------------------------------------- spacetime norm
 
-class _StubTraj:
-    """Minimal trajectory stand-in: stored slices plus a timegrid."""
-
-    class _TG:
-        def __init__(self, horizon, slices):
-            self.horizon = horizon
-            self.slices = slices
-            self.dt = horizon / slices
-
-    def __init__(self, fields, horizon):
-        self._fields = fields
-        self.timegrid = self._TG(horizon, len(fields) - 1)
-
-    def field(self, m):
-        return self._fields[m]
-
-
 def test_spacetime_norm_constant_trajectory(rng):
     f = smooth_random_field(WIDE, rng)
-    traj = _StubTraj([f] * 9, horizon=2.0)
     spec = NormSpec("lebesgue", p=2)
-    assert np.isclose(spacetime_norm(traj, np.inf, spec),
+    assert np.isclose(spacetime_norm([f] * 9, 0.25, (np.inf, spec))[0],
                       lebesgue_norm(f, 2.0), rtol=1e-12)
     # finite q on a constant integrand: trapezoid is exact
-    assert np.isclose(spacetime_norm(traj, 4.0, spec),
+    assert np.isclose(spacetime_norm([f] * 9, 0.25, (4.0, spec))[0],
                       2.0 ** 0.25 * lebesgue_norm(f, 2.0), rtol=1e-12)
 
 
 def test_spacetime_norm_zero():
     zero = Field(WIDE, np.zeros(WIDE.shape, dtype=complex))
-    traj = _StubTraj([zero] * 5, horizon=1.0)
-    assert spacetime_norm(traj, 2.0, NormSpec("lebesgue", p=2)) == 0.0
+    assert spacetime_norm([zero] * 5, 0.25,
+                          (2.0, NormSpec("lebesgue", p=2))) == (0.0,)
 
 
 def test_spacetime_norm_free_gaussian_isometry():
     phi = gaussian(WIDE)
     T, n = 0.8, 16
     fields = [free_propagate(phi, T * m / n) for m in range(n + 1)]
-    traj = _StubTraj(fields, horizon=T)
     spec = NormSpec("sobolev_multiplier", s=0.5, homogeneous=True)
     for q in (2.0, 6.0):
         expected = T ** (1.0 / q) * sobolev_norm(phi, 0.5, homogeneous=True)
-        assert np.isclose(spacetime_norm(traj, q, spec), expected, rtol=1e-8)
+        (norm,) = spacetime_norm(fields, T / n, (q, spec))
+        assert np.isclose(norm, expected, rtol=1e-8)
+
+
+SPACETIME_PAIRS = (
+    (np.inf, NormSpec("sobolev_multiplier", s=0.4)),
+    (6.0, NormSpec("besov_lp", s=0.4, p=3.0, q=2.0, homogeneous=True)),
+    (6.0, NormSpec("lebesgue", p=5.0)),
+    (2.0, NormSpec("besov_fd", s=0.4, p=2.0, q=2.0)),
+)
+
+
+def _through_one_buffer(fields):
+    """Yield each field's values copied into one shared buffer."""
+    buf = np.empty(fields[0].grid.shape, dtype=complex)
+    for f in fields:
+        buf[...] = f.values
+        yield Field._view(f.grid, buf)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
+def test_spacetime_norm_pairs_bitwise_one_call_per_pair(dim, points, rng):
+    grid = Grid(dim, points, 16.0)
+    fields = [smooth_random_field(grid, rng) for _ in range(5)]
+    together = spacetime_norm(_through_one_buffer(fields), 0.125,
+                              *SPACETIME_PAIRS)
+    single = tuple(spacetime_norm(iter(fields), 0.125, pair)[0]
+                   for pair in SPACETIME_PAIRS)
+    assert len(together) == len(SPACETIME_PAIRS)
+    assert together == single
+    assert all(value > 0.0 for value in together)
 
 
 def test_evaluate_norm_dispatch(rng):
