@@ -1,10 +1,12 @@
 """Batch front door: reproducible experiment runs from JSON configs.
 
 Experiments are described by a config file, not flags; flags only pick
-output paths and thread counts.  Every artifact embeds a short hash
-of the canonicalized config so outputs can be matched to the exact run
-that produced them, and reruns with the same config, seed and thread
-count are byte-identical.
+output paths and thread counts.  One table, `_SCHEMA`, gives each config
+key its type and its default, or marks it required; `RunConfig.load`
+reads every block present against it before any work.  Every artifact
+embeds a short hash of the canonicalized config so outputs can be
+matched to the exact run that produced them, and reruns with the same
+config, seed and thread count are byte-identical.
 
 Exit codes: 0 success, 1 check failure, 2 config or usage error,
 3 solver non-convergence or blow-up.
@@ -12,6 +14,7 @@ Exit codes: 0 success, 1 check failure, 2 config or usage error,
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -49,92 +52,7 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-# ---------------------------------------------------------- config parsing
-
-
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"missing key {where}.{key}")
-    return block[key]
-
-
-def _as_complex(value) -> complex:
-    # a JSON number or [re, im], as _check_types has made sure
-    return complex(*value) if isinstance(value, list) else complex(value)
-
-
-def _build_params(config: dict) -> ProblemParams:
-    block = _require(config, "problem", "config")
-    params = ProblemParams(
-        dimension=int(_require(block, "dimension", "problem")),
-        regularity=float(_require(block, "regularity", "problem")),
-        power=float(_require(block, "power", "problem")),
-        coupling=_as_complex(block.get("coupling", 1.0)))
-    validate(params)
-    return params
-
-
-def _build_grid(config: dict, params: ProblemParams) -> Grid:
-    block = _require(config, "grid", "config")
-    return Grid(dim=params.dimension,
-                points=int(_require(block, "points", "grid")),
-                period=float(_require(block, "period", "grid")))
-
-
-def _build_timegrid(config: dict) -> TimeGrid:
-    block = _require(config, "time", "config")
-    horizon = float(_require(block, "horizon", "time"))
-    if "slices" in block:
-        return TimeGrid(horizon, int(block["slices"]))
-    if "dt" in block:
-        return TimeGrid(horizon, max(2, int(round(horizon
-                                                  / float(block["dt"])))))
-    raise ConfigError("time needs either slices or dt")
-
-
-def _reject_unknown(block: dict, allowed: frozenset, where: str):
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError("unknown key " + ", ".join(
-            f"{where}.{key}" for key in unknown))
-
-
-# every key some command reads; anything else is a config error
-_TOP_KEYS = frozenset({
-    "problem", "grid", "time", "datum", "direction", "family", "solver",
-    "remainder", "auto_horizon", "seed", "threads", "output_dir",
-    "integrator", "snapshots", "cross_check", "cross_tol"})
-_BLOCK_KEYS = {
-    "problem": frozenset({"dimension", "regularity", "power", "coupling"}),
-    "grid": frozenset({"points", "period"}),
-    "time": frozenset({"horizon", "slices", "dt"}),
-    "family": frozenset({"initial_scale", "depth"}),
-    "auto_horizon": frozenset({"start", "slices"}),
-    "solver": frozenset({"tol", "max_iter", "smallness_delta"}),
-    "remainder": frozenset({"shells", "theta_nodes", "static"}),
-}
-# field keys by kind; an unknown kind is left to _build_field
-_FIELD_KEYS = {
-    "gaussian": frozenset({"kind", "amplitude", "width", "center"}),
-    "plane_wave": frozenset({"kind", "mode", "amplitude"}),
-    "random": frozenset({"kind", "band"}),
-}
-_DIRECTION_KEYS = dict(_FIELD_KEYS,
-                       default=frozenset({"kind", "center", "width"}))
-
-
-def _check_keys(config: dict):
-    """Reject unknown keys at the top level and in every block."""
-    _reject_unknown(config, _TOP_KEYS, "config")
-    for where, allowed in _BLOCK_KEYS.items():
-        _reject_unknown(_block(config, where), allowed, where)
-    for where, kinds, default in (("datum", _FIELD_KEYS, None),
-                                  ("direction", _DIRECTION_KEYS, "default")):
-        block = _block(config, where)
-        kind = block.get("kind", default)
-        allowed = kinds.get(kind) if isinstance(kind, str) else None
-        if allowed is not None:
-            _reject_unknown(block, allowed, where)
+# ----------------------------------------------------------- config schema
 
 
 def _is_count(value) -> bool:
@@ -150,97 +68,157 @@ def _is_complex(value) -> bool:
                                and all(map(_is_real, value)))
 
 
-_COUNT = (_is_count, "an integer")
-_REAL = (_is_real, "a number")
-_COMPLEX = (_is_complex, "a number or [re, im]")
-# numeric keys by block ("config" is the top level): (test, noun)
-_NUMBER_KEYS = {
-    "config": {"threads": _COUNT, "seed": _COUNT, "cross_tol": _REAL},
-    "problem": {"dimension": _COUNT, "regularity": _REAL, "power": _REAL,
-                "coupling": _COMPLEX},
-    "grid": {"points": _COUNT, "period": _REAL},
-    "time": {"slices": _COUNT, "horizon": _REAL, "dt": _REAL},
-    "family": {"depth": _COUNT, "initial_scale": _REAL},
-    "solver": {"max_iter": _COUNT, "tol": _REAL, "smallness_delta": _REAL},
-    "auto_horizon": {"slices": _COUNT, "start": _REAL},
-}
+def _as_complex(value) -> complex:
+    return complex(*value) if isinstance(value, list) else complex(value)
 
 
-def _field_number_keys(kind, dim) -> dict:
-    """Numeric keys of a datum or direction block of this kind.  A
-    gaussian center or a plane-wave mode is one value or a list of dim;
-    the default direction takes a single center."""
-    def one_or_dim(test, noun):
+def _one_or_dim(test, noun):
+    """The type of a value that is one number or a list of one per
+    dimension; it is known once the problem block is read."""
+    def typed(dim):
         return (lambda v: test(v) or (type(v) is list and len(v) == dim
                                       and all(map(test, v))),
-                f"{noun} or a list of {dim} of them")
-    return {"band": _COUNT, "width": _REAL, "amplitude": _COMPLEX,
-            "mode": one_or_dim(_is_count, "an integer"),
-            "center": (one_or_dim(_is_real, "a number")
-                       if kind == "gaussian" else _REAL)}
+                f"{noun} or a list of {dim} of them", None)
+    return typed
 
 
-def _check_types(config: dict):
-    """Numbers must have their JSON type, flags be JSON booleans and the
-    remainder counts integers >= 2."""
-    checks = [(where, config if where == "config" else _block(config, where),
-               keys) for where, keys in _NUMBER_KEYS.items()]
-    dim = _block(config, "problem").get("dimension")
-    for where, default in (("datum", None), ("direction", "default")):
-        block = _block(config, where)
-        checks.append((where, block,
-                       _field_number_keys(block.get("kind", default), dim)))
-    for where, block, keys in checks:
-        for key, (test, noun) in keys.items():
-            if key in block and not test(block[key]):
-                raise ConfigError(f"{where}.{key} must be {noun}, "
-                                  f"got {block[key]!r}")
-    remainder = _block(config, "remainder")
-    for where, block, key in (("config", config, "cross_check"),
-                              ("remainder", remainder, "static")):
-        if not isinstance(block.get(key, False), bool):
-            raise ConfigError(f"{where}.{key} must be true or false, "
-                              f"got {block[key]!r}")
-    for key in ("shells", "theta_nodes"):
-        value = remainder.get(key, 2)  # absent: the command default
-        if type(value) is not int or value < 2:  # bool is not a count
-            raise ConfigError(f"remainder.{key} must be an integer >= 2, "
-                              f"got {value!r}")
+# a type is (test, noun, conversion of a value that passes, or None)
+_ANY = (lambda v: True, "anything", None)  # the command reading it checks
+_OBJECT = (lambda v: type(v) is dict, "a JSON object", None)
+_FLAG = (lambda v: type(v) is bool, "true or false", None)
+_TEXT = (lambda v: type(v) is str, "a string", None)
+_COUNT = (_is_count, "an integer", int)
+_NODES = (lambda v: _is_count(v) and v >= 2, "an integer >= 2", int)
+_REAL = (_is_real, "a number", float)
+_COMPLEX = (_is_complex, "a number or [re, im]", _as_complex)
+
+_REQUIRED = object()  # a missing key is a config error
+_UNSET = object()     # a missing key stays missing
+
+# Every key a command reads, block by block ("config" is the top level;
+# datum and direction take the keys of their kind): key -> (type,
+# default).  A callable default stands for its keyword of the same name,
+# so a library default is written once.  Shells stay 16 here, as the
+# artifacts were made, and 32 on ShellQuadrature, which the
+# finite-difference Besov norm needs for its tested accuracy.
+_SCHEMA = {
+    "config": {
+        "problem": (_OBJECT, _REQUIRED), "grid": (_OBJECT, _REQUIRED),
+        "time": (_OBJECT, _UNSET), "datum": (_OBJECT, _UNSET),
+        "direction": (_OBJECT, {}), "family": (_OBJECT, _UNSET),
+        "auto_horizon": (_OBJECT, _UNSET), "solver": (_OBJECT, {}),
+        "remainder": (_OBJECT, {}), "seed": (_COUNT, None),
+        "threads": (_COUNT, 1), "output_dir": (_TEXT, "."),
+        "integrator": (_ANY, "picard"), "snapshots": (_ANY, []),
+        "cross_check": (_FLAG, run_dependence),
+        "cross_tol": (_REAL, run_dependence)},
+    "problem": {"dimension": (_COUNT, _REQUIRED),
+                "regularity": (_REAL, _REQUIRED),
+                "power": (_REAL, _REQUIRED),
+                "coupling": (_COMPLEX, ProblemParams)},
+    "grid": {"points": (_COUNT, _REQUIRED), "period": (_REAL, _REQUIRED)},
+    "time": {"horizon": (_REAL, _REQUIRED), "slices": (_COUNT, _UNSET),
+             "dt": (_REAL, _UNSET)},
+    "family": {"initial_scale": (_REAL, _REQUIRED),
+               "depth": (_COUNT, _REQUIRED)},
+    "auto_horizon": {"start": (_REAL, _REQUIRED),
+                     "slices": (_COUNT, _REQUIRED)},
+    "solver": {"tol": (_REAL, PicardConfig),
+               "max_iter": (_COUNT, PicardConfig),
+               "smallness_delta": (_REAL, PicardConfig)},
+    "remainder": {"shells": (_NODES, 16),
+                  "theta_nodes": (_NODES, remainder_decay_experiment),
+                  "static": (_FLAG, False)},
+    "gaussian": {"amplitude": (_COMPLEX, gaussian),
+                 "width": (_REAL, gaussian),
+                 "center": (_one_or_dim(_is_real, "a number"), gaussian)},
+    "plane_wave": {"mode": (_one_or_dim(_is_count, "an integer"), 1),
+                   "amplitude": (_COMPLEX, plane_wave)},
+    "random": {"band": (_COUNT, 6)},
+    "default": {"center": (_REAL, default_direction),
+                "width": (_REAL, default_direction)},
+}
+_KINDS = {"datum": ("gaussian", "plane_wave", "random"),
+          "direction": ("gaussian", "plane_wave", "random", "default")}
 
 
-def _block(config: dict, where: str) -> dict:
-    block = config.get(where, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
-    return block
+def _read(block: dict, table: dict, where: str, dim=None) -> dict:
+    """Check one block against its table and fill in its defaults: first
+    unknown keys, then the type of every key given, then missing keys."""
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ConfigError("unknown key " + ", ".join(
+            f"{where}.{key}" for key in unknown))
+    out = {}
+    for key, value in block.items():
+        spec = table[key][0]
+        test, noun, convert = spec(dim) if callable(spec) else spec
+        if not test(value):
+            name = key if spec is _OBJECT else f"{where}.{key}"
+            raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        out[key] = value if convert is None else convert(value)
+    for key, (_, default) in table.items():
+        if key in out or default is _UNSET:
+            continue
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {where}.{key}")
+        out[key] = (inspect.signature(default).parameters[key].default
+                    if callable(default) else default)
+    return out
 
 
-def _build_solver(config: dict, params: ProblemParams) -> PicardConfig:
-    block = config.get("solver", {})
-    return PicardConfig(
-        metric_pair=canonical_pair(params),
-        tol=float(block.get("tol", 1e-10)),
-        max_iter=int(block.get("max_iter", 40)),
-        smallness_delta=float(block.get("smallness_delta", 0.1)))
+def _read_field(block: dict, where: str, dim: int, seed) -> tuple:
+    """A datum or direction block as (kind, keys of that kind); a
+    direction without a kind is the default direction."""
+    kind = block["kind"] if "kind" in block else "default"
+    if not (isinstance(kind, str) and kind in _KINDS[where]):
+        if "kind" not in block:
+            raise ConfigError(f"missing key {where}.kind")
+        raise ConfigError(f"unknown field kind {kind!r} at {where}")
+    keys = _read({key: value for key, value in block.items()
+                  if key != "kind"}, _SCHEMA[kind], where, dim)
+    if kind == "random" and seed is None:
+        raise ConfigError(f"{where}.kind random needs a top-level seed")
+    return kind, keys
 
 
-def _build_field(block: dict, grid: Grid, where: str,
-                 seed: Optional[int]) -> Field:
-    kind = _require(block, "kind", where)
+def _read_config(raw: dict) -> dict:
+    """Every block present, read once; datum and direction by kind."""
+    config = _read(raw, _SCHEMA["config"], "config")
+    for where in ("problem", "grid", "time", "family", "auto_horizon",
+                  "solver", "remainder"):
+        if where in config:
+            config[where] = _read(config[where], _SCHEMA[where], where)
+    if "time" in config and not {"slices", "dt"} & set(config["time"]):
+        raise ConfigError("time needs either slices or dt")
+    for where in ("datum", "direction"):
+        if where in config:
+            config[where] = _read_field(config[where], where,
+                                        config["problem"]["dimension"],
+                                        config["seed"])
+    return config
+
+
+def _require(block: dict, key: str, where: str):
+    if key not in block:
+        raise ConfigError(f"missing key {where}.{key}")
+    return block[key]
+
+
+def _build_timegrid(time: dict) -> TimeGrid:
+    if "slices" in time:
+        return TimeGrid(time["horizon"], time["slices"])
+    return TimeGrid(time["horizon"],
+                    max(2, int(round(time["horizon"] / time["dt"]))))
+
+
+def _build_field(field: tuple, grid: Grid, seed: Optional[int]) -> Field:
+    kind, keys = field
     if kind == "gaussian":
-        return gaussian(grid,
-                        amplitude=_as_complex(block.get("amplitude", 1.0)),
-                        width=float(block.get("width", 1.0)),
-                        center=block.get("center", 0.0))
+        return gaussian(grid, **keys)
     if kind == "plane_wave":
-        return plane_wave(grid, mode=block.get("mode", 1),
-                          amplitude=_as_complex(block.get("amplitude", 1.0)))
-    if kind == "random":
-        if seed is None:
-            raise ConfigError(f"{where}.kind random needs a top-level seed")
-        rng = np.random.default_rng(seed)
-        return _band_limited_field(grid, rng, block.get("band", 6))
-    raise ConfigError(f"unknown field kind {kind!r} at {where}")
+        return plane_wave(grid, **keys)
+    return _band_limited_field(grid, np.random.default_rng(seed), **keys)
 
 
 def _band_limited_field(grid: Grid, rng, band: int) -> Field:
@@ -251,38 +229,30 @@ def _band_limited_field(grid: Grid, rng, band: int) -> Field:
     return Field(grid, values / top if top > 0 else values)
 
 
-def _build_direction(config: dict, base: Field,
-                     params: ProblemParams, seed: Optional[int]) -> Field:
-    block = config.get("direction", {"kind": "default"})
-    if block.get("kind", "default") == "default":
-        return default_direction(base, params.regularity,
-                                 center=float(block.get("center", 3.0)),
-                                 width=float(block.get("width", 1.5)))
-    raw = _build_field(block, base.grid, "direction", seed)
-    size = sobolev_norm(raw, params.regularity)
-    if size == 0.0:
-        raise ConfigError("direction has zero Sobolev norm")
-    return (1.0 / size) * raw
-
-
 def _build_family(config: dict, grid: Grid, params: ProblemParams,
                   seed: Optional[int]) -> PerturbationFamily:
-    base = _build_field(_require(config, "datum", "config"), grid,
-                        "datum", seed)
-    fam = _require(config, "family", "config")
-    return PerturbationFamily(
-        base=base,
-        direction=_build_direction(config, base, params, seed),
-        initial_scale=float(_require(fam, "initial_scale", "family")),
-        depth=int(_require(fam, "depth", "family")),
-        regularity=params.regularity)
+    base = _build_field(_require(config, "datum", "config"), grid, seed)
+    family = _require(config, "family", "config")
+    kind, keys = config["direction"]
+    if kind == "default":
+        direction = default_direction(base, params.regularity, **keys)
+    else:
+        raw = _build_field(config["direction"], grid, seed)
+        size = sobolev_norm(raw, params.regularity)
+        if size == 0.0:
+            raise ConfigError("direction has zero Sobolev norm")
+        direction = (1.0 / size) * raw
+    return PerturbationFamily(base=base, direction=direction,
+                              regularity=params.regularity, **family)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated experiment description plus its provenance hash."""
+    """Validated experiment description plus its provenance hash; config
+    holds every block read, with defaults filled in, and datum and
+    direction as (kind, keys)."""
 
-    raw: dict
+    config: dict
     digest: str
     params: ProblemParams
     grid: Grid
@@ -303,9 +273,10 @@ class RunConfig:
                               f"{exc}") from exc
         if not isinstance(raw, dict) or not raw:
             raise ConfigError("config must be a non-empty JSON object")
-        _check_keys(raw)
-        _check_types(raw)
-        params = _build_params(raw)
+        config = _read_config(raw)
+        params = ProblemParams(**config["problem"])
+        validate(params)
+        resolved = config["threads"] if threads is None else threads
         env = os.environ.get("FRACNLS_THREADS")
         if env is not None:
             try:
@@ -314,19 +285,14 @@ class RunConfig:
                 raise ConfigError(
                     f"FRACNLS_THREADS must be an integer, got {env!r}"
                 ) from exc
-        elif threads is not None:
-            resolved = threads
-        else:
-            resolved = int(raw.get("threads", 1))
         if resolved < 1:
             raise ConfigError(f"thread count must be >= 1, got {resolved}")
-        out = Path(output if output is not None
-                   else raw.get("output_dir", "."))
-        return cls(raw=raw, digest=config_hash(raw), params=params,
-                   grid=_build_grid(raw, params),
-                   solver=_build_solver(raw, params),
-                   seed=raw.get("seed"),
-                   threads=resolved, output_dir=out)
+        out = Path(output if output is not None else config["output_dir"])
+        return cls(config=config, digest=config_hash(raw), params=params,
+                   grid=Grid(dim=params.dimension, **config["grid"]),
+                   solver=PicardConfig(metric_pair=canonical_pair(params),
+                                       **config["solver"]),
+                   seed=config["seed"], threads=resolved, output_dir=out)
 
 
 # ------------------------------------------------------------ file writers
@@ -335,9 +301,7 @@ class RunConfig:
 def _format_cell(value) -> str:
     if value is None:
         return "nan"
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(value))
     return "%.16e" % float(value)
 
@@ -391,8 +355,9 @@ def _selftest_grid():
     return Grid(1, 128, 32.0)
 
 
-def _selftest_field(grid):
-    return _band_limited_field(grid, np.random.default_rng(7), band=8)
+def _selftest_field():
+    return _band_limited_field(_selftest_grid(), np.random.default_rng(7),
+                               band=8)
 
 
 def _check_exponents():
@@ -416,8 +381,7 @@ def _check_partition_profile():
 
 
 def _check_plancherel():
-    grid = _selftest_grid()
-    f = _selftest_field(grid)
+    f = _selftest_field()
     a = sobolev_norm(f, 0.0)
     b = lebesgue_norm(f, 2.0)
     assert abs(a - b) <= 1e-12 * b
@@ -443,8 +407,7 @@ def _check_besov_matches_multiplier():
 
 
 def _check_multiplier_invariance():
-    grid = _selftest_grid()
-    f = _selftest_field(grid)
+    f = _selftest_field()
     base = sobolev_norm(f, 0.4)
     moved = sobolev_norm(free_propagate(f, 0.37), 0.4)
     shifted = sobolev_norm(translate(f, 1.7), 0.4)
@@ -453,8 +416,7 @@ def _check_multiplier_invariance():
 
 
 def _check_free_group():
-    grid = _selftest_grid()
-    f = _selftest_field(grid)
+    f = _selftest_field()
     mass = lebesgue_norm(f, 2.0)
     assert abs(lebesgue_norm(free_propagate(f, 0.9), 2.0)
                - mass) <= 1e-12 * mass
@@ -464,8 +426,7 @@ def _check_free_group():
 
 
 def _check_translation_commutes():
-    grid = _selftest_grid()
-    f = _selftest_field(grid)
+    f = _selftest_field()
     a = translate(free_propagate(f, 0.4), 1.25)
     b = free_propagate(translate(f, 1.25), 0.4)
     assert np.abs(a.values - b.values).max() < 1e-12
@@ -568,19 +529,18 @@ def _slice_norm_rows(traj, params, rho):
 
 def cmd_solve(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
-    tg = _build_timegrid(rc.raw)
-    phi = _build_field(_require(rc.raw, "datum", "config"), rc.grid,
-                       "datum", rc.seed)
-    snapshots = rc.raw.get("snapshots", [])
+    tg = _build_timegrid(_require(rc.config, "time", "config"))
+    phi = _build_field(_require(rc.config, "datum", "config"), rc.grid,
+                       rc.seed)
+    snapshots = rc.config["snapshots"]
     if not isinstance(snapshots, list):
         raise ConfigError("snapshots must be a list of slice indices")
     for i, m in enumerate(snapshots):
-        if (isinstance(m, bool) or not isinstance(m, int)
-                or not 0 <= m <= tg.slices):
+        if not (_is_count(m) and 0 <= m <= tg.slices):
             raise ConfigError(f"snapshots[{i}] must be an integer in "
                               f"[0, {tg.slices}], got {m!r}")
     nl = PowerNonlinearity.from_params(rc.params)
-    integrator = rc.raw.get("integrator", "picard")
+    integrator = rc.config["integrator"]
     if integrator == "picard":
         traj, report = picard_duhamel(phi, nl, tg, rc.solver)
         print(f"picard converged in {report.iterations} sweeps")
@@ -620,22 +580,20 @@ def _running_slopes(rows) -> list:
 
 def cmd_dependence(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
-    family = _build_family(rc.raw, rc.grid, rc.params, rc.seed)
-    auto = rc.raw.get("auto_horizon")
+    family = _build_family(rc.config, rc.grid, rc.params, rc.seed)
     smallness = None
-    if auto is not None:
+    if "auto_horizon" in rc.config:
+        auto = rc.config["auto_horizon"]
         try:
-            tg, smallness = choose_horizon(
-                rc.params, family, rc.solver,
-                float(_require(auto, "start", "auto_horizon")),
-                int(_require(auto, "slices", "auto_horizon")))
+            tg, smallness = choose_horizon(rc.params, family, rc.solver,
+                                           auto["start"], auto["slices"])
         except RuntimeError as exc:
             raise ConfigError(f"auto_horizon gave up: {exc}") from exc
     else:
-        tg = _build_timegrid(rc.raw)
+        tg = _build_timegrid(_require(rc.config, "time", "config"))
     report = run_dependence(rc.params, family, rc.solver, tg,
-                            cross_check=rc.raw.get("cross_check", False),
-                            cross_tol=float(rc.raw.get("cross_tol", 1e-4)),
+                            cross_check=rc.config["cross_check"],
+                            cross_tol=rc.config["cross_tol"],
                             threads=rc.threads, smallness=smallness)
     slopes = _running_slopes(report.rows)
     csv_rows = [(k, row.scale, row.input_distance, row.sup_sobolev,
@@ -647,9 +605,8 @@ def cmd_dependence(args) -> int:
     flags = [k for k, row in enumerate(report.rows) if not row.valid]
     summary = report.to_dict()
     summary["flags"] = flags
-    valid = report.valid_rows()
     summary["lipschitz_constant"] = (lipschitz_constant(report)
-                                     if valid else None)
+                                     if report.valid_rows() else None)
     _write_json(rc.output_dir / "dependence_summary.json", rc.digest,
                 summary)
     print(f"wrote {rc.output_dir / 'dependence.csv'} "
@@ -659,12 +616,12 @@ def cmd_dependence(args) -> int:
 
 def cmd_remainder(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
-    block = rc.raw.get("remainder", {})
-    family = _build_family(rc.raw, rc.grid, rc.params, rc.seed)
-    tg = _build_timegrid(rc.raw)
-    quad = ShellQuadrature(shells=block.get("shells", 16))
-    theta = block.get("theta_nodes", 32)
-    if block.get("static", False):
+    block = rc.config["remainder"]
+    family = _build_family(rc.config, rc.grid, rc.params, rc.seed)
+    tg = _build_timegrid(_require(rc.config, "time", "config"))
+    quad = ShellQuadrature(shells=block["shells"])
+    theta = block["theta_nodes"]
+    if block["static"]:
         gamma, rho = rc.solver.metric_pair
         rows = static_remainder_decay(
             family.base, family.direction, family.scales,
@@ -727,14 +684,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisViolation as exc:
+    except HypothesisViolation as exc:  # a ValueError, with its own tag
         print(f"config error [hypothesis={exc.hypothesis}]: {exc}",
               file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:

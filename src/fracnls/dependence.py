@@ -32,7 +32,8 @@ import numpy as np
 from .exponents import ProblemParams, dual, sigma
 from .grid import Field, gaussian, inner_product, lp_norm
 from .grid import lebesgue_norm  # noqa: F401  perfbench/tests patch it here
-from .nonlinearity import Nonlinearity, PowerNonlinearity, remainder_K
+from .nonlinearity import (THETA_NODES, Nonlinearity, PowerNonlinearity,
+                           remainder_K)
 from .solver import (NonConvergenceError, PicardConfig, TimeGrid,
                      _split_slices, picard_duhamel, smallness_check)
 from .spaces import (NormSpec, ShellQuadrature, sobolev_norm, spacetime_norm,
@@ -404,7 +405,7 @@ def remainder_decay_experiment(params: ProblemParams,
                                family: PerturbationFamily,
                                cfg: PicardConfig, tg: TimeGrid, *,
                                remainder_map: Optional[Nonlinearity] = None,
-                               theta_nodes: int = 32,
+                               theta_nodes: int = THETA_NODES,
                                quad: Optional[ShellQuadrature] = None,
                                threads: int = 1) -> tuple:
     """Integrated remainder along solved trajectories, one row per scale.
@@ -455,7 +456,7 @@ def remainder_decay_experiment(params: ProblemParams,
 
 def static_remainder_decay(base: Field, direction: Field, scales,
                            nl: Nonlinearity, s: float, p: float, q: float,
-                           r: float, theta_nodes: int = 32,
+                           r: float, theta_nodes: int = THETA_NODES,
                            quad: Optional[ShellQuadrature] = None) -> tuple:
     """Remainder of base against base + eps * direction, no dynamics."""
     values = remainder_K(base, [base + eps * direction for eps in scales],

@@ -229,9 +229,13 @@ def _check_difference_exponents(s: float, p: float, q: float, r: float,
     return power / inv_gap
 
 
+# Gauss-Legendre nodes of the segment average, the default of every caller
+THETA_NODES = 32
+
+
 def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
                 nl: Nonlinearity, s: float, p: float, q: float, r: float,
-                theta_nodes: int = 64,
+                theta_nodes: int = THETA_NODES,
                 quad: Optional[ShellQuadrature] = None
                 ) -> Union[float, tuple]:
     """Lower-order remainder of the Besov difference bound.
@@ -335,7 +339,7 @@ class DifferenceReport:
 
 def besov_difference_report(u: Field, v: Field, nl: Nonlinearity,
                             exps: DifferenceExponents,
-                            theta_nodes: int = 64,
+                            theta_nodes: int = THETA_NODES,
                             quad: Optional[ShellQuadrature] = None
                             ) -> DifferenceReport:
     """Evaluate the difference bound's pieces on one pair of fields:

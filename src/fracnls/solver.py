@@ -30,8 +30,8 @@ from .spaces import NormSpec, spacetime_norm, trapezoid_norm
 
 __all__ = [
     "TimeGrid", "Trajectory", "PicardConfig", "IterationReport",
-    "BlowUpError", "NonConvergenceError", "contraction_distance",
-    "picard_duhamel", "split_step", "smallness_check",
+    "BlowUpError", "NonConvergenceError", "picard_duhamel", "split_step",
+    "smallness_check",
 ]
 
 
@@ -222,16 +222,6 @@ class IterationReport:
         """Consecutive distance quotients; geometric once contraction sets in."""
         return tuple(b / a for a, b in zip(self.distances, self.distances[1:])
                      if a > 0.0)
-
-
-def contraction_distance(u: Trajectory, v: Trajectory, pair) -> float:
-    """d(u, v) = || u - v ||_{L^gamma((0,T), L^rho)}."""
-    if (v.timegrid, v.grid) != (u.timegrid, u.grid):
-        raise ValueError("trajectories live on different (time) grids")
-    cell = u.grid.cell_volume
-    return trapezoid_norm([lp_norm(a - b, pair[1], cell)
-                           for a, b in zip(u.values, v.values)],
-                          u.timegrid.dt, pair[0])
 
 
 def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,

@@ -472,6 +472,7 @@ BAD_TYPE_CASES = [
     ("dependence", "auto_horizon.slices", 8.5),
     ("dependence", "auto_horizon.start", "0.5"),
     ("dependence", "config.cross_tol", "1e-4"),
+    ("solve", "config.output_dir", 5),
 ]
 
 
@@ -573,3 +574,141 @@ def test_runconfig_rejects_empty(tmp_path):
     path.write_text("{}")
     with pytest.raises(ConfigError):
         RunConfig.load(str(path), None, None)
+
+
+FAIL_FAST_CASES = [
+    ("solve", {"family": {"depth": 3}}, "missing key family.initial_scale"),
+    ("solve", {"auto_horizon": {"start": 0.5}},
+     "missing key auto_horizon.slices"),
+    ("solve", {"datum": {"width": 2.0}}, "missing key datum.kind"),
+    ("solve", {"datum": {"kind": "soliton"}},
+     "unknown field kind 'soliton' at datum"),
+    ("solve", {"direction": {"kind": "random", "band": 4}},
+     "direction.kind random needs a top-level seed"),
+    ("solve", {"remainder": {"shells": 1}},
+     "remainder.shells must be an integer >= 2, got 1"),
+    ("dependence", {"family": {"initial_scale": 0.01, "depth": 3},
+                    "auto_horizon": {"start": 0.5, "slices": 8},
+                    "time": {"horizon": 0.25}},
+     "time needs either slices or dt"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, message", FAIL_FAST_CASES,
+                         ids=[case[2] for case in FAIL_FAST_CASES])
+def test_config_fails_fast_in_every_block(tmp_path, capsys, command,
+                                          overrides, message):
+    # every block present is read at load, whether or not the command
+    # uses it, and nothing is written
+    path, _ = _write_config(tmp_path, **overrides)
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+SOLVER_DEFAULTS = {"tol": 1e-10, "max_iter": 40, "smallness_delta": 0.1}
+# (command, config omitting every optional key it can, the same config
+# with the documented defaults spelled out); output_dir is left to its
+# default "." in both
+DEFAULT_CASES = {
+    "solve-picard": ("solve", {
+        "problem": {"dimension": 1, "regularity": 0.4, "power": 2.0},
+        "grid": {"points": 64, "period": 32.0},
+        "datum": {"kind": "plane_wave"},
+        "time": {"horizon": 0.05, "slices": 8},
+    }, {
+        "problem": dict(PROBLEM, coupling=1.0),
+        "grid": {"points": 64, "period": 32.0},
+        "datum": {"kind": "plane_wave", "mode": 1, "amplitude": 1.0},
+        "time": {"horizon": 0.05, "slices": 8},
+        "solver": SOLVER_DEFAULTS, "integrator": "picard", "snapshots": [],
+        "threads": 1, "output_dir": ".",
+    }),
+    "solve-split": ("solve", {
+        "problem": {"dimension": 2, "regularity": 0.4, "power": 2.0},
+        "grid": {"points": 16, "period": 8.0},
+        "datum": {"kind": "gaussian"},
+        "time": {"horizon": 0.1, "dt": 0.02},
+        "integrator": "split_step", "snapshots": [0, 5],
+    }, {
+        "problem": {"dimension": 2, "regularity": 0.4, "power": 2.0,
+                    "coupling": [1.0, 0.0]},
+        "grid": {"points": 16, "period": 8.0},
+        "datum": {"kind": "gaussian", "amplitude": [1.0, 0.0],
+                  "width": 1.0, "center": 0.0},
+        "time": {"horizon": 0.1, "dt": 0.02},
+        "integrator": "split_step", "snapshots": [0, 5],
+    }),
+    "dependence": ("dependence", {
+        "problem": {"dimension": 1, "regularity": 0.4, "power": 2.0},
+        "grid": {"points": 64, "period": 32.0},
+        "datum": {"kind": "gaussian", "amplitude": 0.08},
+        "family": {"initial_scale": 0.01, "depth": 2},
+        "time": {"horizon": 0.25, "slices": 16}, "cross_check": True,
+    }, {
+        "problem": dict(PROBLEM, coupling=1.0),
+        "grid": {"points": 64, "period": 32.0},
+        "datum": {"kind": "gaussian", "amplitude": 0.08, "width": 1.0,
+                  "center": 0.0},
+        "direction": {"kind": "default", "center": 3.0, "width": 1.5},
+        "family": {"initial_scale": 0.01, "depth": 2},
+        "time": {"horizon": 0.25, "slices": 16}, "cross_check": True,
+        "cross_tol": 1e-4, "solver": SOLVER_DEFAULTS, "threads": 1,
+    }),
+    # power 1 is odd, so every theta node is used
+    "remainder": ("remainder", {
+        "problem": {"dimension": 1, "regularity": 0.4, "power": 1.0},
+        "grid": {"points": 32, "period": 16.0},
+        "datum": {"kind": "gaussian", "amplitude": 0.05, "width": 2.0},
+        "family": {"initial_scale": 0.01, "depth": 2},
+        "time": {"horizon": 0.1, "slices": 4},
+    }, {
+        "problem": {"dimension": 1, "regularity": 0.4, "power": 1.0},
+        "grid": {"points": 32, "period": 16.0},
+        "datum": {"kind": "gaussian", "amplitude": 0.05, "width": 2.0},
+        "direction": {"kind": "default"},
+        "family": {"initial_scale": 0.01, "depth": 2},
+        "time": {"horizon": 0.1, "slices": 4},
+        "remainder": {"shells": 16, "theta_nodes": 32, "static": False},
+        "solver": SOLVER_DEFAULTS,
+    }),
+    "remainder-static": ("remainder", {
+        "problem": {"dimension": 1, "regularity": 0.4, "power": 1.0},
+        "grid": {"points": 32, "period": 16.0},
+        "datum": {"kind": "random"}, "seed": 5,
+        "direction": {"kind": "plane_wave", "mode": 2},
+        "family": {"initial_scale": 0.5, "depth": 2},
+        "time": {"horizon": 0.1, "slices": 4},
+        "remainder": {"static": True},
+    }, {
+        "problem": {"dimension": 1, "regularity": 0.4, "power": 1.0},
+        "grid": {"points": 32, "period": 16.0},
+        "datum": {"kind": "random", "band": 6}, "seed": 5,
+        "direction": {"kind": "plane_wave", "mode": 2, "amplitude": 1.0},
+        "family": {"initial_scale": 0.5, "depth": 2},
+        "time": {"horizon": 0.1, "slices": 4},
+        "remainder": {"shells": 16, "theta_nodes": 32, "static": True},
+    }),
+}
+
+
+@pytest.mark.parametrize("case", DEFAULT_CASES)
+def test_omitted_keys_take_the_documented_defaults(tmp_path, monkeypatch,
+                                                   case):
+    command, bare, spelled = DEFAULT_CASES[case]
+    artifacts, read = [], []
+    for name, config in (("bare", bare), ("spelled", spelled)):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "config.json").write_text(json.dumps(config))
+        monkeypatch.chdir(run)
+        read.append(RunConfig.load("config.json", None, None).config)
+        assert main([command, "--config", "config.json"]) == 0
+        # byte for byte, but for the config_hash line, which differs
+        artifacts.append({path.name: [line for line in path.read_bytes()
+                                      .splitlines(keepends=True)
+                                      if b"config_hash" not in line]
+                          for path in sorted(run.glob("*.*"))
+                          if path.name != "config.json"})
+    assert read[0] == read[1]
+    assert artifacts[0] and artifacts[0] == artifacts[1]

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from fracnls.exponents import ProblemParams, canonical_pair
-from fracnls.grid import (Field, Grid, free_propagate, gaussian,
-                          lebesgue_norm, lp_norm, plane_wave)
+from fracnls.grid import (Grid, free_propagate, gaussian, lebesgue_norm,
+                          lp_norm, plane_wave)
 from fracnls.nonlinearity import (GeneralNonlinearity, PowerNonlinearity,
                                   as_general)
 from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
                             TimeGrid, Trajectory, _phase_table, _power_substep,
-                            _split_slices, contraction_distance,
-                            picard_duhamel, smallness_check, split_step)
-from fracnls.spaces import (NormSpec, besov_norm_lp, spacetime_norm,
-                            trapezoid_norm)
+                            _split_slices, picard_duhamel, smallness_check,
+                            split_step)
+from fracnls.spaces import NormSpec, besov_norm_lp, trapezoid_norm
 from trajectories import fields, free_trajectory
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
@@ -433,25 +432,6 @@ def test_picard_overflow_raises_blowup():
     phi = gaussian(grid, 40.0, 2.0)
     with pytest.raises(BlowUpError):
         picard_duhamel(phi, CUBIC, TimeGrid(1.0, 64), _config())
-
-
-def test_contraction_distance_matches_spacetime_norm(line_grid):
-    tg = TimeGrid(1.0, 16)
-    u = free_trajectory(gaussian(line_grid, 1.0, 2.0), tg)
-    v = free_trajectory(gaussian(line_grid, 0.5, 1.0), tg)
-    diffs = (Field(line_grid, a - b) for a, b in zip(u.values, v.values))
-    (direct,) = spacetime_norm(diffs, tg.dt,
-                               (PAIR[0], NormSpec("lebesgue", p=PAIR[1])))
-    assert contraction_distance(u, v, PAIR) == pytest.approx(direct,
-                                                             rel=1e-14)
-    assert contraction_distance(u, u, PAIR) == 0.0
-
-
-def test_contraction_distance_needs_matching_timegrid(line_grid):
-    phi = gaussian(line_grid, 1.0, 2.0)
-    with pytest.raises(ValueError, match="time"):
-        contraction_distance(free_trajectory(phi, TimeGrid(1.0, 4)),
-                             free_trajectory(phi, TimeGrid(1.0, 8)), PAIR)
 
 
 # --------------------------------------------------------------- split step
