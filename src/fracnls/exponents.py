@@ -165,8 +165,9 @@ def canonical_pair(params: ProblemParams) -> tuple[float, float]:
 
 
 def sigma(params: ProblemParams) -> float:
-    """Companion integrability N (alpha+2) / (N - 2s); always above rho,
-    and equal to nu(rho)."""
+    """Companion integrability N (alpha+2) / (N - 2s); always above rho.
+    It is nu(rho) for the exact rho, but where s is within ulps of N/2 at
+    the maximal power the float rho can reach N/s, outside nu's domain."""
     n = params.dimension
     s = _frac(params.regularity)
     a = _exact_power(n, s, params.power)

@@ -17,6 +17,7 @@ Fourier transform (times L^(-N/2)) for well-resolved fields.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -26,6 +27,14 @@ import numpy as np
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _mesh_sum(shape, terms) -> np.ndarray:
+    """np.zeros(shape) + each term in turn: bitwise the full-mesh sum."""
+    out = np.zeros(shape)
+    for term in terms:
+        out = out + term
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,9 @@ class Grid:
 
     @cached_property
     def coordinate_arrays(self) -> tuple[np.ndarray, ...]:
-        """Meshed coordinates, one array of shape `shape` per axis."""
+        """Open coordinate mesh: each axis vector, shaped to broadcast."""
         return tuple(np.meshgrid(*[self.axis_coordinates] * self.dim,
-                                 indexing="ij"))
+                                 indexing="ij", sparse=True))
 
     @cached_property
     def axis_wavenumbers(self) -> np.ndarray:
@@ -90,18 +99,16 @@ class Grid:
 
     @cached_property
     def wavenumber_arrays(self) -> tuple[np.ndarray, ...]:
+        """Open wavenumber mesh, shaped like `coordinate_arrays`."""
         return tuple(np.meshgrid(*[self.axis_wavenumbers] * self.dim,
-                                 indexing="ij"))
+                                 indexing="ij", sparse=True))
 
     @cached_property
     def wavenumber_square(self) -> np.ndarray:
         """|k|^2 on the full mesh."""
-        out = np.zeros(self.shape)
-        for ka in self.wavenumber_arrays:
-            out = out + ka ** 2
-        return out
+        return _mesh_sum(self.shape, (k ** 2 for k in self.wavenumber_arrays))
 
-    @cached_property
+    @property
     def wavenumber_magnitude(self) -> np.ndarray:
         return np.sqrt(self.wavenumber_square)
 
@@ -142,10 +149,8 @@ class Grid:
 
     def translation_multiplier(self, y) -> np.ndarray:
         """exp(-i k.y) on the mesh: the Fourier multiplier of a shift by y."""
-        phase = np.zeros(self.shape)
-        for ka, ya in zip(self.wavenumber_arrays, y):
-            phase = phase + ka * ya
-        return np.exp(-1j * phase)
+        terms = (ka * ya for ka, ya in zip(self.wavenumber_arrays, y))
+        return np.exp(-1j * _mesh_sum(self.shape, terms))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -155,18 +160,19 @@ class Grid:
     def band_mask(self, band: int) -> np.ndarray:
         """True where every axis index |j| <= band, in FFT ordering."""
         idx = np.fft.fftfreq(self.points, d=1.0 / self.points)
-        axis_ok = np.abs(idx) <= band
         mask = np.ones(self.shape, dtype=bool)
-        for a in range(self.dim):
-            shape = [1] * self.dim
-            shape[a] = self.points
-            mask &= axis_ok.reshape(shape)
+        for ok in np.meshgrid(*[np.abs(idx) <= band] * self.dim,
+                              indexing="ij", sparse=True):
+            mask &= ok
         return mask
 
     def sample(self, fn: Callable[..., np.ndarray]) -> "Field":
-        """Build a field by evaluating fn on the coordinate mesh."""
-        return Field(self, np.asarray(fn(*self.coordinate_arrays),
-                                      dtype=complex))
+        """Build a field by evaluating fn on the open coordinate mesh and
+        broadcasting the result to `shape`."""
+        vals = np.asarray(fn(*self.coordinate_arrays), dtype=complex)
+        with suppress(ValueError):  # Field reports a shape that fails
+            vals = np.broadcast_to(vals, self.shape)
+        return Field(self, vals)
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)  # this field's copy
         if vals.shape != self.grid.shape:
             if vals.size == self.grid.size:
                 vals = vals.reshape(self.grid.shape)
@@ -187,7 +193,6 @@ class Field:
                     f"shape {self.grid.shape}")
         if not np.all(np.isfinite(vals.view(float))):
             raise ValueError("field values must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -294,10 +299,9 @@ def plane_wave(grid: Grid, mode: Sequence[int] | int,
     half = grid.points // 2
     if np.any(mode < -half) or np.any(mode >= half):
         raise ValueError(f"mode {mode} outside the resolvable band")
-    phase = np.zeros(grid.shape)
-    for m, xa in zip(mode, grid.coordinate_arrays):
-        phase = phase + (2.0 * np.pi * m / grid.period) * xa
-    return Field(grid, amplitude * np.exp(1j * phase))
+    terms = ((2.0 * np.pi * m / grid.period) * xa
+             for m, xa in zip(mode, grid.coordinate_arrays))
+    return Field(grid, amplitude * np.exp(1j * _mesh_sum(grid.shape, terms)))
 
 
 def gaussian(grid: Grid, amplitude: complex = 1.0, width: float = 1.0,
@@ -306,7 +310,6 @@ def gaussian(grid: Grid, amplitude: complex = 1.0, width: float = 1.0,
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (grid.dim,):
         center = np.full(grid.dim, float(center[0]))
-    r2 = np.zeros(grid.shape)
-    for xa, ca in zip(grid.coordinate_arrays, center):
-        r2 = r2 + (xa - ca) ** 2
+    terms = ((xa - ca) ** 2 for xa, ca in zip(grid.coordinate_arrays, center))
+    r2 = _mesh_sum(grid.shape, terms)
     return Field(grid, amplitude * np.exp(-r2 / width ** 2))

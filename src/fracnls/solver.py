@@ -237,7 +237,7 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     The map is causal: slice m of the new iterate reads the old one at
     slices 0..m only.  So a sweep overwrites one trajectory stack in
     place, slice by slice, once it has read the old slice; beside that
-    stack it holds a few slice-sized arrays and a table of the phases
+    stack it holds four scratch slices and a table of the phases
     exp(i t_m |k|^2) over the distinct values of |k|^2.  The stack is
     handed to the returned trajectory without a copy.
 
@@ -252,8 +252,8 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
         raise ValueError(
             f"metric pair {cfg.metric_pair} is not admissible in "
             f"dimension {grid.dim}")
-    # gather(m) writes unwind[m] on the mesh into phase: bitwise
-    # exp(i t_m k^2), whose conjugate exp(-i t_m k^2) is the rewind phase
+    # gather(row, out) puts a table row on the mesh: bitwise exp(i t_m k^2)
+    # from unwind[m], and the rewind phase from conj(unwind[m])
     unwind = _phase_table(tg, grid, 1j)
     index = grid.wavenumber_levels[1]
     keep = grid.dealias_mask
@@ -262,11 +262,12 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     # place, in the operand order of
     #   new = ifftn(conj(unwind[m])
     #               * (phihat + 1j dt (running - half0 - integrand / 2)))
-    ghat, integrand, running, half0, phase, new = (
-        np.empty(grid.shape, dtype=complex) for _ in range(6))
+    # with ghat the integrand, then the rewind phase; new the unwind phase
+    ghat, running, half0, new = (np.empty(grid.shape, dtype=complex)
+                                 for _ in range(4))
 
-    def gather(m: int) -> np.ndarray:
-        return np.take(unwind[m], index, out=phase, mode="wrap")
+    def gather(row: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.take(row, index, out=out, mode="wrap")
 
     # the iterate; slice 0 is the datum and is never written again
     u = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
@@ -275,7 +276,7 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     # 256 KiB and up numpy evaluates this product in its temporary, as
     # conj * phihat; the expression stays as it is to keep those bits
     for m in range(1, tg.slices + 1):
-        np.fft.ifftn(phihat * np.conj(gather(m)), out=u[m])
+        np.fft.ifftn(phihat * np.conj(gather(unwind[m], new)), out=u[m])
     cell = grid.cell_volume
     distances = []
     first = None
@@ -287,19 +288,18 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
             for m in range(tg.slices + 1):
                 np.fft.fftn(nl.g(u[m], out=ghat), out=ghat)
                 ghat *= keep
-                gather(m)
+                np.multiply(gather(unwind[m], new), ghat, out=ghat)
                 if m == 0:
-                    np.multiply(phase, ghat, out=running)
+                    np.copyto(running, ghat)
                     np.multiply(0.5, running, out=half0)
                     continue
-                np.multiply(phase, ghat, out=integrand)
-                running += integrand
+                running += ghat
                 np.subtract(running, half0, out=new)
-                new -= np.multiply(0.5, integrand, out=ghat)
+                new -= np.multiply(0.5, ghat, out=ghat)
                 new *= tg.dt
                 new *= 1j
                 new += phihat
-                new *= np.conjugate(phase, out=phase)
+                new *= gather(np.conj(unwind[m]), ghat)
                 np.fft.ifftn(new, out=new)
                 if not np.isfinite(new.view(float)).all():
                     raise BlowUpError(

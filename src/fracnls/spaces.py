@@ -114,20 +114,23 @@ def _support_runs(mult: np.ndarray) -> tuple:
 
 
 def _annulus_multipliers(grid: Grid, jmin: int, jmax: int):
-    """Low block and annuli, each a (multiplier, support runs) pair."""
+    """Low block and annuli, each a (table, support runs) pair: the
+    multiplier on the |k|^2 levels of grid.wavenumber_levels, so that
+    table[index] is bitwise the mesh multiplier, and its mesh support."""
     key = (grid, jmin, jmax, id(transition_profile))
     hit = _multiplier_cache.get(key)
     if hit is not None:
         return hit
-    kmag = grid.wavenumber_magnitude
+    levels, index = grid.wavenumber_levels
+    kmag = np.sqrt(levels)
     low = transition_profile(kmag / 2.0 ** jmin)
     annuli = [transition_profile(kmag / 2.0 ** (j + 1))
               - transition_profile(kmag / 2.0 ** j)
               for j in range(jmin, jmax + 1)]
     if len(_multiplier_cache) > 64:
         _multiplier_cache.clear()
-    hit = ((low, _support_runs(low)),
-           [(m, _support_runs(m)) for m in annuli])
+    hit = ((low, _support_runs(low[index])),
+           [(m, _support_runs(m[index])) for m in annuli])
     _multiplier_cache[key] = hit
     return hit
 
@@ -157,12 +160,15 @@ def besov_norm_lp(f: Field, spec: NormSpec) -> float:
         raise ValueError(f"spec kind {spec.kind!r} is not besov_lp")
     jmin, jmax = default_band(f.grid)
     low, annuli = _annulus_multipliers(f.grid, jmin, jmax)
-    # every block is multiplied and inverted in place in one buffer
+    index = f.grid.wavenumber_levels[1]
+    # gather each table into mult; fhat * mult is inverted in piece
     fhat = np.fft.fftn(f.values, out=np.empty(f.grid.shape, dtype=complex))
     piece = np.empty_like(fhat)
+    mult = np.empty(f.grid.shape)
     cell = f.grid.cell_volume
 
-    def block_norm(mult, runs):
+    def block_norm(table, runs):
+        np.take(table, index, out=mult, mode="wrap")
         np.multiply(fhat, mult, out=piece)
         return lp_norm(_inverse_on_support(piece, runs), spec.p, cell)
 

@@ -3,7 +3,6 @@
 import json
 import math
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from fracnls.solver import (IterationReport, NonConvergenceError,
                             smallness_check, split_step)
 from fracnls.spaces import (NormSpec, ShellQuadrature, sobolev_norm,
                             spacetime_norm)
-from trajectories import free_trajectory
+from trajectories import free_trajectory, stack_bytes, traced_peak
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
 FREE = ProblemParams(dimension=1, regularity=0.4, power=2.0, coupling=0.0)
@@ -312,13 +311,9 @@ def row_peak_stacks():
     tg = TimeGrid(0.25, 32)
     # fill the grid caches and the annulus multipliers first
     run_dependence(params, fam, cfg, TimeGrid(0.25, 2), cross_check=True)
-    tracemalloc.start()
-    try:
-        run_dependence(params, fam, cfg, tg, cross_check=True, threads=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / ((tg.slices + 1) * grid.size * 16)
+    peak = traced_peak(run_dependence, params, fam, cfg, tg,
+                       cross_check=True, threads=1)
+    return peak / stack_bytes(grid, tg)
 
 
 def test_run_dependence_row_peak_memory(row_peak_stacks):

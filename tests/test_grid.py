@@ -73,6 +73,59 @@ def test_wavenumber_levels_index_the_mesh(dim, points):
     assert grid.wavenumber_levels[0] is levels
 
 
+OPEN_MESH_GRIDS = [Grid(1, 128, 32.0), Grid(2, 32, 16.0), Grid(3, 16, 16.0)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                  b.view(np.uint64))
+
+
+@pytest.mark.parametrize("grid", OPEN_MESH_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_open_mesh_functions_match_full_meshes_bitwise(grid):
+    # the old expressions, on full meshes of every coordinate and k
+    xs = np.meshgrid(*[grid.axis_coordinates] * grid.dim, indexing="ij")
+    ks = np.meshgrid(*[grid.axis_wavenumbers] * grid.dim, indexing="ij")
+
+    def total(terms):
+        out = np.zeros(grid.shape)
+        for term in terms:
+            out = out + term
+        return out
+
+    def shift(y):
+        return np.exp(-1j * total(ka * ya for ka, ya in zip(ks, y)))
+
+    dim = grid.dim
+    assert _same_bits(grid.wavenumber_square, total(ka ** 2 for ka in ks))
+    assert _same_bits(grid.origin_phase,
+                      shift((grid.axis_coordinates[0],) * dim))
+    for y in [(0.3, -1.7, 2.5), (grid.spacing,) * 3, (-np.pi, np.e, 0.0)]:
+        assert _same_bits(grid.translation_multiplier(y[:dim]), shift(y))
+    for center in [(0.0,) * 3, (0.4, -1.1, 2.0)]:
+        r2 = total((xa - ca) ** 2 for xa, ca in zip(xs, center))
+        assert _same_bits(
+            gaussian(grid, 0.7 - 0.2j, 1.5, center[:dim]).values,
+            (0.7 - 0.2j) * np.exp(-r2 / 1.5 ** 2))
+    mode = (3, -5, 7)[:dim]
+    phase = total((2.0 * np.pi * m / grid.period) * xa
+                  for m, xa in zip(mode, xs))
+    assert _same_bits(plane_wave(grid, mode, 1.2 + 0.5j).values,
+                      (1.2 + 0.5j) * np.exp(1j * phase))
+    # the cached axis arrays hold one axis vector per dimension
+    for arrays in (grid.coordinate_arrays, grid.wavenumber_arrays):
+        assert sum(a.size for a in arrays) == dim * grid.points
+
+
+def test_sample_broadcasts_to_the_grid_shape():
+    grid = Grid(2, 32, 16.0)
+    f = grid.sample(lambda x, y: np.exp(-x ** 2))
+    assert f.values.shape == grid.shape
+    assert np.all(f.values == np.exp(-grid.axis_coordinates ** 2)[:, None])
+    with pytest.raises(ValueError, match="does not match grid shape"):
+        grid.sample(lambda x, y: np.ones(5))
+
+
 # ---------------------------------------------------------------- transforms
 
 def test_zero_field_zero_spectrum(line_grid):

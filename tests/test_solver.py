@@ -1,10 +1,9 @@
 """Integrator tests: free-flow exactness, oracle cross-checks, failure modes."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from fracnls import spaces
 from fracnls.exponents import ProblemParams, canonical_pair
 from fracnls.grid import (Grid, free_propagate, gaussian, lebesgue_norm,
                           lp_norm, plane_wave)
@@ -14,8 +13,10 @@ from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
                             TimeGrid, Trajectory, _phase_table, _power_substep,
                             _split_slices, picard_duhamel, smallness_check,
                             split_step)
-from fracnls.spaces import NormSpec, besov_norm_lp, trapezoid_norm
-from trajectories import fields, free_trajectory
+from fracnls.spaces import (NormSpec, besov_norm_lp, sobolev_norm,
+                            trapezoid_norm)
+from trajectories import (fields, free_trajectory, stack_bytes, traced_memory,
+                          traced_peak, warm)
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
 PAIR = canonical_pair(PARAMS)
@@ -254,53 +255,52 @@ def test_picard_peak_memory_three_stacks():
     phi = gaussian(grid, 0.08, 2.0)
     tg = TimeGrid(0.25, 32)
     cfg = PicardConfig(metric_pair=canonical_pair(params))
-    stack = (tg.slices + 1) * grid.size * 16
-    tracemalloc.start()
-    try:
-        picard_duhamel(phi, PowerNonlinearity(1.0, 2.0), tg, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * stack
-
-
-def _stack_bytes(grid, tg):
-    return (tg.slices + 1) * grid.size * 16
-
-
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def _warm(grid):
-    grid.wavenumber_square, grid.wavenumber_levels, grid.dealias_mask
+    peak = traced_peak(picard_duhamel, phi, PowerNonlinearity(1.0, 2.0), tg,
+                       cfg)
+    assert peak <= 3.5 * stack_bytes(grid, tg)
 
 
 def test_picard_peak_memory_one_stack():
-    # the sweep overwrites one stack in place and hands it over
+    # the sweep overwrites one stack in place and hands it over; beside
+    # it a sweep holds four scratch slices, the phase table over the
+    # |k|^2 levels and the transforms' own buffers
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 64, 32.0)
-    _warm(grid)
+    warm(grid)
     phi = gaussian(grid, 0.08, 2.0)
     tg = TimeGrid(0.25, 32)
     cfg = PicardConfig(metric_pair=canonical_pair(params))
-    peak = _traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
-    assert peak <= 1.5 * _stack_bytes(grid, tg)
+    peak = traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
+    assert peak <= 1.5 * stack_bytes(grid, tg)
+    assert peak <= stack_bytes(grid, tg) + 12 * grid.size * 16
+
+
+def _datum_solve_and_norms(grid):
+    params = ProblemParams(dimension=grid.dim, regularity=0.4, power=2.0)
+    phi = gaussian(grid, 0.1, 2.0)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    traj, _ = picard_duhamel(phi, CUBIC, TimeGrid(0.25, 4), cfg)
+    sobolev_norm(traj.field(4), 0.4)
+    besov_norm_lp(traj.field(4), NormSpec("besov_lp", s=0.4, p=3.0))
+
+
+def test_grid_and_norm_caches_retain_few_fields():
+    # what a solve and its norms leave cached: |k|^2, its level index,
+    # one Sobolev weight and the mask are mesh sized; the coordinates,
+    # wavenumbers and Besov multipliers are axis vectors and level tables
+    grid = Grid(3, 32, 32.0)
+    spaces._multiplier_cache.clear()  # the trace counts the tables built
+    retained, _ = traced_memory(_datum_solve_and_norms, grid)
+    assert retained <= 3 * grid.size * 16
 
 
 def test_free_trajectory_peak_memory_one_stack():
     grid = Grid(2, 64, 32.0)
-    _warm(grid)
+    warm(grid)
     phi = gaussian(grid, 0.08, 2.0)
     tg = TimeGrid(0.25, 32)
-    peak = _traced_peak(free_trajectory, phi, tg)
-    assert peak <= 1.5 * _stack_bytes(grid, tg)
+    peak = traced_peak(free_trajectory, phi, tg)
+    assert peak <= 1.5 * stack_bytes(grid, tg)
 
 
 def _three_stack_picard(phi, nl, tg, cfg):
@@ -609,10 +609,10 @@ def test_smallness_peak_memory_no_stack():
     # the free-flow slices stream through the norm; no stack is built
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 64, 32.0)
-    _warm(grid)
+    warm(grid)
     phi = gaussian(grid, 0.08, 2.0)
     tg = TimeGrid(0.25, 32)
     cfg = PicardConfig(metric_pair=canonical_pair(params))
     smallness_check(phi, tg, cfg, params)  # builds the annulus multipliers
-    peak = _traced_peak(smallness_check, phi, tg, cfg, params)
-    assert peak <= 0.5 * _stack_bytes(grid, tg)
+    peak = traced_peak(smallness_check, phi, tg, cfg, params)
+    assert peak <= 0.5 * stack_bytes(grid, tg)

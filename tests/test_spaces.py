@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -30,6 +28,7 @@ from fracnls.spaces import (
     transition_profile,
 )
 from conftest import band_limited_random_field, smooth_random_field
+from trajectories import traced_peak
 
 
 WIDE = Grid(dim=1, points=512, period=64.0)
@@ -73,7 +72,9 @@ def test_decompose_plane_wave_support():
     m = 82  # k = 2*pi*82/64 = 8.05, inside (4, 16) for j = 3
     jmin, jmax = default_band(WIDE)
     _, annuli = _annulus_multipliers(WIDE, jmin, jmax)
-    hot = {jmin + i for i, (mult, _) in enumerate(annuli) if mult[m] != 0.0}
+    index = WIDE.wavenumber_levels[1]
+    hot = {jmin + i for i, (table, _) in enumerate(annuli)
+           if table[index][m] != 0.0}
     assert hot and hot <= {j - 1, j, j + 1}
 
 
@@ -83,8 +84,19 @@ def test_decompose_reconstruction(dim, points, period):
     # dyadic pieces of a field reconstruct it
     grid = Grid(dim=dim, points=points, period=period)
     (low, _), annuli = _annulus_multipliers(grid, *default_band(grid))
-    total = low + sum(mult for mult, _ in annuli)
-    assert np.max(np.abs(total - 1.0)) <= 1e-14
+    total = low + sum(table for table, _ in annuli)
+    assert np.max(np.abs(total[grid.wavenumber_levels[1]] - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256, 32.0), Grid(2, 64, 16.0),
+                                  Grid(3, 16, 16.0)],
+                         ids=lambda g: f"{g.dim}d")
+def test_annulus_multipliers_are_level_tables(grid):
+    # one entry per distinct |k|^2, none per mesh point
+    levels, _ = grid.wavenumber_levels
+    low, annuli = _annulus_multipliers(grid, *default_band(grid))
+    for table, _ in [low] + annuli:
+        assert table.shape == (len(levels),)
 
 
 # ----------------------------------------------------------------- besov_lp
@@ -167,7 +179,8 @@ def test_inverse_on_support_matches_ifftn_bitwise(grid):
     fhat = np.fft.fftn(_random_complex(grid, 5))
     low, annuli = _annulus_multipliers(grid, *default_band(grid))
     pruned = 0
-    for mult, runs in [low] + annuli:
+    for table, runs in [low] + annuli:
+        mult = table[grid.wavenumber_levels[1]]
         pruned += any(r != (slice(0, grid.points),) for r in runs)
         expected = np.fft.ifftn(fhat * mult)
         got = _inverse_on_support(fhat * mult, runs)
@@ -218,13 +231,7 @@ def test_besov_lp_peak_memory(grid):
     f = Field(grid, _random_complex(grid, 13))
     spec = NormSpec("besov_lp", s=0.4, p=20.0 / 7.0, q=2.0)
     besov_norm_lp(f, spec)  # warm: multipliers and supports are cached
-    tracemalloc.start()
-    try:
-        besov_norm_lp(f, spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * f.values.nbytes
+    assert traced_peak(besov_norm_lp, f, spec) <= 4.5 * f.values.nbytes
 
 
 # ------------------------------------------------------------------ sobolev

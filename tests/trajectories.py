@@ -1,5 +1,8 @@
 """Trajectory helpers shared by the tests: the free flow as one stack,
-and the slices of a stack as the fields `spacetime_norm` streams."""
+the slices of a stack as the fields `spacetime_norm` streams, and the
+tracemalloc readings the memory tests compare with stack sizes."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -20,3 +23,30 @@ def free_trajectory(phi, tg: TimeGrid) -> Trajectory:
 def fields(traj: Trajectory):
     """The slices of a trajectory as read-only Field views, in time order."""
     return (traj.field(m) for m in range(traj.timegrid.slices + 1))
+
+
+def stack_bytes(grid, tg: TimeGrid) -> int:
+    """Bytes of one complex trajectory stack on the grid and time grid."""
+    return (tg.slices + 1) * grid.size * 16
+
+
+def traced_memory(fn, *args, **kwargs) -> tuple:
+    """(retained, peak) bytes that tracemalloc sees over fn(*args,
+    **kwargs): what is still allocated once its result is dropped, and
+    the most that was allocated at once."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that tracemalloc sees while fn(*args, **kwargs) runs."""
+    return traced_memory(fn, *args, **kwargs)[1]
+
+
+def warm(grid):
+    """Build the grid's cached mesh arrays, so a trace counts none."""
+    grid.wavenumber_square, grid.wavenumber_levels, grid.dealias_mask
