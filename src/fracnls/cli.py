@@ -530,8 +530,7 @@ def _slice_norm_rows(traj, params, rho):
 def cmd_solve(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
     tg = _build_timegrid(_require(rc.config, "time", "config"))
-    phi = _build_field(_require(rc.config, "datum", "config"), rc.grid,
-                       rc.seed)
+    datum = _require(rc.config, "datum", "config")
     snapshots = rc.config["snapshots"]
     if not isinstance(snapshots, list):
         raise ConfigError("snapshots must be a list of slice indices")
@@ -539,15 +538,19 @@ def cmd_solve(args) -> int:
         if not (_is_count(m) and 0 <= m <= tg.slices):
             raise ConfigError(f"snapshots[{i}] must be an integer in "
                               f"[0, {tg.slices}], got {m!r}")
-    nl = PowerNonlinearity.from_params(rc.params)
     integrator = rc.config["integrator"]
-    if integrator == "picard":
-        traj, report = picard_duhamel(phi, nl, tg, rc.solver)
-        print(f"picard converged in {report.iterations} sweeps")
-    elif integrator == "split_step":
-        traj = split_step(phi, nl, tg.horizon, tg.dt)
-    else:
+    if integrator not in ("picard", "split_step"):
         raise ConfigError(f"unknown integrator {integrator!r}")
+    nl = PowerNonlinearity.from_params(rc.params)
+    # the datum is built in the call and handed over: the integrator
+    # copies it into slice 0, and no name here keeps it beside the stack
+    if integrator == "picard":
+        traj, report = picard_duhamel(
+            _build_field(datum, rc.grid, rc.seed), nl, tg, rc.solver)
+        print(f"picard converged in {report.iterations} sweeps")
+    else:
+        traj = split_step(_build_field(datum, rc.grid, rc.seed), nl,
+                          tg.horizon, tg.dt)
     rho = rc.solver.metric_pair[1]
     _write_csv(rc.output_dir / "solve.csv", rc.digest,
                ("t", "l2", "sobolev", "besov"),
@@ -586,7 +589,8 @@ def cmd_dependence(args) -> int:
         auto = rc.config["auto_horizon"]
         try:
             tg, smallness = choose_horizon(rc.params, family, rc.solver,
-                                           auto["start"], auto["slices"])
+                                           auto["start"], auto["slices"],
+                                           threads=rc.threads)
         except RuntimeError as exc:
             raise ConfigError(f"auto_horizon gave up: {exc}") from exc
     else:

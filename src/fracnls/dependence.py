@@ -124,7 +124,7 @@ def _endpoint_smallness(submit, family: PerturbationFamily, tg: TimeGrid,
 
 def choose_horizon(params: ProblemParams, family: PerturbationFamily,
                    cfg: PicardConfig, horizon: float, slices: int,
-                   max_halvings: int = 60) -> tuple:
+                   max_halvings: int = 60, threads: int = 1) -> tuple:
     """Shrink the horizon until the whole family passes the smallness gate.
 
     Halves T (and the slice count with it, keeping dt) until the free
@@ -134,13 +134,16 @@ def choose_horizon(params: ProblemParams, family: PerturbationFamily,
     by any reasonable horizon; that case raises rather than looping.
     Returns the accepted grid and its (base, worst) gate norms, which
     `run_dependence` takes as `smallness` rather than recomputing them.
+    With threads > 1 the two gate norms of each horizon run side by
+    side in one pool; the result does not depend on threads.
     """
     tg = TimeGrid(horizon, slices)
-    for _ in range(max_halvings + 1):
-        smallness = _endpoint_smallness(_run_inline, family, tg, cfg, params)
-        if max(smallness) < cfg.smallness_delta:
-            return tg, smallness
-        tg = TimeGrid(0.5 * tg.horizon, max(2, tg.slices // 2))
+    with _task_runner(threads) as submit:
+        for _ in range(max_halvings + 1):
+            smallness = _endpoint_smallness(submit, family, tg, cfg, params)
+            if max(smallness) < cfg.smallness_delta:
+                return tg, smallness
+            tg = TimeGrid(0.5 * tg.horizon, max(2, tg.slices // 2))
     raise RuntimeError(
         f"smallness {max(smallness):.4f} still >= {cfg.smallness_delta} "
         f"after {max_halvings} halvings; the datum itself is too large "

@@ -103,10 +103,13 @@ class Grid:
         return tuple(np.meshgrid(*[self.axis_wavenumbers] * self.dim,
                                  indexing="ij", sparse=True))
 
-    @cached_property
+    @property
     def wavenumber_square(self) -> np.ndarray:
-        """|k|^2 on the full mesh."""
-        return _mesh_sum(self.shape, (k ** 2 for k in self.wavenumber_arrays))
+        """|k|^2 on the full mesh, a new array gathered from the level
+        table: bitwise the mesh sum of the squared axis wavenumbers, and
+        not cached, so no solve holds it."""
+        levels, index = self.wavenumber_levels
+        return levels[index]
 
     @property
     def wavenumber_magnitude(self) -> np.ndarray:
@@ -114,11 +117,13 @@ class Grid:
 
     def sobolev_weight(self, s: float, homogeneous: bool) -> np.ndarray:
         """|k|^(2s) (homogeneous; 0^s = 0 drops the mean) or (1+|k|^2)^s
-        on the mesh, read-only and built once per (s, homogeneous)."""
+        on the mesh, read-only and built once per (s, homogeneous): the
+        power of each |k|^2 level, gathered through the level index."""
         key = (float(s), bool(homogeneous))
         if key not in self._sobolev_weights:
-            k2 = self.wavenumber_square
-            weight = np.power(k2 if homogeneous else 1.0 + k2, key[0])
+            levels, index = self.wavenumber_levels
+            weight = np.power(levels if homogeneous else 1.0 + levels,
+                              key[0])[index]
             weight.setflags(write=False)
             self._sobolev_weights[key] = weight
         return self._sobolev_weights[key]
@@ -130,12 +135,16 @@ class Grid:
     @cached_property
     def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """(levels, index), read-only: the sorted distinct values of |k|^2
-        and the mesh-shaped intp index with levels[index] bitwise |k|^2.
+        and the mesh-shaped intp index with levels[index] bitwise the mesh
+        sum of the squared axis wavenumbers, which is built only here.
 
-        The index is in range by construction, so gather a multiplier
-        f(levels) with np.take(..., mode="wrap"); the default bounds
-        check makes the gather four times slower."""
-        levels, index = np.unique(self.wavenumber_square, return_inverse=True)
+        A multiplier f(|k|^2) is f(levels)[index], bitwise, as every mesh
+        point gets the same operation on the same value.  The index is in
+        range by construction, so a gather into a buffer may use
+        np.take(..., mode="wrap"); the default bounds check makes it four
+        times slower."""
+        k2 = _mesh_sum(self.shape, (k ** 2 for k in self.wavenumber_arrays))
+        levels, index = np.unique(k2, return_inverse=True)
         index = index.reshape(self.shape).astype(np.intp, copy=False)
         for a in (levels, index):
             a.setflags(write=False)
@@ -242,7 +251,8 @@ def _apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
 
 def free_propagate(f: Field, t: float) -> Field:
     """Evolve under the free group: multiplier exp(-i t |k|^2)."""
-    return _apply_multiplier(f, np.exp(-1j * t * f.grid.wavenumber_square))
+    levels, index = f.grid.wavenumber_levels
+    return _apply_multiplier(f, np.exp(-1j * t * levels)[index])
 
 
 def translate(f: Field, y) -> Field:
@@ -268,16 +278,21 @@ def lebesgue_norm(f: Field, p: float) -> float:
 
 def lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
     """`lebesgue_norm` of raw samples on a lattice with cells h^N."""
+    return magnitude_lp_norm(np.abs(values), p, cell_volume)
+
+
+def magnitude_lp_norm(mag: np.ndarray, p: float, cell_volume: float) -> float:
+    """`lp_norm` of samples whose magnitudes are mag, a float array the
+    call overwrites."""
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
-    mag = np.abs(values)
     if np.isinf(p):
         return float(mag.max())
     top = float(mag.max())
     if top == 0.0:
         return 0.0
     # factor out the peak so mag**p cannot underflow or overflow; in
-    # place, as mag is this call's own array
+    # place, as the caller hands mag over
     mag /= top
     mag **= p
     acc = float(np.sum(mag)) * cell_volume

@@ -273,11 +273,17 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
     nodes, wts = _gauss_unit(n_theta)
     # complex nodes spare the real-to-complex cast in every broadcast
     theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
+    weights = wts.reshape(theta.shape)
 
     def averaged_gap(along_v, along_u):
-        # node-wise difference before the theta sum, so v = u gives 0
-        gap = (along_v - along_u).reshape(n_theta, -1)
-        return (wts @ gap).reshape(grid.shape)
+        # node-wise difference before the theta sum, so v = u gives 0;
+        # the weighted terms are summed in node order, in place, without
+        # a BLAS call
+        gap = along_v - along_u
+        gap *= weights
+        for term in gap[1:]:
+            gap[0] += term
+        return gap[0]
 
     # row 0 is u and row 1 + j is others[j]: one inverse transform per
     # offset serves every row

@@ -237,9 +237,12 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     The map is causal: slice m of the new iterate reads the old one at
     slices 0..m only.  So a sweep overwrites one trajectory stack in
     place, slice by slice, once it has read the old slice; beside that
-    stack it holds four scratch slices and a table of the phases
-    exp(i t_m |k|^2) over the distinct values of |k|^2.  The stack is
-    handed to the returned trajectory without a copy.
+    stack it holds phihat, four scratch slices, the |k|^2 level index
+    (half a slice) and a table of the phases exp(i t_m |k|^2) over the
+    distinct values of |k|^2.  It drops its reference to phi once slice
+    0 and phihat are taken, so a caller that passes the datum without
+    keeping it holds no datum during the sweeps.  The stack is handed
+    to the returned trajectory without a copy.
 
     Returns (trajectory, report).  Raises NonConvergenceError when
     max_iter sweeps do not reach the relative tolerance (the usual cause
@@ -269,9 +272,11 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     def gather(row: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.take(row, index, out=out, mode="wrap")
 
-    # the iterate; slice 0 is the datum and is never written again
+    # the iterate; slice 0 is the datum and is never written again, so
+    # phi is not held through the sweeps
     u = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
     u[0] = phi.values
+    del phi
     # complex multiply is not bitwise commutative, and for slices of
     # 256 KiB and up numpy evaluates this product in its temporary, as
     # conj * phihat; the expression stays as it is to keep those bits
@@ -360,7 +365,8 @@ def _split_slices(phi: Field, nl: PowerNonlinearity, tg: TimeGrid):
     Slice 0 is the datum itself; each later slice is a new array from
     which the next step starts, so no stack is held."""
     h = tg.dt
-    half = np.exp(-0.5j * h * phi.grid.wavenumber_square)
+    levels, index = phi.grid.wavenumber_levels
+    half = np.exp(-0.5j * h * levels)[index]
     lam = complex(nl.coupling)
     alpha = float(nl.power)
     work = phi.values

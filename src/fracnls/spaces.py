@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Field, Grid, forward_transform, lebesgue_norm, lp_norm
+from .grid import (Field, Grid, forward_transform, lebesgue_norm, lp_norm,
+                   magnitude_lp_norm)
 
 _NORM_KINDS = ("sobolev_multiplier", "besov_lp", "besov_fd", "lebesgue")
 
@@ -161,7 +162,8 @@ def besov_norm_lp(f: Field, spec: NormSpec) -> float:
     jmin, jmax = default_band(f.grid)
     low, annuli = _annulus_multipliers(f.grid, jmin, jmax)
     index = f.grid.wavenumber_levels[1]
-    # gather each table into mult; fhat * mult is inverted in piece
+    # gather each table into mult; fhat * mult is inverted in piece, and
+    # the block's magnitudes go back into mult
     fhat = np.fft.fftn(f.values, out=np.empty(f.grid.shape, dtype=complex))
     piece = np.empty_like(fhat)
     mult = np.empty(f.grid.shape)
@@ -170,7 +172,8 @@ def besov_norm_lp(f: Field, spec: NormSpec) -> float:
     def block_norm(table, runs):
         np.take(table, index, out=mult, mode="wrap")
         np.multiply(fhat, mult, out=piece)
-        return lp_norm(_inverse_on_support(piece, runs), spec.p, cell)
+        np.abs(_inverse_on_support(piece, runs), out=mult)
+        return magnitude_lp_norm(mult, spec.p, cell)
 
     terms = [2.0 ** (j * spec.s) * block_norm(*block)
              for j, block in zip(range(jmin, jmax + 1), annuli)]

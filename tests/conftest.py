@@ -52,6 +52,17 @@ def band_limited_random_field(grid: Grid, rng: np.random.Generator,
     return Field(grid, vals)
 
 
+def full_mesh_wavenumber_square(grid: Grid) -> np.ndarray:
+    """|k|^2 as the grid once cached it: the squared wavenumbers of full
+    meshes, added to zeros axis by axis.  The reference the level-table
+    multipliers must match bit for bit."""
+    ks = np.meshgrid(*[grid.axis_wavenumbers] * grid.dim, indexing="ij")
+    out = np.zeros(grid.shape)
+    for ka in ks:
+        out = out + ka ** 2
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)

@@ -11,6 +11,9 @@ import pytest
 import fracnls.dependence
 import fracnls.spaces
 from fracnls.cli import ConfigError, RunConfig, config_hash, main
+from fracnls.grid import Grid
+from fracnls.solver import TimeGrid
+from trajectories import stack_bytes, traced_peak
 
 PROBLEM = {"dimension": 1, "regularity": 0.4, "power": 2.0, "coupling": 1.0}
 
@@ -186,6 +189,20 @@ def test_solve_3d_picard_deterministic(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_solve_peak_memory_one_stack_and_eight_slices(tmp_path):
+    # the command hands the datum to Picard, which drops it once slice 0
+    # and its transform are taken, and no |k|^2 mesh is cached: at the
+    # peak a sweep holds the stack, the datum's transform, its scratch
+    # slices, the level index and its norms' temporaries
+    grid, tg = Grid(3, 32, 32.0), TimeGrid(0.25, 8)
+    path, _ = _write_config(
+        tmp_path, problem={"dimension": 3, "regularity": 0.4, "power": 1.0},
+        grid={"points": grid.points, "period": grid.period},
+        time={"horizon": tg.horizon, "slices": tg.slices})
+    peak = traced_peak(main, ["solve", "--config", str(path)])
+    assert peak <= stack_bytes(grid, tg) + 8 * grid.size * 16
+
+
 def test_solve_plane_wave_datum(tmp_path):
     path, _ = _write_config(
         tmp_path, datum={"kind": "plane_wave", "mode": 2, "amplitude": 0.3})
@@ -303,15 +320,23 @@ def test_dependence_auto_horizon_gates_each_horizon_once(tmp_path,
     path, _ = _dependence_config(
         tmp_path, datum={"kind": "gaussian", "amplitude": 0.11, "width": 2.0},
         auto_horizon={"start": 1.0, "slices": 128})
-    assert main(["dependence", "--config", str(path)]) == 0
-    summary = json.loads(
-        (tmp_path / "out" / "dependence_summary.json").read_text())
-    horizons = sorted(set(tried), key=lambda tg: -tg.horizon)
-    assert len(horizons) >= 2  # the start horizon fails the gate
-    # two gate norms per horizon tried, in order, and none after the last
-    assert tried == [tg for tg in horizons for _ in range(2)]
-    assert (horizons[-1].horizon, horizons[-1].slices) == (
-        summary["horizon"], summary["slices"])
+    outputs = []
+    for threads in ("1", "2"):  # with 2 the gate norms share the pool
+        tried.clear()
+        out = tmp_path / f"threads-{threads}"
+        assert main(["dependence", "--config", str(path), "--output",
+                     str(out), "--threads", threads]) == 0
+        summary = json.loads((out / "dependence_summary.json").read_text())
+        horizons = sorted(set(tried), key=lambda tg: -tg.horizon)
+        assert len(horizons) >= 2  # the start horizon fails the gate
+        # two gate norms per horizon tried, in order, and none after the
+        # last
+        assert tried == [tg for tg in horizons for _ in range(2)]
+        assert (horizons[-1].horizon, horizons[-1].slices) == (
+            summary["horizon"], summary["slices"])
+        outputs.append([(out / name).read_bytes() for name in
+                        ("dependence.csv", "dependence_summary.json")])
+    assert outputs[0] == outputs[1]
 
 
 # -------------------------------------------------------------- remainder

@@ -16,6 +16,7 @@ from fracnls.grid import (
 )
 from conftest import (
     band_limited_random_field,
+    full_mesh_wavenumber_square,
     modulated_bump_field,
     smooth_random_field,
 )
@@ -68,7 +69,7 @@ def test_wavenumber_levels_index_the_mesh(dim, points):
     assert np.all(np.diff(levels) > 0.0)
     assert index.dtype == np.intp and index.shape == grid.shape
     assert np.array_equal(levels[index].view(np.uint64),
-                          grid.wavenumber_square.view(np.uint64))
+                          full_mesh_wavenumber_square(grid).view(np.uint64))
     assert not levels.flags.writeable and not index.flags.writeable
     assert grid.wavenumber_levels[0] is levels
 
@@ -97,7 +98,19 @@ def test_open_mesh_functions_match_full_meshes_bitwise(grid):
         return np.exp(-1j * total(ka * ya for ka, ya in zip(ks, y)))
 
     dim = grid.dim
-    assert _same_bits(grid.wavenumber_square, total(ka ** 2 for ka in ks))
+    k2 = total(ka ** 2 for ka in ks)
+    # |k|^2 is gathered from its level table and not cached; the
+    # multipliers of |k|^2 take their pow and exp on the levels
+    assert _same_bits(grid.wavenumber_square, k2)
+    assert grid.wavenumber_square is not grid.wavenumber_square
+    for s in (0.4, 0.75, 1.0):
+        assert _same_bits(grid.sobolev_weight(s, False),
+                          np.power(1.0 + k2, s))
+        assert _same_bits(grid.sobolev_weight(s, True), np.power(k2, s))
+    f = gaussian(grid, 0.7 - 0.2j, 1.5, (0.4, -1.1, 2.0)[:dim])
+    for t in (0.0, 0.37, -1.25):
+        assert _same_bits(free_propagate(f, t).values, np.fft.ifftn(
+            np.fft.fftn(f.values) * np.exp(-1j * t * k2)))
     assert _same_bits(grid.origin_phase,
                       shift((grid.axis_coordinates[0],) * dim))
     for y in [(0.3, -1.7, 2.5), (grid.spacing,) * 3, (-np.pi, np.e, 0.0)]:

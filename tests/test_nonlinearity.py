@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import fracnls.nonlinearity
-from fracnls.grid import Field, Grid, gaussian, lebesgue_norm
+from fracnls.grid import Field, Grid, gaussian, lebesgue_norm, lp_norm
 from fracnls.nonlinearity import (
     DifferenceExponents,
     GeneralNonlinearity,
+    THETA_NODES,
     PowerNonlinearity,
     apply_g,
     as_general,
@@ -16,7 +17,9 @@ from fracnls.nonlinearity import (
     derivative_envelope,
     remainder_K,
 )
-from fracnls.spaces import NormSpec, ShellQuadrature, besov_norm_fd
+from fracnls.spaces import (NormSpec, ShellQuadrature, besov_norm_fd,
+                            fd_quadrature, peak_factored_norm,
+                            translation_increments)
 from pointwise_checks import (check_pointwise_power,
                               difference_identity_residual, wirtinger)
 
@@ -323,6 +326,53 @@ def test_remainder_exact_nodes_match_full_quadrature(dim, alpha, coupling):
     full = remainder_K(u, others, as_general(nl), **kwargs)
     assert all(value > 0.0 for value in full)
     assert np.allclose(exact, full, rtol=1e-13, atol=0.0)
+
+
+def _matmul_remainder(u, others, nl, s, p, q, r, n_theta, quad):
+    """remainder_K as it was written, with the theta sum a `wts @ gap`
+    product, kept here as the reference of the node-order sum."""
+    grid = u.grid
+    offsets, kernel = fd_quadrature(grid, quad, s, q)
+    nodes, wts = fracnls.nonlinearity._gauss_unit(n_theta)
+    theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
+
+    def averaged_gap(along_v, along_u):
+        gap = (along_v - along_u).reshape(n_theta, -1)
+        return (wts @ gap).reshape(grid.shape)
+
+    stack = np.stack([u.values] + [w.values for w in others])
+    norms = np.empty((len(others), len(offsets)))
+    for i, incs in enumerate(translation_increments(stack, grid, offsets)):
+        inc_u = incs[0]
+        path_u = u.values[None] + theta * inc_u[None]
+        for j, w in enumerate(others):
+            path_w = w.values[None] + theta * incs[1 + j][None]
+            residual = (inc_u * averaged_gap(nl.dz(path_w), nl.dz(path_u))
+                        + np.conj(inc_u) * averaged_gap(nl.dzbar(path_w),
+                                                        nl.dzbar(path_u)))
+            norms[j, i] = lp_norm(residual, p, grid.cell_volume)
+    return tuple(peak_factored_norm(row, q, kernel) for row in norms)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_remainder_theta_sum_matches_matmul(dim):
+    # alpha = 2 takes 2 nodes, where the node-order sum is bitwise the
+    # matmul; alpha = 3 takes all 32, where it moves in the last digits
+    grid = Grid(dim, 64 if dim == 1 else 16, 16.0)
+    u = gaussian(grid, amplitude=1.0, width=2.0)
+    bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
+    others = [u + (2.0 ** -k) * bump for k in range(3)]
+    quad = ShellQuadrature(shells=6)
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0)
+    for nl, n_theta in ((PowerNonlinearity(0.7 - 0.3j, 2.0), 2),
+                        (PowerNonlinearity(0.7 - 0.3j, 3.0), THETA_NODES)):
+        values = remainder_K(u, others, nl, quad=quad, **kwargs)
+        ref = _matmul_remainder(u, others, nl, n_theta=n_theta, quad=quad,
+                                **kwargs)
+        if n_theta == 2:
+            assert values == ref
+        else:
+            assert np.allclose(values, ref, rtol=1e-15, atol=0.0)
 
 
 def _node_counts(monkeypatch, nl, theta_nodes):

@@ -15,6 +15,7 @@ from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
                             split_step)
 from fracnls.spaces import (NormSpec, besov_norm_lp, sobolev_norm,
                             trapezoid_norm)
+from conftest import full_mesh_wavenumber_square
 from trajectories import (fields, free_trajectory, stack_bytes, traced_memory,
                           traced_peak, warm)
 
@@ -121,7 +122,7 @@ def test_phase_table_gathers_the_mesh_phases(dim, points):
     index = grid.wavenumber_levels[1]
     for unit in (1j, -1j):
         table = _phase_table(tg, grid, unit)
-        mesh = np.exp(unit * tcol * grid.wavenumber_square)
+        mesh = np.exp(unit * tcol * full_mesh_wavenumber_square(grid))
         for m in range(tg.slices + 1):
             gathered = np.take(table[m], index, mode="wrap")
             assert np.array_equal(gathered.view(np.uint64),
@@ -134,7 +135,7 @@ def test_free_trajectory_bitwise_stacked_formula(dim, points):
     phi = gaussian(grid, 0.7 - 0.2j, 1.5)
     tg = TimeGrid(0.6, 10)
     tcol = tg.times.reshape((-1,) + (1,) * dim)
-    phases = np.exp(-1j * tcol * grid.wavenumber_square)
+    phases = np.exp(-1j * tcol * full_mesh_wavenumber_square(grid))
     axes = tuple(range(1, dim + 1))
     ref = np.fft.ifftn(phases * np.fft.fftn(phi.values), axes=axes)
     ref[0] = phi.values
@@ -247,19 +248,6 @@ def test_picard_general_view_matches_power_map(line_grid):
     assert np.abs(traj.values - ref.values).max() < 1e-14
 
 
-def test_picard_peak_memory_three_stacks():
-    # a sweep streams over the slices: phases plus two iterates stay live
-    params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
-    grid = Grid(2, 64, 32.0)
-    grid.wavenumber_square, grid.dealias_mask  # warm the cached arrays
-    phi = gaussian(grid, 0.08, 2.0)
-    tg = TimeGrid(0.25, 32)
-    cfg = PicardConfig(metric_pair=canonical_pair(params))
-    peak = traced_peak(picard_duhamel, phi, PowerNonlinearity(1.0, 2.0), tg,
-                       cfg)
-    assert peak <= 3.5 * stack_bytes(grid, tg)
-
-
 def test_picard_peak_memory_one_stack():
     # the sweep overwrites one stack in place and hands it over; beside
     # it a sweep holds four scratch slices, the phase table over the
@@ -285,9 +273,10 @@ def _datum_solve_and_norms(grid):
 
 
 def test_grid_and_norm_caches_retain_few_fields():
-    # what a solve and its norms leave cached: |k|^2, its level index,
-    # one Sobolev weight and the mask are mesh sized; the coordinates,
-    # wavenumbers and Besov multipliers are axis vectors and level tables
+    # what a solve and its norms leave cached: the origin phase, the
+    # |k|^2 level index, one Sobolev weight and the mask are mesh sized;
+    # |k|^2 is not kept, and the coordinates, wavenumbers and Besov
+    # multipliers are axis vectors and level tables
     grid = Grid(3, 32, 32.0)
     spaces._multiplier_cache.clear()  # the trace counts the tables built
     retained, _ = traced_memory(_datum_solve_and_norms, grid)
@@ -308,7 +297,7 @@ def _three_stack_picard(phi, nl, tg, cfg):
     iterate stacks, kept here as the bitwise reference."""
     grid = phi.grid
     tcol = tg.times.reshape((-1,) + (1,) * grid.dim)
-    unwind = np.exp(1j * tcol * grid.wavenumber_square)
+    unwind = np.exp(1j * tcol * full_mesh_wavenumber_square(grid))
     keep = grid.dealias_mask
     phihat = np.fft.fftn(phi.values)
     current, new = np.empty_like(unwind), np.empty_like(unwind)
@@ -521,7 +510,7 @@ def _stacked_split_step(phi, nl, tg):
     """The split-step loop as it was written, filling its stack as it
     goes, kept here as the bitwise reference."""
     h = tg.dt
-    half = np.exp(-0.5j * h * phi.grid.wavenumber_square)
+    half = np.exp(-0.5j * h * full_mesh_wavenumber_square(phi.grid))
     lam, alpha = complex(nl.coupling), float(nl.power)
     out = np.empty((tg.slices + 1,) + phi.grid.shape, dtype=complex)
     out[0] = work = phi.values
