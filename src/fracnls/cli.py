@@ -90,6 +90,7 @@ _TEXT = (lambda v: type(v) is str, "a string", None)
 _COUNT = (_is_count, "an integer", int)
 _NODES = (lambda v: _is_count(v) and v >= 2, "an integer >= 2", int)
 _REAL = (_is_real, "a number", float)
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "a positive number", float)
 _COMPLEX = (_is_complex, "a number or [re, im]", _as_complex)
 
 _REQUIRED = object()  # a missing key is a config error
@@ -111,14 +112,14 @@ _SCHEMA = {
         "threads": (_COUNT, 1), "output_dir": (_TEXT, "."),
         "integrator": (_ANY, "picard"), "snapshots": (_ANY, []),
         "cross_check": (_FLAG, run_dependence),
-        "cross_tol": (_REAL, run_dependence)},
+        "cross_tol": (_POSITIVE, run_dependence)},
     "problem": {"dimension": (_COUNT, _REQUIRED),
                 "regularity": (_REAL, _REQUIRED),
                 "power": (_REAL, _REQUIRED),
                 "coupling": (_COMPLEX, ProblemParams)},
     "grid": {"points": (_COUNT, _REQUIRED), "period": (_REAL, _REQUIRED)},
     "time": {"horizon": (_REAL, _REQUIRED), "slices": (_COUNT, _UNSET),
-             "dt": (_REAL, _UNSET)},
+             "dt": (_POSITIVE, _UNSET)},
     "family": {"initial_scale": (_REAL, _REQUIRED),
                "depth": (_COUNT, _REQUIRED)},
     "auto_horizon": {"start": (_REAL, _REQUIRED),

@@ -421,9 +421,12 @@ def remainder_decay_experiment(params: ProblemParams,
     probed along linear flows where the model map is switched off.
     With threads > 1 the two gate norms run side by side in one pool,
     checked before any solve starts; then the base solve and the row
-    solves, and then the per-slice remainder evaluations (the base
-    slice against every row's slice), share that pool.  Everything is
-    assembled by index.
+    solves, and then the remainder evaluations, share that pool.  The
+    slices are split into one contiguous block per thread, and one
+    remainder_K call takes a block: the base slice against every row's
+    slice, for every slice of the block, in one offset loop.  Each value
+    is bitwise that of its own slice's call, and everything is assembled
+    by index, so the output does not depend on the thread count.
     """
     nl = PowerNonlinearity.from_params(params)
     rmap = nl if remainder_map is None else remainder_map
@@ -437,9 +440,10 @@ def remainder_decay_experiment(params: ProblemParams,
         except NonConvergenceError as err:
             return err.trajectory, False
 
-    def slice_remainders(m: int) -> tuple:
-        return remainder_K(base_traj.field(m),
-                           [traj.field(m) for traj, _ in solved], rmap,
+    def block_remainders(block) -> tuple:
+        return remainder_K([base_traj.field(m) for m in block],
+                           [[traj.field(m) for traj, _ in solved]
+                            for m in block], rmap,
                            s, dual(rho), 2.0, rho, theta_nodes, quad)
 
     with _task_runner(threads) as submit:
@@ -448,8 +452,11 @@ def remainder_decay_experiment(params: ProblemParams,
         pending = [submit(solve_row, k) for k in range(family.depth + 1)]
         base_traj = base.result()[0]
         solved = tuple(future.result() for future in pending)
-        pending = [submit(slice_remainders, m) for m in range(tg.slices + 1)]
-        by_slice = [future.result() for future in pending]
+        blocks = np.array_split(np.arange(tg.slices + 1),
+                                min(threads, tg.slices + 1))
+        pending = [submit(block_remainders, block) for block in blocks]
+        by_slice = [values for future in pending
+                    for values in future.result()]
     by_row = np.array(by_slice).T
     return tuple(RemainderDecayRow(family.scales[k],
                                    trapezoid_norm(by_row[k], tg.dt,
@@ -462,7 +469,8 @@ def static_remainder_decay(base: Field, direction: Field, scales,
                            r: float, theta_nodes: int = THETA_NODES,
                            quad: Optional[ShellQuadrature] = None) -> tuple:
     """Remainder of base against base + eps * direction, no dynamics."""
-    values = remainder_K(base, [base + eps * direction for eps in scales],
-                         nl, s, p, q, r, theta_nodes, quad)
+    (values,) = remainder_K([base],
+                            [[base + eps * direction for eps in scales]],
+                            nl, s, p, q, r, theta_nodes, quad)
     return tuple(RemainderDecayRow(float(eps), value)
                  for eps, value in zip(scales, values))

@@ -284,19 +284,27 @@ def lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
 def magnitude_lp_norm(mag: np.ndarray, p: float, cell_volume: float) -> float:
     """`lp_norm` of samples whose magnitudes are mag, a float array the
     call overwrites."""
+    return magnitude_lp_norms(mag[None], p, cell_volume)[0]
+
+
+def magnitude_lp_norms(mags: np.ndarray, p: float,
+                       cell_volume: float) -> list:
+    """`magnitude_lp_norm` of every row mags[j], with the elementwise
+    passes taken over all rows at once; each value is that of the row on
+    its own, bit for bit, and mags is overwritten."""
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
+    axes = tuple(range(1, mags.ndim))
+    tops = mags.max(axis=axes)
     if np.isinf(p):
-        return float(mag.max())
-    top = float(mag.max())
-    if top == 0.0:
-        return 0.0
-    # factor out the peak so mag**p cannot underflow or overflow; in
-    # place, as the caller hands mag over
-    mag /= top
-    mag **= p
-    acc = float(np.sum(mag)) * cell_volume
-    return top * acc ** (1.0 / p)
+        return tops.tolist()
+    # factor out each row's peak so mag**p cannot underflow or overflow,
+    # in place, as the caller hands mags over; an all-zero row is divided
+    # by one and gives zero
+    mags /= np.where(tops > 0.0, tops, 1.0).reshape((-1,) + (1,) * len(axes))
+    mags **= p
+    return [top * (float(np.add.reduce(row, axis=None)) * cell_volume)
+            ** (1.0 / p) for top, row in zip(tops.tolist(), mags)]
 
 
 def inner_product(f: Field, g: Field) -> complex:
@@ -307,8 +315,11 @@ def inner_product(f: Field, g: Field) -> complex:
 
 def plane_wave(grid: Grid, mode: Sequence[int] | int,
                amplitude: complex = 1.0) -> Field:
-    """amplitude * exp(i k0.x) with k0 = 2*pi*mode/L exactly on the lattice."""
-    mode = np.atleast_1d(np.asarray(mode, dtype=int))
+    """amplitude * exp(i k0.x) with k0 = 2*pi*mode/L exactly on the
+    lattice; one integer mode is taken on every axis."""
+    mode = np.asarray(mode, dtype=int)
+    if mode.ndim == 0:
+        mode = np.full(grid.dim, mode)
     if mode.shape != (grid.dim,):
         raise ValueError(f"mode must have {grid.dim} components")
     half = grid.points // 2

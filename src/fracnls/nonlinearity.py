@@ -22,20 +22,25 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import Field, lebesgue_norm, lp_norm
-from .spaces import (NormSpec, ShellQuadrature, besov_norm_fd, fd_quadrature,
-                     peak_factored_norm, translation_increments)
+from .grid import Field, lebesgue_norm, lp_norm, magnitude_lp_norms
+from .spaces import (ShellQuadrature, fd_quadrature, peak_factored_norm,
+                     translation_increments)
 
 
-def _phase_square(values: np.ndarray, power: float) -> np.ndarray:
-    """|z|^(power-2) z^2 = (z/|z|)^2 |z|^power, extended by 0 at z = 0."""
+def _phase_square(values: np.ndarray, power: float,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """|z|^(power-2) z^2 = (z/|z|)^2 |z|^power, extended by 0 at z = 0,
+    written into out (which may be values itself) when given."""
     values = np.asarray(values, dtype=complex)
     if power == 2.0:
-        return values * values  # |z|^0 = 1, and z^2 already vanishes at 0
+        # |z|^0 = 1, and z^2 already vanishes at 0
+        return np.multiply(values, values, out=out)
     mag = np.abs(values)
     scale = np.power(mag, power - 2.0, out=np.zeros_like(mag),
                      where=mag > 0.0)
-    return values * values * scale
+    out = np.multiply(values, values, out=out)
+    out *= scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,26 @@ class PowerNonlinearity:
         out *= values
         return out
 
-    def dz(self, values):
+    def dz(self, values, out=None):
+        """coupling (1 + power/2) |values|^power, written into out (a
+        complex array of the same shape, which may be values itself; a
+        fresh one if None)."""
         values = np.asarray(values, dtype=complex)
+        if out is None:
+            out = np.empty(values.shape, dtype=complex)
         scale = self.coupling * (1.0 + 0.5 * self.power)
-        return scale * np.abs(values) ** self.power + 0.0j
+        mag = np.abs(values)
+        mag **= self.power
+        np.multiply(scale, mag, out=out)
+        out += 0.0j
+        return out
 
-    def dzbar(self, values):
+    def dzbar(self, values, out=None):
+        """coupling (power/2) |values|^(power-2) values^2, written into
+        out like `dz`."""
         scale = self.coupling * 0.5 * self.power
-        return scale * _phase_square(values, self.power)
+        out = _phase_square(values, self.power, out)
+        return np.multiply(scale, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -123,13 +140,19 @@ class GeneralNonlinearity:
         out[...] = self.gfun(values)
         return out
 
-    def dz(self, values):
+    def dz(self, values, out=None):
         values = np.asarray(values, dtype=complex)
-        return np.asarray(self.dzfun(values), dtype=complex)
+        if out is None:
+            out = np.empty(values.shape, dtype=complex)
+        out[...] = self.dzfun(values)
+        return out
 
-    def dzbar(self, values):
+    def dzbar(self, values, out=None):
         values = np.asarray(values, dtype=complex)
-        return np.asarray(self.dzbarfun(values), dtype=complex)
+        if out is None:
+            out = np.empty(values.shape, dtype=complex)
+        out[...] = self.dzbarfun(values)
+        return out
 
     def check_growth(self, samples, slack: float = 1e-12) -> int:
         """Number of samples where |g'| exceeds the stored envelope."""
@@ -233,7 +256,85 @@ def _check_difference_exponents(s: float, p: float, q: float, r: float,
 THETA_NODES = 32
 
 
-def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
+# the rows of one slice go through the remainder integrand in chunks of
+# at most this many theta paths (one row at least), so a map that takes
+# many nodes keeps its scratch near the one-row form's
+ROW_SCRATCH_PATHS = 32
+
+
+def _remainder_rows(nl: Nonlinearity, grid, rows: int, theta_nodes: int,
+                    p: float):
+    """fill(stack, incs, out) for a base stack[0] and up to `rows` rows
+    stack[1:]: out[j] becomes the L^p norm, at one offset, of the
+    remainder integrand of the base against stack[1 + j], where incs[j]
+    is the increment of stack[j] at that offset.
+
+    The integrand is the base increment times the gap between the
+    segment-averaged derivative pairs of the row and of the base.  The
+    rows go through each step a chunk at a time, over scratch allocated
+    here once: column 0 holds the base's path and derivative pair, laid
+    out with the first chunk and kept for the others, and the columns
+    after it the chunk's rows.  A chunk has at most
+    ROW_SCRATCH_PATHS // nodes rows, so the scratch holds about
+    2 (ROW_SCRATCH_PATHS + nodes) meshes for any row count.  Each element
+    takes the same operations as the single-pair integrand, so each norm
+    is bitwise that of the row on its own."""
+    n_theta = theta_nodes
+    if isinstance(nl, PowerNonlinearity) and nl.power % 2 == 0:
+        # for power 2m both derivatives along u + theta inc are polynomials
+        # of degree 2m in theta, and m + 1 Gauss nodes are exact to 2m + 1
+        n_theta = min(theta_nodes, int(nl.power) // 2 + 1)
+    nodes, wts = _gauss_unit(n_theta)
+    # complex nodes and weights spare the real-to-complex cast in every
+    # broadcast
+    theta = nodes.astype(complex).reshape((-1, 1) + (1,) * grid.dim)
+    weights = wts.astype(complex).reshape(theta.shape)
+    chunk = max(1, min(rows, ROW_SCRATCH_PATHS // n_theta))
+    # path[i, j] = stack[j] + theta_i incs[j], node-major so that each
+    # node's rows are one block and no step adds interleaved views; its
+    # dz goes to deriv and its dzbar back into path
+    path = np.empty((n_theta, chunk + 1) + grid.shape, dtype=complex)
+    deriv = np.empty_like(path)
+    mag = np.empty((chunk,) + grid.shape)
+
+    def averaged_gap(along):
+        # node-wise difference before the theta sum, so a row equal to the
+        # base gives 0; the weighted terms are summed in node order, in
+        # place, without a BLAS call; column 0 is left as it was
+        gap = along[:, 1:]
+        gap -= along[:, :1]
+        gap *= weights
+        for i in range(1, n_theta):
+            gap[0] += gap[i]
+        return gap[0]
+
+    def fill(stack, incs, out):
+        inc_u = incs[0]
+        for start in range(1, len(stack), chunk):
+            stop = min(start + chunk, len(stack))
+            # stack[first:stop] goes to columns cols: the first chunk
+            # takes the base along into column 0
+            first = 0 if start == 1 else start
+            cols = slice(first + 1 - start, stop + 1 - start)
+            along = np.multiply(theta, incs[first:stop], out=path[:, cols])
+            for j, f in enumerate(stack[first:stop]):
+                np.add(f, along[:, j], out=along[:, j])
+            nl.dz(along, out=deriv[:, cols])
+            nl.dzbar(along, out=along)
+            n = cols.stop
+            residual = np.multiply(inc_u, averaged_gap(deriv[:, :n]),
+                                   out=deriv[0, 1:n])
+            conj_part = averaged_gap(path[:, :n])
+            np.multiply(np.conj(inc_u), conj_part, out=conj_part)
+            residual += conj_part
+            out[start - 1:stop - 1] = magnitude_lp_norms(
+                np.abs(residual, out=mag[:n - 1]), p, grid.cell_volume)
+
+    return fill
+
+
+def remainder_K(u: Union[Field, Sequence[Field]],
+                v: Union[Field, Sequence[Sequence[Field]]],
                 nl: Nonlinearity, s: float, p: float, q: float, r: float,
                 theta_nodes: int = THETA_NODES,
                 quad: Optional[ShellQuadrature] = None
@@ -248,62 +349,42 @@ def remainder_K(u: Field, v: Union[Field, Sequence[Field]],
     (the increment does), and it decays as v -> u in the companion
     Lebesgue norm of order power/(1/p - 1/r).
 
-    v is one Field, giving a float, or a sequence of Fields, giving a
-    tuple with one value per entry.  The base side (u's increments and its
-    derivative pair along each segment) is computed once per offset and
-    shared by every entry; each value equals the single-pair call's bit
-    for bit.
+    u and v are one Field each, giving a float, or a sequence of base
+    Fields (say the slices of a trajectory) and as many sequences of
+    Fields, giving one tuple per base with one value per entry.  One
+    offset loop serves every base and every entry: each field is
+    transformed once, each offset's multiplier is built once, and the
+    base side is shared by its entries.  Each value equals the
+    single-pair call's bit for bit.
 
     theta_nodes is the Gauss-Legendre node count of the segment average;
     for the power map with an even integer power 2m it is an upper bound,
     since m + 1 nodes already integrate that map's derivatives exactly."""
-    single = isinstance(v, Field)
-    others = (v,) if single else tuple(v)
-    for w in others:
-        if u.grid is not w.grid and u.grid != w.grid:
-            raise ValueError("fields live on different grids")
+    single = isinstance(u, Field)
+    if single != isinstance(v, Field):
+        raise TypeError("u and v must both be Fields or both sequences")
+    bases = (u,) if single else tuple(u)
+    row_sets = ((v,),) if single else tuple(tuple(rows) for rows in v)
+    if len(bases) != len(row_sets):
+        raise ValueError(f"{len(bases)} bases but {len(row_sets)} "
+                         "row sequences")
+    grid = bases[0].grid
+    fields = bases + tuple(w for rows in row_sets for w in rows)
+    if any(w.grid is not grid and w.grid != grid for w in fields):
+        raise ValueError("fields live on different grids")
     _check_difference_exponents(s, p, q, r, nl.power)
-    grid = u.grid
     offsets, kernel = fd_quadrature(grid, quad, s, q)
-    n_theta = theta_nodes
-    if isinstance(nl, PowerNonlinearity) and nl.power % 2 == 0:
-        # for power 2m both derivatives along u + theta inc are polynomials
-        # of degree 2m in theta, and m + 1 Gauss nodes are exact to 2m + 1
-        n_theta = min(theta_nodes, int(nl.power) // 2 + 1)
-    nodes, wts = _gauss_unit(n_theta)
-    # complex nodes spare the real-to-complex cast in every broadcast
-    theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
-    weights = wts.reshape(theta.shape)
-
-    def averaged_gap(along_v, along_u):
-        # node-wise difference before the theta sum, so v = u gives 0;
-        # the weighted terms are summed in node order, in place, without
-        # a BLAS call
-        gap = along_v - along_u
-        gap *= weights
-        for term in gap[1:]:
-            gap[0] += term
-        return gap[0]
-
-    # row 0 is u and row 1 + j is others[j]: one inverse transform per
-    # offset serves every row
-    stack = np.stack([u.values] + [w.values for w in others])
-    norms = np.empty((len(others), len(offsets)))
-    for i, incs in enumerate(translation_increments(stack, grid, offsets)):
-        inc_u = incs[0]
-        path_u = u.values[None] + theta * inc_u[None]
-        dz_u = nl.dz(path_u)
-        dzbar_u = nl.dzbar(path_u)
-        conj_inc_u = np.conj(inc_u)
-        for j, w in enumerate(others):
-            inc_w = incs[1 + j]
-            path_w = w.values[None] + theta * inc_w[None]
-            residual = (inc_u * averaged_gap(nl.dz(path_w), dz_u)
-                        + conj_inc_u * averaged_gap(nl.dzbar(path_w),
-                                                    dzbar_u))
-            norms[j, i] = lp_norm(residual, p, grid.cell_volume)
-    values = tuple(peak_factored_norm(row, q, kernel) for row in norms)
-    return values[0] if single else values
+    fill = _remainder_rows(nl, grid, max(map(len, row_sets)), theta_nodes,
+                           p)
+    # row 0 of each stack is its base and row 1 + j its entry j
+    stacks = [[b.values] + [w.values for w in rows]
+              for b, rows in zip(bases, row_sets)]
+    norms = [np.empty((len(rows), len(offsets))) for rows in row_sets]
+    for i, j, incs in translation_increments(stacks, grid, offsets):
+        fill(stacks[j], incs, norms[j][:, i])
+    values = tuple(tuple(peak_factored_norm(row, q, kernel) for row in block)
+                   for block in norms)
+    return values[0][0] if single else values
 
 
 @dataclass(frozen=True)
@@ -361,21 +442,32 @@ def besov_difference_report(u: Field, v: Field, nl: Nonlinearity,
     and times (||u||_sigma^(power-1) + ||v||_sigma^(power-1)) ||v - u||_sigma
     for power >= 1."""
     sigma = exps.sigma(nl.power)
-    spec_p = NormSpec("besov_fd", s=exps.s, p=exps.p, q=exps.q,
-                      homogeneous=True)
-    spec_r = NormSpec("besov_fd", s=exps.s, p=exps.r, q=exps.q,
-                      homogeneous=True)
+    grid = u.grid
     image_gap = apply_g(v, nl) - apply_g(u, nl)
-    lhs = besov_norm_fd(image_gap, spec_p, quad)
-    gap_smooth = besov_norm_fd(v - u, spec_r, quad)
+    gap = v - u
+    offsets, kernel = fd_quadrature(grid, quad, exps.s, exps.q)
+    fill = _remainder_rows(nl, grid, 1, theta_nodes, exps.p)
+    power_map = isinstance(nl, PowerNonlinearity)
+    # one offset loop: row 0 of norms is the remainder of u against v,
+    # then the difference norms of g(v) - g(u) at p and of v - u at r,
+    # and for the power map's refined term that of u at r
+    stack = [u.values, v.values, image_gap.values, gap.values]
+    norms = np.empty((3 + power_map, len(offsets)))
+    cell = grid.cell_volume
+    for i, _, incs in translation_increments([stack], grid, offsets):
+        fill(stack[:2], incs, norms[:1, i])
+        norms[1, i] = lp_norm(incs[2], exps.p, cell)
+        norms[2, i] = lp_norm(incs[3], exps.r, cell)
+        if power_map:
+            norms[3, i] = lp_norm(incs[0], exps.r, cell)
+    k_term, lhs, gap_smooth = (peak_factored_norm(row, exps.q, kernel)
+                               for row in norms[:3])
     v_sigma = lebesgue_norm(v, sigma)
     lipschitz_term = v_sigma ** nl.power * gap_smooth
-    k_term = remainder_K(u, v, nl, exps.s, exps.p, exps.q, exps.r,
-                         theta_nodes=theta_nodes, quad=quad)
     refined = None
-    if isinstance(nl, PowerNonlinearity):
-        u_smooth = besov_norm_fd(u, spec_r, quad)
-        gap_sigma = lebesgue_norm(v - u, sigma)
+    if power_map:
+        u_smooth = peak_factored_norm(norms[3], exps.q, kernel)
+        gap_sigma = lebesgue_norm(gap, sigma)
         if nl.power <= 1.0:
             extra = u_smooth * gap_sigma ** nl.power
         else:

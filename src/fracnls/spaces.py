@@ -271,17 +271,25 @@ def fd_quadrature(grid: Grid, quad: Optional[ShellQuadrature], s: float,
     return offsets, radii ** (-grid.dim - s * q) * weights
 
 
-def translation_increments(stack: np.ndarray, grid: Grid, offsets):
-    """For each offset y, a new array holding f(. - y) - f for every row f
-    of stack (shape (rows, *grid.shape)): one forward transform over the
-    spatial axes up front, then one inverse transform per offset."""
+def translation_increments(stacks, grid: Grid, offsets):
+    """For each offset y (index i) and then each stack (index j), the
+    triple (i, j, incs) with incs[k] = f(. - y) - f for the row
+    f = stacks[j][k]; a stack is a sequence of arrays of grid.shape.
+
+    Each stack is transformed once up front, and each offset's multiplier
+    is built once and applied to every stack.  Every incs is a view of
+    one buffer, good until the next triple is drawn."""
     axes = tuple(range(1, grid.dim + 1))
-    stack_hat = np.fft.fftn(stack, axes=axes)
-    for y in offsets:
-        incs = np.fft.ifftn(stack_hat * grid.translation_multiplier(y),
-                            axes=axes)
-        incs -= stack
-        yield incs
+    hats = [np.fft.fftn(np.stack(stack), axes=axes) for stack in stacks]
+    buf = np.empty((max(map(len, hats)),) + grid.shape, dtype=complex)
+    for i, y in enumerate(offsets):
+        mult = grid.translation_multiplier(y)
+        for j, (stack, hat) in enumerate(zip(stacks, hats)):
+            incs = np.multiply(hat, mult, out=buf[:len(hat)])
+            np.fft.ifftn(incs, axes=axes, out=incs)
+            for inc, row in zip(incs, stack):
+                inc -= row
+            yield i, j, incs
 
 
 def besov_norm_fd(f: Field, spec: NormSpec,
@@ -296,8 +304,8 @@ def besov_norm_fd(f: Field, spec: NormSpec,
         raise ValueError(f"spec kind {spec.kind!r} is not besov_fd")
     offsets, kernel = fd_quadrature(f.grid, quad, spec.s, spec.q)
     diffs = [lp_norm(incs[0], spec.p, f.grid.cell_volume)
-             for incs in translation_increments(f.values[None], f.grid,
-                                                offsets)]
+             for _, _, incs in translation_increments([[f.values]], f.grid,
+                                                      offsets)]
     return peak_factored_norm(diffs, spec.q, kernel)
 
 

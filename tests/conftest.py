@@ -64,6 +64,21 @@ def full_mesh_wavenumber_square(grid: Grid) -> np.ndarray:
 
 
 @pytest.fixture
+def multiplier_builds(monkeypatch) -> list:
+    """The offsets Grid.translation_multiplier is asked for while the
+    test runs, in call order."""
+    built = []
+    real = Grid.translation_multiplier
+
+    def spy(grid, y):
+        built.append(tuple(y))
+        return real(grid, y)
+
+    monkeypatch.setattr(Grid, "translation_multiplier", spy)
+    return built
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
 

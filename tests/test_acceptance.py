@@ -1,7 +1,7 @@
-"""Acceptance gate: the eight headline checks, one test each (criterion 5
-has further tests in 2D and 3D), each at its stated tolerance and time
-budget.  Every test prints a single pass line; a failure anywhere here
-means the build does not meet its contract."""
+"""Acceptance gate: the eight headline checks, one test each (criteria 2
+and 5 have further tests in 2D and 3D, criterion 6 in 2D), each at its
+stated tolerance and time budget.  Every test prints a single pass line;
+a failure anywhere here means the build does not meet its contract."""
 
 import json
 import time
@@ -71,9 +71,9 @@ def test_criterion_1_exponent_identities():
     _pass_line(1, "exponent identities", started, 1.0)
 
 
-def test_criterion_2_norm_toolkit():
-    started = time.perf_counter()
-    grid = Grid(1, 256, 32.0)
+def _norm_toolkit(grid):
+    """Criterion 2 on one grid: Sobolev against dyadic Besov against
+    finite-difference Besov, and the invariances of the Sobolev norm."""
     rng = np.random.default_rng(202)
 
     for _ in range(20):
@@ -99,11 +99,28 @@ def test_criterion_2_norm_toolkit():
             base = sobolev_norm(f, s, homogeneous=homogeneous)
             moved = sobolev_norm(free_propagate(f, 0.37), s,
                                  homogeneous=homogeneous)
-            shifted = sobolev_norm(translate(f, 1.7), s,
+            shifted = sobolev_norm(translate(f, [1.7] * grid.dim), s,
                                    homogeneous=homogeneous)
             assert abs(moved - base) <= 1e-10 * base
             assert abs(shifted - base) <= 1e-10 * base
+
+
+def test_criterion_2_norm_toolkit():
+    started = time.perf_counter()
+    _norm_toolkit(Grid(1, 256, 32.0))
     _pass_line(2, "norm toolkit", started, 30.0)
+
+
+def test_criterion_2_norm_toolkit_2d():
+    started = time.perf_counter()
+    _norm_toolkit(Grid(2, 64, 32.0))
+    _pass_line(2, "norm toolkit, 2D", started, 30.0)
+
+
+def test_criterion_2_norm_toolkit_3d():
+    started = time.perf_counter()
+    _norm_toolkit(Grid(3, 32, 32.0))
+    _pass_line(2, "norm toolkit, 3D", started, 60.0)
 
 
 def test_criterion_3_pointwise_inequalities():
@@ -255,9 +272,10 @@ def test_criterion_5_remainder_decay_3d():
     _pass_line(5, "remainder decay, 3D", started, 300.0)
 
 
-def test_criterion_6_difference_bound():
-    started = time.perf_counter()
-    grid = Grid(1, 128, 32.0)
+def _difference_bound(grid):
+    """Criterion 6 on one grid: one calibrated constant of the difference
+    bound holds on held-out pairs, and the Lipschitz ratio stays bounded
+    as the gap closes."""
     exps = DifferenceExponents(s=0.4, p=2.0, q=2.0, r=6.0)
     quad = ShellQuadrature(shells=16)
     rng = np.random.default_rng(606)
@@ -295,7 +313,18 @@ def test_criterion_6_difference_bound():
                                          quad=quad)
         ratios.append(report.lhs / besov_norm_fd(v - u, spec_r, quad))
     assert max(ratios[4:]) <= 1.25 * max(ratios[:4])
+
+
+def test_criterion_6_difference_bound():
+    started = time.perf_counter()
+    _difference_bound(Grid(1, 128, 32.0))
     _pass_line(6, "difference bound", started, 300.0)
+
+
+def test_criterion_6_difference_bound_2d():
+    started = time.perf_counter()
+    _difference_bound(Grid(2, 32, 32.0))
+    _pass_line(6, "difference bound, 2D", started, 300.0)
 
 
 def test_criterion_7_flow_map_dependence():

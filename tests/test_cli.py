@@ -551,6 +551,32 @@ def test_config_rejects_mistyped_field_number(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_plane_wave_takes_one_integer_mode_on_every_axis(tmp_path, capsys,
+                                                         dim):
+    # the documented default mode 1 and any one integer work in every
+    # dimension; a list of the wrong length names its key
+    problem = dict(PROBLEM, dimension=dim, power=1.0)
+    small = dict(grid={"points": 8, "period": 8.0},
+                 time={"horizon": 0.01, "slices": 2})
+    for datum in ({"kind": "plane_wave"},
+                  {"kind": "plane_wave", "mode": 2, "amplitude": 0.05}):
+        path, _ = _write_config(tmp_path, problem=problem, datum=datum,
+                                **small)
+        assert main(["solve", "--config", str(path)]) == 0
+    capsys.readouterr()
+    for where in ("datum", "direction"):
+        out = tmp_path / where
+        path, _ = _write_config(
+            tmp_path, problem=problem, output_dir=str(out),
+            **{where: {"kind": "plane_wave", "mode": [1] * (dim + 1)}},
+            **small)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {where}.mode must be")
+        assert not out.exists()
+
+
 def test_config_accepts_field_lists(tmp_path):
     for datum in ({"kind": "gaussian", "amplitude": [0.05, 0],
                    "center": [0.5]},
@@ -616,6 +642,16 @@ FAIL_FAST_CASES = [
                     "auto_horizon": {"start": 0.5, "slices": 8},
                     "time": {"horizon": 0.25}},
      "time needs either slices or dt"),
+    ("solve", {"time": {"horizon": 0.25, "dt": 0}},
+     "time.dt must be a positive number, got 0"),
+    ("solve", {"time": {"horizon": 0.25, "dt": -0.1}},
+     "time.dt must be a positive number, got -0.1"),
+    ("dependence", {"family": {"initial_scale": 0.01, "depth": 3},
+                    "cross_check": True, "cross_tol": -1},
+     "config.cross_tol must be a positive number, got -1"),
+    ("dependence", {"family": {"initial_scale": 0.01, "depth": 3},
+                    "cross_tol": 0.0},
+     "config.cross_tol must be a positive number, got 0.0"),
 ]
 
 

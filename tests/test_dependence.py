@@ -16,12 +16,12 @@ from fracnls.dependence import (DependenceReport, DependenceRow,
                                 static_remainder_decay)
 from fracnls.exponents import ProblemParams, canonical_pair, sigma
 from fracnls.grid import Field, Grid, gaussian, inner_product, lp_norm
-from fracnls.nonlinearity import PowerNonlinearity
+from fracnls.nonlinearity import PowerNonlinearity, remainder_K
 from fracnls.solver import (IterationReport, NonConvergenceError,
                             PicardConfig, TimeGrid, picard_duhamel,
                             smallness_check, split_step)
-from fracnls.spaces import (NormSpec, ShellQuadrature, sobolev_norm,
-                            spacetime_norm)
+from fracnls.spaces import (NormSpec, ShellQuadrature, fd_quadrature,
+                            sobolev_norm, spacetime_norm)
 from trajectories import free_trajectory, stack_bytes, traced_peak
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
@@ -466,15 +466,64 @@ def test_remainder_decay_identical_trajectories(direction):
     assert all(row.integrated == 0.0 for row in rows)
 
 
-def test_remainder_decay_threads_match_serial(direction):
+def test_remainder_decay_threads_match_serial(direction, multiplier_builds):
+    # each pool task takes a contiguous block of slices in one offset
+    # loop, so each block builds every multiplier once
     fam = PerturbationFamily(BASE, direction, 0.01, 3, 0.4)
     tg = TimeGrid(0.25, 8)
-    light = dict(theta_nodes=8, quad=ShellQuadrature(shells=8))
-    serial = remainder_decay_experiment(PARAMS, fam, _config(), tg,
-                                        threads=1, **light)
-    parallel = remainder_decay_experiment(PARAMS, fam, _config(), tg,
-                                          threads=2, **light)
-    assert serial == parallel
+    quad = ShellQuadrature(shells=8)
+    offsets, _ = fd_quadrature(GRID, quad, 0.4, 2.0)
+    GRID.origin_phase  # cached before counting
+    runs = []
+    for threads in (1, 2, 3):
+        multiplier_builds.clear()
+        runs.append(remainder_decay_experiment(
+            PARAMS, fam, _config(), tg, threads=threads, theta_nodes=8,
+            quad=quad))
+        assert len(multiplier_builds) == threads * len(offsets)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_remainder_phase_peak_memory():
+    # 2D 32^2, 5 slices and 5 rows, the remainder-2d benchmark's shape:
+    # the all-slices call holds each slice's stack transform, one
+    # increments buffer and one slice's row scratch (the theta paths,
+    # their derivatives and the row magnitudes); beside them run one
+    # multiplier, one conjugate increment, the derivative's magnitudes
+    # and numpy's two 8192-element iteration buffers
+    grid, tg = Grid(2, 32, 32.0), TimeGrid(0.25, 4)
+    base = gaussian(grid, 0.08, 2.0)
+    bump = gaussian(grid, 0.05, 1.5, center=[3.0, 3.0])
+    trajs = [free_trajectory(base + (0.01 * 0.5 ** k) * bump, tg)
+             for k in range(6)]
+    bases = [trajs[0].field(m) for m in range(tg.slices + 1)]
+    rows = [[traj.field(m) for traj in trajs[1:]]
+            for m in range(tg.slices + 1)]
+    kwargs = dict(s=0.4, p=2.0, q=2.0, r=6.0,
+                  quad=ShellQuadrature(shells=12))
+    remainder_K(bases[:1], rows[:1], CUBIC, **kwargs)  # warm grid caches
+    stack, n_theta = 1 + len(rows[0]), 2  # the cubic map's exact nodes
+    held = len(bases) * stack + stack + 2 * stack * n_theta + stack / 2
+    beside = 2 + stack * n_theta / 2
+    peak = traced_peak(remainder_K, bases, rows, CUBIC, **kwargs)
+    assert peak <= (held + beside) * grid.size * 16 + 2 * 8192 * 16
+
+
+def test_remainder_row_scratch_stays_two_columns():
+    # alpha = 3 takes all 32 theta nodes, so each row past the first is
+    # a chunk of its own: it adds its transform and its increments, not
+    # 2 x 32 theta paths
+    grid = Grid(2, 32, 16.0)
+    base = gaussian(grid, 1.0, 2.0)
+    bump = gaussian(grid, 0.5 - 0.2j, 1.5, center=[3.0, 3.0])
+    rows = [base + (2.0 ** -k) * bump for k in range(9)]
+    nl = PowerNonlinearity(0.7 - 0.3j, 3.0)
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0,
+                  quad=ShellQuadrature(shells=2, angles=4))
+    remainder_K(base, rows[0], nl, **kwargs)  # warm grid caches
+    one, nine = (traced_peak(remainder_K, [base], [rows[:n]], nl, **kwargs)
+                 for n in (1, 9))
+    assert nine - one <= (2 * 8 + 1) * grid.size * 16
 
 
 def test_remainder_decay_along_solved_trajectories(direction):

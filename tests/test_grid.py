@@ -11,6 +11,8 @@ from fracnls.grid import (
     gaussian,
     inner_product,
     lebesgue_norm,
+    magnitude_lp_norm,
+    magnitude_lp_norms,
     plane_wave,
     translate,
 )
@@ -128,6 +130,15 @@ def test_open_mesh_functions_match_full_meshes_bitwise(grid):
     # the cached axis arrays hold one axis vector per dimension
     for arrays in (grid.coordinate_arrays, grid.wavenumber_arrays):
         assert sum(a.size for a in arrays) == dim * grid.points
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_plane_wave_spreads_one_integer_mode(dim):
+    grid = Grid(dim, 8, 8.0)
+    assert _same_bits(plane_wave(grid, 3, 0.5j).values,
+                      plane_wave(grid, [3] * dim, 0.5j).values)
+    with pytest.raises(ValueError, match=f"mode must have {dim} components"):
+        plane_wave(grid, [1] * (dim + 1))
 
 
 def test_sample_broadcasts_to_the_grid_shape():
@@ -334,6 +345,28 @@ def test_lebesgue_norm_no_overflow(line_grid):
     out = lebesgue_norm(f, 8.0)
     assert np.isfinite(out)
     assert np.isclose(out, 1e200 * line_grid.period ** (1.0 / 8.0), rtol=1e-12)
+
+
+def _peak_factored_lp(mag, p, cell_volume):
+    """The L^p norm from magnitudes as one array at a time computes it."""
+    top = float(mag.max())
+    if np.isinf(p) or top == 0.0:
+        return top
+    return top * (float(np.sum((mag / top) ** p)) * cell_volume) ** (1 / p)
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0, 2.5, np.inf])
+@pytest.mark.parametrize("shape", [(256,), (32, 32), (16, 16, 16)])
+def test_magnitude_lp_norms_are_the_single_array_form(rng, shape, p):
+    # an ordinary row, a small one, an all-zero one and a huge one
+    scales = np.array([1.0, 1e-3, 0.0, 1e200])
+    scales = scales.reshape((4,) + (1,) * len(shape))
+    mags = np.abs(rng.standard_normal((4,) + shape)) * scales
+    expected = [_peak_factored_lp(row, p, 0.3) for row in mags]
+    assert [magnitude_lp_norm(row.copy(), p, 0.3) for row in mags] \
+        == expected
+    assert magnitude_lp_norms(mags, p, 0.3) == expected
+    assert expected[2] == 0.0
 
 
 def test_inner_product_conjugate_linear(line_grid, rng):

@@ -303,7 +303,7 @@ def test_remainder_batch_matches_single_calls(dim, nl):
     others = [u + (2.0 ** -k) * bump for k in range(4)]
     kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=8,
                   quad=ShellQuadrature(shells=6))
-    batched = remainder_K(u, others, nl, **kwargs)
+    (batched,) = remainder_K([u], [others], nl, **kwargs)
     assert batched == tuple(remainder_K(u, v, nl, **kwargs) for v in others)
     assert all(value > 0.0 for value in batched)
 
@@ -322,27 +322,41 @@ def test_remainder_exact_nodes_match_full_quadrature(dim, alpha, coupling):
     nl = PowerNonlinearity(coupling=coupling, power=alpha)
     kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=16,
                   quad=ShellQuadrature(shells=6))
-    exact = remainder_K(u, others, nl, **kwargs)
-    full = remainder_K(u, others, as_general(nl), **kwargs)
+    (exact,) = remainder_K([u], [others], nl, **kwargs)
+    (full,) = remainder_K([u], [others], as_general(nl), **kwargs)
     assert all(value > 0.0 for value in full)
     assert np.allclose(exact, full, rtol=1e-13, atol=0.0)
 
 
-def _matmul_remainder(u, others, nl, s, p, q, r, n_theta, quad):
-    """remainder_K as it was written, with the theta sum a `wts @ gap`
-    product, kept here as the reference of the node-order sum."""
+def _rowwise_remainder(u, others, nl, s, p, q, r, n_theta, quad,
+                       matmul=False):
+    """remainder_K as it was written, one row and one offset at a time,
+    kept here as the reference of the vectorized rows; with matmul the
+    theta sum is the `wts @ gap` product it was before that."""
     grid = u.grid
+    axes = tuple(range(1, grid.dim + 1))
     offsets, kernel = fd_quadrature(grid, quad, s, q)
     nodes, wts = fracnls.nonlinearity._gauss_unit(n_theta)
     theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
+    weights = wts.reshape(theta.shape)
 
     def averaged_gap(along_v, along_u):
-        gap = (along_v - along_u).reshape(n_theta, -1)
-        return (wts @ gap).reshape(grid.shape)
+        if matmul:
+            gap = (along_v - along_u).reshape(n_theta, -1)
+            return (wts @ gap).reshape(grid.shape)
+        gap = along_v - along_u
+        gap *= weights
+        for term in gap[1:]:
+            gap[0] += term
+        return gap[0]
 
     stack = np.stack([u.values] + [w.values for w in others])
+    stack_hat = np.fft.fftn(stack, axes=axes)
     norms = np.empty((len(others), len(offsets)))
-    for i, incs in enumerate(translation_increments(stack, grid, offsets)):
+    for i, y in enumerate(offsets):
+        incs = np.fft.ifftn(stack_hat * grid.translation_multiplier(y),
+                            axes=axes)
+        incs -= stack
         inc_u = incs[0]
         path_u = u.values[None] + theta * inc_u[None]
         for j, w in enumerate(others):
@@ -366,13 +380,100 @@ def test_remainder_theta_sum_matches_matmul(dim):
     kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0)
     for nl, n_theta in ((PowerNonlinearity(0.7 - 0.3j, 2.0), 2),
                         (PowerNonlinearity(0.7 - 0.3j, 3.0), THETA_NODES)):
-        values = remainder_K(u, others, nl, quad=quad, **kwargs)
-        ref = _matmul_remainder(u, others, nl, n_theta=n_theta, quad=quad,
-                                **kwargs)
+        (values,) = remainder_K([u], [others], nl, quad=quad, **kwargs)
+        ref = _rowwise_remainder(u, others, nl, n_theta=n_theta, quad=quad,
+                                 matmul=True, **kwargs)
         if n_theta == 2:
             assert values == ref
         else:
             assert np.allclose(values, ref, rtol=1e-15, atol=0.0)
+
+
+# (map, theta nodes it takes of 8): the power map at alpha = 2m takes
+# m + 1, any other map all 8
+ENGINE_MAPS = {
+    "alpha2-real": (PowerNonlinearity(1.0, 2.0), 2),
+    "alpha2-complex": (PowerNonlinearity(0.7 - 0.3j, 2.0), 2),
+    "alpha4-real": (PowerNonlinearity(1.0, 4.0), 3),
+    "alpha4-complex": (PowerNonlinearity(0.7 - 0.3j, 4.0), 3),
+    "alpha1.5": (PowerNonlinearity(0.7 - 0.3j, 1.5), 8),
+    "general": (as_general(PowerNonlinearity(0.7 - 0.3j, 2.0)), 8),
+}
+ENGINE_KW = dict(s=0.5, p=2.0, q=2.0, r=6.0,
+                 quad=ShellQuadrature(shells=4, angles=6))
+
+
+def _engine_fields(dim, count):
+    """A base on a small grid of each dimension and `count` others."""
+    grid = Grid(dim, {1: 64, 2: 16, 3: 8}[dim], 16.0)
+    u = gaussian(grid, amplitude=1.0, width=2.0)
+    bump = gaussian(grid, amplitude=0.5 - 0.2j, width=1.5,
+                    center=[3.0] * dim)
+    return u, [u + (2.0 ** -k) * bump for k in range(count)]
+
+
+@pytest.mark.parametrize("case", ENGINE_MAPS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_remainder_rows_bitwise_the_rowwise_form(dim, case):
+    nl, n_theta = ENGINE_MAPS[case]
+    u, others = _engine_fields(dim, 3)
+    (values,) = remainder_K([u], [others], nl, theta_nodes=8, **ENGINE_KW)
+    assert values == _rowwise_remainder(u, others, nl, n_theta=n_theta,
+                                        **ENGINE_KW)
+    assert all(value > 0.0 for value in values)
+
+
+@pytest.mark.parametrize("case", ENGINE_MAPS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_remainder_all_slices_match_single_calls(dim, case):
+    nl, _ = ENGINE_MAPS[case]
+    u, others = _engine_fields(dim, 3)
+    # three bases, as the slices of a trajectory, each with its own rows;
+    # one row equals its base and gives 0, and the last base has one row
+    # fewer than the scratch holds
+    factors = (1.0, 0.8 - 0.1j, 0.5j)
+    bases = [u * c for c in factors]
+    rows = [[w * c for w in others] for c in factors]
+    rows[1][2] = bases[1]
+    del rows[2][1]
+    kwargs = dict(ENGINE_KW, theta_nodes=8)
+    values = remainder_K(bases, rows, nl, **kwargs)
+    assert values == tuple(tuple(remainder_K(b, w, nl, **kwargs) for w in ws)
+                           for b, ws in zip(bases, rows))
+    assert values[1][2] == 0.0
+    assert min(values[0] + values[2]) > 0.0
+
+
+@pytest.mark.parametrize("case, theta_nodes, count", [
+    ("alpha2-complex", 8, 20), ("alpha1.5", 32, 3), ("general", 16, 5)])
+def test_remainder_row_chunks_bitwise_the_rowwise_form(case, theta_nodes,
+                                                       count):
+    # more rows than one chunk of 32 theta paths holds: 20 rows at 2 nodes
+    # go as 16 and 4, 3 rows at 32 nodes one by one, 5 at 16 as 2, 2, 1
+    nl, _ = ENGINE_MAPS[case]
+    n_theta = 2 if case == "alpha2-complex" else theta_nodes
+    u, others = _engine_fields(2, count)
+    others[1] = u
+    (values,) = remainder_K([u], [others], nl, theta_nodes=theta_nodes,
+                            **ENGINE_KW)
+    assert values == _rowwise_remainder(u, others, nl, n_theta=n_theta,
+                                        **ENGINE_KW)
+    assert values[1] == 0.0 < min(values[:1] + values[2:])
+
+
+def test_remainder_all_slices_checks_its_shape(bump_pair):
+    u, v = bump_pair
+    with pytest.raises(ValueError, match="2 bases but 1 row sequences"):
+        remainder_K([u, v], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
+    with pytest.raises(TypeError, match="both be Fields"):
+        remainder_K(u, [v], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
+
+
+def test_remainder_builds_each_multiplier_once(multiplier_builds):
+    u, others = _engine_fields(2, 3)
+    offsets, _ = fd_quadrature(u.grid, ENGINE_KW["quad"], 0.5, 2.0)
+    remainder_K([u, u * 0.5], [others, others[:2]], CUBIC, **ENGINE_KW)
+    assert multiplier_builds == [tuple(y) for y in offsets]
 
 
 def _node_counts(monkeypatch, nl, theta_nodes):
@@ -387,7 +488,7 @@ def _node_counts(monkeypatch, nl, theta_nodes):
     monkeypatch.setattr(fracnls.nonlinearity, "_gauss_unit", spy)
     grid = Grid(1, 32, 16.0)
     u = gaussian(grid, amplitude=1.0, width=2.0)
-    remainder_K(u, [u * 0.5, u * 0.25], nl, s=0.5, p=2.0, q=2.0, r=6.0,
+    remainder_K([u], [[u * 0.5, u * 0.25]], nl, s=0.5, p=2.0, q=2.0, r=6.0,
                 theta_nodes=theta_nodes, quad=ShellQuadrature(shells=4))
     return asked
 
@@ -415,7 +516,8 @@ def test_remainder_node_count_is_an_upper_bound(monkeypatch):
 
 def test_remainder_batch_diagonal_row_is_zero(bump_pair):
     u, v = bump_pair
-    values = remainder_K(u, [v, u, v], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
+    (values,) = remainder_K([u], [[v, u, v]], CUBIC, s=0.5, p=2.0, q=2.0,
+                            r=6.0)
     assert values[1] == 0.0
     assert values[0] == values[2] > 0.0
 
@@ -424,7 +526,8 @@ def test_remainder_batch_checks_grids(bump_pair, plane_grid):
     u, v = bump_pair
     elsewhere = gaussian(plane_grid, amplitude=1.0, width=2.0)
     with pytest.raises(ValueError, match="different grids"):
-        remainder_K(u, [v, elsewhere], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
+        remainder_K([u], [[v, elsewhere]], CUBIC, s=0.5, p=2.0, q=2.0,
+                    r=6.0)
 
 
 def test_remainder_validates_exponents(bump_pair):
@@ -520,3 +623,54 @@ def test_difference_report_general_map_has_no_refinement(bump_pair):
     report = besov_difference_report(u, v, _cubic_plus_linear(), exps)
     assert report.refined_term is None
     assert report.lhs > 0.0
+
+
+def _report_from_single_calls(u, v, nl, exps, theta_nodes, quad):
+    """besov_difference_report as it was written: each norm by its own
+    single-field call, each with its own offset loop."""
+    sigma = exps.sigma(nl.power)
+    spec_p = NormSpec("besov_fd", s=exps.s, p=exps.p, q=exps.q,
+                      homogeneous=True)
+    spec_r = NormSpec("besov_fd", s=exps.s, p=exps.r, q=exps.q,
+                      homogeneous=True)
+    lhs = besov_norm_fd(apply_g(v, nl) - apply_g(u, nl), spec_p, quad)
+    v_sigma = lebesgue_norm(v, sigma)
+    lipschitz = v_sigma ** nl.power * besov_norm_fd(v - u, spec_r, quad)
+    k_term = remainder_K(u, v, nl, exps.s, exps.p, exps.q, exps.r,
+                         theta_nodes=theta_nodes, quad=quad)
+    refined = None
+    if isinstance(nl, PowerNonlinearity):
+        u_smooth = besov_norm_fd(u, spec_r, quad)
+        gap_sigma = lebesgue_norm(v - u, sigma)
+        if nl.power <= 1.0:
+            extra = u_smooth * gap_sigma ** nl.power
+        else:
+            u_sigma = lebesgue_norm(u, sigma)
+            extra = u_smooth * (u_sigma ** (nl.power - 1.0)
+                                + v_sigma ** (nl.power - 1.0)) * gap_sigma
+        refined = lipschitz + extra
+    return (lhs, lipschitz, k_term, sigma, refined)
+
+
+@pytest.mark.parametrize("nl", [CUBIC, PowerNonlinearity(0.7 - 0.3j, 0.5),
+                                _cubic_plus_linear()],
+                         ids=["cubic", "alpha0.5", "general"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_difference_report_is_its_single_calls(dim, nl):
+    u, (v,) = _engine_fields(dim, 1)
+    exps = DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0)
+    report = besov_difference_report(u, v, nl, exps, theta_nodes=8,
+                                     quad=ENGINE_KW["quad"])
+    assert (report.lhs, report.lipschitz_term, report.k_term, report.sigma,
+            report.refined_term) == _report_from_single_calls(
+                u, v, nl, exps, 8, ENGINE_KW["quad"])
+
+
+def test_difference_report_builds_each_multiplier_once(multiplier_builds):
+    u, (v,) = _engine_fields(2, 1)
+    quad = ENGINE_KW["quad"]
+    offsets, _ = fd_quadrature(u.grid, quad, 0.5, 2.0)
+    besov_difference_report(u, v, CUBIC,
+                            DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0),
+                            quad=quad)
+    assert multiplier_builds == [tuple(y) for y in offsets]

@@ -1,10 +1,14 @@
-"""The Python examples in README.md run as written, and its config table
-lists exactly the keys and defaults of the config schema."""
+"""The Python examples in README.md run as written, its config table
+lists exactly the keys and defaults of the config schema, and every
+datum and direction kind builds from its documented defaults in every
+dimension."""
 
 import inspect
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 from fracnls import cli
 
@@ -53,3 +57,35 @@ def test_readme_config_table_matches_schema():
             shown = json.loads(re.match(r"`([^`]*)`", cell).group(1))
             assert shown == default and type(shown) is type(default), (
                 table, key, cell)
+
+
+def _documented_kind_defaults() -> dict:
+    """Field kind -> {key: default} as the README config table shows."""
+    rows = _config_table()
+    kinds = {kind for kinds in cli._KINDS.values() for kind in kinds}
+    return {kind: {key: json.loads(re.match(r"`([^`]*)`", cell).group(1))
+                   for (table, key), cell in rows.items() if table == kind}
+            for kind in kinds}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_readme_field_defaults_build_in_every_dimension(tmp_path, dim):
+    # every datum and direction kind, written with its documented
+    # defaults, loads and builds on a grid of each dimension
+    defaults = _documented_kind_defaults()
+    for where in ("datum", "direction"):
+        for kind in cli._KINDS[where]:
+            config = {
+                "problem": {"dimension": dim, "regularity": 0.4,
+                            "power": 1.0},
+                "grid": {"points": 16, "period": 16.0},
+                "datum": {"kind": "gaussian"},
+                "family": {"initial_scale": 0.01, "depth": 1},
+                "seed": 11,
+                where: {"kind": kind, **defaults[kind]}}
+            path = tmp_path / f"{where}-{kind}.json"
+            path.write_text(json.dumps(config))
+            rc = cli.RunConfig.load(str(path), None, None)
+            family = cli._build_family(rc.config, rc.grid, rc.params,
+                                       rc.seed)
+            assert family.base.grid.dim == dim, (where, kind)
