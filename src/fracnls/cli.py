@@ -676,7 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--output", default=None,
                        help="output directory (default: config output_dir)")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help=(
+            "ignored: solve runs on one thread" if name == "solve" else
+            "worker threads (FRACNLS_THREADS overrides it)"))
         p.set_defaults(func=func)
     return parser
 

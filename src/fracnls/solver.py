@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .exponents import is_admissible
-from .grid import Field, Grid, lp_norm
+from .grid import Field, Grid, magnitude_lp_norm
 from .nonlinearity import Nonlinearity, PowerNonlinearity
 from .spaces import NormSpec, spacetime_norm, trapezoid_norm
 
@@ -170,6 +170,10 @@ def _free_slices(phi: Field, tg: TimeGrid):
 
 # -------------------------------------------------------------- fixed point
 
+# the largest row block of a slice that a Picard sweep's elementwise
+# work runs over
+_BLOCK_BYTES = 128 * 1024
+
 
 @dataclass(frozen=True)
 class PicardConfig:
@@ -224,6 +228,13 @@ class IterationReport:
                      if a > 0.0)
 
 
+def _row_blocks(shape: tuple) -> list:
+    """Contiguous axis-0 blocks of a complex array of the given shape,
+    each at most _BLOCK_BYTES (one row when a row is larger)."""
+    rows = max(1, _BLOCK_BYTES // (16 * int(np.prod(shape[1:]))))
+    return [slice(i, min(i + rows, shape[0])) for i in range(0, shape[0], rows)]
+
+
 def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
                    cfg: PicardConfig):
     """Fixed point of the integral form, iterated from the free evolution.
@@ -236,13 +247,18 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     higher interactions from aliasing back into the resolved band.
     The map is causal: slice m of the new iterate reads the old one at
     slices 0..m only.  So a sweep overwrites one trajectory stack in
-    place, slice by slice, once it has read the old slice; beside that
-    stack it holds phihat, four scratch slices, the |k|^2 level index
-    (half a slice) and a table of the phases exp(i t_m |k|^2) over the
-    distinct values of |k|^2.  It drops its reference to phi once slice
-    0 and phihat are taken, so a caller that passes the datum without
-    keeping it holds no datum during the sweeps.  The stack is handed
-    to the returned trajectory without a copy.
+    place, slice by slice, once it has read the old slice.  The
+    elementwise work on a slice runs over axis-0 row blocks of at most
+    _BLOCK_BYTES, and the new slice is built in place in the integrand's
+    slice, so beside the stack a sweep holds phihat, three scratch
+    slices (the integrand, the running sum and its first half term), one
+    row block, the float magnitudes of the increment, the |k|^2 level
+    index (half a slice) and a table of the phases exp(i t_m |k|^2) over
+    the distinct values of |k|^2.  The first iterate is built before the
+    running sum and its half term exist.  The solve drops its reference
+    to phi once slice 0 and phihat are taken, so a caller that passes
+    the datum without keeping it holds no datum during the sweeps.  The
+    stack is handed to the returned trajectory without a copy.
 
     Returns (trajectory, report).  Raises NonConvergenceError when
     max_iter sweeps do not reach the relative tolerance (the usual cause
@@ -255,22 +271,14 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
         raise ValueError(
             f"metric pair {cfg.metric_pair} is not admissible in "
             f"dimension {grid.dim}")
-    # gather(row, out) puts a table row on the mesh: bitwise exp(i t_m k^2)
-    # from unwind[m], and the rewind phase from conj(unwind[m])
+    # np.take(row, index, out=..., mode="wrap") puts a table row on the
+    # mesh: bitwise exp(i t_m k^2) from unwind[m], and the rewind phase
+    # from conj(unwind[m])
     unwind = _phase_table(tg, grid, 1j)
     index = grid.wavenumber_levels[1]
     keep = grid.dealias_mask
     phihat = np.fft.fftn(phi.values)
-    # one slice each, reused by every sweep; a sweep writes each step in
-    # place, in the operand order of
-    #   new = ifftn(conj(unwind[m])
-    #               * (phihat + 1j dt (running - half0 - integrand / 2)))
-    # with ghat the integrand, then the rewind phase; new the unwind phase
-    ghat, running, half0, new = (np.empty(grid.shape, dtype=complex)
-                                 for _ in range(4))
-
-    def gather(row: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.take(row, index, out=out, mode="wrap")
+    ghat = np.empty(grid.shape, dtype=complex)
 
     # the iterate; slice 0 is the datum and is never written again, so
     # phi is not held through the sweeps
@@ -281,7 +289,19 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
     # 256 KiB and up numpy evaluates this product in its temporary, as
     # conj * phihat; the expression stays as it is to keep those bits
     for m in range(1, tg.slices + 1):
-        np.fft.ifftn(phihat * np.conj(gather(unwind[m], new)), out=u[m])
+        np.fft.ifftn(phihat * np.conj(np.take(unwind[m], index, out=ghat,
+                                              mode="wrap")), out=u[m])
+    # each block is written in place, in the operand order of
+    #   new = ifftn(conj(unwind[m])
+    #               * (phihat + 1j dt (running - half0 - integrand / 2)))
+    # with the integrand in ghat and the bracket in the block buffer,
+    # whose product with the rewind phase lands in ghat
+    running = np.empty(grid.shape, dtype=complex)
+    half0 = np.empty(grid.shape, dtype=complex)
+    blocks = _row_blocks(grid.shape)
+    buf = np.empty((blocks[0].stop,) + grid.shape[1:], dtype=complex)
+    blocks = [(b, buf[:b.stop - b.start]) for b in blocks]
+    gap = np.empty(grid.shape)
     cell = grid.cell_volume
     distances = []
     first = None
@@ -291,28 +311,39 @@ def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
         # divergence raises per slice below, not warned about mid-sweep
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for m in range(tg.slices + 1):
-                np.fft.fftn(nl.g(u[m], out=ghat), out=ghat)
-                ghat *= keep
-                np.multiply(gather(unwind[m], new), ghat, out=ghat)
+                for b, _ in blocks:
+                    nl.g(u[m][b], out=ghat[b])
+                np.fft.fftn(ghat, out=ghat)
+                rewind = np.conj(unwind[m])
+                for b, a in blocks:
+                    g = ghat[b]
+                    g *= keep[b]
+                    np.multiply(np.take(unwind[m], index[b], out=a,
+                                        mode="wrap"), g, out=g)
+                    if m == 0:
+                        continue
+                    running[b] += g
+                    np.subtract(running[b], half0[b], out=a)
+                    a -= np.multiply(0.5, g, out=g)
+                    a *= tg.dt
+                    a *= 1j
+                    a += phihat[b]
+                    np.multiply(a, np.take(rewind, index[b], out=g,
+                                           mode="wrap"), out=g)
                 if m == 0:
                     np.copyto(running, ghat)
                     np.multiply(0.5, running, out=half0)
                     continue
-                running += ghat
-                np.subtract(running, half0, out=new)
-                new -= np.multiply(0.5, ghat, out=ghat)
-                new *= tg.dt
-                new *= 1j
-                new += phihat
-                new *= gather(np.conj(unwind[m]), ghat)
-                np.fft.ifftn(new, out=new)
-                if not np.isfinite(new.view(float)).all():
+                np.fft.ifftn(ghat, out=ghat)
+                if not all(np.isfinite(ghat[b].view(float)).all()
+                           for b, _ in blocks):
                     raise BlowUpError(
                         "fixed-point iterate overflowed; the datum or "
                         "horizon is outside the contraction regime")
-                gaps.append(lp_norm(np.subtract(new, u[m], out=ghat), rho,
-                                    cell))
-                u[m] = new
+                for b, a in blocks:
+                    np.abs(np.subtract(ghat[b], u[m][b], out=a), out=gap[b])
+                gaps.append(magnitude_lp_norm(gap, rho, cell))
+                u[m] = ghat
         dist = trapezoid_norm(gaps, tg.dt, gamma)
         distances.append(dist)
         if first is None:

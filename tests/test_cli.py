@@ -203,6 +203,11 @@ def test_solve_peak_memory_one_stack_and_eight_slices(tmp_path):
     assert peak <= stack_bytes(grid, tg) + 8 * grid.size * 16
 
 
+def test_solve_help_says_threads_is_ignored(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "ignored: solve runs on one thread" in capsys.readouterr().out
+
+
 def test_solve_plane_wave_datum(tmp_path):
     path, _ = _write_config(
         tmp_path, datum={"kind": "plane_wave", "mode": 2, "amplitude": 0.3})

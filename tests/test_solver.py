@@ -250,8 +250,9 @@ def test_picard_general_view_matches_power_map(line_grid):
 
 def test_picard_peak_memory_one_stack():
     # the sweep overwrites one stack in place and hands it over; beside
-    # it a sweep holds four scratch slices, the phase table over the
-    # |k|^2 levels and the transforms' own buffers
+    # it a sweep holds phihat, three scratch slices, one row block, the
+    # increment's magnitudes, the phase table over the |k|^2 levels and
+    # the transforms' own buffers
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 64, 32.0)
     warm(grid)
@@ -261,6 +262,21 @@ def test_picard_peak_memory_one_stack():
     peak = traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
     assert peak <= 1.5 * stack_bytes(grid, tg)
     assert peak <= stack_bytes(grid, tg) + 12 * grid.size * 16
+
+
+def test_picard_peak_memory_multi_block_slices():
+    # a 256^2 slice spans eight row blocks, and the new slice is built in
+    # place in the integrand's slice: beside the stack the trace sees the
+    # caller's datum, phihat, three scratch slices, one row block and the
+    # increment's magnitudes; a fourth scratch slice would exceed 6.5
+    params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
+    grid = Grid(2, 256, 32.0)
+    warm(grid)
+    phi = gaussian(grid, 0.08, 2.0)
+    tg = TimeGrid(0.25, 8)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    peak = traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
+    assert peak <= stack_bytes(grid, tg) + 6.5 * grid.size * 16
 
 
 def _datum_solve_and_norms(grid):
@@ -338,8 +354,10 @@ def _three_stack_picard(phi, nl, tg, cfg):
 
 
 # 2D 128^2 and 3D 32^3 slices reach numpy's 256 KiB temporary-elision
-# threshold, 1D and 3D 16^3 stay below it; the 1D amplitude-1 case stops
-# at its iteration cap
+# threshold, 1D and 3D 16^3 stay below it; the sweep's row blocks split
+# a 2D 128^2 slice in two, a 3D 32^3 slice in four and a 2D 256^2 slice
+# in eight, the others not; the 1D amplitude-1 case stops at its
+# iteration cap
 PICARD_BITWISE_CASES = [
     (1, 128, 0.3, 1.0, 2.0, 40),
     (1, 128, 0.3, 0.5 - 0.25j, 4.0 / 3.0, 40),
@@ -348,6 +366,7 @@ PICARD_BITWISE_CASES = [
     (2, 32, 0.3, -1.0 + 0.5j, 2.0, 40),
     (3, 16, 0.2, 1.0, 2.0, 40),
     (3, 32, 0.1, 0.8 + 0.3j, 1.0, 40),
+    (2, 256, 0.3, 0.5 - 0.25j, 4.0 / 3.0, 40),
 ]
 
 
@@ -421,6 +440,20 @@ def test_picard_overflow_raises_blowup():
     phi = gaussian(grid, 40.0, 2.0)
     with pytest.raises(BlowUpError):
         picard_duhamel(phi, CUBIC, TimeGrid(1.0, 64), _config())
+
+
+def test_picard_overflow_in_multi_block_slice_raises_blowup():
+    # a 3D 32^3 slice is four row blocks; the finiteness check covers
+    # every block and raises before the slice's increment is taken
+    grid = Grid(3, 32, 32.0)
+    params = ProblemParams(dimension=3, regularity=0.4, power=2.0)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    with pytest.raises(BlowUpError) as err:
+        picard_duhamel(gaussian(grid, 40.0, 2.0), CUBIC, TimeGrid(1.0, 8),
+                       cfg)
+    assert str(err.value) == ("fixed-point iterate overflowed; the datum or "
+                              "horizon is outside the contraction regime")
+    assert err.value.time is None
 
 
 # --------------------------------------------------------------- split step

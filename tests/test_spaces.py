@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracnls.grid import (
     Field,
@@ -451,3 +453,51 @@ def test_default_band_covers_grid():
     jmin, jmax = default_band(WIDE)
     assert 2.0 ** jmin <= 2.0 * np.pi / WIDE.period
     assert 2.0 ** jmax >= WIDE.nyquist
+
+
+# ------------------------------------------------------ property tests
+
+NORM_PROPERTY_GRIDS = [Grid(1, 64, 32.0), Grid(2, 32, 16.0)]
+
+
+@st.composite
+def _norm_specs(draw, kind):
+    """A NormSpec of the kind with drawn exponents, valid for the kind."""
+    s = draw(st.floats(0.1, 0.9))
+    p = draw(st.floats(1.0, 6.0))
+    if kind == "lebesgue":
+        return NormSpec(kind, p=p)
+    if kind == "sobolev_multiplier":
+        return NormSpec(kind, s=s, homogeneous=draw(st.booleans()))
+    if kind == "besov_lp":
+        return NormSpec(kind, s=s, p=p, q=draw(st.floats(1.0, 4.0)),
+                        homogeneous=draw(st.booleans()))
+    return NormSpec(kind, s=s, p=p, q=draw(st.floats(1.0, 4.0)))
+
+
+@pytest.mark.parametrize("grid", NORM_PROPERTY_GRIDS,
+                         ids=lambda g: f"{g.dim}d{g.points}")
+@pytest.mark.parametrize("kind", ["lebesgue", "sobolev_multiplier",
+                                  "besov_lp", "besov_fd"])
+def test_property_norm_lattice_roll_and_homogeneity(grid, kind):
+    # a lattice roll permutes the samples and commutes with every Fourier
+    # multiplier and finite difference, and every norm is absolutely
+    # homogeneous; both hold to rounding
+    @settings(max_examples=5, deadline=None, derandomize=True,
+              database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           shift=st.lists(st.integers(-grid.points, grid.points),
+                          min_size=grid.dim, max_size=grid.dim),
+           c=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                                allow_nan=False, allow_infinity=False),
+           spec=_norm_specs(kind))
+    def check(seed, shift, c, spec):
+        f = smooth_random_field(grid, np.random.default_rng(seed))
+        base = evaluate_norm(f, spec)
+        rolled = Field(grid, np.roll(f.values, shift,
+                                     axis=tuple(range(grid.dim))))
+        assert evaluate_norm(rolled, spec) == pytest.approx(base, rel=1e-12)
+        scaled = evaluate_norm(Field(grid, c * f.values), spec)
+        assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
+
+    check()
