@@ -32,8 +32,7 @@ import numpy as np
 from .exponents import ProblemParams, dual, sigma
 from .grid import Field, gaussian, inner_product, lp_norm
 from .grid import lebesgue_norm  # noqa: F401  perfbench/tests patch it here
-from .nonlinearity import (THETA_NODES, Nonlinearity, PowerNonlinearity,
-                           remainder_K)
+from .nonlinearity import THETA_NODES, PowerNonlinearity, remainder_K
 from .solver import (NonConvergenceError, PicardConfig, TimeGrid,
                      _split_slices, picard_duhamel, smallness_check)
 from .spaces import (NormSpec, ShellQuadrature, sobolev_norm, spacetime_norm,
@@ -407,7 +406,6 @@ class RemainderDecayRow:
 def remainder_decay_experiment(params: ProblemParams,
                                family: PerturbationFamily,
                                cfg: PicardConfig, tg: TimeGrid, *,
-                               remainder_map: Optional[Nonlinearity] = None,
                                theta_nodes: int = THETA_NODES,
                                quad: Optional[ShellQuadrature] = None,
                                threads: int = 1) -> tuple:
@@ -416,20 +414,17 @@ def remainder_decay_experiment(params: ProblemParams,
     Each row solves the perturbed problem, evaluates the remainder
     functional slice by slice against the base solution at the standard
     exponent bundle (p the dual of rho, q = 2, r = rho), and integrates
-    in time at the dual of the metric's time exponent.  remainder_map
-    overrides the map inside the functional only, so the decay can be
-    probed along linear flows where the model map is switched off.
-    With threads > 1 the two gate norms run side by side in one pool,
-    checked before any solve starts; then the base solve and the row
-    solves, and then the remainder evaluations, share that pool.  The
-    slices are split into one contiguous block per thread, and one
-    remainder_K call takes a block: the base slice against every row's
-    slice, for every slice of the block, in one offset loop.  Each value
-    is bitwise that of its own slice's call, and everything is assembled
-    by index, so the output does not depend on the thread count.
+    in time at the dual of the metric's time exponent.  With threads > 1
+    the two gate norms run side by side in one pool, checked before any
+    solve starts; then the base solve and the row solves, and then the
+    remainder evaluations, share that pool.  The slices are split into
+    one contiguous block per thread, and one remainder_K call takes a
+    block: the base slice against every row's slice, for every slice of
+    the block, in one offset loop.  Each value is bitwise that of its own
+    slice's call, and everything is assembled by index, so the output
+    does not depend on the thread count.
     """
     nl = PowerNonlinearity.from_params(params)
-    rmap = nl if remainder_map is None else remainder_map
     s = float(params.regularity)
     gamma, rho = cfg.metric_pair
     time_exponent = dual(gamma)
@@ -443,7 +438,7 @@ def remainder_decay_experiment(params: ProblemParams,
     def block_remainders(block) -> tuple:
         return remainder_K([base_traj.field(m) for m in block],
                            [[traj.field(m) for traj, _ in solved]
-                            for m in block], rmap,
+                            for m in block], nl,
                            s, dual(rho), 2.0, rho, theta_nodes, quad)
 
     with _task_runner(threads) as submit:
@@ -465,7 +460,7 @@ def remainder_decay_experiment(params: ProblemParams,
 
 
 def static_remainder_decay(base: Field, direction: Field, scales,
-                           nl: Nonlinearity, s: float, p: float, q: float,
+                           nl: PowerNonlinearity, s: float, p: float, q: float,
                            r: float, theta_nodes: int = THETA_NODES,
                            quad: Optional[ShellQuadrature] = None) -> tuple:
     """Remainder of base against base + eps * direction, no dynamics."""

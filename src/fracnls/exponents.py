@@ -46,26 +46,12 @@ class ProblemParams:
 
     dimension, regularity, power: N, s, alpha.
     coupling: scalar factor of the power nonlinearity (may be complex).
-    growth_const, growth_coeff: the constants A, B in the derivative
-    envelope |g'(u)| <= A + B |u|^power.  A pure power nonlinearity has
-    growth_const = 0.
     """
 
     dimension: int
     regularity: float
     power: float
     coupling: complex = 1.0
-    growth_const: float = 0.0
-    growth_coeff: float = 1.0
-
-    def to_dict(self) -> dict:
-        coupling = complex(self.coupling)
-        return {"dimension": self.dimension,
-                "regularity": float(self.regularity),
-                "power": float(self.power),
-                "coupling": [coupling.real, coupling.imag],
-                "growth_const": self.growth_const,
-                "growth_coeff": self.growth_coeff}
 
 
 @dataclass(frozen=True)
@@ -109,8 +95,7 @@ def validate(params: ProblemParams) -> str:
     """Check the standing hypotheses; return the criticality class.
 
     Raises HypothesisViolation naming the violated hypothesis:
-    dimension, regularity_range, growth_envelope, power_range, or
-    critical_constant_term.
+    dimension, regularity_range or power_range.
     """
     n = params.dimension
     if n not in (1, 2, 3):
@@ -123,11 +108,6 @@ def validate(params: ProblemParams) -> str:
             "regularity_range",
             f"regularity must lie in (0, min(1, N/2)) = (0, {s_top}), "
             f"got {params.regularity}")
-    if params.growth_const < 0 or params.growth_coeff < 0:
-        raise HypothesisViolation(
-            "growth_envelope",
-            "derivative envelope constants must be nonnegative, got "
-            f"A = {params.growth_const}, B = {params.growth_coeff}")
     a = _exact_power(n, s, params.power)
     a_top = max_power(n, s)
     if not 0 < a <= a_top:
@@ -135,14 +115,7 @@ def validate(params: ProblemParams) -> str:
             "power_range",
             f"power must lie in (0, 4/(N - 2s)] = (0, {float(a_top)!r}], "
             f"got {params.power}")
-    if a == a_top:
-        if params.growth_const != 0:
-            raise HypothesisViolation(
-                "critical_constant_term",
-                "at the maximal power the derivative envelope must vanish "
-                f"at zero (A = 0), got A = {params.growth_const}")
-        return "critical"
-    return "subcritical"
+    return "critical" if a == a_top else "subcritical"
 
 
 def canonical_pair(params: ProblemParams) -> tuple[float, float]:

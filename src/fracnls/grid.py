@@ -17,10 +17,9 @@ Fourier transform (times L^(-N/2)) for well-resolved fields.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,14 +173,6 @@ class Grid:
                               indexing="ij", sparse=True):
             mask &= ok
         return mask
-
-    def sample(self, fn: Callable[..., np.ndarray]) -> "Field":
-        """Build a field by evaluating fn on the open coordinate mesh and
-        broadcasting the result to `shape`."""
-        vals = np.asarray(fn(*self.coordinate_arrays), dtype=complex)
-        with suppress(ValueError):  # Field reports a shape that fails
-            vals = np.broadcast_to(vals, self.shape)
-        return Field(self, vals)
 
 
 @dataclass(frozen=True)

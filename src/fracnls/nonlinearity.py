@@ -1,10 +1,9 @@
 """Pointwise nonlinear maps and their fractional-smoothness differences.
 
-The model map is the power nonlinearity g(u) = coupling |u|^power u;
-general C1 maps enter through sampled callables under the growth envelope
-|g'(u)| <= A + B |u|^power.  The derivative of a C -> C map is carried as
-the pair of its Wirtinger derivatives, and |g'| below always means
-|dz g| + |dzbar g|, which majorizes the Jacobian operator norm.
+The map is the power nonlinearity g(u) = coupling |u|^power u, the one
+the continuity theorem covers.  Its derivative is carried as the pair of
+Wirtinger derivatives, and |g'| below always means |dz g| + |dzbar g|,
+which majorizes the Jacobian operator norm.
 
 Differences g(z1) - g(z2) are reconstructed by integrating the derivative
 pair along the straight segment between the points.  Applying the same
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,14 +63,6 @@ class PowerNonlinearity:
         return cls(coupling=complex(params.coupling),
                    power=float(params.power))
 
-    @property
-    def growth_const(self) -> float:
-        return 0.0
-
-    @property
-    def growth_coeff(self) -> float:
-        return abs(complex(self.coupling)) * (1.0 + self.power)
-
     def g(self, values, out=None):
         """coupling |values|^power values, written into out (a complex
         array of the same shape; a fresh one if None) with one real
@@ -107,83 +98,9 @@ class PowerNonlinearity:
         return np.multiply(scale, out, out=out)
 
 
-@dataclass(frozen=True)
-class GeneralNonlinearity:
-    """C1 map C -> C with g(0) = 0, given by sampled callables.
-
-    gfun, dzfun and dzbarfun evaluate the map and its Wirtinger derivative
-    pair on complex arrays.  growth_const and growth_coeff are the envelope
-    constants A and B in |g'(u)| <= A + B |u|^power; they are stored claims,
-    checked by sampling (`check_growth`), not derived from the callables.
-    """
-
-    gfun: Callable
-    dzfun: Callable
-    dzbarfun: Callable
-    power: float
-    growth_const: float = 0.0
-    growth_coeff: float = 1.0
-
-    def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError(f"power must be positive, got {self.power}")
-        if self.growth_const < 0 or self.growth_coeff < 0:
-            raise ValueError("envelope constants must be nonnegative")
-        origin = np.abs(np.asarray(self.gfun(np.zeros(1, dtype=complex))))
-        if not float(origin[0]) <= 1e-12:
-            raise ValueError("the map must vanish at the origin")
-
-    def g(self, values, out=None):
-        values = np.asarray(values, dtype=complex)
-        if out is None:
-            out = np.empty(values.shape, dtype=complex)
-        out[...] = self.gfun(values)
-        return out
-
-    def dz(self, values, out=None):
-        values = np.asarray(values, dtype=complex)
-        if out is None:
-            out = np.empty(values.shape, dtype=complex)
-        out[...] = self.dzfun(values)
-        return out
-
-    def dzbar(self, values, out=None):
-        values = np.asarray(values, dtype=complex)
-        if out is None:
-            out = np.empty(values.shape, dtype=complex)
-        out[...] = self.dzbarfun(values)
-        return out
-
-    def check_growth(self, samples, slack: float = 1e-12) -> int:
-        """Number of samples where |g'| exceeds the stored envelope."""
-        z = np.asarray(samples, dtype=complex)
-        bound = self.growth_const + self.growth_coeff * np.abs(z) ** self.power
-        return int(np.count_nonzero(
-            derivative_envelope(self, z) > bound * (1.0 + slack)))
-
-
-Nonlinearity = Union[PowerNonlinearity, GeneralNonlinearity]
-
-
-def as_general(nl: Nonlinearity) -> GeneralNonlinearity:
-    """View any nonlinearity through the sampled-callable interface."""
-    if isinstance(nl, GeneralNonlinearity):
-        return nl
-    return GeneralNonlinearity(gfun=nl.g, dzfun=nl.dz, dzbarfun=nl.dzbar,
-                               power=nl.power,
-                               growth_const=nl.growth_const,
-                               growth_coeff=nl.growth_coeff)
-
-
-def apply_g(f: Field, nl: Nonlinearity) -> Field:
+def apply_g(f: Field, nl: PowerNonlinearity) -> Field:
     """Pointwise image of a field under the nonlinearity."""
     return Field(f.grid, nl.g(f.values))
-
-
-def derivative_envelope(nl, values) -> np.ndarray:
-    """|dz g| + |dzbar g| pointwise: the derivative magnitude that the
-    growth hypothesis bounds."""
-    return np.abs(nl.dz(values)) + np.abs(nl.dzbar(values))
 
 
 @lru_cache(maxsize=8)
@@ -257,13 +174,13 @@ THETA_NODES = 32
 
 
 # the rows of one slice go through the remainder integrand in chunks of
-# at most this many theta paths (one row at least), so a map that takes
+# at most this many theta paths (one row at least), so a call that takes
 # many nodes keeps its scratch near the one-row form's
 ROW_SCRATCH_PATHS = 32
 
 
-def _remainder_rows(nl: Nonlinearity, grid, rows: int, theta_nodes: int,
-                    p: float):
+def _remainder_rows(nl: PowerNonlinearity, grid, rows: int,
+                    theta_nodes: int, p: float):
     """fill(stack, incs, out) for a base stack[0] and up to `rows` rows
     stack[1:]: out[j] becomes the L^p norm, at one offset, of the
     remainder integrand of the base against stack[1 + j], where incs[j]
@@ -280,7 +197,7 @@ def _remainder_rows(nl: Nonlinearity, grid, rows: int, theta_nodes: int,
     takes the same operations as the single-pair integrand, so each norm
     is bitwise that of the row on its own."""
     n_theta = theta_nodes
-    if isinstance(nl, PowerNonlinearity) and nl.power % 2 == 0:
+    if nl.power % 2 == 0:
         # for power 2m both derivatives along u + theta inc are polynomials
         # of degree 2m in theta, and m + 1 Gauss nodes are exact to 2m + 1
         n_theta = min(theta_nodes, int(nl.power) // 2 + 1)
@@ -335,8 +252,8 @@ def _remainder_rows(nl: Nonlinearity, grid, rows: int, theta_nodes: int,
 
 def remainder_K(u: Union[Field, Sequence[Field]],
                 v: Union[Field, Sequence[Sequence[Field]]],
-                nl: Nonlinearity, s: float, p: float, q: float, r: float,
-                theta_nodes: int = THETA_NODES,
+                nl: PowerNonlinearity, s: float, p: float, q: float,
+                r: float, theta_nodes: int = THETA_NODES,
                 quad: Optional[ShellQuadrature] = None
                 ) -> Union[float, tuple]:
     """Lower-order remainder of the Besov difference bound.
@@ -358,8 +275,8 @@ def remainder_K(u: Union[Field, Sequence[Field]],
     single-pair call's bit for bit.
 
     theta_nodes is the Gauss-Legendre node count of the segment average;
-    for the power map with an even integer power 2m it is an upper bound,
-    since m + 1 nodes already integrate that map's derivatives exactly."""
+    for an even integer power 2m it is an upper bound, since m + 1 nodes
+    already integrate the map's derivatives exactly."""
     single = isinstance(u, Field)
     if single != isinstance(v, Field):
         raise TypeError("u and v must both be Fields or both sequences")
@@ -413,18 +330,18 @@ class DifferenceReport:
     lhs is the smoothness norm of g(v) - g(u) at integrability p; the
     bound's shape is C * lipschitz_term + k_term with a single calibrated
     constant C (the coupling and derivative constants are absorbed by C).
-    refined_term carries the sharper power-map right-hand side when it
-    applies, without its own constant.
+    refined_term carries the sharper power-map right-hand side, without
+    its own constant.
     """
 
     lhs: float
     lipschitz_term: float
     k_term: float
     sigma: float
-    refined_term: Optional[float] = None
+    refined_term: float
 
 
-def besov_difference_report(u: Field, v: Field, nl: Nonlinearity,
+def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
                             exps: DifferenceExponents,
                             theta_nodes: int = THETA_NODES,
                             quad: Optional[ShellQuadrature] = None
@@ -436,44 +353,39 @@ def besov_difference_report(u: Field, v: Field, nl: Nonlinearity,
         k_term         = the remainder functional.
 
     All smoothness norms are finite-difference norms sharing one offset
-    quadrature, so the three numbers are directly comparable.  For the
-    power map the refined right-hand side is evaluated too: the extra
-    term is ||u|| at (s, r, q) times ||v - u||_sigma^power for power <= 1,
-    and times (||u||_sigma^(power-1) + ||v||_sigma^(power-1)) ||v - u||_sigma
-    for power >= 1."""
+    quadrature, so the three numbers are directly comparable.  The
+    refined right-hand side is evaluated too: the extra term is ||u|| at
+    (s, r, q) times ||v - u||_sigma^power for power <= 1, and times
+    (||u||_sigma^(power-1) + ||v||_sigma^(power-1)) ||v - u||_sigma for
+    power >= 1."""
     sigma = exps.sigma(nl.power)
     grid = u.grid
     image_gap = apply_g(v, nl) - apply_g(u, nl)
     gap = v - u
     offsets, kernel = fd_quadrature(grid, quad, exps.s, exps.q)
     fill = _remainder_rows(nl, grid, 1, theta_nodes, exps.p)
-    power_map = isinstance(nl, PowerNonlinearity)
     # one offset loop: row 0 of norms is the remainder of u against v,
     # then the difference norms of g(v) - g(u) at p and of v - u at r,
-    # and for the power map's refined term that of u at r
+    # and for the refined term that of u at r
     stack = [u.values, v.values, image_gap.values, gap.values]
-    norms = np.empty((3 + power_map, len(offsets)))
+    norms = np.empty((4, len(offsets)))
     cell = grid.cell_volume
     for i, _, incs in translation_increments([stack], grid, offsets):
         fill(stack[:2], incs, norms[:1, i])
         norms[1, i] = lp_norm(incs[2], exps.p, cell)
         norms[2, i] = lp_norm(incs[3], exps.r, cell)
-        if power_map:
-            norms[3, i] = lp_norm(incs[0], exps.r, cell)
-    k_term, lhs, gap_smooth = (peak_factored_norm(row, exps.q, kernel)
-                               for row in norms[:3])
+        norms[3, i] = lp_norm(incs[0], exps.r, cell)
+    k_term, lhs, gap_smooth, u_smooth = (
+        peak_factored_norm(row, exps.q, kernel) for row in norms)
     v_sigma = lebesgue_norm(v, sigma)
     lipschitz_term = v_sigma ** nl.power * gap_smooth
-    refined = None
-    if power_map:
-        u_smooth = peak_factored_norm(norms[3], exps.q, kernel)
-        gap_sigma = lebesgue_norm(gap, sigma)
-        if nl.power <= 1.0:
-            extra = u_smooth * gap_sigma ** nl.power
-        else:
-            u_sigma = lebesgue_norm(u, sigma)
-            extra = u_smooth * (u_sigma ** (nl.power - 1.0)
-                                + v_sigma ** (nl.power - 1.0)) * gap_sigma
-        refined = lipschitz_term + extra
+    gap_sigma = lebesgue_norm(gap, sigma)
+    if nl.power <= 1.0:
+        extra = u_smooth * gap_sigma ** nl.power
+    else:
+        u_sigma = lebesgue_norm(u, sigma)
+        extra = u_smooth * (u_sigma ** (nl.power - 1.0)
+                            + v_sigma ** (nl.power - 1.0)) * gap_sigma
     return DifferenceReport(lhs=lhs, lipschitz_term=lipschitz_term,
-                            k_term=k_term, sigma=sigma, refined_term=refined)
+                            k_term=k_term, sigma=sigma,
+                            refined_term=lipschitz_term + extra)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exponents import is_admissible
 from .grid import Field, Grid, magnitude_lp_norm
-from .nonlinearity import Nonlinearity, PowerNonlinearity
+from .nonlinearity import PowerNonlinearity
 from .spaces import NormSpec, spacetime_norm, trapezoid_norm
 
 __all__ = [
@@ -235,7 +235,7 @@ def _row_blocks(shape: tuple) -> list:
     return [slice(i, min(i + rows, shape[0])) for i in range(0, shape[0], rows)]
 
 
-def picard_duhamel(phi: Field, nl: Nonlinearity, tg: TimeGrid,
+def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                    cfg: PicardConfig):
     """Fixed point of the integral form, iterated from the free evolution.
 
@@ -421,8 +421,6 @@ def split_step(phi: Field, nl: PowerNonlinearity, horizon: float,
     unitary, so the L^2 norm is conserved to rounding.  The stack holds
     the slices of `_split_slices`, which callers may stream instead.
     """
-    if not isinstance(nl, PowerNonlinearity):
-        raise TypeError("the closed-form substep needs the pure power map")
     if not horizon > 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if not dt > 0:

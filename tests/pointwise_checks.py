@@ -1,6 +1,7 @@
 """Scalar views of the nonlinearity used by the tests: the derivative
-pair at one point, the segment-integral identity behind the remainder
-functional, and both pointwise power inequalities at one pair."""
+pair at one point and its magnitude, the segment-integral identity behind
+the remainder functional, and both pointwise power inequalities at one
+pair."""
 
 from __future__ import annotations
 
@@ -8,17 +9,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracnls.nonlinearity import (Nonlinearity, _gauss_unit,
+from fracnls.nonlinearity import (PowerNonlinearity, _gauss_unit,
                                   _pointwise_sides)
 
 
-def wirtinger(z: complex, nl: Nonlinearity) -> tuple[complex, complex]:
+def wirtinger(z: complex, nl: PowerNonlinearity) -> tuple[complex, complex]:
     """Derivative pair (dz g, dzbar g) at one point."""
     arr = np.asarray(z, dtype=complex).reshape(-1)
     return complex(nl.dz(arr)[0]), complex(nl.dzbar(arr)[0])
 
 
-def difference_identity_residual(z1: complex, z2: complex, nl: Nonlinearity,
+def derivative_envelope(nl: PowerNonlinearity, values) -> np.ndarray:
+    """|dz g| + |dzbar g| pointwise: the derivative magnitude |g'|."""
+    return np.abs(nl.dz(values)) + np.abs(nl.dzbar(values))
+
+
+def difference_identity_residual(z1: complex, z2: complex,
+                                 nl: PowerNonlinearity,
                                  n_theta: int = 64) -> float:
     """Residual of the segment-integral reconstruction of g(z1) - g(z2):
 

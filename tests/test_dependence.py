@@ -538,19 +538,6 @@ def test_remainder_decay_along_solved_trajectories(direction):
     assert values[-1] < 0.05 * values[0]
 
 
-def test_remainder_decay_on_linear_flow(direction):
-    # the flow is free; the functional still sees the model map
-    fam = PerturbationFamily(BASE, direction, 0.01, 6, 0.4)
-    rows = remainder_decay_experiment(FREE, fam, _config(),
-                                      TimeGrid(0.25, 8),
-                                      remainder_map=CUBIC, theta_nodes=16,
-                                      quad=LIGHT_QUAD)
-    values = [row.integrated for row in rows]
-    assert all(v > 0 for v in values)
-    assert all(b < a for a, b in zip(values, values[1:]))
-    assert values[-1] < 0.05 * values[0]
-
-
 def test_static_remainder_decay(direction):
     base = gaussian(GRID, 1.0, 2.0)
     scales = [0.5 * 2.0 ** -k for k in range(9)]

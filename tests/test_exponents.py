@@ -41,7 +41,7 @@ def _random_valid_tuple(rng, force_critical=False):
 def test_validate_subcritical_and_critical():
     assert validate(ProblemParams(2, 0.5, 2.0)) == "subcritical"
     # N=3, s=1/2: maximal power 4/(3-1) = 2 exactly
-    assert validate(ProblemParams(3, 0.5, 2.0, growth_const=0.0)) == "critical"
+    assert validate(ProblemParams(3, 0.5, 2.0)) == "critical"
 
 
 def test_validate_rejects_bad_dimension():
@@ -65,18 +65,6 @@ def test_validate_rejects_power_out_of_range():
     assert err.value.hypothesis == "power_range"
     with pytest.raises(HypothesisViolation):
         validate(ProblemParams(2, 0.5, 0.0))
-
-
-def test_validate_rejects_negative_growth_constants():
-    with pytest.raises(HypothesisViolation) as err:
-        validate(ProblemParams(2, 0.5, 2.0, growth_const=-1.0))
-    assert err.value.hypothesis == "growth_envelope"
-
-
-def test_validate_critical_needs_vanishing_constant_term():
-    with pytest.raises(HypothesisViolation) as err:
-        validate(ProblemParams(3, 0.5, 2.0, growth_const=0.5))
-    assert err.value.hypothesis == "critical_constant_term"
 
 
 def test_validate_snaps_float_rounded_maximal_power():

@@ -141,15 +141,6 @@ def test_plane_wave_spreads_one_integer_mode(dim):
         plane_wave(grid, [1] * (dim + 1))
 
 
-def test_sample_broadcasts_to_the_grid_shape():
-    grid = Grid(2, 32, 16.0)
-    f = grid.sample(lambda x, y: np.exp(-x ** 2))
-    assert f.values.shape == grid.shape
-    assert np.all(f.values == np.exp(-grid.axis_coordinates ** 2)[:, None])
-    with pytest.raises(ValueError, match="does not match grid shape"):
-        grid.sample(lambda x, y: np.ones(5))
-
-
 # ---------------------------------------------------------------- transforms
 
 def test_zero_field_zero_spectrum(line_grid):

@@ -7,20 +7,16 @@ import fracnls.nonlinearity
 from fracnls.grid import Field, Grid, gaussian, lebesgue_norm, lp_norm
 from fracnls.nonlinearity import (
     DifferenceExponents,
-    GeneralNonlinearity,
     THETA_NODES,
     PowerNonlinearity,
     apply_g,
-    as_general,
     besov_difference_report,
     count_pointwise_violations,
-    derivative_envelope,
     remainder_K,
 )
 from fracnls.spaces import (NormSpec, ShellQuadrature, besov_norm_fd,
-                            fd_quadrature, peak_factored_norm,
-                            translation_increments)
-from pointwise_checks import (check_pointwise_power,
+                            fd_quadrature, peak_factored_norm)
+from pointwise_checks import (check_pointwise_power, derivative_envelope,
                               difference_identity_residual, wirtinger)
 
 CUBIC = PowerNonlinearity(coupling=1.0, power=2.0)
@@ -28,15 +24,6 @@ CUBIC = PowerNonlinearity(coupling=1.0, power=2.0)
 
 def _scalar_g(nl, z):
     return complex(nl.g(np.asarray(z, dtype=complex).reshape(-1))[0])
-
-
-def _cubic_plus_linear():
-    """g(z) = z + |z|^2 z with its exact derivative pair and envelope."""
-    return GeneralNonlinearity(
-        gfun=lambda z: z * (1.0 + np.abs(z) ** 2),
-        dzfun=lambda z: 1.0 + 2.0 * np.abs(z) ** 2 + 0.0j,
-        dzbarfun=lambda z: z * z,
-        power=2.0, growth_const=1.0, growth_coeff=3.0)
 
 
 # ------------------------------------------------------------------- apply_g
@@ -80,16 +67,6 @@ def test_power_g_into_buffer_is_bitwise_the_allocating_form(alpha, coupling,
                               reference.view(np.uint64))
         assert np.array_equal(nl.g(values).view(np.uint64),
                               reference.view(np.uint64))
-
-
-def test_general_g_into_buffer(rng):
-    nl = _cubic_plus_linear()
-    values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    reference = np.asarray(nl.gfun(values), dtype=complex)
-    out = np.empty_like(values)
-    assert nl.g(values, out=out) is out
-    assert np.array_equal(out, reference)
-    assert np.array_equal(nl.g(values), reference)
 
 
 # ----------------------------------------------------------------- wirtinger
@@ -140,35 +117,6 @@ def test_dzbar_closed_form(alpha, rng):
     assert np.all(np.abs(measured - expected) <= 1e-15 * np.abs(expected))
     at_origin = nl.dzbar(np.array([0.0, 1.0, 0.0], dtype=complex))
     assert at_origin[0] == 0.0 and at_origin[2] == 0.0
-
-
-# -------------------------------------------------------------- general maps
-
-def test_general_rejects_nonvanishing_origin():
-    with pytest.raises(ValueError, match="origin"):
-        GeneralNonlinearity(gfun=lambda z: z + 1.0,
-                            dzfun=lambda z: np.ones_like(z),
-                            dzbarfun=lambda z: np.zeros_like(z),
-                            power=1.0)
-
-
-def test_general_growth_check(rng):
-    nl = _cubic_plus_linear()
-    z = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
-    assert nl.check_growth(z) == 0
-    understated = GeneralNonlinearity(
-        gfun=nl.gfun, dzfun=nl.dzfun, dzbarfun=nl.dzbarfun,
-        power=2.0, growth_const=1.0, growth_coeff=2.5)
-    assert understated.check_growth(z) > 0
-
-
-def test_as_general_wraps_power(rng):
-    nl = PowerNonlinearity(coupling=1.0 - 1.0j, power=2.5)
-    wrapped = as_general(nl)
-    z = rng.normal(size=50) + 1j * rng.normal(size=50)
-    assert np.allclose(wrapped.g(z), nl.g(z), rtol=1e-15)
-    assert wrapped.growth_const == 0.0
-    assert wrapped.check_growth(z) == 0
 
 
 # --------------------------------------------------------- segment identity
@@ -292,9 +240,8 @@ def test_remainder_positive_off_diagonal(bump_pair):
 
 
 @pytest.mark.parametrize(
-    "nl", [CUBIC, as_general(CUBIC),
-           PowerNonlinearity(coupling=0.7 - 0.3j, power=1.5)],
-    ids=["power", "general", "fractional"])
+    "nl", [CUBIC, PowerNonlinearity(coupling=0.7 - 0.3j, power=1.5)],
+    ids=["power", "fractional"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_remainder_batch_matches_single_calls(dim, nl):
     grid = Grid(dim, 64 if dim == 1 else 16, 16.0)
@@ -313,17 +260,17 @@ def test_remainder_batch_matches_single_calls(dim, nl):
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_remainder_exact_nodes_match_full_quadrature(dim, alpha, coupling):
-    # the power map takes m + 1 of the 16 nodes; the general view of the
-    # same map takes all 16
+    # the power map takes m + 1 of the 16 nodes; the row-wise reference
+    # takes all 16
     grid = Grid(dim, {1: 64, 2: 16, 3: 8}[dim], 16.0)
     u = gaussian(grid, amplitude=1.0, width=2.0)
     bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
     others = [u + (2.0 ** -k) * bump for k in range(4)]
     nl = PowerNonlinearity(coupling=coupling, power=alpha)
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=16,
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0,
                   quad=ShellQuadrature(shells=6))
-    (exact,) = remainder_K([u], [others], nl, **kwargs)
-    (full,) = remainder_K([u], [others], as_general(nl), **kwargs)
+    (exact,) = remainder_K([u], [others], nl, theta_nodes=16, **kwargs)
+    full = _rowwise_remainder(u, others, nl, n_theta=16, **kwargs)
     assert all(value > 0.0 for value in full)
     assert np.allclose(exact, full, rtol=1e-13, atol=0.0)
 
@@ -389,15 +336,14 @@ def test_remainder_theta_sum_matches_matmul(dim):
             assert np.allclose(values, ref, rtol=1e-15, atol=0.0)
 
 
-# (map, theta nodes it takes of 8): the power map at alpha = 2m takes
-# m + 1, any other map all 8
+# (map, theta nodes it takes of 8): alpha = 2m takes m + 1, any other
+# power all 8
 ENGINE_MAPS = {
     "alpha2-real": (PowerNonlinearity(1.0, 2.0), 2),
     "alpha2-complex": (PowerNonlinearity(0.7 - 0.3j, 2.0), 2),
     "alpha4-real": (PowerNonlinearity(1.0, 4.0), 3),
     "alpha4-complex": (PowerNonlinearity(0.7 - 0.3j, 4.0), 3),
     "alpha1.5": (PowerNonlinearity(0.7 - 0.3j, 1.5), 8),
-    "general": (as_general(PowerNonlinearity(0.7 - 0.3j, 2.0)), 8),
 }
 ENGINE_KW = dict(s=0.5, p=2.0, q=2.0, r=6.0,
                  quad=ShellQuadrature(shells=4, angles=6))
@@ -445,7 +391,7 @@ def test_remainder_all_slices_match_single_calls(dim, case):
 
 
 @pytest.mark.parametrize("case, theta_nodes, count", [
-    ("alpha2-complex", 8, 20), ("alpha1.5", 32, 3), ("general", 16, 5)])
+    ("alpha2-complex", 8, 20), ("alpha1.5", 32, 3), ("alpha1.5", 16, 5)])
 def test_remainder_row_chunks_bitwise_the_rowwise_form(case, theta_nodes,
                                                        count):
     # more rows than one chunk of 32 theta paths holds: 20 rows at 2 nodes
@@ -499,10 +445,7 @@ def _node_counts(monkeypatch, nl, theta_nodes):
     (PowerNonlinearity(power=1.0), 16),
     (PowerNonlinearity(power=4.0 / 3.0), 16),
     (PowerNonlinearity(power=3.0), 16),
-    (as_general(CUBIC), 16),
-    (_cubic_plus_linear(), 16),
-], ids=["alpha2", "alpha4", "alpha1", "alpha4/3", "alpha3", "general_view",
-        "general"])
+], ids=["alpha2", "alpha4", "alpha1", "alpha4/3", "alpha3"])
 def test_remainder_node_count(monkeypatch, nl, expected):
     assert _node_counts(monkeypatch, nl, 16) == [expected]
 
@@ -617,14 +560,6 @@ def test_difference_report_lipschitz_ratio_bounded(line_grid):
     assert second <= 1.25 * first
 
 
-def test_difference_report_general_map_has_no_refinement(bump_pair):
-    u, v = bump_pair
-    exps = DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0)
-    report = besov_difference_report(u, v, _cubic_plus_linear(), exps)
-    assert report.refined_term is None
-    assert report.lhs > 0.0
-
-
 def _report_from_single_calls(u, v, nl, exps, theta_nodes, quad):
     """besov_difference_report as it was written: each norm by its own
     single-field call, each with its own offset loop."""
@@ -638,23 +573,19 @@ def _report_from_single_calls(u, v, nl, exps, theta_nodes, quad):
     lipschitz = v_sigma ** nl.power * besov_norm_fd(v - u, spec_r, quad)
     k_term = remainder_K(u, v, nl, exps.s, exps.p, exps.q, exps.r,
                          theta_nodes=theta_nodes, quad=quad)
-    refined = None
-    if isinstance(nl, PowerNonlinearity):
-        u_smooth = besov_norm_fd(u, spec_r, quad)
-        gap_sigma = lebesgue_norm(v - u, sigma)
-        if nl.power <= 1.0:
-            extra = u_smooth * gap_sigma ** nl.power
-        else:
-            u_sigma = lebesgue_norm(u, sigma)
-            extra = u_smooth * (u_sigma ** (nl.power - 1.0)
-                                + v_sigma ** (nl.power - 1.0)) * gap_sigma
-        refined = lipschitz + extra
-    return (lhs, lipschitz, k_term, sigma, refined)
+    u_smooth = besov_norm_fd(u, spec_r, quad)
+    gap_sigma = lebesgue_norm(v - u, sigma)
+    if nl.power <= 1.0:
+        extra = u_smooth * gap_sigma ** nl.power
+    else:
+        u_sigma = lebesgue_norm(u, sigma)
+        extra = u_smooth * (u_sigma ** (nl.power - 1.0)
+                            + v_sigma ** (nl.power - 1.0)) * gap_sigma
+    return (lhs, lipschitz, k_term, sigma, lipschitz + extra)
 
 
-@pytest.mark.parametrize("nl", [CUBIC, PowerNonlinearity(0.7 - 0.3j, 0.5),
-                                _cubic_plus_linear()],
-                         ids=["cubic", "alpha0.5", "general"])
+@pytest.mark.parametrize("nl", [CUBIC, PowerNonlinearity(0.7 - 0.3j, 0.5)],
+                         ids=["cubic", "alpha0.5"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_difference_report_is_its_single_calls(dim, nl):
     u, (v,) = _engine_fields(dim, 1)

@@ -5,10 +5,9 @@ import pytest
 
 from fracnls import spaces
 from fracnls.exponents import ProblemParams, canonical_pair
-from fracnls.grid import (Grid, free_propagate, gaussian, lebesgue_norm,
+from fracnls.grid import (Field, Grid, free_propagate, gaussian, lebesgue_norm,
                           lp_norm, plane_wave)
-from fracnls.nonlinearity import (GeneralNonlinearity, PowerNonlinearity,
-                                  as_general)
+from fracnls.nonlinearity import PowerNonlinearity
 from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
                             TimeGrid, Trajectory, _phase_table, _power_substep,
                             _split_slices, picard_duhamel, smallness_check,
@@ -221,31 +220,6 @@ def test_picard_matches_split_step_oracle():
     sup = max(lebesgue_norm(traj.field(m) - oracle.field(m), 2.0)
               for m in range(501))
     assert sup < 1e-5
-
-
-def test_picard_general_map_accepted():
-    # the sweep only needs g pointwise, not the power structure
-    grid = Grid(1, 128, 32.0)
-    nl = GeneralNonlinearity(
-        gfun=lambda z: z * np.abs(z) ** 2 / (1.0 + np.abs(z) ** 2),
-        dzfun=lambda z: (np.abs(z) ** 4 + 2 * np.abs(z) ** 2)
-        / (1.0 + np.abs(z) ** 2) ** 2 + 0.0j,
-        dzbarfun=lambda z: z ** 2 / (1.0 + np.abs(z) ** 2) ** 2,
-        power=2.0, growth_const=1.0, growth_coeff=3.0)
-    phi = gaussian(grid, 0.3, 2.0)
-    traj, report = picard_duhamel(phi, nl, TimeGrid(0.5, 128), _config())
-    assert report.converged
-    assert len(traj.values) == 129
-
-
-def test_picard_general_view_matches_power_map(line_grid):
-    # g is applied slice by slice; the callable view must see the same slices
-    phi = gaussian(line_grid, 0.3, 2.0)
-    tg = TimeGrid(0.5, 64)
-    ref, ref_report = picard_duhamel(phi, CUBIC, tg, _config())
-    traj, report = picard_duhamel(phi, as_general(CUBIC), tg, _config())
-    assert report.iterations == ref_report.iterations
-    assert np.abs(traj.values - ref.values).max() < 1e-14
 
 
 def test_picard_peak_memory_one_stack():
@@ -517,15 +491,6 @@ def test_split_step_pumping_coupling_blows_up():
     assert err.value.time == pytest.approx(0.005)
 
 
-def test_split_step_rejects_general_map():
-    grid = Grid(1, 128, 32.0)
-    nl = GeneralNonlinearity(gfun=lambda z: 0.0 * z,
-                             dzfun=lambda z: 0.0 * z,
-                             dzbarfun=lambda z: 0.0 * z, power=1.0)
-    with pytest.raises(TypeError, match="power map"):
-        split_step(gaussian(grid, 1.0, 2.0), nl, 1.0, 0.1)
-
-
 def test_split_step_rounds_slice_count():
     grid = Grid(1, 128, 32.0)
     traj = split_step(gaussian(grid, 0.1, 2.0), CUBIC, 1.0, 0.3)
@@ -593,7 +558,7 @@ def test_split_step_streamed_and_stacked_bitwise(dim, points, coupling,
 
 
 def test_smallness_zero_datum(line_grid):
-    zero = line_grid.sample(lambda x: np.zeros_like(x))
+    zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
     assert smallness_check(zero, TimeGrid(1.0, 16), _config(), PARAMS) == 0.0
 
 

@@ -501,3 +501,30 @@ def test_property_norm_lattice_roll_and_homogeneity(grid, kind):
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
     check()
+
+
+@pytest.mark.parametrize("grid", NORM_PROPERTY_GRIDS,
+                         ids=lambda g: f"{g.dim}d{g.points}")
+def test_property_fd_to_lp_ratio_spread(grid):
+    # criterion 2's spread bound on the two Besov norms at s = 1/2,
+    # p = q = 2, over Gaussians of drawn width, centre and amplitude
+    lp_spec = NormSpec("besov_lp", s=0.5, p=2.0, q=2.0, homogeneous=True)
+    fd_spec = NormSpec("besov_fd", s=0.5, p=2.0, q=2.0)
+    bump = st.tuples(
+        st.floats(1.0, 4.0),
+        st.lists(st.floats(0.0, grid.period), min_size=grid.dim,
+                 max_size=grid.dim),
+        st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                           allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=5, deadline=None, derandomize=True,
+              database=None)
+    @given(bumps=st.lists(bump, min_size=2, max_size=5))
+    def check(bumps):
+        fields = [gaussian(grid, amplitude, width, center)
+                  for width, center, amplitude in bumps]
+        ratios = [besov_norm_fd(f, fd_spec) / besov_norm_lp(f, lp_spec)
+                  for f in fields]
+        assert max(ratios) / min(ratios) < 1.5
+
+    check()
