@@ -139,9 +139,12 @@ class Grid:
 
         A multiplier f(|k|^2) is f(levels)[index], bitwise, as every mesh
         point gets the same operation on the same value.  The index is in
-        range by construction, so a gather into a buffer may use
-        np.take(..., mode="wrap"); the default bounds check makes it four
-        times slower."""
+        range by construction, so a gather may use np.take(..., mode=
+        "wrap"), four times faster than with the bounds check.  It stays
+        intp though 4051 levels (3D 64^3) fit in 16 bits: np.take copies
+        a narrower index to intp (2 MiB per whole-mesh gather at 64^3),
+        and on a 2-core Xeon VM row-block gathers of a 64^3 mesh took
+        0.62 ms through uint16 against 0.52 ms through intp."""
         k2 = _mesh_sum(self.shape, (k ** 2 for k in self.wavenumber_arrays))
         levels, index = np.unique(k2, return_inverse=True)
         index = index.reshape(self.shape).astype(np.intp, copy=False)

@@ -137,32 +137,33 @@ class Trajectory:
         return Field._view(self.grid, self.values[m])
 
 
-def _phase_table(tg: TimeGrid, grid: Grid, unit: complex) -> np.ndarray:
-    """exp(unit t_m level) for every slice time t_m and |k|^2 level.
-
-    Row m gathered through grid.wavenumber_levels is bitwise
-    exp(unit t_m |k|^2) on the mesh, at the cost of one exponential per
-    distinct level instead of one per mesh point."""
-    return np.exp(unit * tg.times[:, None] * grid.wavenumber_levels[0])
+def _phase_row(unit: complex, t: float, levels: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """exp(unit t level) for every |k|^2 level, into out.  Gathered
+    through grid.wavenumber_levels, it is bitwise exp(unit t |k|^2) on
+    the mesh (unit t is exact for unit = +-1j, t level rounded once), at
+    one exponential per distinct level instead of one per mesh point."""
+    return np.exp(np.multiply(unit * t, levels, out=out), out=out)
 
 
 def _free_slices(phi: Field, tg: TimeGrid):
     """Yield the slices of e^{itLap} phi at t_0, ..., t_slices, read-only.
 
     Slice 0 is the datum itself; slice m is ifftn(exp(-i t_m |k|^2)
-    fftn(phi)), computed in place in one slice buffer that the next
-    slice overwrites, so a consumer is done with a slice before it asks
-    for the next one."""
+    fftn(phi)), with the phase row of t_m alone, computed in place in
+    one slice buffer that the next slice overwrites, so a consumer is
+    done with a slice before it asks for the next one."""
     grid = phi.grid
-    phases = _phase_table(tg, grid, -1j)
-    index = grid.wavenumber_levels[1]
+    levels, index = grid.wavenumber_levels
+    row = np.empty(levels.shape, dtype=complex)
     phihat = np.fft.fftn(phi.values)
     yield phi.values
     buf = np.empty(grid.shape, dtype=complex)
     view = buf.view()
     view.setflags(write=False)
     for m in range(1, tg.slices + 1):
-        np.take(phases[m], index, out=buf, mode="wrap")
+        np.take(_phase_row(-1j, tg.times[m], levels, row), index, out=buf,
+                mode="wrap")
         buf *= phihat
         np.fft.ifftn(buf, out=buf)
         yield view
@@ -246,19 +247,18 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     two-thirds rule is applied to g(u^k) to keep the quadratic and
     higher interactions from aliasing back into the resolved band.
     The map is causal: slice m of the new iterate reads the old one at
-    slices 0..m only.  So a sweep overwrites one trajectory stack in
-    place, slice by slice, once it has read the old slice.  The
-    elementwise work on a slice runs over axis-0 row blocks of at most
-    _BLOCK_BYTES, and the new slice is built in place in the integrand's
-    slice, so beside the stack a sweep holds phihat, three scratch
-    slices (the integrand, the running sum and its first half term), one
-    row block, the float magnitudes of the increment, the |k|^2 level
-    index (half a slice) and a table of the phases exp(i t_m |k|^2) over
-    the distinct values of |k|^2.  The first iterate is built before the
-    running sum and its half term exist.  The solve drops its reference
-    to phi once slice 0 and phihat are taken, so a caller that passes
-    the datum without keeping it holds no datum during the sweeps.  The
-    stack is handed to the returned trajectory without a copy.
+    slices 0..m only, so a sweep overwrites one trajectory stack in
+    place.  The new slice is built in the integrand's slice, over axis-0
+    row blocks of at most _BLOCK_BYTES; each block is copied into the
+    stack, and the increment's magnitudes go over the integrand's bytes.
+    Beside the stack a sweep holds phihat, three scratch slices (the
+    integrand, the running sum and its first half term), one row block,
+    the |k|^2 level index (half a slice) and the slice's phases
+    exp(+-i t_m |k|^2) on the |k|^2 levels.  The first iterate is built
+    before the running sum and its half term exist, and phi is dropped
+    once slice 0 and phihat are taken, so a caller that does not keep
+    the datum holds none during the sweeps.  The stack is handed to the
+    returned trajectory without a copy.
 
     Returns (trajectory, report).  Raises NonConvergenceError when
     max_iter sweeps do not reach the relative tolerance (the usual cause
@@ -271,11 +271,8 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
         raise ValueError(
             f"metric pair {cfg.metric_pair} is not admissible in "
             f"dimension {grid.dim}")
-    # np.take(row, index, out=..., mode="wrap") puts a table row on the
-    # mesh: bitwise exp(i t_m k^2) from unwind[m], and the rewind phase
-    # from conj(unwind[m])
-    unwind = _phase_table(tg, grid, 1j)
-    index = grid.wavenumber_levels[1]
+    levels, index = grid.wavenumber_levels
+    unwind, rewind = np.empty((2,) + levels.shape, dtype=complex)
     keep = grid.dealias_mask
     phihat = np.fft.fftn(phi.values)
     ghat = np.empty(grid.shape, dtype=complex)
@@ -289,23 +286,24 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     # 256 KiB and up numpy evaluates this product in its temporary, as
     # conj * phihat; the expression stays as it is to keep those bits
     for m in range(1, tg.slices + 1):
-        np.fft.ifftn(phihat * np.conj(np.take(unwind[m], index, out=ghat,
+        _phase_row(1j, tg.times[m], levels, unwind)
+        np.fft.ifftn(phihat * np.conj(np.take(unwind, index, out=ghat,
                                               mode="wrap")), out=u[m])
     # each block is written in place, in the operand order of
-    #   new = ifftn(conj(unwind[m])
-    #               * (phihat + 1j dt (running - half0 - integrand / 2)))
-    # with the integrand in ghat and the bracket in the block buffer,
-    # whose product with the rewind phase lands in ghat
+    #   new = ifftn(rewind * (phihat + 1j dt (running - half0 - g / 2)))
+    # with the integrand g in ghat and the bracket in the block buffer,
+    # whose product with the rewind phase, conj(unwind), lands in ghat
     running = np.empty(grid.shape, dtype=complex)
     half0 = np.empty(grid.shape, dtype=complex)
     blocks = _row_blocks(grid.shape)
     buf = np.empty((blocks[0].stop,) + grid.shape[1:], dtype=complex)
     blocks = [(b, buf[:b.stop - b.start]) for b in blocks]
-    gap = np.empty(grid.shape)
+    # the increment's magnitudes, over the first half of ghat's bytes:
+    # float rows [start, stop) lie in complex rows [start/2, stop/2),
+    # copied into u[m] by then, as the blocks run in ascending order
+    mags = ghat.reshape(-1).view(float)[:grid.size].reshape(grid.shape)
     cell = grid.cell_volume
     distances = []
-    first = None
-    converged = False
     for _ in range(cfg.max_iter):
         gaps = [0.0]  # slice 0 is the datum in both iterates
         # divergence raises per slice below, not warned about mid-sweep
@@ -314,11 +312,12 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                 for b, _ in blocks:
                     nl.g(u[m][b], out=ghat[b])
                 np.fft.fftn(ghat, out=ghat)
-                rewind = np.conj(unwind[m])
+                _phase_row(1j, tg.times[m], levels, unwind)
+                np.conj(unwind, out=rewind)
                 for b, a in blocks:
                     g = ghat[b]
                     g *= keep[b]
-                    np.multiply(np.take(unwind[m], index[b], out=a,
+                    np.multiply(np.take(unwind, index[b], out=a,
                                         mode="wrap"), g, out=g)
                     if m == 0:
                         continue
@@ -341,15 +340,13 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                         "fixed-point iterate overflowed; the datum or "
                         "horizon is outside the contraction regime")
                 for b, a in blocks:
-                    np.abs(np.subtract(ghat[b], u[m][b], out=a), out=gap[b])
-                gaps.append(magnitude_lp_norm(gap, rho, cell))
-                u[m] = ghat
-        dist = trapezoid_norm(gaps, tg.dt, gamma)
-        distances.append(dist)
-        if first is None:
-            first = dist
-        if dist <= cfg.tol * max(1.0, first):
-            converged = True
+                    np.subtract(ghat[b], u[m][b], out=a)
+                    u[m][b] = ghat[b]
+                    np.abs(a, out=mags[b])
+                gaps.append(magnitude_lp_norm(mags, rho, cell))
+        distances.append(trapezoid_norm(gaps, tg.dt, gamma))
+        converged = distances[-1] <= cfg.tol * max(1.0, distances[0])
+        if converged:
             break
     report = IterationReport(tuple(distances), converged)
     trajectory = Trajectory._adopt(tg, grid, u)

@@ -9,7 +9,7 @@ from fracnls.grid import (Field, Grid, free_propagate, gaussian, lebesgue_norm,
                           lp_norm, plane_wave)
 from fracnls.nonlinearity import PowerNonlinearity
 from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
-                            TimeGrid, Trajectory, _phase_table, _power_substep,
+                            TimeGrid, Trajectory, _phase_row, _power_substep,
                             _split_slices, picard_duhamel, smallness_check,
                             split_step)
 from fracnls.spaces import (NormSpec, besov_norm_lp, sobolev_norm,
@@ -113,17 +113,22 @@ def test_free_trajectory_matches_pointwise_propagator(line_grid):
         assert np.abs(traj.field(m).values - ref.values).max() < 1e-13
 
 
-@pytest.mark.parametrize("dim, points", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("dim, points",
+                         [(1, 64), (2, 32), (3, 16), (2, 128), (3, 32)])
 def test_phase_table_gathers_the_mesh_phases(dim, points):
+    # each slice's phase row over the |k|^2 levels, built alone, gathers
+    # to the mesh phase bit for bit; 2D 128^2 and 3D 32^3 slices reach
+    # numpy's 256 KiB temporary-elision size
     grid = Grid(dim, points, 32.0)
     tg = TimeGrid(0.7, 12)
     tcol = tg.times.reshape((-1,) + (1,) * dim)
-    index = grid.wavenumber_levels[1]
+    levels, index = grid.wavenumber_levels
+    row = np.empty(levels.shape, dtype=complex)
     for unit in (1j, -1j):
-        table = _phase_table(tg, grid, unit)
         mesh = np.exp(unit * tcol * full_mesh_wavenumber_square(grid))
         for m in range(tg.slices + 1):
-            gathered = np.take(table[m], index, mode="wrap")
+            gathered = np.take(_phase_row(unit, tg.times[m], levels, row),
+                               index, mode="wrap")
             assert np.array_equal(gathered.view(np.uint64),
                                   mesh[m].view(np.uint64))
 
@@ -225,8 +230,8 @@ def test_picard_matches_split_step_oracle():
 def test_picard_peak_memory_one_stack():
     # the sweep overwrites one stack in place and hands it over; beside
     # it a sweep holds phihat, three scratch slices, one row block, the
-    # increment's magnitudes, the phase table over the |k|^2 levels and
-    # the transforms' own buffers
+    # slice's phase rows over the |k|^2 levels and the transforms' own
+    # buffers
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 64, 32.0)
     warm(grid)
@@ -241,8 +246,8 @@ def test_picard_peak_memory_one_stack():
 def test_picard_peak_memory_multi_block_slices():
     # a 256^2 slice spans eight row blocks, and the new slice is built in
     # place in the integrand's slice: beside the stack the trace sees the
-    # caller's datum, phihat, three scratch slices, one row block and the
-    # increment's magnitudes; a fourth scratch slice would exceed 6.5
+    # caller's datum, phihat, three scratch slices and one row block; a
+    # fourth scratch slice would exceed 6.5
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 256, 32.0)
     warm(grid)
@@ -251,6 +256,24 @@ def test_picard_peak_memory_multi_block_slices():
     cfg = PicardConfig(metric_pair=canonical_pair(params))
     peak = traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
     assert peak <= stack_bytes(grid, tg) + 6.5 * grid.size * 16
+
+
+@pytest.mark.parametrize("points, slices, beside", [(128, 32, 6.0),
+                                                    (256, 8, 5.0)])
+def test_picard_peak_memory_no_phase_table_or_increment_mesh(points, slices,
+                                                              beside):
+    # beside the stack and the caller's datum: phihat, three scratch
+    # slices, one row block and the transforms' buffers.  A phase table
+    # over every slice time (nearly four slices at 128^2 with 32 slices)
+    # or a float mesh of increment magnitudes (half a slice) would not fit
+    params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
+    grid = Grid(2, points, 32.0)
+    warm(grid)
+    phi = gaussian(grid, 0.08, 2.0)
+    tg = TimeGrid(0.25, slices)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    peak = traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
+    assert peak <= stack_bytes(grid, tg) + beside * grid.size * 16
 
 
 def _datum_solve_and_norms(grid):
@@ -603,3 +626,17 @@ def test_smallness_peak_memory_no_stack():
     smallness_check(phi, tg, cfg, params)  # builds the annulus multipliers
     peak = traced_peak(smallness_check, phi, tg, cfg, params)
     assert peak <= 0.5 * stack_bytes(grid, tg)
+
+
+def test_smallness_peak_memory_at_dependence_shape():
+    # 2D 128^2 with 32 slices: the free-flow stream builds each slice's
+    # phase row alone, so no phase table over all slice times is held
+    params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
+    grid = Grid(2, 128, 32.0)
+    warm(grid)
+    phi = gaussian(grid, 0.08, 2.0)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    tg = TimeGrid(0.25, 32)
+    smallness_check(phi, tg, cfg, params)  # builds the annulus multipliers
+    peak = traced_peak(smallness_check, phi, tg, cfg, params)
+    assert peak <= 6 * grid.size * 16
