@@ -37,7 +37,7 @@ from .grid import (Field, Grid, free_propagate, gaussian, lebesgue_norm,
 from .nonlinearity import PowerNonlinearity, count_pointwise_violations
 from .solver import (BlowUpError, NonConvergenceError, PicardConfig,
                      TimeGrid, picard_duhamel, split_step)
-from .spaces import NormSpec, ShellQuadrature, evaluate_norm, sobolev_norm
+from .spaces import ShellQuadrature, besov_norm_lp, sobolev_norm
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "main"]
 
@@ -393,13 +393,12 @@ def _check_besov_matches_multiplier():
     # across full-spectrum random data and order one
     grid = _selftest_grid()
     rng = np.random.default_rng(3)
-    spec = NormSpec("besov_lp", s=0.4, p=2.0, q=2.0, homogeneous=True)
     ratios = []
     for _ in range(10):
         coefs = (rng.standard_normal(grid.shape)
                  + 1j * rng.standard_normal(grid.shape))
         f = Field(grid, np.fft.ifftn(coefs))
-        ratios.append(evaluate_norm(f, spec)
+        ratios.append(besov_norm_lp(f, 0.4, 2.0, homogeneous=True)
                       / sobolev_norm(f, 0.4, homogeneous=True))
     ratios = np.asarray(ratios)
     mean = ratios.mean()
@@ -517,14 +516,13 @@ def cmd_selftest(args) -> int:
 
 
 def _slice_norm_rows(traj, params, rho):
-    sup = NormSpec("sobolev_multiplier", s=params.regularity)
-    besov = NormSpec("besov_lp", s=params.regularity, p=rho, q=2.0,
-                     homogeneous=True)
+    s = params.regularity
     rows = []
     for m in range(traj.timegrid.slices + 1):
         f = traj.field(m)
         rows.append((traj.timegrid.times[m], lebesgue_norm(f, 2.0),
-                     evaluate_norm(f, sup), evaluate_norm(f, besov)))
+                     sobolev_norm(f, s),
+                     besov_norm_lp(f, s, rho, homogeneous=True)))
     return rows
 
 

@@ -24,19 +24,18 @@ it.  With one thread the same tasks run inline in the same order.
 import math
 from contextlib import contextmanager
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .exponents import ProblemParams, dual, sigma
-from .grid import Field, gaussian, inner_product, lp_norm
-from .grid import lebesgue_norm  # noqa: F401  perfbench/tests patch it here
+from .grid import Field, gaussian, inner_product, lebesgue_norm, lp_norm
 from .nonlinearity import THETA_NODES, PowerNonlinearity, remainder_K
 from .solver import (NonConvergenceError, PicardConfig, TimeGrid,
                      _split_slices, picard_duhamel, smallness_check)
-from .spaces import (NormSpec, ShellQuadrature, sobolev_norm, spacetime_norm,
-                     trapezoid_norm)
+from .spaces import (ShellQuadrature, besov_norm_lp, sobolev_norm,
+                     spacetime_norm, trapezoid_norm)
 
 __all__ = [
     "PerturbationFamily", "DependenceRow", "DependenceReport",
@@ -175,13 +174,7 @@ class DependenceRow:
                 and self.spacetime_lebesgue > 0.0)
 
     def to_dict(self) -> dict:
-        return {"scale": self.scale, "input_distance": self.input_distance,
-                "sup_sobolev": self.sup_sobolev,
-                "spacetime_besov": self.spacetime_besov,
-                "spacetime_lebesgue": self.spacetime_lebesgue,
-                "converged": self.converged, "iterations": self.iterations,
-                "oracle_gap": self.oracle_gap,
-                "oracle_agrees": self.oracle_agrees}
+        return asdict(self)
 
 
 _COLUMNS = ("sup_sobolev", "spacetime_besov", "spacetime_lebesgue")
@@ -339,9 +332,10 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
     nl = PowerNonlinearity.from_params(params)
     s = float(params.regularity)
     gamma, rho = cfg.metric_pair
-    sup_spec = NormSpec("sobolev_multiplier", s=s)
-    besov_spec = NormSpec("besov_lp", s=s, p=rho, q=2.0, homogeneous=True)
-    lebesgue_spec = NormSpec("lebesgue", p=sigma(params))
+    p_sigma = sigma(params)
+    norms = ((math.inf, lambda f: sobolev_norm(f, s)),
+             (gamma, lambda f: besov_norm_lp(f, s, rho, homogeneous=True)),
+             (gamma, lambda f: lebesgue_norm(f, p_sigma)))
 
     def solve_row(k: int, base: Future) -> DependenceRow:
         datum, grid = family.datum(k), family.base.grid
@@ -368,8 +362,7 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
 
         return DependenceRow(
             family.scales[k], sobolev_norm(datum - family.base, s),
-            *spacetime_norm(diffs(), tg.dt, (math.inf, sup_spec),
-                            (gamma, besov_spec), (gamma, lebesgue_spec)),
+            *spacetime_norm(diffs(), tg.dt, *norms),
             converged=converged, iterations=rep.iterations,
             oracle_gap=gap, oracle_agrees=agrees)
 

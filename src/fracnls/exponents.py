@@ -17,7 +17,7 @@ so criticality detection survives floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -66,8 +66,7 @@ class ExponentSet:
     r0: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "rho": self.rho, "sigma": self.sigma,
-                "criticality": self.criticality, "q0": self.q0, "r0": self.r0}
+        return asdict(self)
 
 
 def max_power(dimension: int, regularity: Number) -> Fraction:

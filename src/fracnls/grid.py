@@ -188,12 +188,8 @@ class Field:
     def __post_init__(self):
         vals = np.array(self.values, dtype=complex)  # this field's copy
         if vals.shape != self.grid.shape:
-            if vals.size == self.grid.size:
-                vals = vals.reshape(self.grid.shape)
-            else:
-                raise ValueError(
-                    f"values shape {vals.shape} does not match grid "
-                    f"shape {self.grid.shape}")
+            raise ValueError(f"values shape {vals.shape} does not match "
+                             f"grid shape {self.grid.shape}")
         if not np.all(np.isfinite(vals.view(float))):
             raise ValueError("field values must be finite")
         vals.setflags(write=False)
@@ -272,33 +268,32 @@ def lebesgue_norm(f: Field, p: float) -> float:
 
 def lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
     """`lebesgue_norm` of raw samples on a lattice with cells h^N."""
-    return magnitude_lp_norm(np.abs(values), p, cell_volume)
+    return peak_factored_norms(np.abs(values)[None], p,
+                               scale=cell_volume)[0]
 
 
-def magnitude_lp_norm(mag: np.ndarray, p: float, cell_volume: float) -> float:
-    """`lp_norm` of samples whose magnitudes are mag, a float array the
-    call overwrites."""
-    return magnitude_lp_norms(mag[None], p, cell_volume)[0]
+def peak_factored_norms(rows, q: float, weights=1.0,
+                        scale: float = 1.0) -> list:
+    """top * (scale * sum w (v / top)^q)^(1/q) of every row rows[j] of
+    nonnegative v, top the row's peak; q = inf takes the peak.
 
-
-def magnitude_lp_norms(mags: np.ndarray, p: float,
-                       cell_volume: float) -> list:
-    """`magnitude_lp_norm` of every row mags[j], with the elementwise
-    passes taken over all rows at once; each value is that of the row on
-    its own, bit for bit, and mags is overwritten."""
-    if not p > 0:
-        raise ValueError(f"exponent p must be positive, got {p}")
-    axes = tuple(range(1, mags.ndim))
-    tops = mags.max(axis=axes)
-    if np.isinf(p):
+    The peak is factored out so v^q cannot underflow or overflow, and an
+    all-zero row gives zero.  weights broadcast against one row.  The
+    elementwise passes run over all rows at once, in place: a float
+    array is overwritten, anything else is copied into a new one."""
+    if not q > 0:
+        raise ValueError(f"exponent must be positive, got {q}")
+    rows = np.asarray(rows, dtype=float)
+    axes = tuple(range(1, rows.ndim))
+    tops = rows.max(axis=axes)
+    if np.isinf(q):
         return tops.tolist()
-    # factor out each row's peak so mag**p cannot underflow or overflow,
-    # in place, as the caller hands mags over; an all-zero row is divided
-    # by one and gives zero
-    mags /= np.where(tops > 0.0, tops, 1.0).reshape((-1,) + (1,) * len(axes))
-    mags **= p
-    return [top * (float(np.add.reduce(row, axis=None)) * cell_volume)
-            ** (1.0 / p) for top, row in zip(tops.tolist(), mags)]
+    rows /= np.where(tops > 0.0, tops, 1.0).reshape((-1,) + (1,) * len(axes))
+    rows **= q
+    if np.ndim(weights) or weights != 1.0:
+        rows *= weights
+    return [top * (scale * float(np.add.reduce(row, axis=None)))
+            ** (1.0 / q) for top, row in zip(tops.tolist(), rows)]
 
 
 def inner_product(f: Field, g: Field) -> complex:

@@ -21,9 +21,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .grid import Field, lebesgue_norm, lp_norm, magnitude_lp_norms
-from .spaces import (ShellQuadrature, fd_quadrature, peak_factored_norm,
-                     translation_increments)
+from .grid import Field, lebesgue_norm, lp_norm, peak_factored_norms
+from .spaces import ShellQuadrature, fd_quadrature, translation_increments
 
 
 def _phase_square(values: np.ndarray, power: float,
@@ -244,8 +243,9 @@ def _remainder_rows(nl: PowerNonlinearity, grid, rows: int,
             conj_part = averaged_gap(path[:, :n])
             np.multiply(np.conj(inc_u), conj_part, out=conj_part)
             residual += conj_part
-            out[start - 1:stop - 1] = magnitude_lp_norms(
-                np.abs(residual, out=mag[:n - 1]), p, grid.cell_volume)
+            out[start - 1:stop - 1] = peak_factored_norms(
+                np.abs(residual, out=mag[:n - 1]), p,
+                scale=grid.cell_volume)
 
     return fill
 
@@ -299,7 +299,7 @@ def remainder_K(u: Union[Field, Sequence[Field]],
     norms = [np.empty((len(rows), len(offsets))) for rows in row_sets]
     for i, j, incs in translation_increments(stacks, grid, offsets):
         fill(stacks[j], incs, norms[j][:, i])
-    values = tuple(tuple(peak_factored_norm(row, q, kernel) for row in block)
+    values = tuple(tuple(peak_factored_norms(block, q, kernel))
                    for block in norms)
     return values[0][0] if single else values
 
@@ -375,8 +375,8 @@ def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
         norms[1, i] = lp_norm(incs[2], exps.p, cell)
         norms[2, i] = lp_norm(incs[3], exps.r, cell)
         norms[3, i] = lp_norm(incs[0], exps.r, cell)
-    k_term, lhs, gap_smooth, u_smooth = (
-        peak_factored_norm(row, exps.q, kernel) for row in norms)
+    k_term, lhs, gap_smooth, u_smooth = peak_factored_norms(norms, exps.q,
+                                                            kernel)
     v_sigma = lebesgue_norm(v, sigma)
     lipschitz_term = v_sigma ** nl.power * gap_smooth
     gap_sigma = lebesgue_norm(gap, sigma)

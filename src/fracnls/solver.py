@@ -24,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .exponents import is_admissible
-from .grid import Field, Grid, magnitude_lp_norm
+from .grid import Field, Grid, peak_factored_norms
 from .nonlinearity import PowerNonlinearity
-from .spaces import NormSpec, spacetime_norm, trapezoid_norm
+from .spaces import besov_norm_lp, spacetime_norm, trapezoid_norm
 
 __all__ = [
     "TimeGrid", "Trajectory", "PicardConfig", "IterationReport",
@@ -343,7 +343,8 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                     np.subtract(ghat[b], u[m][b], out=a)
                     u[m][b] = ghat[b]
                     np.abs(a, out=mags[b])
-                gaps.append(magnitude_lp_norm(mags, rho, cell))
+                gaps.append(peak_factored_norms(mags[None], rho,
+                                                scale=cell)[0])
         distances.append(trapezoid_norm(gaps, tg.dt, gamma))
         converged = distances[-1] <= cfg.tol * max(1.0, distances[0])
         if converged:
@@ -444,8 +445,9 @@ def smallness_check(phi: Field, tg: TimeGrid, cfg: PicardConfig,
     `spacetime_norm` one at a time, so no trajectory stack is built.
     """
     gamma, rho = cfg.metric_pair
-    spec = NormSpec("besov_lp", s=float(params.regularity), p=rho, q=2.0)
+    s = float(params.regularity)
+    besov = (gamma, lambda f: besov_norm_lp(f, s, rho))
     (value,) = spacetime_norm((Field._view(phi.grid, values)
                                for values in _free_slices(phi, tg)),
-                              tg.dt, (gamma, spec))
+                              tg.dt, besov)
     return value

@@ -9,6 +9,12 @@ separate so they can cross-check each other:
                          ( integral ||f(.-y) - f||_Lp^q |y|^(-N-sq) dy )^(1/q),
                          valid for 0 < s < 1.
 
+Each is a plain function of a Field and its exponents, and so is
+`grid.lebesgue_norm`; `spacetime_norm` takes any of them, closed over
+its exponents, as the spatial norm of a mixed L^q-in-time norm.  Every
+L^q sum, over a mesh, across scales or offsets, or in time, is
+`grid.peak_factored_norms`.
+
 The dyadic partition is built from a C-infinity radial transition profile,
 so block multipliers overlap only between neighbours and telescope to one
 on the resolvable band.  The finite-difference integral is truncated to
@@ -25,42 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import (Field, Grid, forward_transform, lebesgue_norm, lp_norm,
-                   magnitude_lp_norm)
-
-_NORM_KINDS = ("sobolev_multiplier", "besov_lp", "besov_fd", "lebesgue")
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Serializable description of a spatial norm.
-
-    kind selects the realization; s is the smoothness order, p the Lebesgue
-    integrability, q the summability across scales, homogeneous whether the
-    k = 0 / low-frequency content is dropped.
-    """
-
-    kind: str
-    s: float = 0.0
-    p: float = 2.0
-    q: float = 2.0
-    homogeneous: bool = False
-
-    def __post_init__(self):
-        if self.kind not in _NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if not self.p > 0:
-            raise ValueError(f"norm needs p > 0, got {self.p}")
-        if self.kind == "sobolev_multiplier" and (self.p, self.q) != (2.0, 2.0):
-            raise ValueError("multiplier norm is an L^2 object: p = q = 2")
-        if self.kind == "besov_fd":
-            if not 0.0 < self.s < 1.0:
-                raise ValueError(
-                    f"difference characterization needs 0 < s < 1, got {self.s}")
-            if np.isinf(self.q):
-                raise ValueError("difference characterization needs q < inf")
-        if self.kind in ("besov_lp", "besov_fd") and not self.q > 0:
-            raise ValueError("norm needs q > 0")
+from .grid import Field, Grid, forward_transform, lp_norm, peak_factored_norms
 
 
 # ------------------------------------------------------------- dyadic blocks
@@ -151,14 +122,13 @@ def _inverse_on_support(buf: np.ndarray, runs) -> np.ndarray:
     return buf
 
 
-def besov_norm_lp(f: Field, spec: NormSpec) -> float:
+def besov_norm_lp(f: Field, s: float, p: float, q: float = 2.0,
+                  homogeneous: bool = False) -> float:
     """Dyadic-block Besov norm ( sum_j (2^(js) ||block_j||_Lp)^q )^(1/q).
 
     homogeneous=True uses annuli only (constants get norm zero);
     otherwise the low-frequency block enters the scale sum with weight one.
     """
-    if spec.kind != "besov_lp":
-        raise ValueError(f"spec kind {spec.kind!r} is not besov_lp")
     jmin, jmax = default_band(f.grid)
     low, annuli = _annulus_multipliers(f.grid, jmin, jmax)
     index = f.grid.wavenumber_levels[1]
@@ -173,13 +143,13 @@ def besov_norm_lp(f: Field, spec: NormSpec) -> float:
         np.take(table, index, out=mult, mode="wrap")
         np.multiply(fhat, mult, out=piece)
         np.abs(_inverse_on_support(piece, runs), out=mult)
-        return magnitude_lp_norm(mult, spec.p, cell)
+        return peak_factored_norms(mult[None], p, scale=cell)[0]
 
-    terms = [2.0 ** (j * spec.s) * block_norm(*block)
+    terms = [2.0 ** (j * s) * block_norm(*block)
              for j, block in zip(range(jmin, jmax + 1), annuli)]
-    if not spec.homogeneous:
+    if not homogeneous:
         terms.append(block_norm(*low))
-    return peak_factored_norm(terms, spec.q)
+    return peak_factored_norms([terms], q)[0]
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
@@ -292,7 +262,7 @@ def translation_increments(stacks, grid: Grid, offsets):
             yield i, j, incs
 
 
-def besov_norm_fd(f: Field, spec: NormSpec,
+def besov_norm_fd(f: Field, s: float, p: float, q: float = 2.0,
                   quad: Optional[ShellQuadrature] = None) -> float:
     """Finite-difference Besov norm, truncated to offsets |y| <= L/2.
 
@@ -300,43 +270,32 @@ def besov_norm_fd(f: Field, spec: NormSpec,
       ||f(.-y) - f||_Lp^q |y|^(-N-sq) * weight )^(1/q).
     The norm is homogeneous by construction (constants give zero).
     """
-    if spec.kind != "besov_fd":
-        raise ValueError(f"spec kind {spec.kind!r} is not besov_fd")
-    offsets, kernel = fd_quadrature(f.grid, quad, spec.s, spec.q)
-    diffs = [lp_norm(incs[0], spec.p, f.grid.cell_volume)
+    if not 0.0 < s < 1.0:
+        raise ValueError(
+            f"difference characterization needs 0 < s < 1, got {s}")
+    if np.isinf(q):
+        raise ValueError("difference characterization needs q < inf")
+    offsets, kernel = fd_quadrature(f.grid, quad, s, q)
+    diffs = [lp_norm(incs[0], p, f.grid.cell_volume)
              for _, _, incs in translation_increments([[f.values]], f.grid,
                                                       offsets)]
-    return peak_factored_norm(diffs, spec.q, kernel)
-
-
-# ------------------------------------------------------------------ dispatch
-
-def evaluate_norm(f: Field, spec: NormSpec,
-                  quad: Optional[ShellQuadrature] = None) -> float:
-    """Evaluate any NormSpec on a field."""
-    if spec.kind == "lebesgue":
-        return lebesgue_norm(f, spec.p)
-    if spec.kind == "sobolev_multiplier":
-        return sobolev_norm(f, spec.s, homogeneous=spec.homogeneous)
-    if spec.kind == "besov_lp":
-        return besov_norm_lp(f, spec)
-    if spec.kind == "besov_fd":
-        return besov_norm_fd(f, spec, quad)
-    raise ValueError(f"unknown norm kind {spec.kind!r}")
+    return peak_factored_norms([diffs], q, kernel)[0]
 
 
 def spacetime_norm(fields, dt: float, *pairs) -> tuple:
     """Mixed norms ( integral_0^T ||u(t)||^q dt )^(1/q), one per pair.
 
     `fields` yields the slices u(t_m), t_m = m dt, and each pair is
-    (q, spatial NormSpec).  Every slice is measured in every norm before
-    the next is asked for, so one pass serves a stream whose slices
-    share a buffer; each column is then integrated by `trapezoid_norm`.
+    (q, norm), norm a function of one Field such as
+    `lambda f: besov_norm_lp(f, s, p)`.  Every slice is measured in
+    every norm before the next is asked for, so one pass serves a stream
+    whose slices share a buffer; each column is then integrated by
+    `trapezoid_norm`.
     """
     columns = [[] for _ in pairs]
     for f in fields:
-        for column, (_, spatial) in zip(columns, pairs):
-            column.append(evaluate_norm(f, spatial))
+        for column, (_, norm) in zip(columns, pairs):
+            column.append(norm(f))
     return tuple(trapezoid_norm(column, dt, q_time)
                  for column, (q_time, _) in zip(columns, pairs))
 
@@ -346,21 +305,7 @@ def trapezoid_norm(values, dt: float, q: float) -> float:
 
     Trapezoid weights on the uniform slices; q = inf takes the max.
     """
-    if not q > 0:
-        raise ValueError(f"time exponent must be positive, got {q}")
     w = np.full(len(values), dt)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return peak_factored_norm(values, q, w)
-
-
-def peak_factored_norm(values, q: float, weights=1.0) -> float:
-    """( sum_i w_i v_i^q )^(1/q) of nonnegative v; q = inf takes the max.
-
-    The peak is factored out so v^q cannot underflow or overflow.
-    """
-    vals = np.asarray(values, dtype=float)
-    top = float(vals.max())
-    if np.isinf(q) or top == 0.0:
-        return top
-    return top * float(np.sum(weights * (vals / top) ** q)) ** (1.0 / q)
+    return peak_factored_norms([values], q, w)[0]

@@ -23,8 +23,8 @@ from fracnls.nonlinearity import (DifferenceExponents, PowerNonlinearity,
                                   besov_difference_report,
                                   count_pointwise_violations)
 from fracnls.solver import PicardConfig, TimeGrid, picard_duhamel, split_step
-from fracnls.spaces import (NormSpec, ShellQuadrature, besov_norm_fd,
-                            besov_norm_lp, evaluate_norm, sobolev_norm)
+from fracnls.spaces import (ShellQuadrature, besov_norm_fd, besov_norm_lp,
+                            sobolev_norm)
 
 CUBIC = PowerNonlinearity(coupling=1.0, power=2.0)
 
@@ -81,15 +81,15 @@ def _norm_toolkit(grid):
         l2 = lebesgue_norm(f, 2.0)
         assert abs(sobolev_norm(f, 0.0, homogeneous=True) - l2) <= 1e-12 * l2
 
-    lp_spec = NormSpec("besov_lp", s=0.5, p=2.0, q=2.0, homogeneous=True)
     ratios = np.array([
-        besov_norm_lp(f, lp_spec) / sobolev_norm(f, 0.5, homogeneous=True)
+        besov_norm_lp(f, 0.5, 2.0, homogeneous=True)
+        / sobolev_norm(f, 0.5, homogeneous=True)
         for f in (band_limited_random_field(grid, rng) for _ in range(100))])
     assert ratios.std() / ratios.mean() < 0.05
 
-    fd_spec = NormSpec("besov_fd", s=0.5, p=2.0, q=2.0)
-    fd_ratios = [besov_norm_fd(gaussian(grid, width=w), fd_spec)
-                 / besov_norm_lp(gaussian(grid, width=w), lp_spec)
+    fd_ratios = [besov_norm_fd(gaussian(grid, width=w), 0.5, 2.0)
+                 / besov_norm_lp(gaussian(grid, width=w), 0.5, 2.0,
+                                 homogeneous=True)
                  for w in (1.0, 2.0, 4.0)]
     assert max(fd_ratios) / min(fd_ratios) < 1.5
 
@@ -305,13 +305,13 @@ def _difference_bound(grid):
     # closes; compare the small-gap half against the large-gap half
     u = gaussian(grid, 1.0, 2.0)
     psi = gaussian(grid, 1.0, 1.5, center=2.0)
-    spec_r = NormSpec("besov_fd", s=0.4, p=6.0, q=2.0, homogeneous=True)
     ratios = []
     for k in range(8):
         v = u + (2.0 ** -k) * psi
         report = besov_difference_report(u, v, CUBIC, exps, theta_nodes=16,
                                          quad=quad)
-        ratios.append(report.lhs / besov_norm_fd(v - u, spec_r, quad))
+        ratios.append(report.lhs / besov_norm_fd(v - u, 0.4, 6.0, 2.0,
+                                                 quad))
     assert max(ratios[4:]) <= 1.25 * max(ratios[:4])
 
 

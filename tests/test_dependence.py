@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from fracnls.dependence import (DependenceReport, DependenceRow,
                                 remainder_decay_experiment, run_dependence,
                                 static_remainder_decay)
 from fracnls.exponents import ProblemParams, canonical_pair, sigma
-from fracnls.grid import Field, Grid, gaussian, inner_product, lp_norm
+from fracnls.grid import (Field, Grid, gaussian, inner_product, lebesgue_norm,
+                          lp_norm)
 from fracnls.nonlinearity import PowerNonlinearity, remainder_K
 from fracnls.solver import (IterationReport, NonConvergenceError,
                             PicardConfig, TimeGrid, picard_duhamel,
                             smallness_check, split_step)
-from fracnls.spaces import (NormSpec, ShellQuadrature, fd_quadrature,
+from fracnls.spaces import (ShellQuadrature, besov_norm_lp, fd_quadrature,
                             sobolev_norm, spacetime_norm)
 from trajectories import free_trajectory, stack_bytes, traced_peak
 
@@ -336,10 +338,9 @@ def _stacked_rows(params, family, cfg, tg, cross_tol):
     gamma, rho = cfg.metric_pair
     grid = family.base.grid
     base, _ = picard_duhamel(family.base, nl, tg, cfg)
-    pairs = ((math.inf, NormSpec("sobolev_multiplier", s=s)),
-             (gamma, NormSpec("besov_lp", s=s, p=rho, q=2.0,
-                              homogeneous=True)),
-             (gamma, NormSpec("lebesgue", p=sigma(params))))
+    pairs = ((math.inf, partial(sobolev_norm, s=s)),
+             (gamma, partial(besov_norm_lp, s=s, p=rho, homogeneous=True)),
+             (gamma, partial(lebesgue_norm, p=sigma(params))))
     rows = []
     for k in range(family.depth + 1):
         datum = family.datum(k)

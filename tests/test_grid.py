@@ -11,11 +11,11 @@ from fracnls.grid import (
     gaussian,
     inner_product,
     lebesgue_norm,
-    magnitude_lp_norm,
-    magnitude_lp_norms,
+    peak_factored_norms,
     plane_wave,
     translate,
 )
+from fracnls.spaces import ShellQuadrature, fd_quadrature
 from conftest import (
     band_limited_random_field,
     full_mesh_wavenumber_square,
@@ -46,6 +46,13 @@ def test_grid_rejects_bad_period():
 def test_field_shape_must_match(line_grid):
     with pytest.raises(ValueError):
         Field(line_grid, np.zeros(line_grid.points + 1, dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(32, 128), (4096,), (64, 64, 1)])
+def test_field_rejects_an_array_of_the_right_size_and_wrong_shape(shape):
+    # the values are not reshaped into the grid, which would scramble rows
+    with pytest.raises(ValueError, match="does not match"):
+        Field(Grid(2, 64, 8.0), np.arange(4096, dtype=complex).reshape(shape))
 
 
 def test_field_rejects_non_finite(line_grid):
@@ -346,18 +353,78 @@ def _peak_factored_lp(mag, p, cell_volume):
     return top * (float(np.sum((mag / top) ** p)) * cell_volume) ** (1 / p)
 
 
-@pytest.mark.parametrize("p", [0.5, 2.0, 2.5, np.inf])
+# the two bodies peak_factored_norms replaced, as they were: row sums of
+# mesh magnitudes times the cell volume, and 1-D weighted sums
+
+
+def _old_magnitude_lp_norms(mags, p, cell_volume):
+    axes = tuple(range(1, mags.ndim))
+    tops = mags.max(axis=axes)
+    if np.isinf(p):
+        return tops.tolist()
+    mags /= np.where(tops > 0.0, tops, 1.0).reshape((-1,) + (1,) * len(axes))
+    mags **= p
+    return [top * (float(np.add.reduce(row, axis=None)) * cell_volume)
+            ** (1.0 / p) for top, row in zip(tops.tolist(), mags)]
+
+
+def _old_peak_factored_norm(values, q, weights=1.0):
+    vals = np.asarray(values, dtype=float)
+    top = float(vals.max())
+    if np.isinf(q) or top == 0.0:
+        return top
+    return top * float(np.sum(weights * (vals / top) ** q)) ** (1.0 / q)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+# an ordinary row, a small one, an all-zero one, a huge and a tiny one
+ROW_SCALES = np.array([1.0, 1e-3, 0.0, 1e200, 1e-200])
+
+
+@pytest.mark.parametrize("p", [0.5, 2.0, 2.5, 20.0 / 7.0, np.inf])
 @pytest.mark.parametrize("shape", [(256,), (32, 32), (16, 16, 16)])
 def test_magnitude_lp_norms_are_the_single_array_form(rng, shape, p):
-    # an ordinary row, a small one, an all-zero one and a huge one
-    scales = np.array([1.0, 1e-3, 0.0, 1e200])
-    scales = scales.reshape((4,) + (1,) * len(shape))
-    mags = np.abs(rng.standard_normal((4,) + shape)) * scales
-    expected = [_peak_factored_lp(row, p, 0.3) for row in mags]
-    assert [magnitude_lp_norm(row.copy(), p, 0.3) for row in mags] \
-        == expected
-    assert magnitude_lp_norms(mags, p, 0.3) == expected
+    # row sums with the cell volume as scale, all rows at once or one at
+    # a time, are bit for bit the old body and the one-array form
+    cell = Grid(len(shape), shape[0], 10.0).cell_volume
+    scales = ROW_SCALES.reshape((-1,) + (1,) * len(shape))
+    mags = np.abs(rng.standard_normal((len(scales),) + shape)) * scales
+    expected = [_peak_factored_lp(row, p, cell) for row in mags]
+    assert _bits(_old_magnitude_lp_norms(mags.copy(), p, cell)) \
+        == _bits(expected)
+    assert _bits([peak_factored_norms(row.copy()[None], p, scale=cell)[0]
+                  for row in mags]) == _bits(expected)
+    assert _bits(peak_factored_norms(mags, p, scale=cell)) == _bits(expected)
     assert expected[2] == 0.0
+
+
+@pytest.mark.parametrize("q", [0.5, 2.0, 20.0 / 7.0, np.inf])
+@pytest.mark.parametrize("weights", ["trapezoid", "kernel", "none"])
+def test_peak_factored_norms_weighted_sums_are_the_old_form(rng, weights, q):
+    # 1-D weighted sums, as the time quadrature and the offset kernel of
+    # the difference norms take them, are bit for bit the old body, for
+    # one row at a time, a block of rows and a block of strided rows
+    if weights == "trapezoid":
+        weights = np.full(33, 0.25 / 32)
+        weights[[0, -1]] *= 0.5
+    elif weights == "kernel":
+        weights = fd_quadrature(Grid(2, 32, 10.0), ShellQuadrature(), 0.4,
+                                2.0)[1]
+    else:
+        weights = 1.0
+    n = np.size(weights) if np.ndim(weights) else 17
+    rows = np.abs(rng.standard_normal((len(ROW_SCALES), n))) \
+        * ROW_SCALES[:, None]
+    expected = _bits([_old_peak_factored_norm(row, q, weights)
+                      for row in rows])
+    assert _bits([peak_factored_norms([row], q, weights)[0]
+                  for row in rows]) == expected
+    wide = np.repeat(rows, 2, axis=1)
+    assert _bits(peak_factored_norms(wide[:, ::2], q, weights)) == expected
+    assert _bits(peak_factored_norms(rows, q, weights)) == expected
 
 
 def test_inner_product_conjugate_linear(line_grid, rng):

@@ -11,6 +11,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracnls"
 # qualified name -> why it stays with no caller in the package
 UNCALLED_BUT_KEPT = {
     "besov_difference_report": "criterion 6 in test_acceptance.py",
+    "besov_norm_fd": "criterion 2 in test_acceptance.py",
     "Grid.nyquist": "band limit of the test fixtures; moving it into the "
                     "tests would not reduce the code",
     "Grid.wavenumber_magnitude": "band limit of the test fixtures; moving "

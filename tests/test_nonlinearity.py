@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 import fracnls.nonlinearity
-from fracnls.grid import Field, Grid, gaussian, lebesgue_norm, lp_norm
+from fracnls.grid import (Field, Grid, gaussian, lebesgue_norm, lp_norm,
+                          peak_factored_norms)
 from fracnls.nonlinearity import (
     DifferenceExponents,
     THETA_NODES,
@@ -14,8 +17,7 @@ from fracnls.nonlinearity import (
     count_pointwise_violations,
     remainder_K,
 )
-from fracnls.spaces import (NormSpec, ShellQuadrature, besov_norm_fd,
-                            fd_quadrature, peak_factored_norm)
+from fracnls.spaces import ShellQuadrature, besov_norm_fd, fd_quadrature
 from pointwise_checks import (check_pointwise_power, derivative_envelope,
                               difference_identity_residual, wirtinger)
 
@@ -312,7 +314,7 @@ def _rowwise_remainder(u, others, nl, s, p, q, r, n_theta, quad,
                         + np.conj(inc_u) * averaged_gap(nl.dzbar(path_w),
                                                         nl.dzbar(path_u)))
             norms[j, i] = lp_norm(residual, p, grid.cell_volume)
-    return tuple(peak_factored_norm(row, q, kernel) for row in norms)
+    return tuple(peak_factored_norms([row], q, kernel)[0] for row in norms)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -532,9 +534,7 @@ def test_difference_report_zero_base(bump_pair, line_grid):
     quad = ShellQuadrature()
     report = besov_difference_report(zero, v, CUBIC, exps, quad=quad)
     assert report.k_term == 0.0
-    direct = besov_norm_fd(apply_g(v, CUBIC),
-                           NormSpec("besov_fd", s=0.5, p=2.0, q=2.0,
-                                    homogeneous=True), quad)
+    direct = besov_norm_fd(apply_g(v, CUBIC), 0.5, 2.0, 2.0, quad)
     assert report.lhs == pytest.approx(direct, rel=1e-12)
     assert report.sigma == pytest.approx(6.0)
     # with no base field the refined form collapses onto the Lipschitz term
@@ -547,13 +547,12 @@ def test_difference_report_lipschitz_ratio_bounded(line_grid):
     psi = gaussian(line_grid, amplitude=1.0, width=1.5, center=2.0)
     exps = DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0)
     quad = ShellQuadrature(shells=16)
-    spec_r = NormSpec("besov_fd", s=0.5, p=6.0, q=2.0, homogeneous=True)
     ratios = []
     for k in range(8):
         v = u + (2.0 ** -k) * psi
         report = besov_difference_report(u, v, CUBIC, exps, theta_nodes=16,
                                          quad=quad)
-        gap = besov_norm_fd(v - u, spec_r, quad)
+        gap = besov_norm_fd(v - u, 0.5, 6.0, 2.0, quad)
         ratios.append(report.lhs / gap)
     first = max(ratios[:4])
     second = max(ratios[4:])
@@ -564,16 +563,15 @@ def _report_from_single_calls(u, v, nl, exps, theta_nodes, quad):
     """besov_difference_report as it was written: each norm by its own
     single-field call, each with its own offset loop."""
     sigma = exps.sigma(nl.power)
-    spec_p = NormSpec("besov_fd", s=exps.s, p=exps.p, q=exps.q,
-                      homogeneous=True)
-    spec_r = NormSpec("besov_fd", s=exps.s, p=exps.r, q=exps.q,
-                      homogeneous=True)
-    lhs = besov_norm_fd(apply_g(v, nl) - apply_g(u, nl), spec_p, quad)
+    smooth_r = partial(besov_norm_fd, s=exps.s, p=exps.r, q=exps.q,
+                       quad=quad)
+    lhs = besov_norm_fd(apply_g(v, nl) - apply_g(u, nl), exps.s, exps.p,
+                        exps.q, quad)
     v_sigma = lebesgue_norm(v, sigma)
-    lipschitz = v_sigma ** nl.power * besov_norm_fd(v - u, spec_r, quad)
+    lipschitz = v_sigma ** nl.power * smooth_r(v - u)
     k_term = remainder_K(u, v, nl, exps.s, exps.p, exps.q, exps.r,
                          theta_nodes=theta_nodes, quad=quad)
-    u_smooth = besov_norm_fd(u, spec_r, quad)
+    u_smooth = smooth_r(u)
     gap_sigma = lebesgue_norm(v - u, sigma)
     if nl.power <= 1.0:
         extra = u_smooth * gap_sigma ** nl.power

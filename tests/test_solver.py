@@ -12,8 +12,7 @@ from fracnls.solver import (BlowUpError, NonConvergenceError, PicardConfig,
                             TimeGrid, Trajectory, _phase_row, _power_substep,
                             _split_slices, picard_duhamel, smallness_check,
                             split_step)
-from fracnls.spaces import (NormSpec, besov_norm_lp, sobolev_norm,
-                            trapezoid_norm)
+from fracnls.spaces import besov_norm_lp, sobolev_norm, trapezoid_norm
 from conftest import full_mesh_wavenumber_square
 from trajectories import (fields, free_trajectory, stack_bytes, traced_memory,
                           traced_peak, warm)
@@ -282,7 +281,7 @@ def _datum_solve_and_norms(grid):
     cfg = PicardConfig(metric_pair=canonical_pair(params))
     traj, _ = picard_duhamel(phi, CUBIC, TimeGrid(0.25, 4), cfg)
     sobolev_norm(traj.field(4), 0.4)
-    besov_norm_lp(traj.field(4), NormSpec("besov_lp", s=0.4, p=3.0))
+    besov_norm_lp(traj.field(4), 0.4, 3.0)
 
 
 def test_grid_and_norm_caches_retain_few_fields():
@@ -608,8 +607,7 @@ def test_smallness_streamed_is_bitwise_the_stacked_norm(dim, points):
     grid = Grid(dim, points, 16.0)
     phi = gaussian(grid, 0.2, 2.0, center=[1.0] * dim)
     tg = TimeGrid(0.5, 8)
-    spec = NormSpec("besov_lp", s=0.4, p=rho, q=2.0)
-    stacked = trapezoid_norm([besov_norm_lp(f, spec)
+    stacked = trapezoid_norm([besov_norm_lp(f, 0.4, rho)
                               for f in fields(free_trajectory(phi, tg))],
                              tg.dt, gamma)
     assert smallness_check(phi, tg, cfg, params) == stacked

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,19 +14,17 @@ from fracnls.grid import (
     gaussian,
     lebesgue_norm,
     lp_norm,
+    peak_factored_norms,
     plane_wave,
     translate,
 )
 from fracnls.spaces import (
-    NormSpec,
     _annulus_multipliers,
     _inverse_on_support,
     ShellQuadrature,
     besov_norm_fd,
     besov_norm_lp,
     default_band,
-    evaluate_norm,
-    peak_factored_norm,
     sobolev_norm,
     spacetime_norm,
     transition_profile,
@@ -42,19 +42,25 @@ GAUSS_HDOT_05 = 1.0
 GAUSS_H_03 = 1.2205394668178944
 
 
-# ------------------------------------------------------------------ NormSpec
+# ------------------------------------------------------------ preconditions
 
-def test_normspec_validation():
-    with pytest.raises(ValueError):
-        NormSpec("unknown_kind")
-    with pytest.raises(ValueError):
-        NormSpec("besov_fd", s=1.2, p=2, q=2)  # characterization needs s < 1
-    with pytest.raises(ValueError):
-        NormSpec("besov_fd", s=0.5, p=2, q=np.inf)
-    with pytest.raises(ValueError):
-        NormSpec("lebesgue", p=0.0)
-    with pytest.raises(ValueError):
-        NormSpec("sobolev_multiplier", s=0.5, p=3, q=2)
+def test_norm_preconditions():
+    # each check sits in the function that owns it: the difference
+    # characterization needs 0 < s < 1 and q < inf, and every L^q sum,
+    # the Lebesgue norm's and the Besov scale sum included, needs q > 0
+    f = gaussian(WIDE)
+    for s in (0.0, 1.0, 1.2):
+        with pytest.raises(ValueError, match="0 < s < 1"):
+            besov_norm_fd(f, s, 2.0)
+    with pytest.raises(ValueError, match="q < inf"):
+        besov_norm_fd(f, 0.5, 2.0, q=np.inf)
+    for q in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            peak_factored_norms([[1.0, 2.0]], q)
+    with pytest.raises(ValueError, match="positive"):
+        lebesgue_norm(f, 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        besov_norm_lp(f, 0.5, 2.0, q=0.0)
 
 
 # ------------------------------------------------------------ dyadic blocks
@@ -105,12 +111,11 @@ def test_annulus_multipliers_are_level_tables(grid):
 
 def test_besov_lp_zero_and_constant(line_grid):
     zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
-    spec = NormSpec("besov_lp", s=0.5, p=2, q=2, homogeneous=True)
-    assert besov_norm_lp(zero, spec) == 0.0
+    assert besov_norm_lp(zero, 0.5, 2, 2, homogeneous=True) == 0.0
     const = Field(line_grid, np.full(line_grid.shape, 1.3 + 0.2j))
-    assert besov_norm_lp(const, spec) < 1e-12
-    inhom = NormSpec("besov_lp", s=0.5, p=2, q=2, homogeneous=False)
-    assert besov_norm_lp(const, inhom) > 1.0  # low block keeps constants
+    assert besov_norm_lp(const, 0.5, 2, 2, homogeneous=True) < 1e-12
+    # the low block keeps constants
+    assert besov_norm_lp(const, 0.5, 2, 2, homogeneous=False) > 1.0
 
 
 def _dilate_by_two(f: Field) -> Field:
@@ -132,8 +137,8 @@ def test_besov_lp_dilation_scaling(s):
         + 0.2 * np.exp(-2j * np.pi * 5 * x / WIDE.period)
     f = Field(WIDE, np.exp(-((x / 2.0) ** 2)) * carrier)
     fd = _dilate_by_two(f)
-    spec = NormSpec("besov_lp", s=s, p=2, q=2, homogeneous=True)
-    ratio = besov_norm_lp(fd, spec) / besov_norm_lp(f, spec)
+    norm = partial(besov_norm_lp, s=s, p=2, q=2, homogeneous=True)
+    ratio = norm(fd) / norm(f)
     predicted = 2.0 ** (s - 0.5)
     assert abs(ratio - predicted) <= 0.02 * predicted
     sob = sobolev_norm(fd, s, homogeneous=True) / sobolev_norm(f, s,
@@ -143,27 +148,26 @@ def test_besov_lp_dilation_scaling(s):
 
 def test_besov_lp_vs_sobolev_ratio_stability(rng):
     s = 0.5
-    spec = NormSpec("besov_lp", s=s, p=2, q=2, homogeneous=True)
+    norm = partial(besov_norm_lp, s=s, p=2, q=2, homogeneous=True)
     ratios = []
     for _ in range(100):
         f = band_limited_random_field(WIDE, rng)
-        ratios.append(besov_norm_lp(f, spec) / sobolev_norm(f, s,
-                                                            homogeneous=True))
+        ratios.append(norm(f) / sobolev_norm(f, s, homogeneous=True))
     ratios = np.array(ratios)
     assert ratios.std() / ratios.mean() < 0.05
     assert 0.5 < ratios.min() and ratios.max() < 2.0
     # the Gaussian sits inside the same equivalence bracket
-    gauss_ratio = besov_norm_lp(gaussian(WIDE), spec) / GAUSS_HDOT_05
+    gauss_ratio = norm(gaussian(WIDE)) / GAUSS_HDOT_05
     assert 0.5 < gauss_ratio < 2.0
 
 
 def test_besov_lp_triangle_inequality(rng):
-    spec = NormSpec("besov_lp", s=0.4, p=1.8, q=2, homogeneous=True)
+    norm = partial(besov_norm_lp, s=0.4, p=1.8, q=2, homogeneous=True)
     for _ in range(5):
         f = smooth_random_field(WIDE, rng)
         g = smooth_random_field(WIDE, rng)
-        a = besov_norm_lp(f + g, spec)
-        b = besov_norm_lp(f, spec) + besov_norm_lp(g, spec)
+        a = norm(f + g)
+        b = norm(f) + norm(g)
         assert a <= b * (1 + 1e-12)
 
 
@@ -191,15 +195,16 @@ def test_inverse_on_support_matches_ifftn_bitwise(grid):
     assert pruned >= (3 if grid.dim > 1 else 0)
 
 
-def _reference_besov_lp(values, grid, spec):
-    """One ifftn(fftn(x) * multiplier) per block, then the L^p formula."""
+def _reference_besov_lp(values, grid, s, p, homogeneous):
+    """One ifftn(fftn(x) * multiplier) per block, then the L^p formula;
+    the scale sum at q = 2."""
     def lp(x):
         mag = np.abs(x)
         top = float(mag.max())
         if top == 0.0:
             return 0.0
-        acc = float(np.sum((mag / top) ** spec.p)) * grid.cell_volume
-        return top * acc ** (1.0 / spec.p)
+        acc = float(np.sum((mag / top) ** p)) * grid.cell_volume
+        return top * acc ** (1.0 / p)
 
     jmin, jmax = default_band(grid)
     kmag = grid.wavenumber_magnitude
@@ -208,11 +213,11 @@ def _reference_besov_lp(values, grid, spec):
         mult = (transition_profile(kmag / 2.0 ** (j + 1))
                 - transition_profile(kmag / 2.0 ** j))
         piece = np.fft.ifftn(np.fft.fftn(values) * mult)
-        terms.append(2.0 ** (j * spec.s) * lp(piece))
-    if not spec.homogeneous:
+        terms.append(2.0 ** (j * s) * lp(piece))
+    if not homogeneous:
         low = transition_profile(kmag / 2.0 ** jmin)
         terms.append(lp(np.fft.ifftn(np.fft.fftn(values) * low)))
-    return peak_factored_norm(terms, spec.q)
+    return peak_factored_norms([terms], 2.0)[0]
 
 
 @pytest.mark.parametrize("grid", KERNEL_GRIDS + [Grid(2, 64, 16.0)],
@@ -221,19 +226,17 @@ def _reference_besov_lp(values, grid, spec):
 def test_besov_lp_matches_reference_bitwise(grid, homogeneous):
     f = Field(grid, _random_complex(grid, 11))
     for p in (1.5, 2.0, 20.0 / 7.0):
-        spec = NormSpec("besov_lp", s=0.4, p=p, q=2.0,
-                        homogeneous=homogeneous)
-        assert besov_norm_lp(f, spec) == _reference_besov_lp(f.values, grid,
-                                                             spec)
+        assert besov_norm_lp(f, 0.4, p, 2.0, homogeneous) \
+            == _reference_besov_lp(f.values, grid, 0.4, p, homogeneous)
 
 
 @pytest.mark.parametrize("grid", [Grid(3, 32, 32.0), Grid(2, 64, 16.0)],
                          ids=lambda g: f"{g.dim}d")
 def test_besov_lp_peak_memory(grid):
     f = Field(grid, _random_complex(grid, 13))
-    spec = NormSpec("besov_lp", s=0.4, p=20.0 / 7.0, q=2.0)
-    besov_norm_lp(f, spec)  # warm: multipliers and supports are cached
-    assert traced_peak(besov_norm_lp, f, spec) <= 4.5 * f.values.nbytes
+    besov_norm_lp(f, 0.4, 20.0 / 7.0)  # warm: multipliers and supports
+    assert traced_peak(besov_norm_lp, f, 0.4, 20.0 / 7.0) \
+        <= 4.5 * f.values.nbytes
 
 
 # ------------------------------------------------------------------ sobolev
@@ -283,13 +286,13 @@ def test_sobolev_gaussian_continuum_values():
 
 def test_multiplier_invariance_of_norms(rng):
     s = 0.5
-    spec = NormSpec("besov_lp", s=s, p=2, q=2, homogeneous=True)
+    norm = partial(besov_norm_lp, s=s, p=2, q=2, homogeneous=True)
     for _ in range(5):
         f = smooth_random_field(WIDE, rng)
         moved = translate(free_propagate(f, 0.7), 1.3)
         a, b = sobolev_norm(f, s), sobolev_norm(moved, s)
         assert abs(a - b) <= 1e-10 * a
-        a, b = besov_norm_lp(f, spec), besov_norm_lp(moved, spec)
+        a, b = norm(f), norm(moved)
         assert abs(a - b) <= 1e-10 * a
 
 
@@ -297,52 +300,46 @@ def test_multiplier_invariance_of_norms(rng):
 
 def test_besov_fd_zero(line_grid):
     zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
-    spec = NormSpec("besov_fd", s=0.5, p=2, q=2)
-    assert besov_norm_fd(zero, spec) == 0.0
+    assert besov_norm_fd(zero, 0.5, 2, 2) == 0.0
 
 
 def test_besov_fd_translation_invariance_p2(rng):
     # p = 2 difference norms are exact by Plancherel, so the change of
     # variables survives discretization to roundoff
-    spec = NormSpec("besov_fd", s=0.5, p=2, q=2)
     f = smooth_random_field(WIDE, rng)
-    a = besov_norm_fd(f, spec)
-    b = besov_norm_fd(translate(f, 1.7321), spec)
+    a = besov_norm_fd(f, 0.5, 2, 2)
+    b = besov_norm_fd(translate(f, 1.7321), 0.5, 2, 2)
     assert abs(a - b) <= 1e-8 * a
 
 
 def test_besov_fd_translation_invariance_general_p(rng):
     # p != 2 quadrature of |diff|^p meets the |.| kink near zeros of the
     # difference field; invariance still holds to 1e-6 on smooth data
-    spec = NormSpec("besov_fd", s=0.4, p=1.8, q=2)
     f = smooth_random_field(WIDE, rng)
-    a = besov_norm_fd(f, spec)
-    b = besov_norm_fd(translate(f, 1.7321), spec)
+    a = besov_norm_fd(f, 0.4, 1.8, 2)
+    b = besov_norm_fd(translate(f, 1.7321), 0.4, 1.8, 2)
     assert abs(a - b) <= 1e-6 * a
 
 
 def test_besov_fd_scalar_homogeneity(rng):
-    spec = NormSpec("besov_fd", s=0.5, p=2, q=2)
     f = smooth_random_field(WIDE, rng)
-    a = besov_norm_fd(Field(WIDE, 3.7 * f.values), spec)
-    assert np.isclose(a, 3.7 * besov_norm_fd(f, spec), rtol=1e-13)
+    a = besov_norm_fd(Field(WIDE, 3.7 * f.values), 0.5, 2, 2)
+    assert np.isclose(a, 3.7 * besov_norm_fd(f, 0.5, 2, 2), rtol=1e-13)
 
 
 def test_besov_fd_vs_lp_dilation_family():
-    lp = NormSpec("besov_lp", s=0.5, p=2, q=2, homogeneous=True)
-    fd = NormSpec("besov_fd", s=0.5, p=2, q=2)
-    ratios = [besov_norm_fd(gaussian(WIDE, width=w), fd)
-              / besov_norm_lp(gaussian(WIDE, width=w), lp)
+    ratios = [besov_norm_fd(gaussian(WIDE, width=w), 0.5, 2, 2)
+              / besov_norm_lp(gaussian(WIDE, width=w), 0.5, 2, 2,
+                              homogeneous=True)
               for w in (1.0, 2.0, 4.0)]
     assert max(ratios) / min(ratios) < 1.5
 
 
 def test_besov_fd_quadrature_self_convergence():
     # doubling shells and angles moves the value by < 1%
-    spec = NormSpec("besov_fd", s=0.5, p=2, q=2)
     f = gaussian(WIDE, width=1.5)
-    coarse = besov_norm_fd(f, spec, ShellQuadrature(shells=32))
-    fine = besov_norm_fd(f, spec, ShellQuadrature(shells=64))
+    coarse = besov_norm_fd(f, 0.5, 2, 2, ShellQuadrature(shells=32))
+    fine = besov_norm_fd(f, 0.5, 2, 2, ShellQuadrature(shells=64))
     assert abs(coarse - fine) <= 0.01 * fine
 
 
@@ -353,14 +350,13 @@ def test_besov_fd_matches_reference_bitwise(grid, p):
     # the stacked engine against one plain ifftn(fftn(f) * multiplier)
     # per offset
     f = Field(grid, _random_complex(grid, 17))
-    spec = NormSpec("besov_fd", s=0.4, p=p, q=2.0)
     offsets, weights, radii = ShellQuadrature().offsets_weights(grid)
     fhat = np.fft.fftn(f.values)
     diffs = [lp_norm(np.fft.ifftn(fhat * grid.translation_multiplier(y))
                      - f.values, p, grid.cell_volume) for y in offsets]
-    kernel = radii ** (-grid.dim - spec.s * spec.q) * weights
-    assert besov_norm_fd(f, spec) == peak_factored_norm(diffs, spec.q,
-                                                        kernel)
+    kernel = radii ** (-grid.dim - 0.4 * 2.0) * weights
+    assert besov_norm_fd(f, 0.4, p) == peak_factored_norms([diffs], 2.0,
+                                                           kernel)[0]
 
 
 def test_shell_quadrature_validation():
@@ -388,36 +384,36 @@ def test_shell_quadrature_measures():
 
 def test_spacetime_norm_constant_trajectory(rng):
     f = smooth_random_field(WIDE, rng)
-    spec = NormSpec("lebesgue", p=2)
-    assert np.isclose(spacetime_norm([f] * 9, 0.25, (np.inf, spec))[0],
+    norm = partial(lebesgue_norm, p=2)
+    assert np.isclose(spacetime_norm([f] * 9, 0.25, (np.inf, norm))[0],
                       lebesgue_norm(f, 2.0), rtol=1e-12)
     # finite q on a constant integrand: trapezoid is exact
-    assert np.isclose(spacetime_norm([f] * 9, 0.25, (4.0, spec))[0],
+    assert np.isclose(spacetime_norm([f] * 9, 0.25, (4.0, norm))[0],
                       2.0 ** 0.25 * lebesgue_norm(f, 2.0), rtol=1e-12)
 
 
 def test_spacetime_norm_zero():
     zero = Field(WIDE, np.zeros(WIDE.shape, dtype=complex))
     assert spacetime_norm([zero] * 5, 0.25,
-                          (2.0, NormSpec("lebesgue", p=2))) == (0.0,)
+                          (2.0, partial(lebesgue_norm, p=2))) == (0.0,)
 
 
 def test_spacetime_norm_free_gaussian_isometry():
     phi = gaussian(WIDE)
     T, n = 0.8, 16
     fields = [free_propagate(phi, T * m / n) for m in range(n + 1)]
-    spec = NormSpec("sobolev_multiplier", s=0.5, homogeneous=True)
+    spatial = partial(sobolev_norm, s=0.5, homogeneous=True)
     for q in (2.0, 6.0):
         expected = T ** (1.0 / q) * sobolev_norm(phi, 0.5, homogeneous=True)
-        (norm,) = spacetime_norm(fields, T / n, (q, spec))
+        (norm,) = spacetime_norm(fields, T / n, (q, spatial))
         assert np.isclose(norm, expected, rtol=1e-8)
 
 
 SPACETIME_PAIRS = (
-    (np.inf, NormSpec("sobolev_multiplier", s=0.4)),
-    (6.0, NormSpec("besov_lp", s=0.4, p=3.0, q=2.0, homogeneous=True)),
-    (6.0, NormSpec("lebesgue", p=5.0)),
-    (2.0, NormSpec("besov_fd", s=0.4, p=2.0, q=2.0)),
+    (np.inf, partial(sobolev_norm, s=0.4)),
+    (6.0, partial(besov_norm_lp, s=0.4, p=3.0, q=2.0, homogeneous=True)),
+    (6.0, partial(lebesgue_norm, p=5.0)),
+    (2.0, partial(besov_norm_fd, s=0.4, p=2.0, q=2.0)),
 )
 
 
@@ -442,13 +438,6 @@ def test_spacetime_norm_pairs_bitwise_one_call_per_pair(dim, points, rng):
     assert all(value > 0.0 for value in together)
 
 
-def test_evaluate_norm_dispatch(rng):
-    f = smooth_random_field(WIDE, rng)
-    assert evaluate_norm(f, NormSpec("lebesgue", p=3.0)) == lebesgue_norm(f, 3.0)
-    assert evaluate_norm(f, NormSpec("sobolev_multiplier", s=0.3)) == \
-        sobolev_norm(f, 0.3)
-
-
 def test_default_band_covers_grid():
     jmin, jmax = default_band(WIDE)
     assert 2.0 ** jmin <= 2.0 * np.pi / WIDE.period
@@ -461,25 +450,26 @@ NORM_PROPERTY_GRIDS = [Grid(1, 64, 32.0), Grid(2, 32, 16.0)]
 
 
 @st.composite
-def _norm_specs(draw, kind):
-    """A NormSpec of the kind with drawn exponents, valid for the kind."""
+def _exponents(draw, norm):
+    """Keyword exponents of the norm function, drawn valid for it."""
     s = draw(st.floats(0.1, 0.9))
     p = draw(st.floats(1.0, 6.0))
-    if kind == "lebesgue":
-        return NormSpec(kind, p=p)
-    if kind == "sobolev_multiplier":
-        return NormSpec(kind, s=s, homogeneous=draw(st.booleans()))
-    if kind == "besov_lp":
-        return NormSpec(kind, s=s, p=p, q=draw(st.floats(1.0, 4.0)),
-                        homogeneous=draw(st.booleans()))
-    return NormSpec(kind, s=s, p=p, q=draw(st.floats(1.0, 4.0)))
+    if norm is lebesgue_norm:
+        return {"p": p}
+    if norm is sobolev_norm:
+        return {"s": s, "homogeneous": draw(st.booleans())}
+    if norm is besov_norm_lp:
+        return {"s": s, "p": p, "q": draw(st.floats(1.0, 4.0)),
+                "homogeneous": draw(st.booleans())}
+    return {"s": s, "p": p, "q": draw(st.floats(1.0, 4.0))}
 
 
 @pytest.mark.parametrize("grid", NORM_PROPERTY_GRIDS,
                          ids=lambda g: f"{g.dim}d{g.points}")
-@pytest.mark.parametrize("kind", ["lebesgue", "sobolev_multiplier",
-                                  "besov_lp", "besov_fd"])
-def test_property_norm_lattice_roll_and_homogeneity(grid, kind):
+@pytest.mark.parametrize(
+    "norm", [lebesgue_norm, sobolev_norm, besov_norm_lp, besov_norm_fd],
+    ids=["lebesgue", "sobolev_multiplier", "besov_lp", "besov_fd"])
+def test_property_norm_lattice_roll_and_homogeneity(grid, norm):
     # a lattice roll permutes the samples and commutes with every Fourier
     # multiplier and finite difference, and every norm is absolutely
     # homogeneous; both hold to rounding
@@ -490,14 +480,14 @@ def test_property_norm_lattice_roll_and_homogeneity(grid, kind):
                           min_size=grid.dim, max_size=grid.dim),
            c=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                                 allow_nan=False, allow_infinity=False),
-           spec=_norm_specs(kind))
-    def check(seed, shift, c, spec):
+           exponents=_exponents(norm))
+    def check(seed, shift, c, exponents):
         f = smooth_random_field(grid, np.random.default_rng(seed))
-        base = evaluate_norm(f, spec)
+        base = norm(f, **exponents)
         rolled = Field(grid, np.roll(f.values, shift,
                                      axis=tuple(range(grid.dim))))
-        assert evaluate_norm(rolled, spec) == pytest.approx(base, rel=1e-12)
-        scaled = evaluate_norm(Field(grid, c * f.values), spec)
+        assert norm(rolled, **exponents) == pytest.approx(base, rel=1e-12)
+        scaled = norm(Field(grid, c * f.values), **exponents)
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
     check()
@@ -508,8 +498,6 @@ def test_property_norm_lattice_roll_and_homogeneity(grid, kind):
 def test_property_fd_to_lp_ratio_spread(grid):
     # criterion 2's spread bound on the two Besov norms at s = 1/2,
     # p = q = 2, over Gaussians of drawn width, centre and amplitude
-    lp_spec = NormSpec("besov_lp", s=0.5, p=2.0, q=2.0, homogeneous=True)
-    fd_spec = NormSpec("besov_fd", s=0.5, p=2.0, q=2.0)
     bump = st.tuples(
         st.floats(1.0, 4.0),
         st.lists(st.floats(0.0, grid.period), min_size=grid.dim,
@@ -523,7 +511,8 @@ def test_property_fd_to_lp_ratio_spread(grid):
     def check(bumps):
         fields = [gaussian(grid, amplitude, width, center)
                   for width, center, amplitude in bumps]
-        ratios = [besov_norm_fd(f, fd_spec) / besov_norm_lp(f, lp_spec)
+        ratios = [besov_norm_fd(f, 0.5, 2.0)
+                  / besov_norm_lp(f, 0.5, 2.0, homogeneous=True)
                   for f in fields]
         assert max(ratios) / min(ratios) < 1.5
 
