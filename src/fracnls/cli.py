@@ -89,6 +89,7 @@ _FLAG = (lambda v: type(v) is bool, "true or false", None)
 _TEXT = (lambda v: type(v) is str, "a string", None)
 _COUNT = (_is_count, "an integer", int)
 _NODES = (lambda v: _is_count(v) and v >= 2, "an integer >= 2", int)
+_NATURAL = (lambda v: _is_count(v) and v >= 0, "a non-negative integer", int)
 _REAL = (_is_real, "a number", float)
 _POSITIVE = (lambda v: _is_real(v) and v > 0, "a positive number", float)
 _COMPLEX = (_is_complex, "a number or [re, im]", _as_complex)
@@ -135,7 +136,7 @@ _SCHEMA = {
                  "center": (_one_or_dim(_is_real, "a number"), gaussian)},
     "plane_wave": {"mode": (_one_or_dim(_is_count, "an integer"), 1),
                    "amplitude": (_COMPLEX, plane_wave)},
-    "random": {"band": (_COUNT, 6)},
+    "random": {"band": (_NATURAL, 6)},
     "default": {"center": (_REAL, default_direction),
                 "width": (_REAL, default_direction)},
 }
@@ -192,6 +193,8 @@ def _read_config(raw: dict) -> dict:
             config[where] = _read(config[where], _SCHEMA[where], where)
     if "time" in config and not {"slices", "dt"} & set(config["time"]):
         raise ConfigError("time needs either slices or dt")
+    if {"slices", "dt"} <= set(config.get("time", ())):
+        raise ConfigError("time takes slices or dt, not both")
     for where in ("datum", "direction"):
         if where in config:
             config[where] = _read_field(config[where], where,
@@ -349,7 +352,7 @@ def cmd_verify_pointwise(args) -> int:
     return 1 if failed else 0
 
 
-# --- selftest suites: quick deterministic invariants, no pytest involved
+# --- selftest suites: quick invariants on fixed seeds, no pytest involved
 
 
 def _selftest_grid():
@@ -455,7 +458,7 @@ def _plane_wave_setup():
 
 def _check_split_plane_wave():
     _, phi, exact = _plane_wave_setup()
-    traj = split_step(phi, PowerNonlinearity(1.0, 2.0), 0.5, 1e-2)
+    traj = split_step(phi, PowerNonlinearity(1.0, 2.0), TimeGrid(0.5, 50))
     last = traj.timegrid.slices
     assert np.abs(traj.field(last).values - exact(0.5)).max() < 1e-8
 
@@ -473,7 +476,7 @@ def _check_picard_plane_wave():
 def _check_split_mass():
     grid = Grid(1, 64, 32.0)
     phi = gaussian(grid, 1.0, 2.0)
-    traj = split_step(phi, PowerNonlinearity(-1.0, 2.0), 0.5, 1e-2)
+    traj = split_step(phi, PowerNonlinearity(-1.0, 2.0), TimeGrid(0.5, 50))
     masses = [lebesgue_norm(traj.field(m), 2.0)
               for m in range(traj.timegrid.slices + 1)]
     assert abs(masses[-1] - masses[0]) < 1e-10
@@ -548,8 +551,7 @@ def cmd_solve(args) -> int:
             _build_field(datum, rc.grid, rc.seed), nl, tg, rc.solver)
         print(f"picard converged in {report.iterations} sweeps")
     else:
-        traj = split_step(_build_field(datum, rc.grid, rc.seed), nl,
-                          tg.horizon, tg.dt)
+        traj = split_step(_build_field(datum, rc.grid, rc.seed), nl, tg)
     rho = rc.solver.metric_pair[1]
     _write_csv(rc.output_dir / "solve.csv", rc.digest,
                ("t", "l2", "sobolev", "besov"),

@@ -400,7 +400,7 @@ def remainder_decay_experiment(params: ProblemParams,
                                family: PerturbationFamily,
                                cfg: PicardConfig, tg: TimeGrid, *,
                                theta_nodes: int = THETA_NODES,
-                               quad: Optional[ShellQuadrature] = None,
+                               quad: ShellQuadrature = ShellQuadrature(),
                                threads: int = 1) -> tuple:
     """Integrated remainder along solved trajectories, one row per scale.
 
@@ -455,7 +455,7 @@ def remainder_decay_experiment(params: ProblemParams,
 def static_remainder_decay(base: Field, direction: Field, scales,
                            nl: PowerNonlinearity, s: float, p: float, q: float,
                            r: float, theta_nodes: int = THETA_NODES,
-                           quad: Optional[ShellQuadrature] = None) -> tuple:
+                           quad: ShellQuadrature = ShellQuadrature()) -> tuple:
     """Remainder of base against base + eps * direction, no dynamics."""
     (values,) = remainder_K([base],
                             [[base + eps * direction for eps in scales]],

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .grid import Field, lebesgue_norm, lp_norm, peak_factored_norms
-from .spaces import ShellQuadrature, fd_quadrature, translation_increments
+from .spaces import ShellQuadrature, translation_increments
 
 
 def _phase_square(values: np.ndarray, power: float,
@@ -95,11 +95,6 @@ class PowerNonlinearity:
         scale = self.coupling * 0.5 * self.power
         out = _phase_square(values, self.power, out)
         return np.multiply(scale, out, out=out)
-
-
-def apply_g(f: Field, nl: PowerNonlinearity) -> Field:
-    """Pointwise image of a field under the nonlinearity."""
-    return Field(f.grid, nl.g(f.values))
 
 
 @lru_cache(maxsize=8)
@@ -250,12 +245,10 @@ def _remainder_rows(nl: PowerNonlinearity, grid, rows: int,
     return fill
 
 
-def remainder_K(u: Union[Field, Sequence[Field]],
-                v: Union[Field, Sequence[Sequence[Field]]],
+def remainder_K(u: Sequence[Field], v: Sequence[Sequence[Field]],
                 nl: PowerNonlinearity, s: float, p: float, q: float,
                 r: float, theta_nodes: int = THETA_NODES,
-                quad: Optional[ShellQuadrature] = None
-                ) -> Union[float, tuple]:
+                quad: ShellQuadrature = ShellQuadrature()) -> tuple:
     """Lower-order remainder of the Besov difference bound.
 
     For each offset y, the integrand is u's translation increment times
@@ -266,22 +259,19 @@ def remainder_K(u: Union[Field, Sequence[Field]],
     (the increment does), and it decays as v -> u in the companion
     Lebesgue norm of order power/(1/p - 1/r).
 
-    u and v are one Field each, giving a float, or a sequence of base
-    Fields (say the slices of a trajectory) and as many sequences of
-    Fields, giving one tuple per base with one value per entry.  One
-    offset loop serves every base and every entry: each field is
-    transformed once, each offset's multiplier is built once, and the
-    base side is shared by its entries.  Each value equals the
-    single-pair call's bit for bit.
+    u is a sequence of base Fields (say the slices of a trajectory) and
+    v holds one sequence of Fields per base; the result holds one tuple
+    per base with one value per entry, so one pair's value is
+    remainder_K([u], [[v]], ...)[0][0].  One offset loop serves every
+    base and every entry: each field is transformed once, each offset's
+    multiplier is built once, and the base side is shared by its
+    entries.  Each value equals the one-pair call's bit for bit.
 
     theta_nodes is the Gauss-Legendre node count of the segment average;
     for an even integer power 2m it is an upper bound, since m + 1 nodes
     already integrate the map's derivatives exactly."""
-    single = isinstance(u, Field)
-    if single != isinstance(v, Field):
-        raise TypeError("u and v must both be Fields or both sequences")
-    bases = (u,) if single else tuple(u)
-    row_sets = ((v,),) if single else tuple(tuple(rows) for rows in v)
+    bases = tuple(u)
+    row_sets = tuple(tuple(rows) for rows in v)
     if len(bases) != len(row_sets):
         raise ValueError(f"{len(bases)} bases but {len(row_sets)} "
                          "row sequences")
@@ -290,7 +280,7 @@ def remainder_K(u: Union[Field, Sequence[Field]],
     if any(w.grid is not grid and w.grid != grid for w in fields):
         raise ValueError("fields live on different grids")
     _check_difference_exponents(s, p, q, r, nl.power)
-    offsets, kernel = fd_quadrature(grid, quad, s, q)
+    offsets, kernel = quad.offsets_kernel(grid, s, q)
     fill = _remainder_rows(nl, grid, max(map(len, row_sets)), theta_nodes,
                            p)
     # row 0 of each stack is its base and row 1 + j its entry j
@@ -299,28 +289,8 @@ def remainder_K(u: Union[Field, Sequence[Field]],
     norms = [np.empty((len(rows), len(offsets))) for rows in row_sets]
     for i, j, incs in translation_increments(stacks, grid, offsets):
         fill(stacks[j], incs, norms[j][:, i])
-    values = tuple(tuple(peak_factored_norms(block, q, kernel))
-                   for block in norms)
-    return values[0][0] if single else values
-
-
-@dataclass(frozen=True)
-class DifferenceExponents:
-    """Exponent bundle (s, p, q, r) for the difference bound.
-
-    p < r is required; the companion Lebesgue order for a map of a given
-    power is sigma(power) = power / (1/p - 1/r), possibly below one (the
-    quasi-norm convention applies there).
-    """
-
-    s: float
-    p: float
-    q: float
-    r: float
-
-    def sigma(self, power: float) -> float:
-        return _check_difference_exponents(self.s, self.p, self.q, self.r,
-                                           power)
+    return tuple(tuple(peak_factored_norms(block, q, kernel))
+                 for block in norms)
 
 
 @dataclass(frozen=True)
@@ -342,15 +312,18 @@ class DifferenceReport:
 
 
 def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
-                            exps: DifferenceExponents,
+                            s: float, p: float, q: float, r: float,
                             theta_nodes: int = THETA_NODES,
-                            quad: Optional[ShellQuadrature] = None
+                            quad: ShellQuadrature = ShellQuadrature()
                             ) -> DifferenceReport:
-    """Evaluate the difference bound's pieces on one pair of fields:
+    """Evaluate the difference bound's pieces on one pair of fields, with
+    the exponents of `remainder_K` (p < r, and the companion Lebesgue
+    order sigma = power / (1/p - 1/r), possibly below one, where the
+    quasi-norm convention applies):
 
         lhs            = || g(v) - g(u) ||  at (s, p, q),
         lipschitz_term = ||v||_sigma^power * || v - u ||  at (s, r, q),
-        k_term         = the remainder functional.
+        k_term         = remainder_K([u], [[v]], ...)[0][0].
 
     All smoothness norms are finite-difference norms sharing one offset
     quadrature, so the three numbers are directly comparable.  The
@@ -358,24 +331,24 @@ def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
     (s, r, q) times ||v - u||_sigma^power for power <= 1, and times
     (||u||_sigma^(power-1) + ||v||_sigma^(power-1)) ||v - u||_sigma for
     power >= 1."""
-    sigma = exps.sigma(nl.power)
+    sigma = _check_difference_exponents(s, p, q, r, nl.power)
     grid = u.grid
-    image_gap = apply_g(v, nl) - apply_g(u, nl)
     gap = v - u
-    offsets, kernel = fd_quadrature(grid, quad, exps.s, exps.q)
-    fill = _remainder_rows(nl, grid, 1, theta_nodes, exps.p)
+    offsets, kernel = quad.offsets_kernel(grid, s, q)
+    fill = _remainder_rows(nl, grid, 1, theta_nodes, p)
     # one offset loop: row 0 of norms is the remainder of u against v,
     # then the difference norms of g(v) - g(u) at p and of v - u at r,
     # and for the refined term that of u at r
-    stack = [u.values, v.values, image_gap.values, gap.values]
+    stack = [u.values, v.values, nl.g(v.values) - nl.g(u.values),
+             gap.values]
     norms = np.empty((4, len(offsets)))
     cell = grid.cell_volume
     for i, _, incs in translation_increments([stack], grid, offsets):
         fill(stack[:2], incs, norms[:1, i])
-        norms[1, i] = lp_norm(incs[2], exps.p, cell)
-        norms[2, i] = lp_norm(incs[3], exps.r, cell)
-        norms[3, i] = lp_norm(incs[0], exps.r, cell)
-    k_term, lhs, gap_smooth, u_smooth = peak_factored_norms(norms, exps.q,
+        norms[1, i] = lp_norm(incs[2], p, cell)
+        norms[2, i] = lp_norm(incs[3], r, cell)
+        norms[3, i] = lp_norm(incs[0], r, cell)
+    k_term, lhs, gap_smooth, u_smooth = peak_factored_norms(norms, q,
                                                             kernel)
     v_sigma = lebesgue_norm(v, sigma)
     lipschitz_term = v_sigma ** nl.power * gap_smooth

@@ -407,23 +407,18 @@ def _split_slices(phi: Field, nl: PowerNonlinearity, tg: TimeGrid):
         yield work
 
 
-def split_step(phi: Field, nl: PowerNonlinearity, horizon: float,
-               dt: float) -> Trajectory:
+def split_step(phi: Field, nl: PowerNonlinearity,
+               tg: TimeGrid) -> Trajectory:
     """Strang splitting: half free flow, exact power substep, half free flow.
 
     Both substeps are exact, so the only error is the order-2 splitting
     error; for a single Fourier mode the two flows commute and the
-    composition is exact.  The requested dt is rounded to an integer
-    number of slices of the horizon.  For real coupling the power
-    substep leaves the modulus untouched pointwise and the free flow is
-    unitary, so the L^2 norm is conserved to rounding.  The stack holds
-    the slices of `_split_slices`, which callers may stream instead.
+    composition is exact.  One step spans one slice of tg.  For real
+    coupling the power substep leaves the modulus untouched pointwise and
+    the free flow is unitary, so the L^2 norm is conserved to rounding.
+    The stack holds the slices of `_split_slices`, which callers may
+    stream instead.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    tg = TimeGrid(horizon, max(2, int(round(horizon / dt))))
     out = np.empty((tg.slices + 1,) + phi.grid.shape, dtype=complex)
     for m, values in enumerate(_split_slices(phi, nl, tg)):
         out[m] = values

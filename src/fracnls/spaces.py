@@ -18,8 +18,9 @@ L^q sum, over a mesh, across scales or offsets, or in time, is
 The dyadic partition is built from a C-infinity radial transition profile,
 so block multipliers overlap only between neighbours and telescope to one
 on the resolvable band.  The finite-difference integral is truncated to
-radii [h/2, L/2].  `fd_quadrature` and `translation_increments` are the
-one engine for that integral, shared with the remainder functional.
+radii [h/2, L/2].  `ShellQuadrature.offsets_kernel` and
+`translation_increments` are the one engine for that integral, shared
+with the remainder functional.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -174,15 +174,13 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 class ShellQuadrature:
     """Polar quadrature for the difference integral over offsets y.
 
-    Radii are log-spaced (trapezoid in log r) on [rmin, rmax], defaulting
-    to [h/2, L/2]; directions are +-1 in one dimension, uniform angles in
-    two, a Fibonacci sphere in three.
+    Radii are log-spaced (trapezoid in log r) on [h/2, L/2]; directions
+    are +-1 in one dimension, uniform angles in two, a Fibonacci sphere
+    in three.
     """
 
     shells: int = 32
     angles: int = 16
-    rmin: Optional[float] = None
-    rmax: Optional[float] = None
 
     def __post_init__(self):
         if self.shells < 2:
@@ -192,11 +190,8 @@ class ShellQuadrature:
 
     def radii_weights(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         """Radii r_i and weights w_i with sum_i w_i f(r_i) ~ integral f dr."""
-        rmin = self.rmin if self.rmin is not None else 0.5 * grid.spacing
-        rmax = self.rmax if self.rmax is not None else 0.5 * grid.period
-        if not 0.0 < rmin < rmax:
-            raise ValueError(f"bad radial range ({rmin}, {rmax})")
-        t = np.linspace(np.log(rmin), np.log(rmax), self.shells)
+        t = np.linspace(np.log(0.5 * grid.spacing), np.log(0.5 * grid.period),
+                        self.shells)
         wt = np.full(self.shells, t[1] - t[0])
         wt[0] *= 0.5
         wt[-1] *= 0.5
@@ -218,27 +213,16 @@ class ShellQuadrature:
             w = np.full(n, 4.0 * np.pi / n)
         return dirs, w
 
-    def offsets_weights(self, grid: Grid):
-        """All offset vectors y with radii, combined dy-measure weights and
-        the radii they came from."""
+    def offsets_kernel(self, grid: Grid, s: float,
+                       q: float) -> tuple[np.ndarray, np.ndarray]:
+        """All offset vectors y, and the kernel |y|^(-N-sq) times the dy
+        weight of each, at smoothness s and summability q."""
         r, wr = self.radii_weights(grid)
         dirs, wd = self.directions_weights(grid.dim)
         offsets = r[:, None, None] * dirs[None, :, :]
         weights = (r ** (grid.dim - 1) * wr)[:, None] * wd[None, :]
-        radii = np.broadcast_to(r[:, None], weights.shape)
-        return (offsets.reshape(-1, grid.dim), weights.reshape(-1),
-                radii.reshape(-1))
-
-
-def fd_quadrature(grid: Grid, quad: Optional[ShellQuadrature], s: float,
-                  q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets y and kernel |y|^(-N-sq) times the dy weight of each, for
-    the quadrature (default `ShellQuadrature()`) at smoothness s and
-    summability q."""
-    if quad is None:
-        quad = ShellQuadrature()
-    offsets, weights, radii = quad.offsets_weights(grid)
-    return offsets, radii ** (-grid.dim - s * q) * weights
+        kernel = (r ** (-grid.dim - s * q))[:, None] * weights
+        return offsets.reshape(-1, grid.dim), kernel.reshape(-1)
 
 
 def translation_increments(stacks, grid: Grid, offsets):
@@ -263,7 +247,7 @@ def translation_increments(stacks, grid: Grid, offsets):
 
 
 def besov_norm_fd(f: Field, s: float, p: float, q: float = 2.0,
-                  quad: Optional[ShellQuadrature] = None) -> float:
+                  quad: ShellQuadrature = ShellQuadrature()) -> float:
     """Finite-difference Besov norm, truncated to offsets |y| <= L/2.
 
     ( sum over quadrature nodes of
@@ -275,7 +259,7 @@ def besov_norm_fd(f: Field, s: float, p: float, q: float = 2.0,
             f"difference characterization needs 0 < s < 1, got {s}")
     if np.isinf(q):
         raise ValueError("difference characterization needs q < inf")
-    offsets, kernel = fd_quadrature(f.grid, quad, s, q)
+    offsets, kernel = quad.offsets_kernel(f.grid, s, q)
     diffs = [lp_norm(incs[0], p, f.grid.cell_volume)
              for _, _, incs in translation_increments([[f.values]], f.grid,
                                                       offsets)]

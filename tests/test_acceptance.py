@@ -19,8 +19,7 @@ from fracnls.exponents import (ProblemParams, canonical_pair, critical_pair,
                                dual, is_admissible, max_power, nu)
 from fracnls.grid import Field, Grid, free_propagate, gaussian, lebesgue_norm, \
     plane_wave, translate
-from fracnls.nonlinearity import (DifferenceExponents, PowerNonlinearity,
-                                  besov_difference_report,
+from fracnls.nonlinearity import (PowerNonlinearity, besov_difference_report,
                                   count_pointwise_violations)
 from fracnls.solver import PicardConfig, TimeGrid, picard_duhamel, split_step
 from fracnls.spaces import (ShellQuadrature, besov_norm_fd, besov_norm_lp,
@@ -150,7 +149,7 @@ def test_criterion_4_integrator_correctness():
              * np.exp(-1j * k0 ** 2 * horizon)
              * np.exp(1j * amp ** 2 * horizon))
 
-    straj = split_step(phi, CUBIC, horizon, horizon / 256)
+    straj = split_step(phi, CUBIC, TimeGrid(horizon, 256))
     assert np.abs(straj.field(256).values - exact).max() < 1e-8
 
     params = ProblemParams(1, 0.4, 2.0)
@@ -160,20 +159,21 @@ def test_criterion_4_integrator_correctness():
     assert np.abs(ptraj.field(256).values - exact).max() < 1e-6
 
     bump = gaussian(Grid(1, 128, 32.0), 0.5, 2.0)
-    runs = [split_step(bump, CUBIC, 0.5, 0.5 / n) for n in (125, 250, 500)]
+    runs = [split_step(bump, CUBIC, TimeGrid(0.5, n)) for n in (125, 250, 500)]
     ends = [r.field(r.timegrid.slices) for r in runs]
     order = np.log2(lebesgue_norm(ends[0] - ends[1], 2.0)
                     / lebesgue_norm(ends[1] - ends[2], 2.0))
     assert abs(order - 2.0) <= 0.1
 
-    mass_run = split_step(bump, PowerNonlinearity(-1.0, 2.0), 1.0, 1e-3)
+    mass_run = split_step(bump, PowerNonlinearity(-1.0, 2.0),
+                          TimeGrid(1.0, 1000))
     m0 = lebesgue_norm(mass_run.field(0), 2.0)
     m1 = lebesgue_norm(mass_run.field(mass_run.timegrid.slices), 2.0)
     assert abs(m1 - m0) <= 1e-7 * m0
 
     small = gaussian(Grid(1, 128, 32.0), 0.3, 2.0)
     ptraj2, _ = picard_duhamel(small, CUBIC, TimeGrid(0.5, 500), cfg)
-    straj2 = split_step(small, CUBIC, 0.5, 1e-3)
+    straj2 = split_step(small, CUBIC, TimeGrid(0.5, 500))
     gap = max(lebesgue_norm(ptraj2.field(m) - straj2.field(m), 2.0)
               for m in range(501))
     assert gap <= 1e-5
@@ -276,7 +276,6 @@ def _difference_bound(grid):
     """Criterion 6 on one grid: one calibrated constant of the difference
     bound holds on held-out pairs, and the Lipschitz ratio stays bounded
     as the gap closes."""
-    exps = DifferenceExponents(s=0.4, p=2.0, q=2.0, r=6.0)
     quad = ShellQuadrature(shells=16)
     rng = np.random.default_rng(606)
 
@@ -290,8 +289,9 @@ def _difference_bound(grid):
         c = float(rng.uniform(0.0, 1.0))
         delta = float(rng.uniform(0.05, 0.6))
         v = u + delta * (c * u + (1.0 - c) * w)
-        reports.append(besov_difference_report(u, v, CUBIC, exps,
-                                               theta_nodes=16, quad=quad))
+        reports.append(besov_difference_report(u, v, CUBIC, 0.4, 2.0, 2.0,
+                                               6.0, theta_nodes=16,
+                                               quad=quad))
     calibration, held_out = reports[:25], reports[25:]
     constant = max((r.lhs - r.k_term) / r.lipschitz_term
                    for r in calibration)
@@ -308,8 +308,8 @@ def _difference_bound(grid):
     ratios = []
     for k in range(8):
         v = u + (2.0 ** -k) * psi
-        report = besov_difference_report(u, v, CUBIC, exps, theta_nodes=16,
-                                         quad=quad)
+        report = besov_difference_report(u, v, CUBIC, 0.4, 2.0, 2.0, 6.0,
+                                         theta_nodes=16, quad=quad)
         ratios.append(report.lhs / besov_norm_fd(v - u, 0.4, 6.0, 2.0,
                                                  quad))
     assert max(ratios[4:]) <= 1.25 * max(ratios[:4])

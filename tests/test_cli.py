@@ -10,7 +10,8 @@ import pytest
 
 import fracnls.dependence
 import fracnls.spaces
-from fracnls.cli import ConfigError, RunConfig, config_hash, main
+from fracnls.cli import (ConfigError, RunConfig, _build_timegrid, config_hash,
+                         main)
 from fracnls.grid import Grid
 from fracnls.solver import TimeGrid
 from trajectories import stack_bytes, traced_peak
@@ -524,6 +525,9 @@ def test_config_rejects_mistyped_flag_or_count(tmp_path, capsys, command,
 FIELD_NUMBER_CASES = [
     ("solve", "datum.band", {"datum": {"kind": "random", "band": 4.9}}),
     ("solve", "datum.band", {"datum": {"kind": "random", "band": True}}),
+    ("solve", "datum.band", {"datum": {"kind": "random", "band": -1}}),
+    ("dependence", "direction.band", {"direction": {"kind": "random",
+                                                    "band": -1}}),
     ("solve", "problem.coupling", {"problem": dict(PROBLEM, coupling=True)}),
     ("solve", "problem.coupling",
      {"problem": dict(PROBLEM, coupling=[1.0, False])}),
@@ -625,6 +629,17 @@ def test_config_time_needs_step_or_slices(tmp_path, capsys):
     assert "slices or dt" in capsys.readouterr().err
 
 
+def test_time_dt_rounds_to_a_slice_count(tmp_path):
+    # dt 0.3 over a horizon of 1 rounds to 3 slices of 1/3, and a dt
+    # near the horizon still gives the 2 slices a TimeGrid needs
+    for dt, slices in ((0.3, 3), (0.9, 2)):
+        path, _ = _write_config(tmp_path, time={"horizon": 1.0, "dt": dt})
+        rc = RunConfig.load(str(path), None, None)
+        tg = _build_timegrid(rc.config["time"])
+        assert tg.slices == slices
+        assert tg.dt == pytest.approx(1.0 / slices)
+
+
 def test_runconfig_rejects_empty(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("{}")
@@ -647,6 +662,8 @@ FAIL_FAST_CASES = [
                     "auto_horizon": {"start": 0.5, "slices": 8},
                     "time": {"horizon": 0.25}},
      "time needs either slices or dt"),
+    ("solve", {"time": {"horizon": 0.2, "slices": 4, "dt": 0.001}},
+     "time takes slices or dt, not both"),
     ("solve", {"time": {"horizon": 0.25, "dt": 0}},
      "time.dt must be a positive number, got 0"),
     ("solve", {"time": {"horizon": 0.25, "dt": -0.1}},

@@ -22,8 +22,8 @@ from fracnls.nonlinearity import PowerNonlinearity, remainder_K
 from fracnls.solver import (IterationReport, NonConvergenceError,
                             PicardConfig, TimeGrid, picard_duhamel,
                             smallness_check, split_step)
-from fracnls.spaces import (ShellQuadrature, besov_norm_lp, fd_quadrature,
-                            sobolev_norm, spacetime_norm)
+from fracnls.spaces import (ShellQuadrature, besov_norm_lp, sobolev_norm,
+                            spacetime_norm)
 from trajectories import free_trajectory, stack_bytes, traced_peak
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
@@ -345,7 +345,7 @@ def _stacked_rows(params, family, cfg, tg, cross_tol):
     for k in range(family.depth + 1):
         datum = family.datum(k)
         traj, rep = picard_duhamel(datum, nl, tg, cfg)
-        oracle = split_step(datum, nl, tg.horizon, tg.dt)
+        oracle = split_step(datum, nl, tg)
         gap = max(lp_norm(a - b, 2.0, grid.cell_volume)
                   for a, b in zip(traj.values, oracle.values))
         diff = traj.values - base.values
@@ -473,7 +473,7 @@ def test_remainder_decay_threads_match_serial(direction, multiplier_builds):
     fam = PerturbationFamily(BASE, direction, 0.01, 3, 0.4)
     tg = TimeGrid(0.25, 8)
     quad = ShellQuadrature(shells=8)
-    offsets, _ = fd_quadrature(GRID, quad, 0.4, 2.0)
+    offsets, _ = quad.offsets_kernel(GRID, 0.4, 2.0)
     GRID.origin_phase  # cached before counting
     runs = []
     for threads in (1, 2, 3):
@@ -521,7 +521,7 @@ def test_remainder_row_scratch_stays_two_columns():
     nl = PowerNonlinearity(0.7 - 0.3j, 3.0)
     kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0,
                   quad=ShellQuadrature(shells=2, angles=4))
-    remainder_K(base, rows[0], nl, **kwargs)  # warm grid caches
+    remainder_K([base], [rows[:1]], nl, **kwargs)  # warm grid caches
     one, nine = (traced_peak(remainder_K, [base], [rows[:n]], nl, **kwargs)
                  for n in (1, 9))
     assert nine - one <= (2 * 8 + 1) * grid.size * 16

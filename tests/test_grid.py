@@ -15,7 +15,7 @@ from fracnls.grid import (
     plane_wave,
     translate,
 )
-from fracnls.spaces import ShellQuadrature, fd_quadrature
+from fracnls.spaces import ShellQuadrature
 from conftest import (
     band_limited_random_field,
     full_mesh_wavenumber_square,
@@ -411,8 +411,8 @@ def test_peak_factored_norms_weighted_sums_are_the_old_form(rng, weights, q):
         weights = np.full(33, 0.25 / 32)
         weights[[0, -1]] *= 0.5
     elif weights == "kernel":
-        weights = fd_quadrature(Grid(2, 32, 10.0), ShellQuadrature(), 0.4,
-                                2.0)[1]
+        weights = ShellQuadrature().offsets_kernel(Grid(2, 32, 10.0), 0.4,
+                                                   2.0)[1]
     else:
         weights = 1.0
     n = np.size(weights) if np.ndim(weights) else 17

@@ -12,6 +12,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracnls"
 UNCALLED_BUT_KEPT = {
     "besov_difference_report": "criterion 6 in test_acceptance.py",
     "besov_norm_fd": "criterion 2 in test_acceptance.py",
+    "fit_slope": "criterion 7 in test_acceptance.py",
     "Grid.nyquist": "band limit of the test fixtures; moving it into the "
                     "tests would not reduce the code",
     "Grid.wavenumber_magnitude": "band limit of the test fixtures; moving "
@@ -34,12 +35,27 @@ def _definitions(tree: ast.Module):
     yield from walk(tree, "")
 
 
+def _exported(tree: ast.Module) -> set:
+    """ids of the nodes inside assignments to __all__: exporting a name
+    is not using it."""
+    nodes = set()
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in stmt.targets):
+            nodes.update(map(id, ast.walk(stmt.value)))
+    return nodes
+
+
 def _names(tree: ast.Module) -> Counter:
     """How often each identifier is named outside a definition: as a
-    variable, an attribute, an import or a string such as an __all__
-    entry."""
+    variable, an attribute, an import or a string, other than an
+    __all__ entry."""
     counts = Counter()
+    exported = _exported(tree)
     for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
         if isinstance(node, ast.Name):
             counts[node.id] += 1
         elif isinstance(node, ast.Attribute):

@@ -9,15 +9,13 @@ import fracnls.nonlinearity
 from fracnls.grid import (Field, Grid, gaussian, lebesgue_norm, lp_norm,
                           peak_factored_norms)
 from fracnls.nonlinearity import (
-    DifferenceExponents,
     THETA_NODES,
     PowerNonlinearity,
-    apply_g,
     besov_difference_report,
     count_pointwise_violations,
     remainder_K,
 )
-from fracnls.spaces import ShellQuadrature, besov_norm_fd, fd_quadrature
+from fracnls.spaces import ShellQuadrature, besov_norm_fd
 from pointwise_checks import (check_pointwise_power, derivative_envelope,
                               difference_identity_residual, wirtinger)
 
@@ -28,26 +26,24 @@ def _scalar_g(nl, z):
     return complex(nl.g(np.asarray(z, dtype=complex).reshape(-1))[0])
 
 
-# ------------------------------------------------------------------- apply_g
+# ----------------------------------------------------------------- power map
 
-def test_apply_g_zero_and_constant(line_grid):
-    zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
-    assert np.all(apply_g(zero, CUBIC).values == 0.0)
+def test_power_g_zero_and_constant(line_grid):
+    assert np.all(CUBIC.g(np.zeros(line_grid.shape, dtype=complex)) == 0.0)
     nl = PowerNonlinearity(coupling=0.5 - 2.0j, power=1.5)
     c = 1.0 + 2.0j
-    const = Field(line_grid, np.full(line_grid.shape, c))
-    image = apply_g(const, nl)
+    image = nl.g(np.full(line_grid.shape, c))
     expected = nl.coupling * abs(c) ** nl.power * c
-    assert np.allclose(image.values, expected, rtol=1e-14)
+    assert np.allclose(image, expected, rtol=1e-14)
 
 
-def test_apply_g_modulus_identity(line_grid, rng):
+def test_power_g_modulus_identity(line_grid, rng):
     from conftest import smooth_random_field
     f = smooth_random_field(line_grid, rng)
     nl = PowerNonlinearity(coupling=-1.5j, power=0.7)
-    image = apply_g(f, nl)
+    image = nl.g(f.values)
     expected = abs(nl.coupling) * np.abs(f.values) ** (nl.power + 1.0)
-    assert np.allclose(np.abs(image.values), expected, rtol=1e-13)
+    assert np.allclose(np.abs(image), expected, rtol=1e-13)
 
 
 @pytest.mark.parametrize("coupling", [1.0, -0.5, 0.7 - 0.3j],
@@ -227,18 +223,21 @@ def bump_pair(line_grid):
 
 def test_remainder_vanishes_on_diagonal(bump_pair):
     u, _ = bump_pair
-    assert remainder_K(u, u, CUBIC, s=0.5, p=2.0, q=2.0, r=6.0) == 0.0
+    assert remainder_K([u], [[u]], CUBIC, s=0.5, p=2.0, q=2.0,
+                       r=6.0)[0][0] == 0.0
 
 
 def test_remainder_vanishes_for_zero_base(bump_pair, line_grid):
     _, v = bump_pair
     zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
-    assert remainder_K(zero, v, CUBIC, s=0.5, p=2.0, q=2.0, r=6.0) == 0.0
+    assert remainder_K([zero], [[v]], CUBIC, s=0.5, p=2.0, q=2.0,
+                       r=6.0)[0][0] == 0.0
 
 
 def test_remainder_positive_off_diagonal(bump_pair):
     u, v = bump_pair
-    assert remainder_K(u, v, CUBIC, s=0.5, p=2.0, q=2.0, r=6.0) > 0.0
+    assert remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0,
+                       r=6.0)[0][0] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -253,7 +252,8 @@ def test_remainder_batch_matches_single_calls(dim, nl):
     kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=8,
                   quad=ShellQuadrature(shells=6))
     (batched,) = remainder_K([u], [others], nl, **kwargs)
-    assert batched == tuple(remainder_K(u, v, nl, **kwargs) for v in others)
+    assert batched == tuple(remainder_K([u], [[v]], nl, **kwargs)[0][0]
+                            for v in others)
     assert all(value > 0.0 for value in batched)
 
 
@@ -284,7 +284,7 @@ def _rowwise_remainder(u, others, nl, s, p, q, r, n_theta, quad,
     theta sum is the `wts @ gap` product it was before that."""
     grid = u.grid
     axes = tuple(range(1, grid.dim + 1))
-    offsets, kernel = fd_quadrature(grid, quad, s, q)
+    offsets, kernel = quad.offsets_kernel(grid, s, q)
     nodes, wts = fracnls.nonlinearity._gauss_unit(n_theta)
     theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
     weights = wts.reshape(theta.shape)
@@ -386,7 +386,8 @@ def test_remainder_all_slices_match_single_calls(dim, case):
     del rows[2][1]
     kwargs = dict(ENGINE_KW, theta_nodes=8)
     values = remainder_K(bases, rows, nl, **kwargs)
-    assert values == tuple(tuple(remainder_K(b, w, nl, **kwargs) for w in ws)
+    assert values == tuple(tuple(remainder_K([b], [[w]], nl, **kwargs)[0][0]
+                                 for w in ws)
                            for b, ws in zip(bases, rows))
     assert values[1][2] == 0.0
     assert min(values[0] + values[2]) > 0.0
@@ -413,13 +414,11 @@ def test_remainder_all_slices_checks_its_shape(bump_pair):
     u, v = bump_pair
     with pytest.raises(ValueError, match="2 bases but 1 row sequences"):
         remainder_K([u, v], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
-    with pytest.raises(TypeError, match="both be Fields"):
-        remainder_K(u, [v], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
 
 
 def test_remainder_builds_each_multiplier_once(multiplier_builds):
     u, others = _engine_fields(2, 3)
-    offsets, _ = fd_quadrature(u.grid, ENGINE_KW["quad"], 0.5, 2.0)
+    offsets, _ = ENGINE_KW["quad"].offsets_kernel(u.grid, 0.5, 2.0)
     remainder_K([u, u * 0.5], [others, others[:2]], CUBIC, **ENGINE_KW)
     assert multiplier_builds == [tuple(y) for y in offsets]
 
@@ -478,19 +477,20 @@ def test_remainder_batch_checks_grids(bump_pair, plane_grid):
 def test_remainder_validates_exponents(bump_pair):
     u, v = bump_pair
     with pytest.raises(ValueError, match="p < r"):
-        remainder_K(u, v, CUBIC, s=0.5, p=2.0, q=2.0, r=2.0)
+        remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=2.0)
     with pytest.raises(ValueError, match="0 < s < 1"):
-        remainder_K(u, v, CUBIC, s=1.2, p=2.0, q=2.0, r=6.0)
+        remainder_K([u], [[v]], CUBIC, s=1.2, p=2.0, q=2.0, r=6.0)
     with pytest.raises(ValueError, match="summability"):
-        remainder_K(u, v, CUBIC, s=0.5, p=2.0, q=np.inf, r=6.0)
+        remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=np.inf, r=6.0)
 
 
 def test_remainder_self_convergence(bump_pair):
     u, v = bump_pair
-    coarse = remainder_K(u, v, CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
-                         theta_nodes=32, quad=ShellQuadrature(shells=32))
-    fine = remainder_K(u, v, CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
-                       theta_nodes=64, quad=ShellQuadrature(shells=64))
+    coarse = remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
+                         theta_nodes=32,
+                         quad=ShellQuadrature(shells=32))[0][0]
+    fine = remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
+                       theta_nodes=64, quad=ShellQuadrature(shells=64))[0][0]
     assert abs(coarse - fine) < 0.01 * fine
 
 
@@ -501,8 +501,8 @@ def test_remainder_decays_along_perturbations(line_grid):
     values = []
     for k in range(11):
         v = u + (2.0 ** -k) * psi
-        values.append(remainder_K(u, v, CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
-                                  theta_nodes=16, quad=quad))
+        values.append(remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0,
+                                  r=6.0, theta_nodes=16, quad=quad)[0][0])
     values = np.array(values)
     assert np.all(np.diff(values) < 0.0)
     assert values[-1] < 1e-3 * values[0]
@@ -511,17 +511,15 @@ def test_remainder_decays_along_perturbations(line_grid):
 # ----------------------------------------------------------- difference report
 
 def test_difference_exponents_sigma():
-    exps = DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0)
-    assert exps.sigma(2.0) == pytest.approx(6.0)
-    assert exps.sigma(0.5) == pytest.approx(1.5)
-    assert DifferenceExponents(s=0.5, p=2.0, q=2.0, r=np.inf).sigma(1.0) \
-        == pytest.approx(2.0)
+    sigma = fracnls.nonlinearity._check_difference_exponents
+    assert sigma(0.5, 2.0, 2.0, 6.0, 2.0) == pytest.approx(6.0)
+    assert sigma(0.5, 2.0, 2.0, 6.0, 0.5) == pytest.approx(1.5)
+    assert sigma(0.5, 2.0, 2.0, np.inf, 1.0) == pytest.approx(2.0)
 
 
 def test_difference_report_diagonal(bump_pair):
     u, _ = bump_pair
-    exps = DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0)
-    report = besov_difference_report(u, u, CUBIC, exps)
+    report = besov_difference_report(u, u, CUBIC, 0.5, 2.0, 2.0, 6.0)
     assert report.lhs == 0.0
     assert report.k_term == 0.0
     assert report.lipschitz_term == 0.0
@@ -530,11 +528,12 @@ def test_difference_report_diagonal(bump_pair):
 def test_difference_report_zero_base(bump_pair, line_grid):
     _, v = bump_pair
     zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
-    exps = DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0)
     quad = ShellQuadrature()
-    report = besov_difference_report(zero, v, CUBIC, exps, quad=quad)
+    report = besov_difference_report(zero, v, CUBIC, 0.5, 2.0, 2.0, 6.0,
+                                     quad=quad)
     assert report.k_term == 0.0
-    direct = besov_norm_fd(apply_g(v, CUBIC), 0.5, 2.0, 2.0, quad)
+    direct = besov_norm_fd(Field(line_grid, CUBIC.g(v.values)), 0.5, 2.0,
+                           2.0, quad)
     assert report.lhs == pytest.approx(direct, rel=1e-12)
     assert report.sigma == pytest.approx(6.0)
     # with no base field the refined form collapses onto the Lipschitz term
@@ -545,13 +544,12 @@ def test_difference_report_lipschitz_ratio_bounded(line_grid):
     # power >= 1: lhs / ||v - u|| at (s, r, q) must not blow up as v -> u
     u = gaussian(line_grid, amplitude=1.0, width=2.0)
     psi = gaussian(line_grid, amplitude=1.0, width=1.5, center=2.0)
-    exps = DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0)
     quad = ShellQuadrature(shells=16)
     ratios = []
     for k in range(8):
         v = u + (2.0 ** -k) * psi
-        report = besov_difference_report(u, v, CUBIC, exps, theta_nodes=16,
-                                         quad=quad)
+        report = besov_difference_report(u, v, CUBIC, 0.5, 2.0, 2.0, 6.0,
+                                         theta_nodes=16, quad=quad)
         gap = besov_norm_fd(v - u, 0.5, 6.0, 2.0, quad)
         ratios.append(report.lhs / gap)
     first = max(ratios[:4])
@@ -559,18 +557,18 @@ def test_difference_report_lipschitz_ratio_bounded(line_grid):
     assert second <= 1.25 * first
 
 
-def _report_from_single_calls(u, v, nl, exps, theta_nodes, quad):
+def _report_from_single_calls(u, v, nl, s, p, q, r, theta_nodes, quad):
     """besov_difference_report as it was written: each norm by its own
     single-field call, each with its own offset loop."""
-    sigma = exps.sigma(nl.power)
-    smooth_r = partial(besov_norm_fd, s=exps.s, p=exps.r, q=exps.q,
-                       quad=quad)
-    lhs = besov_norm_fd(apply_g(v, nl) - apply_g(u, nl), exps.s, exps.p,
-                        exps.q, quad)
+    sigma = fracnls.nonlinearity._check_difference_exponents(s, p, q, r,
+                                                             nl.power)
+    smooth_r = partial(besov_norm_fd, s=s, p=r, q=q, quad=quad)
+    image_gap = Field(v.grid, nl.g(v.values)) - Field(u.grid, nl.g(u.values))
+    lhs = besov_norm_fd(image_gap, s, p, q, quad)
     v_sigma = lebesgue_norm(v, sigma)
     lipschitz = v_sigma ** nl.power * smooth_r(v - u)
-    k_term = remainder_K(u, v, nl, exps.s, exps.p, exps.q, exps.r,
-                         theta_nodes=theta_nodes, quad=quad)
+    k_term = remainder_K([u], [[v]], nl, s, p, q, r,
+                         theta_nodes=theta_nodes, quad=quad)[0][0]
     u_smooth = smooth_r(u)
     gap_sigma = lebesgue_norm(v - u, sigma)
     if nl.power <= 1.0:
@@ -587,19 +585,15 @@ def _report_from_single_calls(u, v, nl, exps, theta_nodes, quad):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_difference_report_is_its_single_calls(dim, nl):
     u, (v,) = _engine_fields(dim, 1)
-    exps = DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0)
-    report = besov_difference_report(u, v, nl, exps, theta_nodes=8,
-                                     quad=ENGINE_KW["quad"])
+    report = besov_difference_report(u, v, nl, theta_nodes=8, **ENGINE_KW)
     assert (report.lhs, report.lipschitz_term, report.k_term, report.sigma,
             report.refined_term) == _report_from_single_calls(
-                u, v, nl, exps, 8, ENGINE_KW["quad"])
+                u, v, nl, theta_nodes=8, **ENGINE_KW)
 
 
 def test_difference_report_builds_each_multiplier_once(multiplier_builds):
     u, (v,) = _engine_fields(2, 1)
     quad = ENGINE_KW["quad"]
-    offsets, _ = fd_quadrature(u.grid, quad, 0.5, 2.0)
-    besov_difference_report(u, v, CUBIC,
-                            DifferenceExponents(s=0.5, p=2.0, q=2.0, r=6.0),
-                            quad=quad)
+    offsets, _ = quad.offsets_kernel(u.grid, 0.5, 2.0)
+    besov_difference_report(u, v, CUBIC, 0.5, 2.0, 2.0, 6.0, quad=quad)
     assert multiplier_builds == [tuple(y) for y in offsets]

@@ -90,7 +90,7 @@ def test_solver_results_are_read_only(line_grid):
     with pytest.raises(NonConvergenceError) as err:
         picard_duhamel(phi, CUBIC, tg, _config(max_iter=1))
     results = (picard, free_trajectory(phi, tg),
-               split_step(phi, CUBIC, 0.5, 0.5 / 16), err.value.trajectory)
+               split_step(phi, CUBIC, tg), err.value.trajectory)
     for traj in results:
         assert not traj.values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -219,7 +219,7 @@ def test_picard_matches_split_step_oracle():
     traj, report = picard_duhamel(phi, CUBIC, TimeGrid(horizon, 500),
                                   _config())
     assert report.converged
-    oracle = split_step(phi, CUBIC, horizon, 1e-3)
+    oracle = split_step(phi, CUBIC, TimeGrid(horizon, 500))
     assert oracle.timegrid == traj.timegrid
     sup = max(lebesgue_norm(traj.field(m) - oracle.field(m), 2.0)
               for m in range(501))
@@ -457,7 +457,7 @@ def test_picard_overflow_in_multi_block_slice_raises_blowup():
 
 def test_split_step_free_case_exact(line_grid):
     phi = gaussian(line_grid, 1.0, 2.0)
-    traj = split_step(phi, PowerNonlinearity(0.0, 2.0), 1.0, 1e-2)
+    traj = split_step(phi, PowerNonlinearity(0.0, 2.0), TimeGrid(1.0, 100))
     for m in (0, 50, 100):
         ref = free_propagate(phi, traj.timegrid.times[m])
         assert np.abs(traj.field(m).values - ref.values).max() < 1e-12
@@ -466,7 +466,7 @@ def test_split_step_free_case_exact(line_grid):
 def test_split_step_plane_wave_exact(line_grid):
     amp, mode = 0.5, 3
     phi = plane_wave(line_grid, mode, amp)
-    traj = split_step(phi, CUBIC, 1.0, 1e-3)
+    traj = split_step(phi, CUBIC, TimeGrid(1.0, 1000))
     k0 = 2.0 * np.pi * mode / line_grid.period
     exact = (amp * np.exp(1j * k0 * line_grid.axis_coordinates)
              * np.exp(-1j * k0 ** 2) * np.exp(1j * amp ** 2))
@@ -477,11 +477,11 @@ def test_split_step_self_convergence_order_two():
     grid = Grid(1, 128, 32.0)
     phi = gaussian(grid, 1.0, 2.0)
     final = {}
-    for dt in (2e-3, 1e-3, 5e-4):
-        traj = split_step(phi, CUBIC, 0.25, dt)
-        final[dt] = traj.field(traj.timegrid.slices)
-    coarse = lebesgue_norm(final[2e-3] - final[1e-3], 2.0)
-    fine = lebesgue_norm(final[1e-3] - final[5e-4], 2.0)
+    for slices in (125, 250, 500):
+        traj = split_step(phi, CUBIC, TimeGrid(0.25, slices))
+        final[slices] = traj.field(slices)
+    coarse = lebesgue_norm(final[125] - final[250], 2.0)
+    fine = lebesgue_norm(final[250] - final[500], 2.0)
     order = np.log2(coarse / fine)
     assert abs(order - 2.0) < 0.1
 
@@ -489,7 +489,7 @@ def test_split_step_self_convergence_order_two():
 def test_split_step_mass_conserved_for_real_coupling():
     grid = Grid(1, 128, 32.0)
     phi = gaussian(grid, 1.0, 2.0)
-    traj = split_step(phi, PowerNonlinearity(-1.0, 2.0), 1.0, 1e-3)
+    traj = split_step(phi, PowerNonlinearity(-1.0, 2.0), TimeGrid(1.0, 1000))
     masses = np.array([lebesgue_norm(traj.field(m), 2.0)
                        for m in range(traj.timegrid.slices + 1)])
     assert abs(masses[-1] - masses[0]) < 1e-7
@@ -499,7 +499,8 @@ def test_split_step_mass_conserved_for_real_coupling():
 def test_split_step_absorbing_coupling_decays():
     grid = Grid(1, 128, 32.0)
     phi = gaussian(grid, 1.0, 2.0)
-    traj = split_step(phi, PowerNonlinearity(0.5 + 1.0j, 2.0), 0.5, 1e-3)
+    traj = split_step(phi, PowerNonlinearity(0.5 + 1.0j, 2.0),
+                      TimeGrid(0.5, 500))
     start = lebesgue_norm(traj.field(0), 2.0)
     end = lebesgue_norm(traj.field(traj.timegrid.slices), 2.0)
     assert end < start
@@ -509,20 +510,13 @@ def test_split_step_pumping_coupling_blows_up():
     grid = Grid(1, 128, 32.0)
     phi = gaussian(grid, 8.0, 2.0)
     with pytest.raises(BlowUpError) as err:
-        split_step(phi, PowerNonlinearity(-1.0j, 2.0), 0.1, 0.01)
+        split_step(phi, PowerNonlinearity(-1.0j, 2.0), TimeGrid(0.1, 10))
     assert err.value.time == pytest.approx(0.005)
-
-
-def test_split_step_rounds_slice_count():
-    grid = Grid(1, 128, 32.0)
-    traj = split_step(gaussian(grid, 0.1, 2.0), CUBIC, 1.0, 0.3)
-    assert traj.timegrid.slices == 3
-    assert traj.timegrid.dt == pytest.approx(1.0 / 3.0)
 
 
 def test_split_step_initial_slice_bit_exact(line_grid):
     phi = gaussian(line_grid, 0.7, 1.5)
-    traj = split_step(phi, CUBIC, 0.1, 1e-2)
+    traj = split_step(phi, CUBIC, TimeGrid(0.1, 10))
     assert np.array_equal(traj.field(0).values, phi.values)
 
 
@@ -567,7 +561,7 @@ def test_split_step_streamed_and_stacked_bitwise(dim, points, coupling,
     nl = PowerNonlinearity(coupling, power)
     tg = TimeGrid(0.25, 4)
     ref = _stacked_split_step(phi, nl, tg)
-    stacked = split_step(phi, nl, tg.horizon, tg.dt)
+    stacked = split_step(phi, nl, tg)
     assert stacked.timegrid == tg
     assert np.array_equal(stacked.values.view(np.uint64), ref.view(np.uint64))
     streamed = list(_split_slices(phi, nl, tg))

@@ -343,18 +343,49 @@ def test_besov_fd_quadrature_self_convergence():
     assert abs(coarse - fine) <= 0.01 * fine
 
 
-@pytest.mark.parametrize("grid", [Grid(1, 128, 32.0), Grid(2, 32, 8.0),
-                                  Grid(3, 16, 4.0)], ids=lambda g: f"{g.dim}d")
+def _separate_offsets_kernel(quad, grid, s, q):
+    """The offsets and kernel as they were written: the quadrature's
+    offsets, weights and radii first, the kernel formed from them
+    after."""
+    r, wr = quad.radii_weights(grid)
+    dirs, wd = quad.directions_weights(grid.dim)
+    offsets = r[:, None, None] * dirs[None, :, :]
+    weights = (r ** (grid.dim - 1) * wr)[:, None] * wd[None, :]
+    radii = np.broadcast_to(r[:, None], weights.shape)
+    offsets, weights, radii = (offsets.reshape(-1, grid.dim),
+                               weights.reshape(-1), radii.reshape(-1))
+    return offsets, radii ** (-grid.dim - s * q) * weights
+
+
+FD_GRIDS = [Grid(1, 128, 32.0), Grid(2, 32, 8.0), Grid(3, 16, 4.0)]
+
+
+@pytest.mark.parametrize("grid", FD_GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("s, q", [(0.4, 2.0), (0.5, 2.0), (0.25, 1.0),
+                                  (0.75, 3.5)])
+@pytest.mark.parametrize("shells, angles", [(32, 16), (12, 16), (2, 1),
+                                            (7, 9)])
+def test_offsets_kernel_is_the_separate_form_bitwise(grid, s, q, shells,
+                                                     angles):
+    quad = ShellQuadrature(shells=shells, angles=angles)
+    offsets, kernel = quad.offsets_kernel(grid, s, q)
+    ref_offsets, ref_kernel = _separate_offsets_kernel(quad, grid, s, q)
+    assert offsets.tobytes() == ref_offsets.tobytes()
+    assert kernel.tobytes() == ref_kernel.tobytes()
+    assert offsets.shape == (len(kernel), grid.dim)
+
+
+@pytest.mark.parametrize("grid", FD_GRIDS, ids=lambda g: f"{g.dim}d")
 @pytest.mark.parametrize("p", [1.5, 2.0, 20.0 / 7.0])
 def test_besov_fd_matches_reference_bitwise(grid, p):
     # the stacked engine against one plain ifftn(fftn(f) * multiplier)
     # per offset
     f = Field(grid, _random_complex(grid, 17))
-    offsets, weights, radii = ShellQuadrature().offsets_weights(grid)
+    offsets, kernel = _separate_offsets_kernel(ShellQuadrature(), grid,
+                                               0.4, 2.0)
     fhat = np.fft.fftn(f.values)
     diffs = [lp_norm(np.fft.ifftn(fhat * grid.translation_multiplier(y))
                      - f.values, p, grid.cell_volume) for y in offsets]
-    kernel = radii ** (-grid.dim - 0.4 * 2.0) * weights
     assert besov_norm_fd(f, 0.4, p) == peak_factored_norms([diffs], 2.0,
                                                            kernel)[0]
 
@@ -364,16 +395,17 @@ def test_shell_quadrature_validation():
         ShellQuadrature(shells=1)
     with pytest.raises(ValueError):
         ShellQuadrature(angles=0)
-    with pytest.raises(ValueError):
-        ShellQuadrature(rmin=2.0, rmax=1.0).radii_weights(WIDE)
 
 
 def test_shell_quadrature_measures():
-    # radial rule integrates r^(-1) exactly up to trapezoid-in-log error;
-    # direction weights integrate the unit sphere area
-    quad = ShellQuadrature(shells=64, rmin=1.0, rmax=np.e ** 2)
+    # radial rule integrates r^(-1) exactly up to trapezoid-in-log error
+    # over [h/2, L/2], where integral dr/r = log(points); direction
+    # weights integrate the unit sphere area
+    quad = ShellQuadrature(shells=64)
     r, wr = quad.radii_weights(WIDE)
-    assert np.isclose(np.sum(wr / r), 2.0, rtol=1e-12)  # integral dr/r = 2
+    assert np.isclose(r[0], 0.5 * WIDE.spacing, rtol=1e-12)
+    assert np.isclose(r[-1], 0.5 * WIDE.period, rtol=1e-12)
+    assert np.isclose(np.sum(wr / r), np.log(WIDE.points), rtol=1e-12)
     for dim, area in ((1, 2.0), (2, 2 * np.pi), (3, 4 * np.pi)):
         dirs, wd = quad.directions_weights(dim)
         assert np.isclose(wd.sum(), area, rtol=1e-12)
