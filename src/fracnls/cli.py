@@ -37,7 +37,8 @@ from .grid import (Field, Grid, free_propagate, gaussian, lebesgue_norm,
 from .nonlinearity import PowerNonlinearity, count_pointwise_violations
 from .solver import (BlowUpError, NonConvergenceError, PicardConfig,
                      TimeGrid, picard_duhamel, split_step)
-from .spaces import ShellQuadrature, besov_norm_lp, sobolev_norm
+from .spaces import (ShellQuadrature, besov_norm_lp, sobolev_besov_norms,
+                     sobolev_norm)
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "main"]
 
@@ -519,14 +520,11 @@ def cmd_selftest(args) -> int:
 
 
 def _slice_norm_rows(traj, params, rho):
-    s = params.regularity
-    rows = []
-    for m in range(traj.timegrid.slices + 1):
-        f = traj.field(m)
-        rows.append((traj.timegrid.times[m], lebesgue_norm(f, 2.0),
-                     sobolev_norm(f, s),
-                     besov_norm_lp(f, s, rho, homogeneous=True)))
-    return rows
+    fields = [traj.field(m) for m in range(traj.timegrid.slices + 1)]
+    pairs = sobolev_besov_norms(fields, params.regularity, rho,
+                                homogeneous=True)
+    return [(t, lebesgue_norm(f, 2.0)) + pair
+            for t, f, pair in zip(traj.timegrid.times, fields, pairs)]
 
 
 def cmd_solve(args) -> int:

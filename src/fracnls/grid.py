@@ -6,13 +6,14 @@ translation and smoothing all act as diagonal multipliers in Fourier space,
 so data that decay below roundoff near the boundary behave like whole-space
 fields.
 
-Normalization: spectral coefficients are
+Normalization: the Sobolev norm weighs the magnitudes of
 
-    c_k = h^N L^(-N/2) * sum_x f(x) exp(-i k.x),    k_j = 2*pi*j/L,
+    c_k = h^N L^(-N/2) * sum_x f(x) exp(-i k.(x - x0)),    k_j = 2*pi*j/L,
 
-which makes the Plancherel identity  sum_k |c_k|^2 = h^N sum_x |f(x)|^2
-exact in floating point and lets c_k double as a sample of the continuum
-Fourier transform (times L^(-N/2)) for well-resolved fields.
+x0 the lower-left corner: sum_k |c_k|^2 = h^N sum_x |f(x)|^2 to roundoff,
+and c_k samples L^(-N/2) times the continuum Fourier transform of a
+resolved field.  |c_k| does not depend on x0, so the norm takes
+|fftn(f) h^N L^(-N/2)| and no phase exp(i k.x0) is built.
 """
 
 from __future__ import annotations
@@ -26,6 +27,18 @@ import numpy as np
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+# the largest axis-0 row block of a Picard sweep's elementwise work, and
+# of the intp copy of the level index that np.take makes in a gather
+_BLOCK_BYTES = 128 * 1024
+
+
+def _row_blocks(shape: tuple, itemsize: int = 16) -> list:
+    """Contiguous axis-0 blocks of an array of the given shape and item
+    size, each at most _BLOCK_BYTES (one row when a row is larger)."""
+    rows = max(1, _BLOCK_BYTES // (itemsize * int(np.prod(shape[1:]))))
+    return [slice(i, min(i + rows, shape[0])) for i in range(0, shape[0], rows)]
 
 
 def _mesh_sum(shape, terms) -> np.ndarray:
@@ -107,8 +120,7 @@ class Grid:
         """|k|^2 on the full mesh, a new array gathered from the level
         table: bitwise the mesh sum of the squared axis wavenumbers, and
         not cached, so no solve holds it."""
-        levels, index = self.wavenumber_levels
-        return levels[index]
+        return self.gather(self.wavenumber_levels[0])
 
     @property
     def wavenumber_magnitude(self) -> np.ndarray:
@@ -120,9 +132,9 @@ class Grid:
         power of each |k|^2 level, gathered through the level index."""
         key = (float(s), bool(homogeneous))
         if key not in self._sobolev_weights:
-            levels, index = self.wavenumber_levels
-            weight = np.power(levels if homogeneous else 1.0 + levels,
-                              key[0])[index]
+            levels = self.wavenumber_levels[0]
+            weight = self.gather(np.power(levels if homogeneous
+                                          else 1.0 + levels, key[0]))
             weight.setflags(write=False)
             self._sobolev_weights[key] = weight
         return self._sobolev_weights[key]
@@ -134,29 +146,32 @@ class Grid:
     @cached_property
     def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """(levels, index), read-only: the sorted distinct values of |k|^2
-        and the mesh-shaped intp index with levels[index] bitwise the mesh
-        sum of the squared axis wavenumbers, which is built only here.
+        and the mesh-shaped index with levels[index] bitwise the mesh sum
+        of the squared axis wavenumbers, which is built only here.
 
         A multiplier f(|k|^2) is f(levels)[index], bitwise, as every mesh
-        point gets the same operation on the same value.  The index is in
-        range by construction, so a gather may use np.take(..., mode=
-        "wrap"), four times faster than with the bounds check.  It stays
-        intp though 4051 levels (3D 64^3) fit in 16 bits: np.take copies
-        a narrower index to intp (2 MiB per whole-mesh gather at 64^3),
-        and on a 2-core Xeon VM row-block gathers of a 64^3 mesh took
-        0.62 ms through uint16 against 0.52 ms through intp."""
+        point gets the same operation on the same value.  The index is
+        stored in the narrowest unsigned dtype that holds len(levels) - 1
+        (uint16 for the 4051 levels of 3D 64^3: 0.5 MiB, not the 2 MiB of
+        intp).  np.take copies a narrower index to intp, so `gather` reads
+        it in row blocks, and only a block's copy is ever made."""
         k2 = _mesh_sum(self.shape, (k ** 2 for k in self.wavenumber_arrays))
         levels, index = np.unique(k2, return_inverse=True)
-        index = index.reshape(self.shape).astype(np.intp, copy=False)
+        index = index.astype(np.min_scalar_type(len(levels) - 1))
         for a in (levels, index):
             a.setflags(write=False)
         return levels, index
 
-    @cached_property
-    def origin_phase(self) -> np.ndarray:
-        """exp(-i k.x0) with x0 the lower-left corner, mesh shaped."""
-        return self.translation_multiplier(
-            (self.axis_coordinates[0],) * self.dim)
+    def gather(self, table: np.ndarray, out=None) -> np.ndarray:
+        """table[index] for the level index, into out (a new mesh array by
+        default), by row blocks whose intp index copies fit _BLOCK_BYTES;
+        the index is in range, so np.take runs with mode="wrap" (4x faster)."""
+        index = self.wavenumber_levels[1]
+        if out is None:
+            out = np.empty(self.shape, dtype=table.dtype)
+        for b in _row_blocks(self.shape, np.dtype(np.intp).itemsize):
+            np.take(table, index[b], out=out[b], mode="wrap")
+        return out
 
     def translation_multiplier(self, y) -> np.ndarray:
         """exp(-i k.y) on the mesh: the Fourier multiplier of a shift by y."""
@@ -221,28 +236,14 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
-def forward_transform(f: Field) -> np.ndarray:
-    """Spectral coefficients with exact Plancherel normalization, as a new
-    writable array in FFT ordering.
-
-    sum_k |c_k|^2 equals h^N sum_x |f(x)|^2 to roundoff, and for fields
-    resolved by the grid c_k approximates L^(-N/2) times the continuum
-    Fourier transform at k.
-    """
-    g = f.grid
-    scale = g.cell_volume / g.period ** (g.dim / 2.0)
-    return np.fft.fftn(f.values) * g.origin_phase * scale
-
-
 def _apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    # Diagonal in k, so the origin phase and Plancherel scale cancel.
     return Field(f.grid, np.fft.ifftn(np.fft.fftn(f.values) * multiplier))
 
 
 def free_propagate(f: Field, t: float) -> Field:
     """Evolve under the free group: multiplier exp(-i t |k|^2)."""
-    levels, index = f.grid.wavenumber_levels
-    return _apply_multiplier(f, np.exp(-1j * t * levels)[index])
+    levels = f.grid.wavenumber_levels[0]
+    return _apply_multiplier(f, f.grid.gather(np.exp(-1j * t * levels)))
 
 
 def translate(f: Field, y) -> Field:

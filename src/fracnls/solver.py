@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .exponents import is_admissible
-from .grid import Field, Grid, peak_factored_norms
+from .grid import Field, Grid, _row_blocks, peak_factored_norms
 from .nonlinearity import PowerNonlinearity
 from .spaces import besov_norm_lp, spacetime_norm, trapezoid_norm
 
@@ -154,7 +154,7 @@ def _free_slices(phi: Field, tg: TimeGrid):
     one slice buffer that the next slice overwrites, so a consumer is
     done with a slice before it asks for the next one."""
     grid = phi.grid
-    levels, index = grid.wavenumber_levels
+    levels = grid.wavenumber_levels[0]
     row = np.empty(levels.shape, dtype=complex)
     phihat = np.fft.fftn(phi.values)
     yield phi.values
@@ -162,18 +162,13 @@ def _free_slices(phi: Field, tg: TimeGrid):
     view = buf.view()
     view.setflags(write=False)
     for m in range(1, tg.slices + 1):
-        np.take(_phase_row(-1j, tg.times[m], levels, row), index, out=buf,
-                mode="wrap")
+        grid.gather(_phase_row(-1j, tg.times[m], levels, row), buf)
         buf *= phihat
         np.fft.ifftn(buf, out=buf)
         yield view
 
 
 # -------------------------------------------------------------- fixed point
-
-# the largest row block of a slice that a Picard sweep's elementwise
-# work runs over
-_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -229,13 +224,6 @@ class IterationReport:
                      if a > 0.0)
 
 
-def _row_blocks(shape: tuple) -> list:
-    """Contiguous axis-0 blocks of a complex array of the given shape,
-    each at most _BLOCK_BYTES (one row when a row is larger)."""
-    rows = max(1, _BLOCK_BYTES // (16 * int(np.prod(shape[1:]))))
-    return [slice(i, min(i + rows, shape[0])) for i in range(0, shape[0], rows)]
-
-
 def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                    cfg: PicardConfig):
     """Fixed point of the integral form, iterated from the free evolution.
@@ -249,16 +237,16 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     The map is causal: slice m of the new iterate reads the old one at
     slices 0..m only, so a sweep overwrites one trajectory stack in
     place.  The new slice is built in the integrand's slice, over axis-0
-    row blocks of at most _BLOCK_BYTES; each block is copied into the
-    stack, and the increment's magnitudes go over the integrand's bytes.
-    Beside the stack a sweep holds phihat, three scratch slices (the
-    integrand, the running sum and its first half term), one row block,
-    the |k|^2 level index (half a slice) and the slice's phases
-    exp(+-i t_m |k|^2) on the |k|^2 levels.  The first iterate is built
-    before the running sum and its half term exist, and phi is dropped
-    once slice 0 and phihat are taken, so a caller that does not keep
-    the datum holds none during the sweeps.  The stack is handed to the
-    returned trajectory without a copy.
+    row blocks of at most grid._BLOCK_BYTES; each block is copied into
+    the stack, and the increment's magnitudes go over the integrand's
+    bytes.  Beside the stack a sweep holds phihat, three scratch slices
+    (the integrand, the running sum and its first half term), one row
+    block, the |k|^2 level index (an eighth of a slice at uint16) and the
+    slice's phases exp(+-i t_m |k|^2) on the |k|^2 levels.  The first
+    iterate is built before the running sum and its half term exist, and
+    phi is dropped once slice 0 and phihat are taken, so a caller that
+    does not keep the datum holds none during the sweeps.  The stack is
+    handed to the returned trajectory without a copy.
 
     Returns (trajectory, report).  Raises NonConvergenceError when
     max_iter sweeps do not reach the relative tolerance (the usual cause
@@ -287,8 +275,7 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     # conj * phihat; the expression stays as it is to keep those bits
     for m in range(1, tg.slices + 1):
         _phase_row(1j, tg.times[m], levels, unwind)
-        np.fft.ifftn(phihat * np.conj(np.take(unwind, index, out=ghat,
-                                              mode="wrap")), out=u[m])
+        np.fft.ifftn(phihat * np.conj(grid.gather(unwind, ghat)), out=u[m])
     # each block is written in place, in the operand order of
     #   new = ifftn(rewind * (phihat + 1j dt (running - half0 - g / 2)))
     # with the integrand g in ghat and the bracket in the block buffer,
@@ -394,8 +381,7 @@ def _split_slices(phi: Field, nl: PowerNonlinearity, tg: TimeGrid):
     Slice 0 is the datum itself; each later slice is a new array from
     which the next step starts, so no stack is held."""
     h = tg.dt
-    levels, index = phi.grid.wavenumber_levels
-    half = np.exp(-0.5j * h * levels)[index]
+    half = phi.grid.gather(np.exp(-0.5j * h * phi.grid.wavenumber_levels[0]))
     lam = complex(nl.coupling)
     alpha = float(nl.power)
     work = phi.values

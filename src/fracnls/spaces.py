@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid, forward_transform, lp_norm, peak_factored_norms
+from .grid import Field, Grid, lp_norm, peak_factored_norms
 
 
 # ------------------------------------------------------------- dyadic blocks
@@ -93,16 +93,15 @@ def _annulus_multipliers(grid: Grid, jmin: int, jmax: int):
     hit = _multiplier_cache.get(key)
     if hit is not None:
         return hit
-    levels, index = grid.wavenumber_levels
-    kmag = np.sqrt(levels)
+    kmag = np.sqrt(grid.wavenumber_levels[0])
     low = transition_profile(kmag / 2.0 ** jmin)
     annuli = [transition_profile(kmag / 2.0 ** (j + 1))
               - transition_profile(kmag / 2.0 ** j)
               for j in range(jmin, jmax + 1)]
     if len(_multiplier_cache) > 64:
         _multiplier_cache.clear()
-    hit = ((low, _support_runs(low[index])),
-           [(m, _support_runs(m[index])) for m in annuli])
+    hit = ((low, _support_runs(grid.gather(low))),
+           [(m, _support_runs(grid.gather(m))) for m in annuli])
     _multiplier_cache[key] = hit
     return hit
 
@@ -129,34 +128,60 @@ def besov_norm_lp(f: Field, s: float, p: float, q: float = 2.0,
     homogeneous=True uses annuli only (constants get norm zero);
     otherwise the low-frequency block enters the scale sum with weight one.
     """
-    jmin, jmax = default_band(f.grid)
-    low, annuli = _annulus_multipliers(f.grid, jmin, jmax)
-    index = f.grid.wavenumber_levels[1]
+    return next(sobolev_besov_norms([f], s, p, q, homogeneous, False))[1]
+
+
+def sobolev_besov_norms(fields, s: float, p: float, q: float = 2.0,
+                        homogeneous: bool = False, sobolev: bool = True):
+    """Yield (sobolev_norm(f, s), besov_norm_lp(f, s, p, q, homogeneous))
+    for each Field f of the sequence `fields`, all on one grid, from one
+    forward transform per field, in one Besov scratch for all fields, in
+    which the Sobolev sum runs too; sobolev=False yields None for it."""
+    grid = fields[0].grid
+    jmin, jmax = default_band(grid)
+    low, annuli = _annulus_multipliers(grid, jmin, jmax)
+    weight = grid.sobolev_weight(s, False) if sobolev else None
     # gather each table into mult; fhat * mult is inverted in piece, and
     # the block's magnitudes go back into mult
-    fhat = np.fft.fftn(f.values, out=np.empty(f.grid.shape, dtype=complex))
+    fhat = np.empty(grid.shape, dtype=complex)
     piece = np.empty_like(fhat)
-    mult = np.empty(f.grid.shape)
-    cell = f.grid.cell_volume
+    mult = np.empty(grid.shape)
 
     def block_norm(table, runs):
-        np.take(table, index, out=mult, mode="wrap")
+        grid.gather(table, mult)
         np.multiply(fhat, mult, out=piece)
         np.abs(_inverse_on_support(piece, runs), out=mult)
-        return peak_factored_norms(mult[None], p, scale=cell)[0]
+        return peak_factored_norms(mult[None], p, scale=grid.cell_volume)[0]
 
-    terms = [2.0 ** (j * s) * block_norm(*block)
-             for j, block in zip(range(jmin, jmax + 1), annuli)]
-    if not homogeneous:
-        terms.append(block_norm(*low))
-    return peak_factored_norms([terms], q)[0]
+    for f in fields:
+        fields[0]._check_same_grid(f)
+        np.fft.fftn(f.values, out=fhat)
+        norm = None if weight is None else _sobolev_sum(grid, fhat, weight,
+                                                        piece, mult)
+        terms = [2.0 ** (j * s) * block_norm(*block)
+                 for j, block in zip(range(jmin, jmax + 1), annuli)]
+        if not homogeneous:
+            terms.append(block_norm(*low))
+        yield norm, peak_factored_norms([terms], q)[0]
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     """Multiplier norm: weights |k|^(2s) (homogeneous, mean dropped for
-    s > 0) or (1+|k|^2)^s on the Plancherel-normalized coefficients."""
+    s > 0) or (1+|k|^2)^s on the magnitudes of the Plancherel-normalized
+    coefficients (see `grid`), scaled in the transform's own array."""
     weight = f.grid.sobolev_weight(s, homogeneous)
-    return float(np.sqrt(np.sum(weight * np.abs(forward_transform(f)) ** 2)))
+    fhat = np.fft.fftn(f.values)
+    return _sobolev_sum(f.grid, fhat, weight, fhat, np.empty(f.grid.shape))
+
+
+def _sobolev_sum(grid: Grid, fhat, weight, scaled, mags) -> float:
+    """sqrt(sum weight |c_k|^2): c_k = fhat h^N L^(-N/2) goes into the
+    complex array scaled (fhat allowed), |c_k|^2 into the float mags."""
+    np.multiply(fhat, grid.cell_volume / grid.period ** (grid.dim / 2.0),
+                out=scaled)
+    np.square(np.abs(scaled, out=mags), out=mags)
+    mags *= weight
+    return float(np.sqrt(np.sum(mags)))
 
 
 # --------------------------------------------------- difference realization

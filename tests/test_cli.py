@@ -3,6 +3,7 @@ reproducibility."""
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 
 import fracnls.dependence
 import fracnls.spaces
-from fracnls.cli import (ConfigError, RunConfig, _build_timegrid, config_hash,
-                         main)
-from fracnls.grid import Grid
-from fracnls.solver import TimeGrid
+from fracnls.cli import (ConfigError, RunConfig, _build_timegrid,
+                         _slice_norm_rows, config_hash, main)
+from fracnls.exponents import ProblemParams, canonical_pair
+from fracnls.grid import Grid, gaussian
+from fracnls.nonlinearity import PowerNonlinearity
+from fracnls.solver import PicardConfig, TimeGrid, picard_duhamel
 from trajectories import stack_bytes, traced_peak
 
 PROBLEM = {"dimension": 1, "regularity": 0.4, "power": 2.0, "coupling": 1.0}
@@ -202,6 +205,26 @@ def test_solve_peak_memory_one_stack_and_eight_slices(tmp_path):
         time={"horizon": tg.horizon, "slices": tg.slices})
     peak = traced_peak(main, ["solve", "--config", str(path)])
     assert peak <= stack_bytes(grid, tg) + 8 * grid.size * 16
+
+
+def test_slice_norm_rows_peak_below_the_picard_solve():
+    # the norm column holds one Besov scratch (two and a half slices) for
+    # every slice, the Sobolev weight and one slice's magnitudes, so beside
+    # the trajectory it stays below the solve that made it
+    grid, tg = Grid(3, 32, 32.0), TimeGrid(0.25, 8)
+    params = ProblemParams(dimension=3, regularity=0.4, power=1.0)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    phi = gaussian(grid, 0.08, 2.0)
+    tracemalloc.start()
+    try:
+        traj, _ = picard_duhamel(phi, PowerNonlinearity(1.0, 1.0), tg, cfg)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    norms_peak = traced_peak(_slice_norm_rows, traj, params,
+                             cfg.metric_pair[1])
+    assert stack_bytes(grid, tg) + norms_peak < solve_peak
+    assert norms_peak <= 4 * grid.size * 16
 
 
 def test_solve_help_says_threads_is_ignored(capsys):

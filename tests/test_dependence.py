@@ -474,7 +474,6 @@ def test_remainder_decay_threads_match_serial(direction, multiplier_builds):
     tg = TimeGrid(0.25, 8)
     quad = ShellQuadrature(shells=8)
     offsets, _ = quad.offsets_kernel(GRID, 0.4, 2.0)
-    GRID.origin_phase  # cached before counting
     runs = []
     for threads in (1, 2, 3):
         multiplier_builds.clear()

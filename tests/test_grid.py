@@ -6,7 +6,6 @@ import pytest
 from fracnls.grid import (
     Field,
     Grid,
-    forward_transform,
     free_propagate,
     gaussian,
     inner_product,
@@ -15,7 +14,7 @@ from fracnls.grid import (
     plane_wave,
     translate,
 )
-from fracnls.spaces import ShellQuadrature
+from fracnls.spaces import ShellQuadrature, _annulus_multipliers, default_band
 from conftest import (
     band_limited_random_field,
     full_mesh_wavenumber_square,
@@ -76,11 +75,38 @@ def test_wavenumber_levels_index_the_mesh(dim, points):
     grid = Grid(dim, points, 32.0)
     levels, index = grid.wavenumber_levels
     assert np.all(np.diff(levels) > 0.0)
-    assert index.dtype == np.intp and index.shape == grid.shape
+    # the narrowest unsigned dtype that holds the largest level number
+    narrowest = next(dt for dt in (np.uint8, np.uint16, np.uint32)
+                     if np.iinfo(dt).max >= len(levels) - 1)
+    assert index.dtype == narrowest and index.shape == grid.shape
     assert np.array_equal(levels[index].view(np.uint64),
                           full_mesh_wavenumber_square(grid).view(np.uint64))
     assert not levels.flags.writeable and not index.flags.writeable
     assert grid.wavenumber_levels[0] is levels
+
+
+@pytest.mark.parametrize("dim, points, dtype", [
+    (1, 64, np.uint8), (2, 32, np.uint8), (2, 128, np.uint16),
+    (3, 16, np.uint8), (3, 64, np.uint16)])
+def test_narrow_index_gathers_are_the_intp_gathers_bitwise(dim, points,
+                                                           dtype):
+    # the row-block gathers through the narrow index give the bytes of a
+    # whole-mesh gather through an intp index, for every level table
+    grid = Grid(dim, points, 32.0)
+    levels, index = grid.wavenumber_levels
+    assert index.dtype == dtype
+    wide = index.astype(np.intp)
+    assert grid.wavenumber_square.tobytes() == levels[wide].tobytes()
+    low, annuli = _annulus_multipliers(grid, *default_band(grid))
+    for table, _ in [low] + annuli:
+        assert grid.gather(table).tobytes() == table[wide].tobytes()
+    for s, homogeneous in ((0.4, False), (0.4, True), (1.0, False)):
+        assert grid.sobolev_weight(s, homogeneous).tobytes() == np.power(
+            levels if homogeneous else 1.0 + levels, s)[wide].tobytes()
+    phases = np.exp(-0.37j * levels)
+    out = np.empty(grid.shape, dtype=complex)
+    assert grid.gather(phases, out) is out
+    assert out.tobytes() == phases[wide].tobytes()
 
 
 OPEN_MESH_GRIDS = [Grid(1, 128, 32.0), Grid(2, 32, 16.0), Grid(3, 16, 16.0)]
@@ -120,8 +146,6 @@ def test_open_mesh_functions_match_full_meshes_bitwise(grid):
     for t in (0.0, 0.37, -1.25):
         assert _same_bits(free_propagate(f, t).values, np.fft.ifftn(
             np.fft.fftn(f.values) * np.exp(-1j * t * k2)))
-    assert _same_bits(grid.origin_phase,
-                      shift((grid.axis_coordinates[0],) * dim))
     for y in [(0.3, -1.7, 2.5), (grid.spacing,) * 3, (-np.pi, np.e, 0.0)]:
         assert _same_bits(grid.translation_multiplier(y[:dim]), shift(y))
     for center in [(0.0,) * 3, (0.4, -1.1, 2.0)]:
@@ -149,6 +173,17 @@ def test_plane_wave_spreads_one_integer_mode(dim):
 
 
 # ---------------------------------------------------------------- transforms
+
+def forward_transform(f):
+    """Plancherel-normalized coefficients
+    c_k = h^N L^(-N/2) sum_x f(x) exp(-i k.(x - x0)), x0 the lower-left
+    corner: the origin phase makes c_k sample L^(-N/2) times the
+    continuum Fourier transform of a resolved field."""
+    g = f.grid
+    scale = g.cell_volume / g.period ** (g.dim / 2.0)
+    origin = g.translation_multiplier((g.axis_coordinates[0],) * g.dim)
+    return np.fft.fftn(f.values) * origin * scale
+
 
 def test_zero_field_zero_spectrum(line_grid):
     f = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))

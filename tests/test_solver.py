@@ -285,8 +285,8 @@ def _datum_solve_and_norms(grid):
 
 
 def test_grid_and_norm_caches_retain_few_fields():
-    # what a solve and its norms leave cached: the origin phase, the
-    # |k|^2 level index, one Sobolev weight and the mask are mesh sized;
+    # what a solve and its norms leave cached: the narrow |k|^2 level
+    # index, one Sobolev weight and the mask are mesh sized;
     # |k|^2 is not kept, and the coordinates, wavenumbers and Besov
     # multipliers are axis vectors and level tables
     grid = Grid(3, 32, 32.0)

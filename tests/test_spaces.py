@@ -25,6 +25,7 @@ from fracnls.spaces import (
     besov_norm_fd,
     besov_norm_lp,
     default_band,
+    sobolev_besov_norms,
     sobolev_norm,
     spacetime_norm,
     transition_profile,
@@ -239,7 +240,63 @@ def test_besov_lp_peak_memory(grid):
         <= 4.5 * f.values.nbytes
 
 
+SLICE_NORM_GRIDS = [Grid(1, 128, 32.0), Grid(2, 128, 32.0),
+                    Grid(3, 32, 32.0)]
+
+
+@pytest.mark.parametrize("grid", SLICE_NORM_GRIDS,
+                         ids=lambda g: f"{g.dim}d{g.points}")
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_sobolev_besov_norms_are_the_separate_norms_bitwise(grid,
+                                                            homogeneous):
+    # one forward transform per field, in one Besov scratch shared by all
+    # fields, gives each field's two norms bit for bit
+    fields = [Field(grid, _random_complex(grid, seed)) for seed in (3, 4)]
+    fields += [gaussian(grid, 0.08, 2.0), Field(grid, np.zeros(grid.shape))]
+    for p in (2.0, 20.0 / 7.0):
+        pairs = list(sobolev_besov_norms(fields, 0.4, p,
+                                         homogeneous=homogeneous))
+        assert len(pairs) == len(fields)
+        for f, (sob, besov) in zip(fields, pairs):
+            assert sob.hex() == sobolev_norm(f, 0.4).hex()
+            assert besov.hex() == besov_norm_lp(
+                f, 0.4, p, homogeneous=homogeneous).hex()
+    assert [pair[0] for pair in sobolev_besov_norms(
+        fields, 0.4, 2.0, sobolev=False)] == [None] * len(fields)
+
+
+def test_sobolev_besov_norms_need_one_grid():
+    fields = [gaussian(Grid(1, 64, 16.0)), gaussian(Grid(1, 64, 32.0))]
+    with pytest.raises(ValueError, match="different grids"):
+        list(sobolev_besov_norms(fields, 0.4, 2.0))
+
+
 # ------------------------------------------------------------------ sobolev
+
+@pytest.mark.parametrize("grid", SLICE_NORM_GRIDS,
+                         ids=lambda g: f"{g.dim}d{g.points}")
+def test_sobolev_norm_is_the_unphased_magnitude_sum_bitwise(grid):
+    # |c_k| without the origin phase: the sum of the one-expression form
+    f = Field(grid, _random_complex(grid, 7))
+    scale = grid.cell_volume / grid.period ** (grid.dim / 2.0)
+    for s, homogeneous in ((0.4, False), (0.5, True), (1.0, False)):
+        weight = grid.sobolev_weight(s, homogeneous)
+        expected = float(np.sqrt(np.sum(
+            weight * np.abs(np.fft.fftn(f.values) * scale) ** 2)))
+        assert sobolev_norm(f, s, homogeneous).hex() == expected.hex()
+
+
+def test_sobolev_norm_caches_no_complex_mesh():
+    grid = Grid(3, 16, 16.0)
+    sobolev_norm(gaussian(grid), 0.4)
+    cached = [a for v in (*vars(grid).values(),
+                          *grid._sobolev_weights.values())
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert any(a.shape == grid.shape for a in cached)
+    assert not any(np.iscomplexobj(a) for a in cached)
+    assert not hasattr(grid, "origin_phase")
+
 
 def test_sobolev_plancherel(line_grid, rng):
     for _ in range(10):
