@@ -24,21 +24,17 @@ from typing import Optional
 
 import numpy as np
 
-from . import spaces
 from .dependence import (PerturbationFamily, choose_horizon,
                          default_direction, lipschitz_constant,
                          loglog_fit, remainder_decay_experiment,
                          run_dependence, static_remainder_decay)
 from .exponents import (HypothesisViolation, ProblemParams, canonical_pair,
-                        critical_pair, derive, dual, is_admissible, nu,
-                        validate)
-from .grid import (Field, Grid, free_propagate, gaussian, lebesgue_norm,
-                   plane_wave, translate)
+                        derive, dual, validate)
+from .grid import Field, Grid, gaussian, lebesgue_norm, plane_wave
 from .nonlinearity import PowerNonlinearity, count_pointwise_violations
 from .solver import (BlowUpError, NonConvergenceError, PicardConfig,
                      TimeGrid, picard_duhamel, split_step)
-from .spaces import (ShellQuadrature, besov_norm_lp, sobolev_besov_norms,
-                     sobolev_norm)
+from .spaces import ShellQuadrature, sobolev_besov_norms, sobolev_norm
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "main"]
 
@@ -61,7 +57,9 @@ def _is_count(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return type(value) in (int, float)  # any JSON number, never a bool
+    # a finite JSON number, never a bool; json reads Infinity and NaN
+    return (type(value) in (int, float)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_complex(value) -> bool:
@@ -338,6 +336,8 @@ def cmd_exponents(args) -> int:
 
 
 def cmd_verify_pointwise(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     failed = 0
     for alpha in (0.5, 1.0, 2.0, 3.0):
@@ -351,169 +351,6 @@ def cmd_verify_pointwise(args) -> int:
         print(f"alpha {alpha}: modulus violations {modulus}, "
               f"phase violations {phase} of {args.pairs} pairs")
     return 1 if failed else 0
-
-
-# --- selftest suites: quick invariants on fixed seeds, no pytest involved
-
-
-def _selftest_grid():
-    return Grid(1, 128, 32.0)
-
-
-def _selftest_field():
-    return _band_limited_field(_selftest_grid(), np.random.default_rng(7),
-                               band=8)
-
-
-def _check_exponents():
-    params = ProblemParams(dimension=2, regularity=0.5, power=1.0)
-    gamma, rho = canonical_pair(params)
-    assert abs(2.0 / gamma - 2.0 * (0.5 - 1.0 / rho)) < 1e-12
-    assert is_admissible(gamma, rho, 2)
-    crit = ProblemParams(dimension=3, regularity=0.5, power=2.0)
-    assert validate(crit) == "critical"
-    q0, r0 = critical_pair(crit)
-    assert is_admissible(q0, r0, 3)
-    assert abs(nu(r0, 3, 0.5) - 4.0) < 1e-12
-    assert abs(dual(dual(8.0 / 3.0)) - 8.0 / 3.0) < 1e-12
-
-
-def _check_partition_profile():
-    assert float(spaces.transition_profile(0.25)) == 1.0
-    assert float(spaces.transition_profile(2.0)) == 0.0
-    mid = float(spaces.transition_profile(0.75))
-    assert 0.0 < mid < 1.0
-
-
-def _check_plancherel():
-    f = _selftest_field()
-    a = sobolev_norm(f, 0.0)
-    b = lebesgue_norm(f, 2.0)
-    assert abs(a - b) <= 1e-12 * b
-
-
-def _check_besov_matches_multiplier():
-    # ratio to the multiplier norm is an equivalence constant: stable
-    # across full-spectrum random data and order one
-    grid = _selftest_grid()
-    rng = np.random.default_rng(3)
-    ratios = []
-    for _ in range(10):
-        coefs = (rng.standard_normal(grid.shape)
-                 + 1j * rng.standard_normal(grid.shape))
-        f = Field(grid, np.fft.ifftn(coefs))
-        ratios.append(besov_norm_lp(f, 0.4, 2.0, homogeneous=True)
-                      / sobolev_norm(f, 0.4, homogeneous=True))
-    ratios = np.asarray(ratios)
-    mean = ratios.mean()
-    assert mean > 0 and ratios.std() / mean < 0.05
-    assert 0.5 < ratios.min() and ratios.max() < 2.0
-
-
-def _check_multiplier_invariance():
-    f = _selftest_field()
-    base = sobolev_norm(f, 0.4)
-    moved = sobolev_norm(free_propagate(f, 0.37), 0.4)
-    shifted = sobolev_norm(translate(f, 1.7), 0.4)
-    assert abs(moved - base) <= 1e-10 * base
-    assert abs(shifted - base) <= 1e-10 * base
-
-
-def _check_free_group():
-    f = _selftest_field()
-    mass = lebesgue_norm(f, 2.0)
-    assert abs(lebesgue_norm(free_propagate(f, 0.9), 2.0)
-               - mass) <= 1e-12 * mass
-    two_step = free_propagate(free_propagate(f, 0.2), 0.3)
-    one_step = free_propagate(f, 0.5)
-    assert np.abs(two_step.values - one_step.values).max() < 1e-12
-
-
-def _check_translation_commutes():
-    f = _selftest_field()
-    a = translate(free_propagate(f, 0.4), 1.25)
-    b = free_propagate(translate(f, 1.25), 0.4)
-    assert np.abs(a.values - b.values).max() < 1e-12
-
-
-def _check_pointwise_small():
-    rng = np.random.default_rng(11)
-    for alpha in (0.5, 2.0):
-        z1 = 2.0 * (rng.standard_normal(10000)
-                    + 1j * rng.standard_normal(10000))
-        z2 = 0.7 * (rng.standard_normal(10000)
-                    + 1j * rng.standard_normal(10000))
-        assert count_pointwise_violations(z1, z2, alpha) == (0, 0)
-
-
-def _plane_wave_setup():
-    grid = Grid(1, 64, 32.0)
-    amp, mode = 0.5, 2
-    phi = plane_wave(grid, mode, amp)
-    k0 = 2.0 * np.pi * mode / grid.period
-    def exact(t):
-        return (amp * np.exp(1j * k0 * grid.axis_coordinates)
-                * np.exp(-1j * k0 ** 2 * t) * np.exp(1j * amp ** 2 * t))
-    return grid, phi, exact
-
-
-def _check_split_plane_wave():
-    _, phi, exact = _plane_wave_setup()
-    traj = split_step(phi, PowerNonlinearity(1.0, 2.0), TimeGrid(0.5, 50))
-    last = traj.timegrid.slices
-    assert np.abs(traj.field(last).values - exact(0.5)).max() < 1e-8
-
-
-def _check_picard_plane_wave():
-    grid, phi, exact = _plane_wave_setup()
-    params = ProblemParams(dimension=1, regularity=0.4, power=2.0)
-    cfg = PicardConfig(metric_pair=canonical_pair(params))
-    traj, report = picard_duhamel(phi, PowerNonlinearity(1.0, 2.0),
-                                  TimeGrid(0.5, 64), cfg)
-    assert report.converged
-    assert np.abs(traj.field(64).values - exact(0.5)).max() < 1e-6
-
-
-def _check_split_mass():
-    grid = Grid(1, 64, 32.0)
-    phi = gaussian(grid, 1.0, 2.0)
-    traj = split_step(phi, PowerNonlinearity(-1.0, 2.0), TimeGrid(0.5, 50))
-    masses = [lebesgue_norm(traj.field(m), 2.0)
-              for m in range(traj.timegrid.slices + 1)]
-    assert abs(masses[-1] - masses[0]) < 1e-10
-
-
-_SELFTEST_SUITES = (
-    ("exponents", (("canonical_and_critical", _check_exponents),)),
-    ("norms", (("partition_profile", _check_partition_profile),
-               ("plancherel", _check_plancherel),
-               ("besov_vs_multiplier", _check_besov_matches_multiplier),
-               ("multiplier_invariance", _check_multiplier_invariance))),
-    ("propagator", (("free_group", _check_free_group),
-                    ("translation_commutes", _check_translation_commutes))),
-    ("pointwise", (("difference_bounds", _check_pointwise_small),)),
-    ("plane_wave", (("split_step_oracle", _check_split_plane_wave),
-                    ("picard_oracle", _check_picard_plane_wave),
-                    ("mass_conservation", _check_split_mass))),
-)
-
-
-def cmd_selftest(args) -> int:
-    any_failed = False
-    for suite, checks in _SELFTEST_SUITES:
-        passed, failures = 0, []
-        for name, check in checks:
-            try:
-                check()
-                passed += 1
-            except Exception as exc:
-                failures.append((name, exc))
-        print(f"suite {suite}: {passed} passed, {len(failures)} failed")
-        for name, exc in failures:
-            any_failed = True
-            detail = str(exc) or exc.__class__.__name__
-            print(f"  FAIL {name}: {detail}")
-    return 1 if any_failed else 0
 
 
 # --- experiment commands
@@ -658,9 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("regularity", type=float)
     p.add_argument("power", type=float)
     p.set_defaults(func=cmd_exponents)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.set_defaults(func=cmd_selftest)
 
     p = sub.add_parser("verify-pointwise",
                        help="sweep the pointwise difference inequalities")

@@ -94,22 +94,23 @@ def validate(params: ProblemParams) -> str:
     """Check the standing hypotheses; return the criticality class.
 
     Raises HypothesisViolation naming the violated hypothesis:
-    dimension, regularity_range or power_range.
+    dimension, regularity_range or power_range; an infinite or NaN
+    regularity or power lies outside its range.
     """
     n = params.dimension
     if n not in (1, 2, 3):
         raise HypothesisViolation(
             "dimension", f"dimension must be 1, 2 or 3, got {n}")
-    s = _frac(params.regularity)
     s_top = min(Fraction(1), Fraction(n, 2))
-    if not 0 < s < s_top:
+    if not (math.isfinite(params.regularity)
+            and 0 < (s := _frac(params.regularity)) < s_top):
         raise HypothesisViolation(
             "regularity_range",
             f"regularity must lie in (0, min(1, N/2)) = (0, {s_top}), "
             f"got {params.regularity}")
-    a = _exact_power(n, s, params.power)
     a_top = max_power(n, s)
-    if not 0 < a <= a_top:
+    if not (math.isfinite(params.power)
+            and 0 < (a := _exact_power(n, s, params.power)) <= a_top):
         raise HypothesisViolation(
             "power_range",
             f"power must lie in (0, 4/(N - 2s)] = (0, {float(a_top)!r}], "

@@ -236,28 +236,6 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
-def _apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    return Field(f.grid, np.fft.ifftn(np.fft.fftn(f.values) * multiplier))
-
-
-def free_propagate(f: Field, t: float) -> Field:
-    """Evolve under the free group: multiplier exp(-i t |k|^2)."""
-    levels = f.grid.wavenumber_levels[0]
-    return _apply_multiplier(f, f.grid.gather(np.exp(-1j * t * levels)))
-
-
-def translate(f: Field, y) -> Field:
-    """Shift by y: samples of f(x - y), via the multiplier exp(-i k.y).
-
-    y may be a scalar in one dimension or a length-dim sequence.
-    """
-    g = f.grid
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (g.dim,):
-        raise ValueError(f"offset must have {g.dim} components, got {y.shape}")
-    return _apply_multiplier(f, g.translation_multiplier(y))
-
-
 def lebesgue_norm(f: Field, p: float) -> float:
     """Lebesgue norm (quasi-norm for p < 1) by exact lattice quadrature.
 

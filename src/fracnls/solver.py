@@ -217,12 +217,6 @@ class IterationReport:
     def iterations(self) -> int:
         return len(self.distances)
 
-    @property
-    def ratios(self) -> tuple:
-        """Consecutive distance quotients; geometric once contraction sets in."""
-        return tuple(b / a for a, b in zip(self.distances, self.distances[1:])
-                     if a > 0.0)
-
 
 def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                    cfg: PicardConfig):

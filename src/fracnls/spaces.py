@@ -25,6 +25,7 @@ with the remainder functional.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,11 +69,6 @@ def default_band(grid: Grid) -> tuple[int, int]:
     return jmin, jmax
 
 
-# cache key includes the profile object so monkeypatched profiles
-# (fault injection) invalidate previously built multipliers
-_multiplier_cache: dict = {}
-
-
 def _support_runs(mult: np.ndarray) -> tuple:
     """Per leading axis, the index runs (slices) where mult is nonzero."""
     runs = []
@@ -85,25 +81,20 @@ def _support_runs(mult: np.ndarray) -> tuple:
     return tuple(runs)
 
 
-def _annulus_multipliers(grid: Grid, jmin: int, jmax: int):
-    """Low block and annuli, each a (table, support runs) pair: the
-    multiplier on the |k|^2 levels of grid.wavenumber_levels, so that
-    table[index] is bitwise the mesh multiplier, and its mesh support."""
-    key = (grid, jmin, jmax, id(transition_profile))
-    hit = _multiplier_cache.get(key)
-    if hit is not None:
-        return hit
+@functools.lru_cache(maxsize=64)
+def _annulus_multipliers(grid: Grid):
+    """Low block and annuli of default_band(grid), each a (table, support
+    runs) pair: the multiplier on the |k|^2 levels of
+    grid.wavenumber_levels, so that table[index] is bitwise the mesh
+    multiplier, and its mesh support."""
+    jmin, jmax = default_band(grid)
     kmag = np.sqrt(grid.wavenumber_levels[0])
     low = transition_profile(kmag / 2.0 ** jmin)
     annuli = [transition_profile(kmag / 2.0 ** (j + 1))
               - transition_profile(kmag / 2.0 ** j)
               for j in range(jmin, jmax + 1)]
-    if len(_multiplier_cache) > 64:
-        _multiplier_cache.clear()
-    hit = ((low, _support_runs(grid.gather(low))),
-           [(m, _support_runs(grid.gather(m))) for m in annuli])
-    _multiplier_cache[key] = hit
-    return hit
+    return ((low, _support_runs(grid.gather(low))),
+            [(m, _support_runs(grid.gather(m))) for m in annuli])
 
 
 def _inverse_on_support(buf: np.ndarray, runs) -> np.ndarray:
@@ -139,7 +130,7 @@ def sobolev_besov_norms(fields, s: float, p: float, q: float = 2.0,
     which the Sobolev sum runs too; sobolev=False yields None for it."""
     grid = fields[0].grid
     jmin, jmax = default_band(grid)
-    low, annuli = _annulus_multipliers(grid, jmin, jmax)
+    low, annuli = _annulus_multipliers(grid)
     weight = grid.sobolev_weight(s, False) if sobolev else None
     # gather each table into mult; fhat * mult is inverted in piece, and
     # the block's magnitudes go back into mult

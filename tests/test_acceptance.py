@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import band_limited_random_field, smooth_random_field
+from conftest import (band_limited_random_field, free_propagate,
+                      smooth_random_field, translate)
 from fracnls.cli import main as cli_main
 from fracnls.dependence import (PerturbationFamily, default_direction,
                                 fit_slope, lipschitz_constant,
@@ -17,8 +18,7 @@ from fracnls.dependence import (PerturbationFamily, default_direction,
                                 static_remainder_decay)
 from fracnls.exponents import (ProblemParams, canonical_pair, critical_pair,
                                dual, is_admissible, max_power, nu)
-from fracnls.grid import Field, Grid, free_propagate, gaussian, lebesgue_norm, \
-    plane_wave, translate
+from fracnls.grid import Field, Grid, gaussian, lebesgue_norm, plane_wave
 from fracnls.nonlinearity import (PowerNonlinearity, besov_difference_report,
                                   count_pointwise_violations)
 from fracnls.solver import PicardConfig, TimeGrid, picard_duhamel, split_step

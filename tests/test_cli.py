@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import fracnls.dependence
-import fracnls.spaces
 from fracnls.cli import (ConfigError, RunConfig, _build_timegrid,
                          _slice_norm_rows, config_hash, main)
 from fracnls.exponents import ProblemParams, canonical_pair
@@ -69,28 +68,32 @@ def test_exponents_critical_reports_endpoint(capsys):
     assert payload["q0"] is not None and payload["r0"] is not None
 
 
-# ------------------------------------------------------- selftest, sweeps
+@pytest.mark.parametrize("args, hypothesis", [
+    (["1", "0.4", "inf"], "power_range"),
+    (["1", "0.4", "nan"], "power_range"),
+    (["--", "1", "0.4", "-inf"], "power_range"),
+    (["1", "inf", "2"], "regularity_range"),
+    (["1", "nan", "2"], "regularity_range")])
+def test_exponents_rejects_non_finite(capsys, args, hypothesis):
+    assert main(["exponents", *args]) == 2
+    assert f"[hypothesis={hypothesis}]" in capsys.readouterr().err
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "0 failed" in out and "FAIL" not in out
-
-
-def test_selftest_catches_broken_partition(monkeypatch, capsys):
-    # sabotage the cutoff; the norm checks must notice, not shrug
-    monkeypatch.setattr(
-        fracnls.spaces, "transition_profile",
-        lambda r: np.ones_like(np.asarray(r, dtype=float)))
-    assert main(["selftest"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+# ------------------------------------------------------------------ sweeps
 
 
 def test_verify_pointwise_clean(capsys):
     assert main(["verify-pointwise", "--pairs", "20000"]) == 0
     out = capsys.readouterr().out
     assert out.count("violations 0") >= 4
+
+
+@pytest.mark.parametrize("pairs", ["0", "-5"])
+def test_verify_pointwise_needs_a_pair(capsys, pairs):
+    # zero pairs would report a pass having checked nothing
+    assert main(["verify-pointwise", "--pairs", pairs]) == 2
+    captured = capsys.readouterr()
+    assert "--pairs must be >= 1" in captured.err and captured.out == ""
 
 
 # ------------------------------------------------------------------ solve
@@ -496,6 +499,7 @@ def test_config_block_must_be_object(tmp_path, capsys):
     assert "time must be a JSON object" in capsys.readouterr().err
 
 
+INF, NAN = float("inf"), float("nan")
 BAD_TYPE_CASES = [
     ("remainder", "remainder.static", "no"),
     ("remainder", "remainder.static", 1),
@@ -527,6 +531,16 @@ BAD_TYPE_CASES = [
     ("dependence", "auto_horizon.start", "0.5"),
     ("dependence", "config.cross_tol", "1e-4"),
     ("solve", "config.output_dir", 5),
+    # json reads Infinity and NaN, and neither is a number
+    ("solve", "grid.period", INF),
+    ("solve", "time.horizon", INF),
+    ("solve", "time.horizon", NAN),
+    ("solve", "time.dt", INF),
+    ("solve", "problem.power", INF),
+    ("solve", "problem.regularity", NAN),
+    ("solve", "solver.tol", -INF),
+    ("dependence", "family.initial_scale", INF),
+    ("dependence", "config.cross_tol", INF),
 ]
 
 
@@ -567,6 +581,10 @@ FIELD_NUMBER_CASES = [
     ("dependence", "direction.center", {"direction": {"center": [3.0]}}),
     ("dependence", "direction.width", {"direction": {"kind": "default",
                                                      "width": "1.5"}}),
+    ("solve", "problem.coupling",
+     {"problem": dict(PROBLEM, coupling=[1.0, INF])}),
+    ("solve", "datum.center", {"datum": {"kind": "gaussian",
+                                         "center": NAN}}),
 ]
 
 

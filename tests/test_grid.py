@@ -6,20 +6,20 @@ import pytest
 from fracnls.grid import (
     Field,
     Grid,
-    free_propagate,
     gaussian,
     inner_product,
     lebesgue_norm,
     peak_factored_norms,
     plane_wave,
-    translate,
 )
-from fracnls.spaces import ShellQuadrature, _annulus_multipliers, default_band
+from fracnls.spaces import ShellQuadrature, _annulus_multipliers
 from conftest import (
     band_limited_random_field,
+    free_propagate,
     full_mesh_wavenumber_square,
     modulated_bump_field,
     smooth_random_field,
+    translate,
 )
 
 
@@ -97,7 +97,7 @@ def test_narrow_index_gathers_are_the_intp_gathers_bitwise(dim, points,
     assert index.dtype == dtype
     wide = index.astype(np.intp)
     assert grid.wavenumber_square.tobytes() == levels[wide].tobytes()
-    low, annuli = _annulus_multipliers(grid, *default_band(grid))
+    low, annuli = _annulus_multipliers(grid)
     for table, _ in [low] + annuli:
         assert grid.gather(table).tobytes() == table[wide].tobytes()
     for s, homogeneous in ((0.4, False), (0.4, True), (1.0, False)):

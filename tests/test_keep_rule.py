@@ -13,6 +13,7 @@ UNCALLED_BUT_KEPT = {
     "besov_difference_report": "criterion 6 in test_acceptance.py",
     "besov_norm_fd": "criterion 2 in test_acceptance.py",
     "fit_slope": "criterion 7 in test_acceptance.py",
+    "nu": "criterion 1 in test_acceptance.py",
     "Grid.nyquist": "band limit of the test fixtures; moving it into the "
                     "tests would not reduce the code",
     "Grid.wavenumber_magnitude": "band limit of the test fixtures; moving "

@@ -1,8 +1,9 @@
-"""The Python examples in README.md run as written, its config table
-lists exactly the keys and defaults of the config schema, and every
-datum and direction kind builds from its documented defaults in every
-dimension."""
+"""The Python examples in README.md run as written, its command-line
+block names each subcommand once, its config table lists exactly the
+keys and defaults of the config schema, and every datum and direction
+kind builds from its documented defaults in every dimension."""
 
+import argparse
 import inspect
 import json
 import re
@@ -21,6 +22,16 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:  # later blocks use names the earlier ones set
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def test_readme_command_line_names_each_subcommand_once():
+    block = re.search(r"## Command line\n\n```\n(.*?)```",
+                      README.read_text(), re.S).group(1)
+    named = sorted(line.split()[1] for line in block.splitlines()
+                   if line.startswith("fracnls "))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert named == sorted(subparsers.choices)
 
 
 def _config_table() -> dict:

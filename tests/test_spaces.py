@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from fracnls.grid import (
     Field,
     Grid,
-    free_propagate,
     gaussian,
     lebesgue_norm,
     lp_norm,
     peak_factored_norms,
     plane_wave,
-    translate,
 )
 from fracnls.spaces import (
     _annulus_multipliers,
@@ -30,7 +28,8 @@ from fracnls.spaces import (
     spacetime_norm,
     transition_profile,
 )
-from conftest import band_limited_random_field, smooth_random_field
+from conftest import (band_limited_random_field, free_propagate,
+                      smooth_random_field, translate)
 from trajectories import traced_peak
 
 
@@ -80,7 +79,7 @@ def test_decompose_plane_wave_support():
     j = 3
     m = 82  # k = 2*pi*82/64 = 8.05, inside (4, 16) for j = 3
     jmin, jmax = default_band(WIDE)
-    _, annuli = _annulus_multipliers(WIDE, jmin, jmax)
+    _, annuli = _annulus_multipliers(WIDE)
     index = WIDE.wavenumber_levels[1]
     hot = {jmin + i for i, (table, _) in enumerate(annuli)
            if table[index][m] != 0.0}
@@ -92,7 +91,7 @@ def test_decompose_reconstruction(dim, points, period):
     # the low block and the annuli sum to one at every lattice k, so the
     # dyadic pieces of a field reconstruct it
     grid = Grid(dim=dim, points=points, period=period)
-    (low, _), annuli = _annulus_multipliers(grid, *default_band(grid))
+    (low, _), annuli = _annulus_multipliers(grid)
     total = low + sum(table for table, _ in annuli)
     assert np.max(np.abs(total[grid.wavenumber_levels[1]] - 1.0)) <= 1e-14
 
@@ -103,7 +102,7 @@ def test_decompose_reconstruction(dim, points, period):
 def test_annulus_multipliers_are_level_tables(grid):
     # one entry per distinct |k|^2, none per mesh point
     levels, _ = grid.wavenumber_levels
-    low, annuli = _annulus_multipliers(grid, *default_band(grid))
+    low, annuli = _annulus_multipliers(grid)
     for table, _ in [low] + annuli:
         assert table.shape == (len(levels),)
 
@@ -184,7 +183,7 @@ def _random_complex(grid, seed):
 @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"{g.dim}d")
 def test_inverse_on_support_matches_ifftn_bitwise(grid):
     fhat = np.fft.fftn(_random_complex(grid, 5))
-    low, annuli = _annulus_multipliers(grid, *default_band(grid))
+    low, annuli = _annulus_multipliers(grid)
     pruned = 0
     for table, runs in [low] + annuli:
         mult = table[grid.wavenumber_levels[1]]
