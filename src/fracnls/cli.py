@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import inspect
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ from .dependence import (PerturbationFamily, choose_horizon,
                          run_dependence, static_remainder_decay)
 from .exponents import (HypothesisViolation, ProblemParams, canonical_pair,
                         derive, dual, validate)
-from .grid import Field, Grid, gaussian, lebesgue_norm, plane_wave
+from .grid import Field, Grid, gaussian, lp_norm, plane_wave
 from .nonlinearity import PowerNonlinearity, count_pointwise_violations
 from .solver import (BlowUpError, NonConvergenceError, PicardConfig,
                      TimeGrid, picard_duhamel, split_step)
@@ -131,13 +130,13 @@ _SCHEMA = {
                   "theta_nodes": (_NODES, remainder_decay_experiment),
                   "static": (_FLAG, False)},
     "gaussian": {"amplitude": (_COMPLEX, gaussian),
-                 "width": (_REAL, gaussian),
+                 "width": (_POSITIVE, gaussian),
                  "center": (_one_or_dim(_is_real, "a number"), gaussian)},
     "plane_wave": {"mode": (_one_or_dim(_is_count, "an integer"), 1),
                    "amplitude": (_COMPLEX, plane_wave)},
     "random": {"band": (_NATURAL, 6)},
     "default": {"center": (_REAL, default_direction),
-                "width": (_REAL, default_direction)},
+                "width": (_POSITIVE, default_direction)},
 }
 _KINDS = {"datum": ("gaussian", "plane_wave", "random"),
           "direction": ("gaussian", "plane_wave", "random", "default")}
@@ -280,14 +279,6 @@ class RunConfig:
         params = ProblemParams(**config["problem"])
         validate(params)
         resolved = config["threads"] if threads is None else threads
-        env = os.environ.get("FRACNLS_THREADS")
-        if env is not None:
-            try:
-                resolved = int(env)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"FRACNLS_THREADS must be an integer, got {env!r}"
-                ) from exc
         if resolved < 1:
             raise ConfigError(f"thread count must be >= 1, got {resolved}")
         out = Path(output if output is not None else config["output_dir"])
@@ -335,6 +326,11 @@ def cmd_exponents(args) -> int:
     return 0
 
 
+# verify-pointwise draws and checks each power's pairs in chunks of at
+# most this many, so its memory does not grow with --pairs
+PAIR_CHUNK = 2 ** 18
+
+
 def cmd_verify_pointwise(args) -> int:
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
@@ -342,11 +338,14 @@ def cmd_verify_pointwise(args) -> int:
     failed = 0
     for alpha in (0.5, 1.0, 2.0, 3.0):
         spread = rng.uniform(0.2, 4.0, size=2)
-        z1 = spread[0] * (rng.standard_normal(args.pairs)
-                          + 1j * rng.standard_normal(args.pairs))
-        z2 = spread[1] * (rng.standard_normal(args.pairs)
-                          + 1j * rng.standard_normal(args.pairs))
-        modulus, phase = count_pointwise_violations(z1, z2, alpha)
+        counts = np.zeros(2, dtype=int)
+        for start in range(0, args.pairs, PAIR_CHUNK):
+            n = min(PAIR_CHUNK, args.pairs - start)
+            z1, z2 = (scale * (rng.standard_normal(n)
+                               + 1j * rng.standard_normal(n))
+                      for scale in spread)
+            counts += count_pointwise_violations(z1, z2, alpha)
+        modulus, phase = counts
         failed += modulus + phase
         print(f"alpha {alpha}: modulus violations {modulus}, "
               f"phase violations {phase} of {args.pairs} pairs")
@@ -357,11 +356,11 @@ def cmd_verify_pointwise(args) -> int:
 
 
 def _slice_norm_rows(traj, params, rho):
-    fields = [traj.field(m) for m in range(traj.timegrid.slices + 1)]
-    pairs = sobolev_besov_norms(fields, params.regularity, rho,
-                                homogeneous=True)
-    return [(t, lebesgue_norm(f, 2.0)) + pair
-            for t, f, pair in zip(traj.timegrid.times, fields, pairs)]
+    pairs = sobolev_besov_norms(traj.grid, traj.values, params.regularity,
+                                rho, homogeneous=True)
+    return [(t, lp_norm(values, 2.0, traj.grid.cell_volume)) + pair
+            for t, values, pair in zip(traj.timegrid.times, traj.values,
+                                       pairs)]
 
 
 def cmd_solve(args) -> int:
@@ -458,7 +457,6 @@ def cmd_remainder(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
     block = rc.config["remainder"]
     family = _build_family(rc.config, rc.grid, rc.params, rc.seed)
-    tg = _build_timegrid(_require(rc.config, "time", "config"))
     quad = ShellQuadrature(shells=block["shells"])
     theta = block["theta_nodes"]
     if block["static"]:
@@ -469,6 +467,7 @@ def cmd_remainder(args) -> int:
             rc.params.regularity, dual(rho), 2.0, rho,
             theta_nodes=theta, quad=quad)
     else:
+        tg = _build_timegrid(_require(rc.config, "time", "config"))
         rows = remainder_decay_experiment(rc.params, family, rc.solver, tg,
                                           theta_nodes=theta, quad=quad,
                                           threads=rc.threads)
@@ -510,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: config output_dir)")
         p.add_argument("--threads", type=int, default=None, help=(
             "ignored: solve runs on one thread" if name == "solve" else
-            "worker threads (FRACNLS_THREADS overrides it)"))
+            "worker threads (default: config threads)"))
         p.set_defaults(func=func)
     return parser
 

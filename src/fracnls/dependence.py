@@ -21,7 +21,6 @@ gate norms side by side, then the base solve and the row solves beside
 it.  With one thread the same tasks run inline in the same order.
 """
 
-import math
 from contextlib import contextmanager
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -34,8 +33,8 @@ from .grid import Field, gaussian, inner_product, lebesgue_norm, lp_norm
 from .nonlinearity import THETA_NODES, PowerNonlinearity, remainder_K
 from .solver import (NonConvergenceError, PicardConfig, TimeGrid,
                      _split_slices, picard_duhamel, smallness_check)
-from .spaces import (ShellQuadrature, besov_norm_lp, sobolev_norm,
-                     spacetime_norm, trapezoid_norm)
+from .spaces import (ShellQuadrature, sobolev_norm, spacetime_norm,
+                     trapezoid_norm)
 
 __all__ = [
     "PerturbationFamily", "DependenceRow", "DependenceReport",
@@ -325,17 +324,16 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
     checked before any solve starts; then the base solve goes first and
     the rows after it.  Beside the shared base a row holds only its own
     trajectory stack: it streams the oracle slices for its gap, then
-    forms traj[m] - base[m] in one slice buffer and feeds each slice to
-    all three norms.  Rows are assembled by index, so output does not
+    forms traj[m] - base[m] in one slice buffer, takes its Lebesgue
+    norm and hands it to `spacetime_norm`, whose one forward transform
+    per slice gives the sup-Sobolev and Besov values, before the next
+    slice is formed.  Rows are assembled by index, so output does not
     depend on threads.
     """
     nl = PowerNonlinearity.from_params(params)
     s = float(params.regularity)
     gamma, rho = cfg.metric_pair
     p_sigma = sigma(params)
-    norms = ((math.inf, lambda f: sobolev_norm(f, s)),
-             (gamma, lambda f: besov_norm_lp(f, s, rho, homogeneous=True)),
-             (gamma, lambda f: lebesgue_norm(f, p_sigma)))
 
     def solve_row(k: int, base: Future) -> DependenceRow:
         datum, grid = family.datum(k), family.base.grid
@@ -352,17 +350,22 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
                               grid.cell_volume)
                       for a, b in zip(traj.values, oracle))
             agrees = gap <= cross_tol
+        lebesgue = []
 
         def diffs():
             view = buf.view()  # Field._view takes read-only arrays only
             view.setflags(write=False)
             for a, b in zip(traj.values, base.result()[0].values):
                 np.subtract(a, b, out=buf)
-                yield Field._view(grid, view)
+                lebesgue.append(lebesgue_norm(Field._view(grid, view),
+                                              p_sigma))
+                yield buf
 
+        sup, besov = spacetime_norm(grid, diffs(), tg.dt, s, rho, gamma,
+                                    homogeneous=True)
         return DependenceRow(
             family.scales[k], sobolev_norm(datum - family.base, s),
-            *spacetime_norm(diffs(), tg.dt, *norms),
+            sup, besov, trapezoid_norm(lebesgue, tg.dt, gamma),
             converged=converged, iterations=rep.iterations,
             oracle_gap=gap, oracle_agrees=agrees)
 

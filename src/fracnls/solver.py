@@ -26,7 +26,7 @@ import numpy as np
 from .exponents import is_admissible
 from .grid import Field, Grid, _row_blocks, peak_factored_norms
 from .nonlinearity import PowerNonlinearity
-from .spaces import besov_norm_lp, spacetime_norm, trapezoid_norm
+from .spaces import spacetime_norm, trapezoid_norm
 
 __all__ = [
     "TimeGrid", "Trajectory", "PicardConfig", "IterationReport",
@@ -420,9 +420,6 @@ def smallness_check(phi: Field, tg: TimeGrid, cfg: PicardConfig,
     `spacetime_norm` one at a time, so no trajectory stack is built.
     """
     gamma, rho = cfg.metric_pair
-    s = float(params.regularity)
-    besov = (gamma, lambda f: besov_norm_lp(f, s, rho))
-    (value,) = spacetime_norm((Field._view(phi.grid, values)
-                               for values in _free_slices(phi, tg)),
-                              tg.dt, besov)
-    return value
+    return spacetime_norm(phi.grid, _free_slices(phi, tg), tg.dt,
+                          float(params.regularity), rho, gamma,
+                          sobolev=False)[1]

@@ -10,8 +10,9 @@ separate so they can cross-check each other:
                          valid for 0 < s < 1.
 
 Each is a plain function of a Field and its exponents, and so is
-`grid.lebesgue_norm`; `spacetime_norm` takes any of them, closed over
-its exponents, as the spatial norm of a mixed L^q-in-time norm.  Every
+`grid.lebesgue_norm`.  `sobolev_besov_norms` takes the Sobolev and
+dyadic Besov norms of each slice of a stream from one forward transform,
+and `spacetime_norm` integrates them in time by `trapezoid_norm`.  Every
 L^q sum, over a mesh, across scales or offsets, or in time, is
 `grid.peak_factored_norms`.
 
@@ -119,16 +120,19 @@ def besov_norm_lp(f: Field, s: float, p: float, q: float = 2.0,
     homogeneous=True uses annuli only (constants get norm zero);
     otherwise the low-frequency block enters the scale sum with weight one.
     """
-    return next(sobolev_besov_norms([f], s, p, q, homogeneous, False))[1]
+    return next(sobolev_besov_norms(f.grid, [f.values], s, p, q,
+                                    homogeneous, sobolev=False))[1]
 
 
-def sobolev_besov_norms(fields, s: float, p: float, q: float = 2.0,
-                        homogeneous: bool = False, sobolev: bool = True):
+def sobolev_besov_norms(grid: Grid, slices, s: float, p: float,
+                        q: float = 2.0, homogeneous: bool = False,
+                        sobolev: bool = True):
     """Yield (sobolev_norm(f, s), besov_norm_lp(f, s, p, q, homogeneous))
-    for each Field f of the sequence `fields`, all on one grid, from one
-    forward transform per field, in one Besov scratch for all fields, in
-    which the Sobolev sum runs too; sobolev=False yields None for it."""
-    grid = fields[0].grid
+    for each array f of grid.shape in the stream `slices`, from one
+    forward transform per slice, in one Besov scratch in which the
+    Sobolev sum runs too; sobolev=False yields None for it.  Each slice
+    is transformed before the next is asked for, so a stream may reuse
+    one buffer; a slice of another shape raises ValueError."""
     jmin, jmax = default_band(grid)
     low, annuli = _annulus_multipliers(grid)
     weight = grid.sobolev_weight(s, False) if sobolev else None
@@ -144,9 +148,8 @@ def sobolev_besov_norms(fields, s: float, p: float, q: float = 2.0,
         np.abs(_inverse_on_support(piece, runs), out=mult)
         return peak_factored_norms(mult[None], p, scale=grid.cell_volume)[0]
 
-    for f in fields:
-        fields[0]._check_same_grid(f)
-        np.fft.fftn(f.values, out=fhat)
+    for values in slices:
+        np.fft.fftn(values, out=fhat)
         norm = None if weight is None else _sobolev_sum(grid, fhat, weight,
                                                         piece, mult)
         terms = [2.0 ** (j * s) * block_norm(*block)
@@ -282,22 +285,21 @@ def besov_norm_fd(f: Field, s: float, p: float, q: float = 2.0,
     return peak_factored_norms([diffs], q, kernel)[0]
 
 
-def spacetime_norm(fields, dt: float, *pairs) -> tuple:
-    """Mixed norms ( integral_0^T ||u(t)||^q dt )^(1/q), one per pair.
+def spacetime_norm(grid: Grid, slices, dt: float, s: float, p: float,
+                   q: float, homogeneous: bool = False,
+                   sobolev: bool = True) -> tuple:
+    """(sup_t ||u(t)||_{H^s}, ( integral_0^T ||u(t)||_{B^s_{p,2}}^q dt )^(1/q))
+    of the stream `slices` of arrays u(t_m) of grid.shape, t_m = m dt.
 
-    `fields` yields the slices u(t_m), t_m = m dt, and each pair is
-    (q, norm), norm a function of one Field such as
-    `lambda f: besov_norm_lp(f, s, p)`.  Every slice is measured in
-    every norm before the next is asked for, so one pass serves a stream
-    whose slices share a buffer; each column is then integrated by
-    `trapezoid_norm`.
+    Each slice's two norms come from `sobolev_besov_norms`, so a stream
+    may reuse one buffer, and each column is integrated in time by
+    `trapezoid_norm`; sobolev=False gives None for the sup.
     """
-    columns = [[] for _ in pairs]
-    for f in fields:
-        for column, (_, norm) in zip(columns, pairs):
-            column.append(norm(f))
-    return tuple(trapezoid_norm(column, dt, q_time)
-                 for column, (q_time, _) in zip(columns, pairs))
+    sup, besov = zip(*sobolev_besov_norms(grid, slices, s, p,
+                                          homogeneous=homogeneous,
+                                          sobolev=sobolev))
+    return (trapezoid_norm(sup, dt, math.inf) if sobolev else None,
+            trapezoid_norm(besov, dt, q))
 
 
 def trapezoid_norm(values, dt: float, q: float) -> float:

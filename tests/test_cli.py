@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracnls.cli
 import fracnls.dependence
 from fracnls.cli import (ConfigError, RunConfig, _build_timegrid,
                          _slice_norm_rows, config_hash, main)
@@ -94,6 +95,24 @@ def test_verify_pointwise_needs_a_pair(capsys, pairs):
     assert main(["verify-pointwise", "--pairs", pairs]) == 2
     captured = capsys.readouterr()
     assert "--pairs must be >= 1" in captured.err and captured.out == ""
+
+
+def test_verify_pointwise_draws_in_chunks(capsys, monkeypatch):
+    # eight full chunks and a short one per power; drawn at once, the
+    # pairs would take about 105 bytes each, 3.4 MB here
+    monkeypatch.setattr(fracnls.cli, "PAIR_CHUNK", 4096)
+    pairs = 8 * 4096 + 3
+    main(["verify-pointwise", "--pairs", "5"])  # warm numpy's first calls
+    tracemalloc.start()
+    try:
+        code = main(["verify-pointwise", "--pairs", str(pairs)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.count(f"violations 0 of {pairs} pairs") == 4
+    assert peak <= 200 * 4096
 
 
 # ------------------------------------------------------------------ solve
@@ -296,29 +315,14 @@ def test_dependence_rerun_byte_identical(tmp_path):
     assert (out2 / "dependence.csv").read_bytes() == first
 
 
-def test_dependence_threads_env_identical(tmp_path, monkeypatch):
+def test_dependence_threads_flag_identical(tmp_path):
     path, _ = _dependence_config(tmp_path)
     assert main(["dependence", "--config", str(path)]) == 0
     first = (tmp_path / "out" / "dependence.csv").read_bytes()
-    monkeypatch.setenv("FRACNLS_THREADS", "3")
     out2 = tmp_path / "threaded"
-    assert main(["dependence", "--config", str(path),
+    assert main(["dependence", "--config", str(path), "--threads", "3",
                  "--output", str(out2)]) == 0
     assert (out2 / "dependence.csv").read_bytes() == first
-
-
-def test_threads_env_overrides_flag(tmp_path, monkeypatch):
-    path, _ = _write_config(tmp_path)
-    monkeypatch.setenv("FRACNLS_THREADS", "2")
-    rc = RunConfig.load(str(path), None, 8)
-    assert rc.threads == 2
-
-
-def test_threads_env_must_be_integer(tmp_path, monkeypatch, capsys):
-    path, _ = _dependence_config(tmp_path)
-    monkeypatch.setenv("FRACNLS_THREADS", "many")
-    assert main(["dependence", "--config", str(path)]) == 2
-    assert "FRACNLS_THREADS" in capsys.readouterr().err
 
 
 def test_dependence_smallness_gate(tmp_path, capsys):
@@ -399,6 +403,25 @@ def test_remainder_static_mode(tmp_path):
     _, rows = _read_csv(tmp_path / "out" / "remainder.csv")
     values = [float(r[2]) for r in rows]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
+
+
+def test_remainder_static_needs_no_time_block(tmp_path):
+    # the static mode never reads time, so a config without it runs and
+    # writes the same rows; only the config_hash line differs
+    path, config = _write_config(
+        tmp_path,
+        datum={"kind": "gaussian", "amplitude": 1.0, "width": 2.0},
+        family={"initial_scale": 0.5, "depth": 2},
+        remainder={"theta_nodes": 12, "shells": 10, "static": True})
+    untimed = dict(config, output_dir=str(tmp_path / "untimed"))
+    del untimed["time"]
+    (tmp_path / "untimed.json").write_text(json.dumps(untimed))
+    assert main(["remainder", "--config", str(path)]) == 0
+    assert main(["remainder", "--config",
+                 str(tmp_path / "untimed.json")]) == 0
+    timed, bare = ((tmp_path / out / "remainder.csv").read_bytes()
+                   .split(b"\n", 1) for out in ("out", "untimed"))
+    assert timed[0] != bare[0] and timed[1] == bare[1]
 
 
 def test_remainder_rejects_unknown_key(tmp_path, capsys):
@@ -581,6 +604,9 @@ FIELD_NUMBER_CASES = [
     ("dependence", "direction.center", {"direction": {"center": [3.0]}}),
     ("dependence", "direction.width", {"direction": {"kind": "default",
                                                      "width": "1.5"}}),
+    ("solve", "datum.width", {"datum": {"kind": "gaussian", "width": 0}}),
+    ("dependence", "direction.width", {"direction": {"kind": "default",
+                                                     "width": 0}}),
     ("solve", "problem.coupling",
      {"problem": dict(PROBLEM, coupling=[1.0, INF])}),
     ("solve", "datum.center", {"datum": {"kind": "gaussian",

@@ -23,7 +23,7 @@ from fracnls.solver import (IterationReport, NonConvergenceError,
                             PicardConfig, TimeGrid, picard_duhamel,
                             smallness_check, split_step)
 from fracnls.spaces import (ShellQuadrature, besov_norm_lp, sobolev_norm,
-                            spacetime_norm)
+                            trapezoid_norm)
 from trajectories import free_trajectory, stack_bytes, traced_peak
 
 PARAMS = ProblemParams(dimension=1, regularity=0.4, power=2.0)
@@ -331,8 +331,8 @@ def test_run_dependence_row_holds_one_stack(row_peak_stacks):
 
 def _stacked_rows(params, family, cfg, tg, cross_tol):
     """Rows measured as they were before streaming: a whole oracle stack,
-    a whole difference stack and one spacetime_norm call per column,
-    kept here as the bitwise reference."""
+    a whole difference stack, and each column a trapezoid_norm of the
+    separate single-field norms, kept here as the bitwise reference."""
     nl = PowerNonlinearity.from_params(params)
     s = float(params.regularity)
     gamma, rho = cfg.metric_pair
@@ -349,8 +349,8 @@ def _stacked_rows(params, family, cfg, tg, cross_tol):
         gap = max(lp_norm(a - b, 2.0, grid.cell_volume)
                   for a, b in zip(traj.values, oracle.values))
         diff = traj.values - base.values
-        columns = [spacetime_norm((Field(grid, v) for v in diff), tg.dt,
-                                  pair)[0] for pair in pairs]
+        columns = [trapezoid_norm([norm(Field(grid, v)) for v in diff],
+                                  tg.dt, q) for q, norm in pairs]
         rows.append(DependenceRow(
             family.scales[k], sobolev_norm(datum - family.base, s),
             *columns, converged=True, iterations=rep.iterations,
@@ -376,6 +376,23 @@ def test_run_dependence_rows_bitwise_the_stacked_measurement(dim, points,
         report = run_dependence(params, fam, cfg, tg, cross_check=True,
                                 threads=threads).to_dict()
         assert report["rows"] == expected
+
+
+def test_run_dependence_takes_sobolev_norm_only_for_input_distances(
+        family, monkeypatch):
+    # the sup-Sobolev column comes from the slice stream, whose one
+    # transform per slice also gives the Besov value; sobolev_norm is
+    # called once per row, for its input distance
+    calls = {"n": 0}
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return sobolev_norm(*args, **kwargs)
+
+    monkeypatch.setattr(dep, "sobolev_norm", counted)
+    tg = TimeGrid(0.25, 8)
+    report = run_dependence(PARAMS, family, _config(), tg)
+    assert calls["n"] == len(report.rows) == family.depth + 1
 
 
 def test_given_smallness_is_checked_not_recomputed(family, monkeypatch):

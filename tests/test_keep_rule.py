@@ -12,6 +12,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracnls"
 UNCALLED_BUT_KEPT = {
     "besov_difference_report": "criterion 6 in test_acceptance.py",
     "besov_norm_fd": "criterion 2 in test_acceptance.py",
+    "besov_norm_lp": "criterion 2 in test_acceptance.py",
     "fit_slope": "criterion 7 in test_acceptance.py",
     "nu": "criterion 1 in test_acceptance.py",
     "Grid.nyquist": "band limit of the test fixtures; moving it into the "

@@ -27,6 +27,7 @@ from fracnls.spaces import (
     sobolev_norm,
     spacetime_norm,
     transition_profile,
+    trapezoid_norm,
 )
 from conftest import (band_limited_random_field, free_propagate,
                       smooth_random_field, translate)
@@ -253,21 +254,28 @@ def test_sobolev_besov_norms_are_the_separate_norms_bitwise(grid,
     fields = [Field(grid, _random_complex(grid, seed)) for seed in (3, 4)]
     fields += [gaussian(grid, 0.08, 2.0), Field(grid, np.zeros(grid.shape))]
     for p in (2.0, 20.0 / 7.0):
-        pairs = list(sobolev_besov_norms(fields, 0.4, p,
-                                         homogeneous=homogeneous))
+        pairs = list(sobolev_besov_norms(grid, [f.values for f in fields],
+                                         0.4, p, homogeneous=homogeneous))
         assert len(pairs) == len(fields)
         for f, (sob, besov) in zip(fields, pairs):
             assert sob.hex() == sobolev_norm(f, 0.4).hex()
             assert besov.hex() == besov_norm_lp(
                 f, 0.4, p, homogeneous=homogeneous).hex()
     assert [pair[0] for pair in sobolev_besov_norms(
-        fields, 0.4, 2.0, sobolev=False)] == [None] * len(fields)
+        grid, [f.values for f in fields], 0.4, 2.0,
+        sobolev=False)] == [None] * len(fields)
 
 
 def test_sobolev_besov_norms_need_one_grid():
-    fields = [gaussian(Grid(1, 64, 16.0)), gaussian(Grid(1, 64, 32.0))]
-    with pytest.raises(ValueError, match="different grids"):
-        list(sobolev_besov_norms(fields, 0.4, 2.0))
+    # a slice of another shape is not on the stream's grid
+    grid = Grid(1, 64, 16.0)
+    for shape in ((32,), (64, 1), (8, 8)):
+        stream = sobolev_besov_norms(
+            grid, [gaussian(grid).values, np.ones(shape, dtype=complex)],
+            0.4, 2.0)
+        next(stream)
+        with pytest.raises(ValueError, match="shape"):
+            next(stream)
 
 
 # ------------------------------------------------------------------ sobolev
@@ -472,37 +480,41 @@ def test_shell_quadrature_measures():
 
 def test_spacetime_norm_constant_trajectory(rng):
     f = smooth_random_field(WIDE, rng)
-    norm = partial(lebesgue_norm, p=2)
-    assert np.isclose(spacetime_norm([f] * 9, 0.25, (np.inf, norm))[0],
-                      lebesgue_norm(f, 2.0), rtol=1e-12)
+    sup, besov = spacetime_norm(WIDE, [f.values] * 9, 0.25, 0.4, 3.0, 4.0)
+    assert np.isclose(sup, sobolev_norm(f, 0.4), rtol=1e-12)
     # finite q on a constant integrand: trapezoid is exact
-    assert np.isclose(spacetime_norm([f] * 9, 0.25, (4.0, norm))[0],
+    assert np.isclose(besov, 2.0 ** 0.25 * besov_norm_lp(f, 0.4, 3.0),
+                      rtol=1e-12)
+    column = [lebesgue_norm(f, 2.0)] * 9
+    assert np.isclose(trapezoid_norm(column, 0.25, np.inf),
+                      lebesgue_norm(f, 2.0), rtol=1e-12)
+    assert np.isclose(trapezoid_norm(column, 0.25, 4.0),
                       2.0 ** 0.25 * lebesgue_norm(f, 2.0), rtol=1e-12)
 
 
 def test_spacetime_norm_zero():
-    zero = Field(WIDE, np.zeros(WIDE.shape, dtype=complex))
-    assert spacetime_norm([zero] * 5, 0.25,
-                          (2.0, partial(lebesgue_norm, p=2))) == (0.0,)
+    zero = np.zeros(WIDE.shape, dtype=complex)
+    assert spacetime_norm(WIDE, [zero] * 5, 0.25, 0.4, 2.0,
+                          2.0) == (0.0, 0.0)
+    assert spacetime_norm(WIDE, [zero] * 5, 0.25, 0.4, 2.0, 2.0,
+                          sobolev=False) == (None, 0.0)
 
 
 def test_spacetime_norm_free_gaussian_isometry():
     phi = gaussian(WIDE)
     T, n = 0.8, 16
     fields = [free_propagate(phi, T * m / n) for m in range(n + 1)]
-    spatial = partial(sobolev_norm, s=0.5, homogeneous=True)
+    homogeneous = [sobolev_norm(f, 0.5, homogeneous=True) for f in fields]
+    # the free flow keeps each block's L^2 norm, so B^s_{2,2} as well
+    besov = besov_norm_lp(phi, 0.5, 2.0, homogeneous=True)
     for q in (2.0, 6.0):
         expected = T ** (1.0 / q) * sobolev_norm(phi, 0.5, homogeneous=True)
-        (norm,) = spacetime_norm(fields, T / n, (q, spatial))
-        assert np.isclose(norm, expected, rtol=1e-8)
-
-
-SPACETIME_PAIRS = (
-    (np.inf, partial(sobolev_norm, s=0.4)),
-    (6.0, partial(besov_norm_lp, s=0.4, p=3.0, q=2.0, homogeneous=True)),
-    (6.0, partial(lebesgue_norm, p=5.0)),
-    (2.0, partial(besov_norm_fd, s=0.4, p=2.0, q=2.0)),
-)
+        assert np.isclose(trapezoid_norm(homogeneous, T / n, q), expected,
+                          rtol=1e-8)
+        sup, norm = spacetime_norm(WIDE, [f.values for f in fields], T / n,
+                                   0.5, 2.0, q, homogeneous=True)
+        assert np.isclose(sup, sobolev_norm(phi, 0.5), rtol=1e-8)
+        assert np.isclose(norm, T ** (1.0 / q) * besov, rtol=1e-8)
 
 
 def _through_one_buffer(fields):
@@ -510,20 +522,25 @@ def _through_one_buffer(fields):
     buf = np.empty(fields[0].grid.shape, dtype=complex)
     for f in fields:
         buf[...] = f.values
-        yield Field._view(f.grid, buf)
+        yield buf
 
 
 @pytest.mark.parametrize("dim, points", [(1, 64), (2, 16)])
-def test_spacetime_norm_pairs_bitwise_one_call_per_pair(dim, points, rng):
+def test_one_buffer_stream_is_the_separate_norms_bitwise(dim, points, rng):
+    # a stream whose slices share one buffer gives each slice's norms,
+    # and spacetime_norm their trapezoid_norm in time, bit for bit
     grid = Grid(dim, points, 16.0)
     fields = [smooth_random_field(grid, rng) for _ in range(5)]
-    together = spacetime_norm(_through_one_buffer(fields), 0.125,
-                              *SPACETIME_PAIRS)
-    single = tuple(spacetime_norm(iter(fields), 0.125, pair)[0]
-                   for pair in SPACETIME_PAIRS)
-    assert len(together) == len(SPACETIME_PAIRS)
-    assert together == single
-    assert all(value > 0.0 for value in together)
+    pairs = sobolev_besov_norms(grid, _through_one_buffer(fields), 0.4, 3.0,
+                                homogeneous=True)
+    sup, besov = zip(*pairs)
+    assert sup == tuple(sobolev_norm(f, 0.4) for f in fields)
+    assert besov == tuple(besov_norm_lp(f, 0.4, 3.0, homogeneous=True)
+                          for f in fields)
+    assert all(value > 0.0 for value in sup + besov)
+    assert spacetime_norm(grid, _through_one_buffer(fields), 0.125, 0.4,
+                          3.0, 6.0, homogeneous=True) == (
+        trapezoid_norm(sup, 0.125, np.inf), trapezoid_norm(besov, 0.125, 6.0))
 
 
 def test_default_band_covers_grid():

@@ -1,6 +1,6 @@
 """Trajectory helpers shared by the tests: the free flow as one stack,
-the slices of a stack as the fields `spacetime_norm` streams, and the
-tracemalloc readings the memory tests compare with stack sizes."""
+the slices of a stack as Field views for the single-field norms, and
+the tracemalloc readings the memory tests compare with stack sizes."""
 
 import tracemalloc
 
