@@ -28,7 +28,7 @@ from .dependence import (PerturbationFamily, choose_horizon,
                          loglog_fit, remainder_decay_experiment,
                          run_dependence, static_remainder_decay)
 from .exponents import (HypothesisViolation, ProblemParams, canonical_pair,
-                        derive, dual, validate)
+                        derive, validate)
 from .grid import Field, Grid, gaussian, lp_norm, plane_wave
 from .nonlinearity import PowerNonlinearity, count_pointwise_violations
 from .solver import (BlowUpError, NonConvergenceError, PicardConfig,
@@ -81,10 +81,12 @@ def _one_or_dim(test, noun):
 
 
 # a type is (test, noun, conversion of a value that passes, or None)
-_ANY = (lambda v: True, "anything", None)  # the command reading it checks
 _OBJECT = (lambda v: type(v) is dict, "a JSON object", None)
 _FLAG = (lambda v: type(v) is bool, "true or false", None)
 _TEXT = (lambda v: type(v) is str, "a string", None)
+_LIST = (lambda v: type(v) is list, "a list", None)  # solve checks entries
+_INTEGRATOR = (lambda v: v in ("picard", "split_step"),
+               '"picard" or "split_step"', None)
 _COUNT = (_is_count, "an integer", int)
 _NODES = (lambda v: _is_count(v) and v >= 2, "an integer >= 2", int)
 _NATURAL = (lambda v: _is_count(v) and v >= 0, "a non-negative integer", int)
@@ -109,7 +111,7 @@ _SCHEMA = {
         "auto_horizon": (_OBJECT, _UNSET), "solver": (_OBJECT, {}),
         "remainder": (_OBJECT, {}), "seed": (_COUNT, None),
         "threads": (_COUNT, 1), "output_dir": (_TEXT, "."),
-        "integrator": (_ANY, "picard"), "snapshots": (_ANY, []),
+        "integrator": (_INTEGRATOR, "picard"), "snapshots": (_LIST, []),
         "cross_check": (_FLAG, run_dependence),
         "cross_tol": (_POSITIVE, run_dependence)},
     "problem": {"dimension": (_COUNT, _REQUIRED),
@@ -368,19 +370,14 @@ def cmd_solve(args) -> int:
     tg = _build_timegrid(_require(rc.config, "time", "config"))
     datum = _require(rc.config, "datum", "config")
     snapshots = rc.config["snapshots"]
-    if not isinstance(snapshots, list):
-        raise ConfigError("snapshots must be a list of slice indices")
     for i, m in enumerate(snapshots):
         if not (_is_count(m) and 0 <= m <= tg.slices):
             raise ConfigError(f"snapshots[{i}] must be an integer in "
                               f"[0, {tg.slices}], got {m!r}")
-    integrator = rc.config["integrator"]
-    if integrator not in ("picard", "split_step"):
-        raise ConfigError(f"unknown integrator {integrator!r}")
     nl = PowerNonlinearity.from_params(rc.params)
     # the datum is built in the call and handed over: the integrator
     # copies it into slice 0, and no name here keeps it beside the stack
-    if integrator == "picard":
+    if rc.config["integrator"] == "picard":
         traj, report = picard_duhamel(
             _build_field(datum, rc.grid, rc.seed), nl, tg, rc.solver)
         print(f"picard converged in {report.iterations} sweeps")
@@ -460,12 +457,8 @@ def cmd_remainder(args) -> int:
     quad = ShellQuadrature(shells=block["shells"])
     theta = block["theta_nodes"]
     if block["static"]:
-        gamma, rho = rc.solver.metric_pair
-        rows = static_remainder_decay(
-            family.base, family.direction, family.scales,
-            PowerNonlinearity.from_params(rc.params),
-            rc.params.regularity, dual(rho), 2.0, rho,
-            theta_nodes=theta, quad=quad)
+        rows = static_remainder_decay(rc.params, family, rc.solver,
+                                      theta_nodes=theta, quad=quad)
     else:
         tg = _build_timegrid(_require(rc.config, "time", "config"))
         rows = remainder_decay_experiment(rc.params, family, rc.solver, tg,

@@ -16,9 +16,10 @@ along the solved trajectories and watches it vanish as the perturbation
 scale shrinks, which is the mechanism that upgrades weak-norm
 convergence to convergence with derivatives.
 
-Both experiments run as tasks of one thread pool: the two smallness
-gate norms side by side, then the base solve and the row solves beside
-it.  With one thread the same tasks run inline in the same order.
+Both experiments solve the family through one driver, as tasks of one
+thread pool at every thread count: the two smallness gate norms side by
+side, then the base solve and the row solves beside it.  One worker
+runs the same tasks one after another in submission order.
 """
 
 from contextlib import contextmanager
@@ -102,14 +103,6 @@ class PerturbationFamily:
         return self.base + self.scales[k] * self.direction
 
 
-def _run_inline(fn, *args) -> Future:
-    """Run fn(*args) now and hand back its result as a done future; an
-    exception propagates at once."""
-    future = Future()
-    future.set_result(fn(*args))
-    return future
-
-
 def _endpoint_smallness(submit, family: PerturbationFamily, tg: TimeGrid,
                         cfg: PicardConfig, params: ProblemParams) -> tuple:
     # the free-evolution norm is convex along the affine family, so the
@@ -131,8 +124,8 @@ def choose_horizon(params: ProblemParams, family: PerturbationFamily,
     by any reasonable horizon; that case raises rather than looping.
     Returns the accepted grid and its (base, worst) gate norms, which
     `run_dependence` takes as `smallness` rather than recomputing them.
-    With threads > 1 the two gate norms of each horizon run side by
-    side in one pool; the result does not depend on threads.
+    The two gate norms of each horizon are tasks of one pool of
+    `threads` workers; the result does not depend on threads.
     """
     tg = TimeGrid(horizon, slices)
     with _task_runner(threads) as submit:
@@ -228,28 +221,39 @@ def loglog_fit(inputs, outputs):
     return slope, float(intercept), r2
 
 
+def _valid_columns(rows, column: str) -> tuple:
+    """Input distances and one output column over the valid rows."""
+    if column not in _COLUMNS:
+        raise ValueError(f"column must be one of {_COLUMNS}, got {column!r}")
+    usable = [row for row in rows if row.valid]
+    return ([row.input_distance for row in usable],
+            [getattr(row, column) for row in usable])
+
+
+def _fit(rows, column: str = "sup_sobolev") -> Optional[tuple]:
+    """Log-log fit of one column over the valid rows; None below 4."""
+    inputs, outputs = _valid_columns(rows, column)
+    return loglog_fit(inputs, outputs) if len(inputs) >= 4 else None
+
+
 def fit_slope(report: DependenceReport,
               column: str = "sup_sobolev") -> tuple:
     """Fitted modulus-of-continuity exponent for one output column."""
-    if column not in _COLUMNS:
-        raise ValueError(f"column must be one of {_COLUMNS}, got {column!r}")
-    rows = report.valid_rows()
-    if len(rows) < 4:
-        raise ValueError(f"need at least 4 valid rows, have {len(rows)}")
-    slope, _, r2 = loglog_fit([row.input_distance for row in rows],
-                              [getattr(row, column) for row in rows])
+    fit = _fit(report.rows, column)
+    if fit is None:
+        raise ValueError("need at least 4 valid rows, "
+                         f"have {len(report.valid_rows())}")
+    slope, _, r2 = fit
     return slope, r2
 
 
 def lipschitz_constant(report: DependenceReport,
                        column: str = "sup_sobolev") -> float:
     """Largest output/input ratio over the valid rows of one column."""
-    if column not in _COLUMNS:
-        raise ValueError(f"column must be one of {_COLUMNS}, got {column!r}")
-    rows = report.valid_rows()
-    if not rows:
+    inputs, outputs = _valid_columns(report.rows, column)
+    if not inputs:
         raise ValueError("no valid rows")
-    return max(getattr(row, column) / row.input_distance for row in rows)
+    return max(y / x for x, y in zip(inputs, outputs))
 
 
 # -------------------------------------------------------------- experiments
@@ -259,15 +263,13 @@ def lipschitz_constant(report: DependenceReport,
 def _task_runner(threads: int):
     """Yield submit(fn, *args) -> a future of fn(*args).
 
-    With threads > 1 every task goes to one thread pool, which starts
-    them in submission order, and the first task to raise cancels every
-    task not yet started, as does an exception leaving the block.  With
-    one thread submit runs the task inline, so tasks run one after
-    another in submission order.  Callers assemble results by index,
-    so output does not depend on the thread count."""
-    if threads <= 1:
-        yield _run_inline
-        return
+    Every task goes to one pool of `threads` workers, which starts them
+    in submission order, so one worker runs them one after another.  The
+    first task to raise cancels every task not yet started, as does an
+    exception leaving the block.  Callers assemble results by index, so
+    output does not depend on the thread count."""
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
     futures = []
 
     def cancel_pending():
@@ -292,15 +294,39 @@ def _task_runner(threads: int):
             raise
 
 
-def _gate_smallness(submit, family, tg, cfg, params, smallness=None):
+def _solve(datum: Field, nl: PowerNonlinearity, tg: TimeGrid,
+           cfg: PicardConfig) -> tuple:
+    """(trajectory, report, converged) of one row; a solve that stops at
+    the iteration cap keeps its partial trajectory and is flagged."""
+    try:
+        return (*picard_duhamel(datum, nl, tg, cfg), True)
+    except NonConvergenceError as err:
+        return err.trajectory, err.report, False
+
+
+def _solve_family(submit, params: ProblemParams, family: PerturbationFamily,
+                  cfg: PicardConfig, tg: TimeGrid, nl: PowerNonlinearity,
+                  row_step, smallness: Optional[tuple] = None) -> tuple:
+    """Gate the family on tg, then solve the base and one task per row.
+
+    A given (base, worst) smallness pair is checked as is.  Row k's task
+    returns row_step(k, datum, _solve(datum, ...), base future).  Returns
+    the gate norms, the base trajectory and the row results by index."""
     if smallness is None:
         smallness = _endpoint_smallness(submit, family, tg, cfg, params)
     if max(smallness) >= cfg.smallness_delta:
-        raise ValueError(
-            f"free evolution reaches {max(smallness):.4f} "
-            f">= {cfg.smallness_delta} over the horizon; shrink it "
-            "(see choose_horizon)")
-    return smallness
+        raise ValueError(f"free evolution reaches {max(smallness):.4f} >= "
+                         f"{cfg.smallness_delta} over the horizon; shrink "
+                         "it (see choose_horizon)")
+    base = submit(picard_duhamel, family.base, nl, tg, cfg)
+
+    def row(k: int):
+        datum = family.datum(k)
+        return row_step(k, datum, _solve(datum, nl, tg, cfg), base)
+
+    pending = [submit(row, k) for k in range(family.depth + 1)]
+    # a failed base solve fails the rows waiting on it; raise its own
+    return smallness, base.result()[0], tuple(f.result() for f in pending)
 
 
 def run_dependence(params: ProblemParams, family: PerturbationFamily,
@@ -319,29 +345,22 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
     cross_tol in supremum-in-time L^2.  A given smallness, the (base,
     worst) gate norms on tg from `choose_horizon`, is checked as is.
 
-    The two gate norms, the base solve and the rows are tasks of one
-    pool when threads > 1: the gate norms run side by side and are
-    checked before any solve starts; then the base solve goes first and
-    the rows after it.  Beside the shared base a row holds only its own
-    trajectory stack: it streams the oracle slices for its gap, then
-    forms traj[m] - base[m] in one slice buffer, takes its Lebesgue
-    norm and hands it to `spacetime_norm`, whose one forward transform
-    per slice gives the sup-Sobolev and Besov values, before the next
-    slice is formed.  Rows are assembled by index, so output does not
-    depend on threads.
+    The family is solved on one pool of `threads` workers (see
+    `_solve_family`).  Beside the shared base a row holds only its own
+    trajectory stack, dropped when its task ends: it streams the oracle
+    slices for its gap, then forms traj[m] - base[m] in one slice
+    buffer, takes its Lebesgue norm and hands it to `spacetime_norm`,
+    whose one forward transform per slice gives the sup-Sobolev and
+    Besov values, before the next slice is formed.
     """
     nl = PowerNonlinearity.from_params(params)
     s = float(params.regularity)
     gamma, rho = cfg.metric_pair
     p_sigma = sigma(params)
+    grid = family.base.grid
 
-    def solve_row(k: int, base: Future) -> DependenceRow:
-        datum, grid = family.datum(k), family.base.grid
-        converged = True
-        try:
-            traj, rep = picard_duhamel(datum, nl, tg, cfg)
-        except NonConvergenceError as err:
-            traj, rep, converged = err.trajectory, err.report, False
+    def measure_row(k, datum, solved, base) -> DependenceRow:
+        traj, rep, converged = solved
         buf = np.empty(grid.shape, dtype=complex)
         gap = agrees = None
         if cross_check:
@@ -370,20 +389,9 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
             oracle_gap=gap, oracle_agrees=agrees)
 
     with _task_runner(threads) as submit:
-        base_small, worst_small = _gate_smallness(submit, family, tg, cfg,
-                                                  params, smallness)
-        base = submit(picard_duhamel, family.base, nl, tg, cfg)
-        pending = [submit(solve_row, k, base)
-                   for k in range(family.depth + 1)]
-        # a failed base solve fails the rows waiting on it; raise its own
-        base.result()
-        rows = tuple(future.result() for future in pending)
-    slope = intercept = r2 = None
-    usable = [row for row in rows if row.valid]
-    if len(usable) >= 4:
-        slope, intercept, r2 = loglog_fit(
-            [row.input_distance for row in usable],
-            [row.sup_sobolev for row in usable])
+        (base_small, worst_small), _, rows = _solve_family(
+            submit, params, family, cfg, tg, nl, measure_row, smallness)
+    slope, intercept, r2 = _fit(rows) or (None, None, None)
     return DependenceReport(timegrid=tg, rows=rows, slope=slope,
                             intercept=intercept, r_squared=r2,
                             base_smallness=base_small,
@@ -399,6 +407,12 @@ class RemainderDecayRow:
     converged: bool = True
 
 
+def _remainder_exponents(params: ProblemParams, cfg: PicardConfig) -> tuple:
+    """(s, p, q, r) of the standard bundle: p = rho', q = 2, r = rho."""
+    rho = cfg.metric_pair[1]
+    return float(params.regularity), dual(rho), 2.0, rho
+
+
 def remainder_decay_experiment(params: ProblemParams,
                                family: PerturbationFamily,
                                cfg: PicardConfig, tg: TimeGrid, *,
@@ -410,39 +424,28 @@ def remainder_decay_experiment(params: ProblemParams,
     Each row solves the perturbed problem, evaluates the remainder
     functional slice by slice against the base solution at the standard
     exponent bundle (p the dual of rho, q = 2, r = rho), and integrates
-    in time at the dual of the metric's time exponent.  With threads > 1
-    the two gate norms run side by side in one pool, checked before any
-    solve starts; then the base solve and the row solves, and then the
-    remainder evaluations, share that pool.  The slices are split into
-    one contiguous block per thread, and one remainder_K call takes a
-    block: the base slice against every row's slice, for every slice of
-    the block, in one offset loop.  Each value is bitwise that of its own
-    slice's call, and everything is assembled by index, so the output
-    does not depend on the thread count.
+    in time at the dual of the metric's time exponent.  The remainder
+    evaluations share the pool that solves the family (see
+    `_solve_family`): the slices are split into one contiguous block per
+    thread, and one remainder_K call takes a block, the base slice
+    against every row's slice for every slice of the block, in one
+    offset loop.  Each value is bitwise that of its own slice's call,
+    and all is assembled by index, so output does not depend on threads.
     """
     nl = PowerNonlinearity.from_params(params)
-    s = float(params.regularity)
-    gamma, rho = cfg.metric_pair
-    time_exponent = dual(gamma)
-
-    def solve_row(k: int):
-        try:
-            return picard_duhamel(family.datum(k), nl, tg, cfg)[0], True
-        except NonConvergenceError as err:
-            return err.trajectory, False
+    exponents = _remainder_exponents(params, cfg)
+    time_exponent = dual(cfg.metric_pair[0])
 
     def block_remainders(block) -> tuple:
         return remainder_K([base_traj.field(m) for m in block],
                            [[traj.field(m) for traj, _ in solved]
                             for m in block], nl,
-                           s, dual(rho), 2.0, rho, theta_nodes, quad)
+                           *exponents, theta_nodes, quad)
 
     with _task_runner(threads) as submit:
-        _gate_smallness(submit, family, tg, cfg, params)
-        base = submit(picard_duhamel, family.base, nl, tg, cfg)
-        pending = [submit(solve_row, k) for k in range(family.depth + 1)]
-        base_traj = base.result()[0]
-        solved = tuple(future.result() for future in pending)
+        _, base_traj, solved = _solve_family(  # keep (trajectory, converged)
+            submit, params, family, cfg, tg, nl,
+            lambda k, datum, row, base: (row[0], row[2]))
         blocks = np.array_split(np.arange(tg.slices + 1),
                                 min(threads, tg.slices + 1))
         pending = [submit(block_remainders, block) for block in blocks]
@@ -455,13 +458,16 @@ def remainder_decay_experiment(params: ProblemParams,
                  for k, (_, converged) in enumerate(solved))
 
 
-def static_remainder_decay(base: Field, direction: Field, scales,
-                           nl: PowerNonlinearity, s: float, p: float, q: float,
-                           r: float, theta_nodes: int = THETA_NODES,
+def static_remainder_decay(params: ProblemParams, family: PerturbationFamily,
+                           cfg: PicardConfig, *,
+                           theta_nodes: int = THETA_NODES,
                            quad: ShellQuadrature = ShellQuadrature()) -> tuple:
-    """Remainder of base against base + eps * direction, no dynamics."""
-    (values,) = remainder_K([base],
-                            [[base + eps * direction for eps in scales]],
-                            nl, s, p, q, r, theta_nodes, quad)
-    return tuple(RemainderDecayRow(float(eps), value)
-                 for eps, value in zip(scales, values))
+    """Remainder of the base against each datum of the family, no
+    dynamics, at the exponents of `remainder_decay_experiment`."""
+    data = [family.datum(k) for k in range(family.depth + 1)]
+    nl = PowerNonlinearity.from_params(params)
+    (values,) = remainder_K([family.base], [data], nl,
+                            *_remainder_exponents(params, cfg), theta_nodes,
+                            quad)
+    return tuple(RemainderDecayRow(eps, value)
+                 for eps, value in zip(family.scales, values))

@@ -17,7 +17,7 @@ from fracnls.dependence import (PerturbationFamily, default_direction,
                                 remainder_decay_experiment,
                                 static_remainder_decay)
 from fracnls.exponents import (ProblemParams, canonical_pair, critical_pair,
-                               dual, is_admissible, max_power, nu)
+                               is_admissible, max_power, nu)
 from fracnls.grid import Field, Grid, gaussian, lebesgue_norm, plane_wave
 from fracnls.nonlinearity import (PowerNonlinearity, besov_difference_report,
                                   count_pointwise_violations)
@@ -184,14 +184,14 @@ def test_criterion_5_remainder_decay():
     started = time.perf_counter()
     params = ProblemParams(1, 0.4, 2.0)
     grid = Grid(1, 128, 32.0)
-    rho = canonical_pair(params)[1]
     quad = ShellQuadrature(shells=12)
 
     base = gaussian(grid, 1.0, 2.0)
-    scales = tuple(0.5 * 0.5 ** k for k in range(9))
     static_rows = static_remainder_decay(
-        base, default_direction(base, 0.4), scales, CUBIC,
-        0.4, dual(rho), 2.0, rho, theta_nodes=16, quad=quad)
+        params, PerturbationFamily(base, default_direction(base, 0.4),
+                                   0.5, 8, 0.4),
+        PicardConfig(metric_pair=canonical_pair(params)),
+        theta_nodes=16, quad=quad)
     static_vals = [row.integrated for row in static_rows]
     assert all(a > b for a, b in zip(static_vals, static_vals[1:]))
     assert static_vals[8] < 1e-2 * static_vals[0]
@@ -214,14 +214,14 @@ def test_criterion_5_remainder_decay_2d():
     started = time.perf_counter()
     params = ProblemParams(2, 0.4, 2.0)
     grid = Grid(2, 32, 32.0)
-    rho = canonical_pair(params)[1]
     quad = ShellQuadrature(shells=12)
 
     base = gaussian(grid, 1.0, 2.0)
-    scales = tuple(0.5 * 0.5 ** k for k in range(9))
     static_rows = static_remainder_decay(
-        base, default_direction(base, 0.4), scales, CUBIC,
-        0.4, dual(rho), 2.0, rho, theta_nodes=16, quad=quad)
+        params, PerturbationFamily(base, default_direction(base, 0.4),
+                                   0.5, 8, 0.4),
+        PicardConfig(metric_pair=canonical_pair(params)),
+        theta_nodes=16, quad=quad)
     static_vals = [row.integrated for row in static_rows]
     assert all(a > b for a, b in zip(static_vals, static_vals[1:]))
     assert static_vals[8] <= 1e-2 * static_vals[0]
@@ -246,14 +246,14 @@ def test_criterion_5_remainder_decay_3d():
     started = time.perf_counter()
     params = ProblemParams(3, 0.5, 2.0)
     grid = Grid(3, 16, 32.0)
-    rho = canonical_pair(params)[1]
     quad = ShellQuadrature(shells=12)
 
     base = gaussian(grid, 1.0, 2.0)
-    scales = tuple(0.5 * 0.5 ** k for k in range(9))
     static_rows = static_remainder_decay(
-        base, default_direction(base, 0.5), scales, CUBIC,
-        0.5, dual(rho), 2.0, rho, theta_nodes=16, quad=quad)
+        params, PerturbationFamily(base, default_direction(base, 0.5),
+                                   0.5, 8, 0.5),
+        PicardConfig(metric_pair=canonical_pair(params)),
+        theta_nodes=16, quad=quad)
     static_vals = [row.integrated for row in static_rows]
     assert all(a > b for a, b in zip(static_vals, static_vals[1:]))
     assert static_vals[8] <= 1e-2 * static_vals[0]

@@ -564,6 +564,11 @@ BAD_TYPE_CASES = [
     ("solve", "solver.tol", -INF),
     ("dependence", "family.initial_scale", INF),
     ("dependence", "config.cross_tol", INF),
+    # solve's keys are checked by every command, like every key present
+    ("dependence", "config.integrator", "leapfrog"),
+    ("remainder", "config.integrator", "leapfrog"),
+    ("dependence", "config.snapshots", "all"),
+    ("remainder", "config.snapshots", "all"),
 ]
 
 

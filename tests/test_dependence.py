@@ -196,7 +196,7 @@ def test_run_dependence_cross_check_can_flag(direction):
         fit_slope(report)
 
 
-def test_run_dependence_flags_forced_nonconvergence(family, monkeypatch):
+def _force_row_2_nonconvergence(monkeypatch):
     calls = {"n": 0}
     real = picard_duhamel
 
@@ -209,12 +209,45 @@ def test_run_dependence_flags_forced_nonconvergence(family, monkeypatch):
         return real(phi, nl, tg, cfg)
 
     monkeypatch.setattr(dep, "picard_duhamel", flaky)
+
+
+def test_run_dependence_flags_forced_nonconvergence(family, monkeypatch):
+    _force_row_2_nonconvergence(monkeypatch)
     report = run_dependence(PARAMS, family, _config(), TimeGrid(0.25, 16))
     flagged = [row for row in report.rows if not row.converged]
     assert len(flagged) == 1
     assert len(report.rows) == 9
     assert len(report.valid_rows()) == 8
     assert report.slope is not None
+
+
+def test_remainder_flags_forced_nonconvergence(family, monkeypatch):
+    _force_row_2_nonconvergence(monkeypatch)
+    rows = remainder_decay_experiment(PARAMS, family, _config(),
+                                      TimeGrid(0.25, 4), theta_nodes=8,
+                                      quad=LIGHT_QUAD)
+    assert len(rows) == 9
+    assert [row.converged for row in rows] == [k != 2 for k in range(9)]
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_thread_count_below_one_raises_before_any_solve(family, monkeypatch,
+                                                        threads):
+    def solve(*args):
+        raise AssertionError("solved with a bad thread count")
+
+    monkeypatch.setattr(dep, "picard_duhamel", solve)
+    monkeypatch.setattr(dep, "smallness_check", solve)
+    tg = TimeGrid(0.25, 8)
+    message = f"thread count must be >= 1, got {threads}"
+    with pytest.raises(ValueError, match=message):
+        run_dependence(PARAMS, family, _config(), tg, threads=threads)
+    with pytest.raises(ValueError, match=message):
+        remainder_decay_experiment(PARAMS, family, _config(), tg,
+                                   theta_nodes=8, quad=LIGHT_QUAD,
+                                   threads=threads)
+    with pytest.raises(ValueError, match=message):
+        choose_horizon(PARAMS, family, _config(), 0.25, 8, threads=threads)
 
 
 def test_run_dependence_threads_match_serial(direction):
@@ -557,9 +590,8 @@ def test_remainder_decay_along_solved_trajectories(direction):
 
 def test_static_remainder_decay(direction):
     base = gaussian(GRID, 1.0, 2.0)
-    scales = [0.5 * 2.0 ** -k for k in range(9)]
-    rows = static_remainder_decay(base, direction, scales, CUBIC,
-                                  0.4, 2.0, 2.0, 20.0 / 9.0,
+    fam = PerturbationFamily(base, direction, 0.5, 8, 0.4)
+    rows = static_remainder_decay(PARAMS, fam, _config(),
                                   theta_nodes=16, quad=LIGHT_QUAD)
     values = [row.integrated for row in rows]
     assert all(b < a for a, b in zip(values, values[1:]))
