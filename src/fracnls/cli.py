@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .dependence import (PerturbationFamily, choose_horizon,
-                         default_direction, lipschitz_constant,
-                         loglog_fit, remainder_decay_experiment,
+                         default_direction, remainder_decay_experiment,
                          run_dependence, static_remainder_decay)
 from .exponents import (HypothesisViolation, ProblemParams, canonical_pair,
                         derive, validate)
@@ -33,7 +32,7 @@ from .grid import Field, Grid, gaussian, lp_norm, plane_wave
 from .nonlinearity import PowerNonlinearity, count_pointwise_violations
 from .solver import (BlowUpError, NonConvergenceError, PicardConfig,
                      TimeGrid, picard_duhamel, split_step)
-from .spaces import ShellQuadrature, sobolev_besov_norms, sobolev_norm
+from .spaces import sobolev_besov_norms, sobolev_norm
 
 __all__ = ["ConfigError", "RunConfig", "config_hash", "main"]
 
@@ -70,9 +69,11 @@ def _as_complex(value) -> complex:
     return complex(*value) if isinstance(value, list) else complex(value)
 
 
-def _one_or_dim(test, noun):
-    """The type of a value that is one number or a list of one per
-    dimension; it is known once the problem block is read."""
+def _one_or_dim(spec):
+    """The type of a value that is one value of type spec or a list of
+    one per dimension; it is known once the problem block is read."""
+    test, noun, _ = spec
+
     def typed(dim):
         return (lambda v: test(v) or (type(v) is list and len(v) == dim
                                       and all(map(test, v))),
@@ -89,7 +90,10 @@ _INTEGRATOR = (lambda v: v in ("picard", "split_step"),
                '"picard" or "split_step"', None)
 _COUNT = (_is_count, "an integer", int)
 _NODES = (lambda v: _is_count(v) and v >= 2, "an integer >= 2", int)
-_NATURAL = (lambda v: _is_count(v) and v >= 0, "a non-negative integer", int)
+_NATURAL = (lambda v: _is_count(v) and _is_real(v) and v >= 0,
+            "a non-negative integer in the float range", int)
+_INT64 = (lambda v: _is_count(v) and -2 ** 63 <= v < 2 ** 63,
+          "a 64-bit integer", int)  # the integer numpy takes
 _REAL = (_is_real, "a number", float)
 _POSITIVE = (lambda v: _is_real(v) and v > 0, "a positive number", float)
 _COMPLEX = (_is_complex, "a number or [re, im]", _as_complex)
@@ -101,8 +105,9 @@ _UNSET = object()     # a missing key stays missing
 # datum and direction take the keys of their kind): key -> (type,
 # default).  A callable default stands for its keyword of the same name,
 # so a library default is written once.  Shells stay 16 here, as the
-# artifacts were made, and 32 on ShellQuadrature, which the
-# finite-difference Besov norm needs for its tested accuracy.
+# artifacts were made, and 32 in the library (`spaces.offsets_kernel`
+# and its callers), which the finite-difference Besov norm needs for its
+# tested accuracy.
 _SCHEMA = {
     "config": {
         "problem": (_OBJECT, _REQUIRED), "grid": (_OBJECT, _REQUIRED),
@@ -133,8 +138,8 @@ _SCHEMA = {
                   "static": (_FLAG, False)},
     "gaussian": {"amplitude": (_COMPLEX, gaussian),
                  "width": (_POSITIVE, gaussian),
-                 "center": (_one_or_dim(_is_real, "a number"), gaussian)},
-    "plane_wave": {"mode": (_one_or_dim(_is_count, "an integer"), 1),
+                 "center": (_one_or_dim(_REAL), gaussian)},
+    "plane_wave": {"mode": (_one_or_dim(_INT64), 1),
                    "amplitude": (_COMPLEX, plane_wave)},
     "random": {"band": (_NATURAL, 6)},
     "default": {"center": (_REAL, default_direction),
@@ -396,23 +401,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _running_slopes(rows) -> list:
-    slopes = []
-    for i in range(len(rows)):
-        usable = [row for row in rows[:i + 1] if row.valid]
-        if len(usable) < 2:
-            slopes.append(None)
-            continue
-        try:
-            slope, _, _ = loglog_fit(
-                [row.input_distance for row in usable],
-                [row.sup_sobolev for row in usable])
-            slopes.append(slope)
-        except ValueError:
-            slopes.append(None)
-    return slopes
-
-
 def cmd_dependence(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
     family = _build_family(rc.config, rc.grid, rc.params, rc.seed)
@@ -431,22 +419,18 @@ def cmd_dependence(args) -> int:
                             cross_check=rc.config["cross_check"],
                             cross_tol=rc.config["cross_tol"],
                             threads=rc.threads, smallness=smallness)
-    slopes = _running_slopes(report.rows)
+    summary = report.to_dict()  # a degenerate fit raises before any write
+    slopes = report.running_slopes()
     csv_rows = [(k, row.scale, row.input_distance, row.sup_sobolev,
                  row.spacetime_besov, row.spacetime_lebesgue, slopes[k])
                 for k, row in enumerate(report.rows)]
     _write_csv(rc.output_dir / "dependence.csv", rc.digest,
                ("k", "eps", "in_Hs", "out_sup_Hs", "out_Lgamma_Besov",
                 "out_Lgamma_Lsigma", "slope_running"), csv_rows)
-    flags = [k for k, row in enumerate(report.rows) if not row.valid]
-    summary = report.to_dict()
-    summary["flags"] = flags
-    summary["lipschitz_constant"] = (lipschitz_constant(report)
-                                     if report.valid_rows() else None)
     _write_json(rc.output_dir / "dependence_summary.json", rc.digest,
                 summary)
     print(f"wrote {rc.output_dir / 'dependence.csv'} "
-          f"({len(report.rows)} rows, {len(flags)} flagged)")
+          f"({len(report.rows)} rows, {len(summary['flags'])} flagged)")
     return 0
 
 
@@ -454,15 +438,14 @@ def cmd_remainder(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
     block = rc.config["remainder"]
     family = _build_family(rc.config, rc.grid, rc.params, rc.seed)
-    quad = ShellQuadrature(shells=block["shells"])
-    theta = block["theta_nodes"]
+    theta, shells = block["theta_nodes"], block["shells"]
     if block["static"]:
         rows = static_remainder_decay(rc.params, family, rc.solver,
-                                      theta_nodes=theta, quad=quad)
+                                      theta_nodes=theta, shells=shells)
     else:
         tg = _build_timegrid(_require(rc.config, "time", "config"))
         rows = remainder_decay_experiment(rc.params, family, rc.solver, tg,
-                                          theta_nodes=theta, quad=quad,
+                                          theta_nodes=theta, shells=shells,
                                           threads=rc.threads)
     _write_csv(rc.output_dir / "remainder.csv", rc.digest,
                ("k", "eps", "integrated_K", "converged"),

@@ -34,8 +34,7 @@ from .grid import Field, gaussian, inner_product, lebesgue_norm, lp_norm
 from .nonlinearity import THETA_NODES, PowerNonlinearity, remainder_K
 from .solver import (NonConvergenceError, PicardConfig, TimeGrid,
                      _split_slices, picard_duhamel, smallness_check)
-from .spaces import (ShellQuadrature, sobolev_norm, spacetime_norm,
-                     trapezoid_norm)
+from .spaces import sobolev_norm, spacetime_norm, trapezoid_norm
 
 __all__ = [
     "PerturbationFamily", "DependenceRow", "DependenceReport",
@@ -114,14 +113,15 @@ def _endpoint_smallness(submit, family: PerturbationFamily, tg: TimeGrid,
 
 def choose_horizon(params: ProblemParams, family: PerturbationFamily,
                    cfg: PicardConfig, horizon: float, slices: int,
-                   max_halvings: int = 60, threads: int = 1) -> tuple:
+                   threads: int = 1) -> tuple:
     """Shrink the horizon until the whole family passes the smallness gate.
 
-    Halves T (and the slice count with it, keeping dt) until the free
-    evolution of the worst datum stays below the configured threshold.
-    With a large time exponent each halving only shaves a few percent
-    off the norm, so a datum well above the threshold cannot be rescued
-    by any reasonable horizon; that case raises rather than looping.
+    Halves T and the slice count, which stops at 2 (so dt changes at an
+    odd count and at that floor), until the free evolution of the worst
+    datum stays below the configured threshold.  With a large time
+    exponent each halving only shaves a few percent off the norm, so a
+    datum well above the threshold cannot be rescued by any reasonable
+    horizon; after 60 halvings that case raises rather than looping.
     Returns the accepted grid and its (base, worst) gate norms, which
     `run_dependence` takes as `smallness` rather than recomputing them.
     The two gate norms of each horizon are tasks of one pool of
@@ -129,14 +129,14 @@ def choose_horizon(params: ProblemParams, family: PerturbationFamily,
     """
     tg = TimeGrid(horizon, slices)
     with _task_runner(threads) as submit:
-        for _ in range(max_halvings + 1):
+        for _ in range(61):
             smallness = _endpoint_smallness(submit, family, tg, cfg, params)
             if max(smallness) < cfg.smallness_delta:
                 return tg, smallness
             tg = TimeGrid(0.5 * tg.horizon, max(2, tg.slices // 2))
     raise RuntimeError(
         f"smallness {max(smallness):.4f} still >= {cfg.smallness_delta} "
-        f"after {max_halvings} halvings; the datum itself is too large "
+        "after 60 halvings; the datum itself is too large "
         "for the threshold")
 
 
@@ -174,13 +174,11 @@ _COLUMNS = ("sup_sobolev", "spacetime_besov", "spacetime_lebesgue")
 
 @dataclass(frozen=True)
 class DependenceReport:
-    """All rows of one experiment plus the headline log-log fit."""
+    """All rows of one experiment; the headline log-log fit (sup-Sobolev
+    over the valid rows, None below 4) is derived from them."""
 
     timegrid: TimeGrid
     rows: tuple
-    slope: Optional[float] = None
-    intercept: Optional[float] = None
-    r_squared: Optional[float] = None
     base_smallness: float = 0.0
     worst_smallness: float = 0.0
 
@@ -193,6 +191,25 @@ class DependenceReport:
     def valid_rows(self) -> tuple:
         return tuple(row for row in self.rows if row.valid)
 
+    def _headline(self) -> tuple:
+        return _fit(self.rows) or (None, None, None)
+
+    slope = property(lambda self: self._headline()[0])
+    intercept = property(lambda self: self._headline()[1])
+    r_squared = property(lambda self: self._headline()[2])
+
+    def running_slopes(self) -> list:
+        """Headline slope over each prefix of the rows, from 2 valid rows
+        on; None before that and where the prefix's fit is degenerate."""
+        slopes = []
+        for i in range(len(self.rows)):
+            try:
+                slopes.append((_fit(self.rows[:i + 1], minimum=2)
+                               or (None,))[0])
+            except ValueError:
+                slopes.append(None)
+        return slopes
+
     def to_dict(self) -> dict:
         return {"horizon": self.timegrid.horizon,
                 "slices": self.timegrid.slices,
@@ -200,7 +217,11 @@ class DependenceReport:
                 "r_squared": self.r_squared,
                 "base_smallness": self.base_smallness,
                 "worst_smallness": self.worst_smallness,
-                "rows": [row.to_dict() for row in self.rows]}
+                "rows": [row.to_dict() for row in self.rows],
+                "flags": [k for k, row in enumerate(self.rows)
+                          if not row.valid],
+                "lipschitz_constant": (lipschitz_constant(self)
+                                       if self.valid_rows() else None)}
 
 
 def loglog_fit(inputs, outputs):
@@ -230,10 +251,11 @@ def _valid_columns(rows, column: str) -> tuple:
             [getattr(row, column) for row in usable])
 
 
-def _fit(rows, column: str = "sup_sobolev") -> Optional[tuple]:
-    """Log-log fit of one column over the valid rows; None below 4."""
+def _fit(rows, column: str = "sup_sobolev",
+         minimum: int = 4) -> Optional[tuple]:
+    """Log-log fit of one column over the valid rows; None below minimum."""
     inputs, outputs = _valid_columns(rows, column)
-    return loglog_fit(inputs, outputs) if len(inputs) >= 4 else None
+    return loglog_fit(inputs, outputs) if len(inputs) >= minimum else None
 
 
 def fit_slope(report: DependenceReport,
@@ -243,8 +265,7 @@ def fit_slope(report: DependenceReport,
     if fit is None:
         raise ValueError("need at least 4 valid rows, "
                          f"have {len(report.valid_rows())}")
-    slope, _, r2 = fit
-    return slope, r2
+    return fit[0], fit[2]
 
 
 def lipschitz_constant(report: DependenceReport,
@@ -296,12 +317,12 @@ def _task_runner(threads: int):
 
 def _solve(datum: Field, nl: PowerNonlinearity, tg: TimeGrid,
            cfg: PicardConfig) -> tuple:
-    """(trajectory, report, converged) of one row; a solve that stops at
-    the iteration cap keeps its partial trajectory and is flagged."""
+    """(trajectory, report) of one row; a solve that stops at the
+    iteration cap keeps its partial trajectory, its report unconverged."""
     try:
-        return (*picard_duhamel(datum, nl, tg, cfg), True)
+        return picard_duhamel(datum, nl, tg, cfg)
     except NonConvergenceError as err:
-        return err.trajectory, err.report, False
+        return err.trajectory, err.report
 
 
 def _solve_family(submit, params: ProblemParams, family: PerturbationFamily,
@@ -360,7 +381,7 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
     grid = family.base.grid
 
     def measure_row(k, datum, solved, base) -> DependenceRow:
-        traj, rep, converged = solved
+        traj, rep = solved
         buf = np.empty(grid.shape, dtype=complex)
         gap = agrees = None
         if cross_check:
@@ -385,15 +406,13 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
         return DependenceRow(
             family.scales[k], sobolev_norm(datum - family.base, s),
             sup, besov, trapezoid_norm(lebesgue, tg.dt, gamma),
-            converged=converged, iterations=rep.iterations,
+            converged=rep.converged, iterations=rep.iterations,
             oracle_gap=gap, oracle_agrees=agrees)
 
     with _task_runner(threads) as submit:
         (base_small, worst_small), _, rows = _solve_family(
             submit, params, family, cfg, tg, nl, measure_row, smallness)
-    slope, intercept, r2 = _fit(rows) or (None, None, None)
-    return DependenceReport(timegrid=tg, rows=rows, slope=slope,
-                            intercept=intercept, r_squared=r2,
+    return DependenceReport(timegrid=tg, rows=rows,
                             base_smallness=base_small,
                             worst_smallness=worst_small)
 
@@ -417,7 +436,7 @@ def remainder_decay_experiment(params: ProblemParams,
                                family: PerturbationFamily,
                                cfg: PicardConfig, tg: TimeGrid, *,
                                theta_nodes: int = THETA_NODES,
-                               quad: ShellQuadrature = ShellQuadrature(),
+                               shells: int = 32,
                                threads: int = 1) -> tuple:
     """Integrated remainder along solved trajectories, one row per scale.
 
@@ -440,12 +459,12 @@ def remainder_decay_experiment(params: ProblemParams,
         return remainder_K([base_traj.field(m) for m in block],
                            [[traj.field(m) for traj, _ in solved]
                             for m in block], nl,
-                           *exponents, theta_nodes, quad)
+                           *exponents, theta_nodes, shells)
 
     with _task_runner(threads) as submit:
         _, base_traj, solved = _solve_family(  # keep (trajectory, converged)
             submit, params, family, cfg, tg, nl,
-            lambda k, datum, row, base: (row[0], row[2]))
+            lambda k, datum, row, base: (row[0], row[1].converged))
         blocks = np.array_split(np.arange(tg.slices + 1),
                                 min(threads, tg.slices + 1))
         pending = [submit(block_remainders, block) for block in blocks]
@@ -461,13 +480,13 @@ def remainder_decay_experiment(params: ProblemParams,
 def static_remainder_decay(params: ProblemParams, family: PerturbationFamily,
                            cfg: PicardConfig, *,
                            theta_nodes: int = THETA_NODES,
-                           quad: ShellQuadrature = ShellQuadrature()) -> tuple:
+                           shells: int = 32) -> tuple:
     """Remainder of the base against each datum of the family, no
     dynamics, at the exponents of `remainder_decay_experiment`."""
     data = [family.datum(k) for k in range(family.depth + 1)]
     nl = PowerNonlinearity.from_params(params)
     (values,) = remainder_K([family.base], [data], nl,
                             *_remainder_exponents(params, cfg), theta_nodes,
-                            quad)
+                            shells)
     return tuple(RemainderDecayRow(eps, value)
                  for eps, value in zip(family.scales, values))

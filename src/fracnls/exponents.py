@@ -193,8 +193,7 @@ def dual(e: Number) -> float:
     return float(ef / (ef - 1))
 
 
-def is_admissible(q: Number, r: Number, dimension: int,
-                  tol: float = 1e-12) -> bool:
+def is_admissible(q: Number, r: Number, dimension: int) -> bool:
     """Whether (q, r) is an admissible space-time pair:
 
         2/q = N (1/2 - 1/r),  2 <= r < 2N/(N-2)  (r < inf when N <= 2).
@@ -213,7 +212,7 @@ def is_admissible(q: Number, r: Number, dimension: int,
         return False
     lhs = 0.0 if math.isinf(qf) else 2.0 / qf
     rhs = n * (0.5 - 1.0 / rf)
-    return abs(lhs - rhs) <= tol
+    return abs(lhs - rhs) <= 1e-12  # the identity up to roundoff
 
 
 def derive(params: ProblemParams) -> ExponentSet:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import Field, lebesgue_norm, lp_norm, peak_factored_norms
-from .spaces import ShellQuadrature, translation_increments
+from .spaces import offsets_kernel, translation_increments
 
 
 def _phase_square(values: np.ndarray, power: float,
@@ -134,14 +134,14 @@ def _pointwise_sides(z1, z2, alpha: float):
     return modulus_lhs, alpha * base, phase_lhs, 5.0 * base
 
 
-def count_pointwise_violations(z1, z2, alpha: float,
-                               slack: float = 1e-12) -> tuple[int, int]:
+def count_pointwise_violations(z1, z2, alpha: float) -> tuple[int, int]:
     """Violation counts (modulus part, phase part) over paired samples."""
     if not alpha > 0:
         raise ValueError(f"power must be positive, got {alpha}")
     ml, mb, pl, pb = _pointwise_sides(z1, z2, alpha)
-    return (int(np.count_nonzero(ml > mb * (1.0 + slack))),
-            int(np.count_nonzero(pl > pb * (1.0 + slack))))
+    slack = 1.0 + 1e-12  # equality cases up to roundoff
+    return (int(np.count_nonzero(ml > mb * slack)),
+            int(np.count_nonzero(pl > pb * slack)))
 
 
 # ------------------------------------------------------ remainder functional
@@ -248,7 +248,7 @@ def _remainder_rows(nl: PowerNonlinearity, grid, rows: int,
 def remainder_K(u: Sequence[Field], v: Sequence[Sequence[Field]],
                 nl: PowerNonlinearity, s: float, p: float, q: float,
                 r: float, theta_nodes: int = THETA_NODES,
-                quad: ShellQuadrature = ShellQuadrature()) -> tuple:
+                shells: int = 32) -> tuple:
     """Lower-order remainder of the Besov difference bound.
 
     For each offset y, the integrand is u's translation increment times
@@ -269,7 +269,8 @@ def remainder_K(u: Sequence[Field], v: Sequence[Sequence[Field]],
 
     theta_nodes is the Gauss-Legendre node count of the segment average;
     for an even integer power 2m it is an upper bound, since m + 1 nodes
-    already integrate the map's derivatives exactly."""
+    already integrate the map's derivatives exactly.  shells is the radius
+    count of the offset quadrature (see `spaces.offsets_kernel`)."""
     bases = tuple(u)
     row_sets = tuple(tuple(rows) for rows in v)
     if len(bases) != len(row_sets):
@@ -280,7 +281,7 @@ def remainder_K(u: Sequence[Field], v: Sequence[Sequence[Field]],
     if any(w.grid is not grid and w.grid != grid for w in fields):
         raise ValueError("fields live on different grids")
     _check_difference_exponents(s, p, q, r, nl.power)
-    offsets, kernel = quad.offsets_kernel(grid, s, q)
+    offsets, kernel = offsets_kernel(grid, s, q, shells)
     fill = _remainder_rows(nl, grid, max(map(len, row_sets)), theta_nodes,
                            p)
     # row 0 of each stack is its base and row 1 + j its entry j
@@ -314,8 +315,7 @@ class DifferenceReport:
 def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
                             s: float, p: float, q: float, r: float,
                             theta_nodes: int = THETA_NODES,
-                            quad: ShellQuadrature = ShellQuadrature()
-                            ) -> DifferenceReport:
+                            shells: int = 32) -> DifferenceReport:
     """Evaluate the difference bound's pieces on one pair of fields, with
     the exponents of `remainder_K` (p < r, and the companion Lebesgue
     order sigma = power / (1/p - 1/r), possibly below one, where the
@@ -334,7 +334,7 @@ def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
     sigma = _check_difference_exponents(s, p, q, r, nl.power)
     grid = u.grid
     gap = v - u
-    offsets, kernel = quad.offsets_kernel(grid, s, q)
+    offsets, kernel = offsets_kernel(grid, s, q, shells)
     fill = _remainder_rows(nl, grid, 1, theta_nodes, p)
     # one offset loop: row 0 of norms is the remainder of u against v,
     # then the difference norms of g(v) - g(u) at p and of v - u at r,

@@ -14,12 +14,13 @@ Each is a plain function of a Field and its exponents, and so is
 dyadic Besov norms of each slice of a stream from one forward transform,
 and `spacetime_norm` integrates them in time by `trapezoid_norm`.  Every
 L^q sum, over a mesh, across scales or offsets, or in time, is
-`grid.peak_factored_norms`.
+`grid.peak_factored_norms`, except the Sobolev sum of squared Fourier
+coefficients, a plain sqrt(sum) that keeps the Sobolev columns' bytes.
 
 The dyadic partition is built from a C-infinity radial transition profile,
 so block multipliers overlap only between neighbours and telescope to one
 on the resolvable band.  The finite-difference integral is truncated to
-radii [h/2, L/2].  `ShellQuadrature.offsets_kernel` and
+radii [h/2, L/2] and taken on a polar quadrature.  `offsets_kernel` and
 `translation_increments` are the one engine for that integral, shared
 with the remainder functional.
 """
@@ -29,8 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import Field, Grid, lp_norm, peak_factored_norms
@@ -189,59 +188,48 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-@dataclass(frozen=True)
-class ShellQuadrature:
-    """Polar quadrature for the difference integral over offsets y.
+# direction nodes of the offset quadrature in two and three dimensions
+ANGLES = 16
 
-    Radii are log-spaced (trapezoid in log r) on [h/2, L/2]; directions
-    are +-1 in one dimension, uniform angles in two, a Fibonacci sphere
-    in three.
-    """
 
-    shells: int = 32
-    angles: int = 16
+def radii_weights(grid: Grid, shells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r_i and weights w_i with sum_i w_i f(r_i) ~ integral f dr:
+    `shells` log-spaced radii (trapezoid in log r) on [h/2, L/2]."""
+    if shells < 2:
+        raise ValueError("need at least 2 radial shells")
+    t = np.linspace(np.log(0.5 * grid.spacing), np.log(0.5 * grid.period),
+                    shells)
+    wt = np.full(shells, t[1] - t[0])
+    wt[0] *= 0.5
+    wt[-1] *= 0.5
+    r = np.exp(t)
+    return r, wt * r  # dr = r dt
 
-    def __post_init__(self):
-        if self.shells < 2:
-            raise ValueError("need at least 2 radial shells")
-        if self.angles < 1:
-            raise ValueError("need at least 1 angular node")
 
-    def radii_weights(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-        """Radii r_i and weights w_i with sum_i w_i f(r_i) ~ integral f dr."""
-        t = np.linspace(np.log(0.5 * grid.spacing), np.log(0.5 * grid.period),
-                        self.shells)
-        wt = np.full(self.shells, t[1] - t[0])
-        wt[0] *= 0.5
-        wt[-1] *= 0.5
-        r = np.exp(t)
-        return r, wt * r  # dr = r dt
+def directions_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions and weights integrating over the unit sphere: +-1
+    in one dimension, ANGLES uniform angles in two, a Fibonacci sphere
+    of ANGLES points in three."""
+    if dim == 1:
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    if dim == 2:
+        theta = 2.0 * np.pi * np.arange(ANGLES) / ANGLES
+        return (np.stack([np.cos(theta), np.sin(theta)], axis=1),
+                np.full(ANGLES, 2.0 * np.pi / ANGLES))
+    return _fibonacci_sphere(ANGLES), np.full(ANGLES, 4.0 * np.pi / ANGLES)
 
-    def directions_weights(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """Unit directions and weights integrating over the unit sphere."""
-        if dim == 1:
-            dirs = np.array([[1.0], [-1.0]])
-            w = np.array([1.0, 1.0])
-        elif dim == 2:
-            theta = 2.0 * np.pi * np.arange(self.angles) / self.angles
-            dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            w = np.full(self.angles, 2.0 * np.pi / self.angles)
-        else:
-            n = max(self.angles, 8)
-            dirs = _fibonacci_sphere(n)
-            w = np.full(n, 4.0 * np.pi / n)
-        return dirs, w
 
-    def offsets_kernel(self, grid: Grid, s: float,
-                       q: float) -> tuple[np.ndarray, np.ndarray]:
-        """All offset vectors y, and the kernel |y|^(-N-sq) times the dy
-        weight of each, at smoothness s and summability q."""
-        r, wr = self.radii_weights(grid)
-        dirs, wd = self.directions_weights(grid.dim)
-        offsets = r[:, None, None] * dirs[None, :, :]
-        weights = (r ** (grid.dim - 1) * wr)[:, None] * wd[None, :]
-        kernel = (r ** (-grid.dim - s * q))[:, None] * weights
-        return offsets.reshape(-1, grid.dim), kernel.reshape(-1)
+def offsets_kernel(grid: Grid, s: float, q: float,
+                   shells: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """All offset vectors y of the polar quadrature with `shells` radii,
+    and the kernel |y|^(-N-sq) times the dy weight of each, at
+    smoothness s and summability q."""
+    r, wr = radii_weights(grid, shells)
+    dirs, wd = directions_weights(grid.dim)
+    offsets = r[:, None, None] * dirs[None, :, :]
+    weights = (r ** (grid.dim - 1) * wr)[:, None] * wd[None, :]
+    kernel = (r ** (-grid.dim - s * q))[:, None] * weights
+    return offsets.reshape(-1, grid.dim), kernel.reshape(-1)
 
 
 def translation_increments(stacks, grid: Grid, offsets):
@@ -266,7 +254,7 @@ def translation_increments(stacks, grid: Grid, offsets):
 
 
 def besov_norm_fd(f: Field, s: float, p: float, q: float = 2.0,
-                  quad: ShellQuadrature = ShellQuadrature()) -> float:
+                  shells: int = 32) -> float:
     """Finite-difference Besov norm, truncated to offsets |y| <= L/2.
 
     ( sum over quadrature nodes of
@@ -278,7 +266,7 @@ def besov_norm_fd(f: Field, s: float, p: float, q: float = 2.0,
             f"difference characterization needs 0 < s < 1, got {s}")
     if np.isinf(q):
         raise ValueError("difference characterization needs q < inf")
-    offsets, kernel = quad.offsets_kernel(f.grid, s, q)
+    offsets, kernel = offsets_kernel(f.grid, s, q, shells)
     diffs = [lp_norm(incs[0], p, f.grid.cell_volume)
              for _, _, incs in translation_increments([[f.values]], f.grid,
                                                       offsets)]

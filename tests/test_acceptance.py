@@ -22,8 +22,7 @@ from fracnls.grid import Field, Grid, gaussian, lebesgue_norm, plane_wave
 from fracnls.nonlinearity import (PowerNonlinearity, besov_difference_report,
                                   count_pointwise_violations)
 from fracnls.solver import PicardConfig, TimeGrid, picard_duhamel, split_step
-from fracnls.spaces import (ShellQuadrature, besov_norm_fd, besov_norm_lp,
-                            sobolev_norm)
+from fracnls.spaces import besov_norm_fd, besov_norm_lp, sobolev_norm
 
 CUBIC = PowerNonlinearity(coupling=1.0, power=2.0)
 
@@ -184,14 +183,14 @@ def test_criterion_5_remainder_decay():
     started = time.perf_counter()
     params = ProblemParams(1, 0.4, 2.0)
     grid = Grid(1, 128, 32.0)
-    quad = ShellQuadrature(shells=12)
+    shells = 12
 
     base = gaussian(grid, 1.0, 2.0)
     static_rows = static_remainder_decay(
         params, PerturbationFamily(base, default_direction(base, 0.4),
                                    0.5, 8, 0.4),
         PicardConfig(metric_pair=canonical_pair(params)),
-        theta_nodes=16, quad=quad)
+        theta_nodes=16, shells=shells)
     static_vals = [row.integrated for row in static_rows]
     assert all(a > b for a, b in zip(static_vals, static_vals[1:]))
     assert static_vals[8] < 1e-2 * static_vals[0]
@@ -202,7 +201,7 @@ def test_criterion_5_remainder_decay():
     cfg = PicardConfig(metric_pair=canonical_pair(params))
     solved_rows = remainder_decay_experiment(params, family, cfg,
                                              TimeGrid(0.25, 16),
-                                             theta_nodes=16, quad=quad)
+                                             theta_nodes=16, shells=shells)
     solved_vals = [row.integrated for row in solved_rows]
     assert all(row.converged for row in solved_rows)
     assert all(a > b for a, b in zip(solved_vals, solved_vals[1:]))
@@ -214,14 +213,14 @@ def test_criterion_5_remainder_decay_2d():
     started = time.perf_counter()
     params = ProblemParams(2, 0.4, 2.0)
     grid = Grid(2, 32, 32.0)
-    quad = ShellQuadrature(shells=12)
+    shells = 12
 
     base = gaussian(grid, 1.0, 2.0)
     static_rows = static_remainder_decay(
         params, PerturbationFamily(base, default_direction(base, 0.4),
                                    0.5, 8, 0.4),
         PicardConfig(metric_pair=canonical_pair(params)),
-        theta_nodes=16, quad=quad)
+        theta_nodes=16, shells=shells)
     static_vals = [row.integrated for row in static_rows]
     assert all(a > b for a, b in zip(static_vals, static_vals[1:]))
     assert static_vals[8] <= 1e-2 * static_vals[0]
@@ -232,7 +231,7 @@ def test_criterion_5_remainder_decay_2d():
     cfg = PicardConfig(metric_pair=canonical_pair(params))
     solved_rows = remainder_decay_experiment(params, family, cfg,
                                              TimeGrid(0.25, 4),
-                                             theta_nodes=16, quad=quad)
+                                             theta_nodes=16, shells=shells)
     solved_vals = [row.integrated for row in solved_rows]
     assert all(row.converged for row in solved_rows)
     assert all(a > b for a, b in zip(solved_vals, solved_vals[1:]))
@@ -246,14 +245,14 @@ def test_criterion_5_remainder_decay_3d():
     started = time.perf_counter()
     params = ProblemParams(3, 0.5, 2.0)
     grid = Grid(3, 16, 32.0)
-    quad = ShellQuadrature(shells=12)
+    shells = 12
 
     base = gaussian(grid, 1.0, 2.0)
     static_rows = static_remainder_decay(
         params, PerturbationFamily(base, default_direction(base, 0.5),
                                    0.5, 8, 0.5),
         PicardConfig(metric_pair=canonical_pair(params)),
-        theta_nodes=16, quad=quad)
+        theta_nodes=16, shells=shells)
     static_vals = [row.integrated for row in static_rows]
     assert all(a > b for a, b in zip(static_vals, static_vals[1:]))
     assert static_vals[8] <= 1e-2 * static_vals[0]
@@ -264,7 +263,7 @@ def test_criterion_5_remainder_decay_3d():
     cfg = PicardConfig(metric_pair=canonical_pair(params))
     solved_rows = remainder_decay_experiment(params, family, cfg,
                                              TimeGrid(0.25, 4),
-                                             theta_nodes=16, quad=quad)
+                                             theta_nodes=16, shells=shells)
     solved_vals = [row.integrated for row in solved_rows]
     assert all(row.converged for row in solved_rows)
     assert all(a > b for a, b in zip(solved_vals, solved_vals[1:]))
@@ -276,7 +275,7 @@ def _difference_bound(grid):
     """Criterion 6 on one grid: one calibrated constant of the difference
     bound holds on held-out pairs, and the Lipschitz ratio stays bounded
     as the gap closes."""
-    quad = ShellQuadrature(shells=16)
+    shells = 16
     rng = np.random.default_rng(606)
 
     # pair ensemble mixes gap direction continuously between a fresh
@@ -291,7 +290,7 @@ def _difference_bound(grid):
         v = u + delta * (c * u + (1.0 - c) * w)
         reports.append(besov_difference_report(u, v, CUBIC, 0.4, 2.0, 2.0,
                                                6.0, theta_nodes=16,
-                                               quad=quad))
+                                               shells=shells))
     calibration, held_out = reports[:25], reports[25:]
     constant = max((r.lhs - r.k_term) / r.lipschitz_term
                    for r in calibration)
@@ -309,9 +308,9 @@ def _difference_bound(grid):
     for k in range(8):
         v = u + (2.0 ** -k) * psi
         report = besov_difference_report(u, v, CUBIC, 0.4, 2.0, 2.0, 6.0,
-                                         theta_nodes=16, quad=quad)
+                                         theta_nodes=16, shells=shells)
         ratios.append(report.lhs / besov_norm_fd(v - u, 0.4, 6.0, 2.0,
-                                                 quad))
+                                                 shells))
     assert max(ratios[4:]) <= 1.25 * max(ratios[:4])
 
 

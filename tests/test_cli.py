@@ -616,6 +616,15 @@ FIELD_NUMBER_CASES = [
      {"problem": dict(PROBLEM, coupling=[1.0, INF])}),
     ("solve", "datum.center", {"datum": {"kind": "gaussian",
                                          "center": NAN}}),
+    ("solve", "datum.mode", {"datum": {"kind": "plane_wave",
+                                       "mode": 2 ** 63}}),
+    ("solve", "datum.mode", {"datum": {"kind": "plane_wave",
+                                       "mode": [-2 ** 63 - 1]}}),
+    ("dependence", "direction.mode", {"direction": {"kind": "plane_wave",
+                                                    "mode": [2 ** 63]}}),
+    ("solve", "datum.band", {"datum": {"kind": "random", "band": 10 ** 400}}),
+    ("dependence", "direction.band", {"direction": {"kind": "random",
+                                                    "band": 10 ** 400}}),
 ]
 
 

@@ -1,5 +1,6 @@
 """Dependence-lab tests: family plumbing, fits, decay experiments."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -22,7 +23,7 @@ from fracnls.nonlinearity import PowerNonlinearity, remainder_K
 from fracnls.solver import (IterationReport, NonConvergenceError,
                             PicardConfig, TimeGrid, picard_duhamel,
                             smallness_check, split_step)
-from fracnls.spaces import (ShellQuadrature, besov_norm_lp, sobolev_norm,
+from fracnls.spaces import (besov_norm_lp, offsets_kernel, sobolev_norm,
                             trapezoid_norm)
 from trajectories import free_trajectory, stack_bytes, traced_peak
 
@@ -32,7 +33,7 @@ PAIR = canonical_pair(PARAMS)
 CUBIC = PowerNonlinearity(1.0, 2.0)
 GRID = Grid(1, 128, 32.0)
 BASE = gaussian(GRID, 0.08, 2.0)
-LIGHT_QUAD = ShellQuadrature(shells=12)
+LIGHT_SHELLS = 12
 
 
 def _config(**kw):
@@ -114,7 +115,7 @@ def test_choose_horizon_gives_up_on_large_datum(direction):
     fam = PerturbationFamily(gaussian(GRID, 0.5, 2.0), direction,
                              0.005, 4, 0.4)
     with pytest.raises(RuntimeError, match="too large"):
-        choose_horizon(PARAMS, fam, _config(), 1.0, 128, max_halvings=20)
+        choose_horizon(PARAMS, fam, _config(), 1.0, 128)
 
 
 # -------------------------------------------------------------- experiment
@@ -225,7 +226,7 @@ def test_remainder_flags_forced_nonconvergence(family, monkeypatch):
     _force_row_2_nonconvergence(monkeypatch)
     rows = remainder_decay_experiment(PARAMS, family, _config(),
                                       TimeGrid(0.25, 4), theta_nodes=8,
-                                      quad=LIGHT_QUAD)
+                                      shells=LIGHT_SHELLS)
     assert len(rows) == 9
     assert [row.converged for row in rows] == [k != 2 for k in range(9)]
 
@@ -244,7 +245,7 @@ def test_thread_count_below_one_raises_before_any_solve(family, monkeypatch,
         run_dependence(PARAMS, family, _config(), tg, threads=threads)
     with pytest.raises(ValueError, match=message):
         remainder_decay_experiment(PARAMS, family, _config(), tg,
-                                   theta_nodes=8, quad=LIGHT_QUAD,
+                                   theta_nodes=8, shells=LIGHT_SHELLS,
                                    threads=threads)
     with pytest.raises(ValueError, match=message):
         choose_horizon(PARAMS, family, _config(), 0.25, 8, threads=threads)
@@ -294,7 +295,7 @@ def test_failed_gate_raises_before_any_solve(direction, monkeypatch,
         run_dependence(PARAMS, fam, _config(), tg, threads=threads)
     with pytest.raises(ValueError, match="shrink"):
         remainder_decay_experiment(PARAMS, fam, _config(), tg,
-                                   theta_nodes=8, quad=LIGHT_QUAD,
+                                   theta_nodes=8, shells=LIGHT_SHELLS,
                                    threads=threads)
     assert calls["n"] == 0
 
@@ -308,7 +309,7 @@ def test_nonconverging_base_solve_raises(family, threads):
         run_dependence(PARAMS, family, cfg, tg, threads=threads)
     with pytest.raises(NonConvergenceError):
         remainder_decay_experiment(PARAMS, family, cfg, tg, theta_nodes=8,
-                                   quad=LIGHT_QUAD, threads=threads)
+                                   shells=LIGHT_SHELLS, threads=threads)
 
 
 def test_task_runner_first_error_cancels_pending_tasks():
@@ -485,6 +486,29 @@ def test_lipschitz_constant_validation():
         lipschitz_constant(empty)
 
 
+def test_running_slopes_fit_each_prefix_of_its_valid_rows():
+    # outputs off a straight line, so each prefix has its own slope; row 1
+    # is flagged by its oracle, with an output that would move any fit
+    # it entered
+    rows = [dataclasses.replace(row, sup_sobolev=row.sup_sobolev
+                                * (1.0 + 0.1 * (-1) ** k * k))
+            for k, row in enumerate(_synthetic_report(1.0).rows)]
+    rows[1] = dataclasses.replace(rows[1], sup_sobolev=50.0,
+                                  oracle_agrees=False)
+    report = DependenceReport(timegrid=TimeGrid(0.25, 16), rows=rows)
+    slopes = report.running_slopes()
+    assert slopes[:2] == [None, None]  # 1 valid row, then still 1
+    for i in range(2, len(rows)):
+        usable = [row for row in rows[:i + 1] if row.valid]
+        assert slopes[i] == loglog_fit([row.input_distance for row in usable],
+                                       [row.sup_sobolev for row in usable])[0]
+    assert len(set(slopes[2:])) == len(rows) - 2
+    summary = report.to_dict()
+    assert summary["flags"] == [1]
+    assert summary["lipschitz_constant"] == lipschitz_constant(report)
+    assert summary["slope"] == report.slope == fit_slope(report)[0]
+
+
 def test_loglog_fit_validation():
     with pytest.raises(ValueError, match="2 points"):
         loglog_fit([1.0], [1.0])
@@ -513,7 +537,7 @@ def test_remainder_decay_identical_trajectories(direction):
     fam = PerturbationFamily(BASE, direction, 0.0, 3, 0.4)
     rows = remainder_decay_experiment(PARAMS, fam, _config(),
                                       TimeGrid(0.25, 8), theta_nodes=8,
-                                      quad=ShellQuadrature(shells=8))
+                                      shells=8)
     assert all(row.integrated == 0.0 for row in rows)
 
 
@@ -522,14 +546,13 @@ def test_remainder_decay_threads_match_serial(direction, multiplier_builds):
     # loop, so each block builds every multiplier once
     fam = PerturbationFamily(BASE, direction, 0.01, 3, 0.4)
     tg = TimeGrid(0.25, 8)
-    quad = ShellQuadrature(shells=8)
-    offsets, _ = quad.offsets_kernel(GRID, 0.4, 2.0)
+    offsets, _ = offsets_kernel(GRID, 0.4, 2.0, shells=8)
     runs = []
     for threads in (1, 2, 3):
         multiplier_builds.clear()
         runs.append(remainder_decay_experiment(
             PARAMS, fam, _config(), tg, threads=threads, theta_nodes=8,
-            quad=quad))
+            shells=8))
         assert len(multiplier_builds) == threads * len(offsets)
     assert runs[0] == runs[1] == runs[2]
 
@@ -549,8 +572,7 @@ def test_remainder_phase_peak_memory():
     bases = [trajs[0].field(m) for m in range(tg.slices + 1)]
     rows = [[traj.field(m) for traj in trajs[1:]]
             for m in range(tg.slices + 1)]
-    kwargs = dict(s=0.4, p=2.0, q=2.0, r=6.0,
-                  quad=ShellQuadrature(shells=12))
+    kwargs = dict(s=0.4, p=2.0, q=2.0, r=6.0, shells=12)
     remainder_K(bases[:1], rows[:1], CUBIC, **kwargs)  # warm grid caches
     stack, n_theta = 1 + len(rows[0]), 2  # the cubic map's exact nodes
     held = len(bases) * stack + stack + 2 * stack * n_theta + stack / 2
@@ -568,8 +590,7 @@ def test_remainder_row_scratch_stays_two_columns():
     bump = gaussian(grid, 0.5 - 0.2j, 1.5, center=[3.0, 3.0])
     rows = [base + (2.0 ** -k) * bump for k in range(9)]
     nl = PowerNonlinearity(0.7 - 0.3j, 3.0)
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0,
-                  quad=ShellQuadrature(shells=2, angles=4))
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, shells=2)
     remainder_K([base], [rows[:1]], nl, **kwargs)  # warm grid caches
     one, nine = (traced_peak(remainder_K, [base], [rows[:n]], nl, **kwargs)
                  for n in (1, 9))
@@ -580,7 +601,7 @@ def test_remainder_decay_along_solved_trajectories(direction):
     fam = PerturbationFamily(BASE, direction, 0.01, 6, 0.4)
     rows = remainder_decay_experiment(PARAMS, fam, _config(),
                                       TimeGrid(0.25, 8), theta_nodes=16,
-                                      quad=LIGHT_QUAD, threads=2)
+                                      shells=LIGHT_SHELLS, threads=2)
     values = [row.integrated for row in rows]
     assert all(row.converged for row in rows)
     assert all(v > 0 for v in values)
@@ -592,7 +613,7 @@ def test_static_remainder_decay(direction):
     base = gaussian(GRID, 1.0, 2.0)
     fam = PerturbationFamily(base, direction, 0.5, 8, 0.4)
     rows = static_remainder_decay(PARAMS, fam, _config(),
-                                  theta_nodes=16, quad=LIGHT_QUAD)
+                                  theta_nodes=16, shells=LIGHT_SHELLS)
     values = [row.integrated for row in rows]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-2 * values[0]

@@ -12,7 +12,7 @@ from fracnls.grid import (
     peak_factored_norms,
     plane_wave,
 )
-from fracnls.spaces import ShellQuadrature, _annulus_multipliers
+from fracnls.spaces import _annulus_multipliers, offsets_kernel
 from conftest import (
     band_limited_random_field,
     free_propagate,
@@ -446,8 +446,7 @@ def test_peak_factored_norms_weighted_sums_are_the_old_form(rng, weights, q):
         weights = np.full(33, 0.25 / 32)
         weights[[0, -1]] *= 0.5
     elif weights == "kernel":
-        weights = ShellQuadrature().offsets_kernel(Grid(2, 32, 10.0), 0.4,
-                                                   2.0)[1]
+        weights = offsets_kernel(Grid(2, 32, 10.0), 0.4, 2.0)[1]
     else:
         weights = 1.0
     n = np.size(weights) if np.ndim(weights) else 17

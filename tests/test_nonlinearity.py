@@ -15,7 +15,7 @@ from fracnls.nonlinearity import (
     count_pointwise_violations,
     remainder_K,
 )
-from fracnls.spaces import ShellQuadrature, besov_norm_fd
+from fracnls.spaces import besov_norm_fd, offsets_kernel
 from pointwise_checks import (check_pointwise_power, derivative_envelope,
                               difference_identity_residual, wirtinger)
 
@@ -249,8 +249,7 @@ def test_remainder_batch_matches_single_calls(dim, nl):
     u = gaussian(grid, amplitude=1.0, width=2.0)
     bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
     others = [u + (2.0 ** -k) * bump for k in range(4)]
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=8,
-                  quad=ShellQuadrature(shells=6))
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=8, shells=6)
     (batched,) = remainder_K([u], [others], nl, **kwargs)
     assert batched == tuple(remainder_K([u], [[v]], nl, **kwargs)[0][0]
                             for v in others)
@@ -269,22 +268,21 @@ def test_remainder_exact_nodes_match_full_quadrature(dim, alpha, coupling):
     bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
     others = [u + (2.0 ** -k) * bump for k in range(4)]
     nl = PowerNonlinearity(coupling=coupling, power=alpha)
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0,
-                  quad=ShellQuadrature(shells=6))
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, shells=6)
     (exact,) = remainder_K([u], [others], nl, theta_nodes=16, **kwargs)
     full = _rowwise_remainder(u, others, nl, n_theta=16, **kwargs)
     assert all(value > 0.0 for value in full)
     assert np.allclose(exact, full, rtol=1e-13, atol=0.0)
 
 
-def _rowwise_remainder(u, others, nl, s, p, q, r, n_theta, quad,
+def _rowwise_remainder(u, others, nl, s, p, q, r, n_theta, shells,
                        matmul=False):
     """remainder_K as it was written, one row and one offset at a time,
     kept here as the reference of the vectorized rows; with matmul the
     theta sum is the `wts @ gap` product it was before that."""
     grid = u.grid
     axes = tuple(range(1, grid.dim + 1))
-    offsets, kernel = quad.offsets_kernel(grid, s, q)
+    offsets, kernel = offsets_kernel(grid, s, q, shells)
     nodes, wts = fracnls.nonlinearity._gauss_unit(n_theta)
     theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
     weights = wts.reshape(theta.shape)
@@ -325,12 +323,11 @@ def test_remainder_theta_sum_matches_matmul(dim):
     u = gaussian(grid, amplitude=1.0, width=2.0)
     bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
     others = [u + (2.0 ** -k) * bump for k in range(3)]
-    quad = ShellQuadrature(shells=6)
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0)
+    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, shells=6)
     for nl, n_theta in ((PowerNonlinearity(0.7 - 0.3j, 2.0), 2),
                         (PowerNonlinearity(0.7 - 0.3j, 3.0), THETA_NODES)):
-        (values,) = remainder_K([u], [others], nl, quad=quad, **kwargs)
-        ref = _rowwise_remainder(u, others, nl, n_theta=n_theta, quad=quad,
+        (values,) = remainder_K([u], [others], nl, **kwargs)
+        ref = _rowwise_remainder(u, others, nl, n_theta=n_theta,
                                  matmul=True, **kwargs)
         if n_theta == 2:
             assert values == ref
@@ -347,8 +344,7 @@ ENGINE_MAPS = {
     "alpha4-complex": (PowerNonlinearity(0.7 - 0.3j, 4.0), 3),
     "alpha1.5": (PowerNonlinearity(0.7 - 0.3j, 1.5), 8),
 }
-ENGINE_KW = dict(s=0.5, p=2.0, q=2.0, r=6.0,
-                 quad=ShellQuadrature(shells=4, angles=6))
+ENGINE_KW = dict(s=0.5, p=2.0, q=2.0, r=6.0, shells=4)
 
 
 def _engine_fields(dim, count):
@@ -418,7 +414,7 @@ def test_remainder_all_slices_checks_its_shape(bump_pair):
 
 def test_remainder_builds_each_multiplier_once(multiplier_builds):
     u, others = _engine_fields(2, 3)
-    offsets, _ = ENGINE_KW["quad"].offsets_kernel(u.grid, 0.5, 2.0)
+    offsets, _ = offsets_kernel(u.grid, 0.5, 2.0, ENGINE_KW["shells"])
     remainder_K([u, u * 0.5], [others, others[:2]], CUBIC, **ENGINE_KW)
     assert multiplier_builds == [tuple(y) for y in offsets]
 
@@ -436,7 +432,7 @@ def _node_counts(monkeypatch, nl, theta_nodes):
     grid = Grid(1, 32, 16.0)
     u = gaussian(grid, amplitude=1.0, width=2.0)
     remainder_K([u], [[u * 0.5, u * 0.25]], nl, s=0.5, p=2.0, q=2.0, r=6.0,
-                theta_nodes=theta_nodes, quad=ShellQuadrature(shells=4))
+                theta_nodes=theta_nodes, shells=4)
     return asked
 
 
@@ -487,22 +483,20 @@ def test_remainder_validates_exponents(bump_pair):
 def test_remainder_self_convergence(bump_pair):
     u, v = bump_pair
     coarse = remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
-                         theta_nodes=32,
-                         quad=ShellQuadrature(shells=32))[0][0]
+                         theta_nodes=32, shells=32)[0][0]
     fine = remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
-                       theta_nodes=64, quad=ShellQuadrature(shells=64))[0][0]
+                       theta_nodes=64, shells=64)[0][0]
     assert abs(coarse - fine) < 0.01 * fine
 
 
 def test_remainder_decays_along_perturbations(line_grid):
     u = gaussian(line_grid, amplitude=1.0, width=2.0)
     psi = gaussian(line_grid, amplitude=1.0, width=1.5, center=2.0)
-    quad = ShellQuadrature(shells=16)
     values = []
     for k in range(11):
         v = u + (2.0 ** -k) * psi
         values.append(remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0,
-                                  r=6.0, theta_nodes=16, quad=quad)[0][0])
+                                  r=6.0, theta_nodes=16, shells=16)[0][0])
     values = np.array(values)
     assert np.all(np.diff(values) < 0.0)
     assert values[-1] < 1e-3 * values[0]
@@ -528,12 +522,10 @@ def test_difference_report_diagonal(bump_pair):
 def test_difference_report_zero_base(bump_pair, line_grid):
     _, v = bump_pair
     zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
-    quad = ShellQuadrature()
-    report = besov_difference_report(zero, v, CUBIC, 0.5, 2.0, 2.0, 6.0,
-                                     quad=quad)
+    report = besov_difference_report(zero, v, CUBIC, 0.5, 2.0, 2.0, 6.0)
     assert report.k_term == 0.0
     direct = besov_norm_fd(Field(line_grid, CUBIC.g(v.values)), 0.5, 2.0,
-                           2.0, quad)
+                           2.0)
     assert report.lhs == pytest.approx(direct, rel=1e-12)
     assert report.sigma == pytest.approx(6.0)
     # with no base field the refined form collapses onto the Lipschitz term
@@ -544,31 +536,31 @@ def test_difference_report_lipschitz_ratio_bounded(line_grid):
     # power >= 1: lhs / ||v - u|| at (s, r, q) must not blow up as v -> u
     u = gaussian(line_grid, amplitude=1.0, width=2.0)
     psi = gaussian(line_grid, amplitude=1.0, width=1.5, center=2.0)
-    quad = ShellQuadrature(shells=16)
+    shells = 16
     ratios = []
     for k in range(8):
         v = u + (2.0 ** -k) * psi
         report = besov_difference_report(u, v, CUBIC, 0.5, 2.0, 2.0, 6.0,
-                                         theta_nodes=16, quad=quad)
-        gap = besov_norm_fd(v - u, 0.5, 6.0, 2.0, quad)
+                                         theta_nodes=16, shells=shells)
+        gap = besov_norm_fd(v - u, 0.5, 6.0, 2.0, shells)
         ratios.append(report.lhs / gap)
     first = max(ratios[:4])
     second = max(ratios[4:])
     assert second <= 1.25 * first
 
 
-def _report_from_single_calls(u, v, nl, s, p, q, r, theta_nodes, quad):
+def _report_from_single_calls(u, v, nl, s, p, q, r, theta_nodes, shells):
     """besov_difference_report as it was written: each norm by its own
     single-field call, each with its own offset loop."""
     sigma = fracnls.nonlinearity._check_difference_exponents(s, p, q, r,
                                                              nl.power)
-    smooth_r = partial(besov_norm_fd, s=s, p=r, q=q, quad=quad)
+    smooth_r = partial(besov_norm_fd, s=s, p=r, q=q, shells=shells)
     image_gap = Field(v.grid, nl.g(v.values)) - Field(u.grid, nl.g(u.values))
-    lhs = besov_norm_fd(image_gap, s, p, q, quad)
+    lhs = besov_norm_fd(image_gap, s, p, q, shells)
     v_sigma = lebesgue_norm(v, sigma)
     lipschitz = v_sigma ** nl.power * smooth_r(v - u)
     k_term = remainder_K([u], [[v]], nl, s, p, q, r,
-                         theta_nodes=theta_nodes, quad=quad)[0][0]
+                         theta_nodes=theta_nodes, shells=shells)[0][0]
     u_smooth = smooth_r(u)
     gap_sigma = lebesgue_norm(v - u, sigma)
     if nl.power <= 1.0:
@@ -593,7 +585,7 @@ def test_difference_report_is_its_single_calls(dim, nl):
 
 def test_difference_report_builds_each_multiplier_once(multiplier_builds):
     u, (v,) = _engine_fields(2, 1)
-    quad = ENGINE_KW["quad"]
-    offsets, _ = quad.offsets_kernel(u.grid, 0.5, 2.0)
-    besov_difference_report(u, v, CUBIC, 0.5, 2.0, 2.0, 6.0, quad=quad)
+    shells = ENGINE_KW["shells"]
+    offsets, _ = offsets_kernel(u.grid, 0.5, 2.0, shells)
+    besov_difference_report(u, v, CUBIC, 0.5, 2.0, 2.0, 6.0, shells=shells)
     assert multiplier_builds == [tuple(y) for y in offsets]

@@ -19,10 +19,12 @@ from fracnls.grid import (
 from fracnls.spaces import (
     _annulus_multipliers,
     _inverse_on_support,
-    ShellQuadrature,
     besov_norm_fd,
     besov_norm_lp,
     default_band,
+    directions_weights,
+    offsets_kernel,
+    radii_weights,
     sobolev_besov_norms,
     sobolev_norm,
     spacetime_norm,
@@ -400,19 +402,19 @@ def test_besov_fd_vs_lp_dilation_family():
 
 
 def test_besov_fd_quadrature_self_convergence():
-    # doubling shells and angles moves the value by < 1%
+    # doubling the shells moves the value by < 1%
     f = gaussian(WIDE, width=1.5)
-    coarse = besov_norm_fd(f, 0.5, 2, 2, ShellQuadrature(shells=32))
-    fine = besov_norm_fd(f, 0.5, 2, 2, ShellQuadrature(shells=64))
+    coarse = besov_norm_fd(f, 0.5, 2, 2, shells=32)
+    fine = besov_norm_fd(f, 0.5, 2, 2, shells=64)
     assert abs(coarse - fine) <= 0.01 * fine
 
 
-def _separate_offsets_kernel(quad, grid, s, q):
+def _separate_offsets_kernel(shells, grid, s, q):
     """The offsets and kernel as they were written: the quadrature's
     offsets, weights and radii first, the kernel formed from them
     after."""
-    r, wr = quad.radii_weights(grid)
-    dirs, wd = quad.directions_weights(grid.dim)
+    r, wr = radii_weights(grid, shells)
+    dirs, wd = directions_weights(grid.dim)
     offsets = r[:, None, None] * dirs[None, :, :]
     weights = (r ** (grid.dim - 1) * wr)[:, None] * wd[None, :]
     radii = np.broadcast_to(r[:, None], weights.shape)
@@ -427,13 +429,13 @@ FD_GRIDS = [Grid(1, 128, 32.0), Grid(2, 32, 8.0), Grid(3, 16, 4.0)]
 @pytest.mark.parametrize("grid", FD_GRIDS, ids=lambda g: f"{g.dim}d")
 @pytest.mark.parametrize("s, q", [(0.4, 2.0), (0.5, 2.0), (0.25, 1.0),
                                   (0.75, 3.5)])
-@pytest.mark.parametrize("shells, angles", [(32, 16), (12, 16), (2, 1),
-                                            (7, 9)])
-def test_offsets_kernel_is_the_separate_form_bitwise(grid, s, q, shells,
-                                                     angles):
-    quad = ShellQuadrature(shells=shells, angles=angles)
-    offsets, kernel = quad.offsets_kernel(grid, s, q)
-    ref_offsets, ref_kernel = _separate_offsets_kernel(quad, grid, s, q)
+# the ids keep the shells-angles names of the cases from when the angle
+# count was a parameter; every case now runs at ANGLES
+@pytest.mark.parametrize("shells", [32, 12, 2, 7],
+                         ids=["32-16", "12-16", "2-1", "7-9"])
+def test_offsets_kernel_is_the_separate_form_bitwise(grid, s, q, shells):
+    offsets, kernel = offsets_kernel(grid, s, q, shells)
+    ref_offsets, ref_kernel = _separate_offsets_kernel(shells, grid, s, q)
     assert offsets.tobytes() == ref_offsets.tobytes()
     assert kernel.tobytes() == ref_kernel.tobytes()
     assert offsets.shape == (len(kernel), grid.dim)
@@ -445,8 +447,7 @@ def test_besov_fd_matches_reference_bitwise(grid, p):
     # the stacked engine against one plain ifftn(fftn(f) * multiplier)
     # per offset
     f = Field(grid, _random_complex(grid, 17))
-    offsets, kernel = _separate_offsets_kernel(ShellQuadrature(), grid,
-                                               0.4, 2.0)
+    offsets, kernel = _separate_offsets_kernel(32, grid, 0.4, 2.0)
     fhat = np.fft.fftn(f.values)
     diffs = [lp_norm(np.fft.ifftn(fhat * grid.translation_multiplier(y))
                      - f.values, p, grid.cell_volume) for y in offsets]
@@ -455,23 +456,20 @@ def test_besov_fd_matches_reference_bitwise(grid, p):
 
 
 def test_shell_quadrature_validation():
-    with pytest.raises(ValueError):
-        ShellQuadrature(shells=1)
-    with pytest.raises(ValueError):
-        ShellQuadrature(angles=0)
+    with pytest.raises(ValueError, match="at least 2 radial shells"):
+        offsets_kernel(WIDE, 0.4, 2.0, shells=1)
 
 
 def test_shell_quadrature_measures():
     # radial rule integrates r^(-1) exactly up to trapezoid-in-log error
     # over [h/2, L/2], where integral dr/r = log(points); direction
     # weights integrate the unit sphere area
-    quad = ShellQuadrature(shells=64)
-    r, wr = quad.radii_weights(WIDE)
+    r, wr = radii_weights(WIDE, 64)
     assert np.isclose(r[0], 0.5 * WIDE.spacing, rtol=1e-12)
     assert np.isclose(r[-1], 0.5 * WIDE.period, rtol=1e-12)
     assert np.isclose(np.sum(wr / r), np.log(WIDE.points), rtol=1e-12)
     for dim, area in ((1, 2.0), (2, 2 * np.pi), (3, 4 * np.pi)):
-        dirs, wd = quad.directions_weights(dim)
+        dirs, wd = directions_weights(dim)
         assert np.isclose(wd.sum(), area, rtol=1e-12)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
