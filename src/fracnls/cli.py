@@ -81,7 +81,7 @@ def _one_or_dim(spec):
     return typed
 
 
-# a type is (test, noun, conversion of a value that passes, or None)
+# a type is (test, noun, conversion of a passing value or None[, largest])
 _OBJECT = (lambda v: type(v) is dict, "a JSON object", None)
 _FLAG = (lambda v: type(v) is bool, "true or false", None)
 _TEXT = (lambda v: type(v) is str, "a string", None)
@@ -96,10 +96,13 @@ _INT64 = (lambda v: _is_count(v) and -2 ** 63 <= v < 2 ** 63,
           "a 64-bit integer", int)  # the integer numpy takes
 _REAL = (_is_real, "a number", float)
 _POSITIVE = (lambda v: _is_real(v) and v > 0, "a positive number", float)
+_WIDTH = (lambda v: _is_real(v) and 1e-150 <= v <= 1e150,
+          "a number in [1e-150, 1e150]", float)  # width ** 2 is normal
 _COMPLEX = (_is_complex, "a number or [re, im]", _as_complex)
 
 _REQUIRED = object()  # a missing key is a config error
 _UNSET = object()     # a missing key stays missing
+_LARGEST = 2 ** 16  # slices, shells or sweeps
 
 # Every key a command reads, block by block ("config" is the top level;
 # datum and direction take the keys of their kind): key -> (type,
@@ -107,7 +110,8 @@ _UNSET = object()     # a missing key stays missing
 # so a library default is written once.  Shells stay 16 here, as the
 # artifacts were made, and 32 in the library (`spaces.offsets_kernel`
 # and its callers), which the finite-difference Besov norm needs for its
-# tested accuracy.
+# tested accuracy.  A count that sizes an array or a loop has a largest
+# value, the last entry of its type (README.md gives each reason).
 _SCHEMA = {
     "config": {
         "problem": (_OBJECT, _REQUIRED), "grid": (_OBJECT, _REQUIRED),
@@ -124,26 +128,26 @@ _SCHEMA = {
                 "power": (_REAL, _REQUIRED),
                 "coupling": (_COMPLEX, ProblemParams)},
     "grid": {"points": (_COUNT, _REQUIRED), "period": (_REAL, _REQUIRED)},
-    "time": {"horizon": (_REAL, _REQUIRED), "slices": (_COUNT, _UNSET),
-             "dt": (_POSITIVE, _UNSET)},
+    "time": {"horizon": (_REAL, _REQUIRED), "dt": (_POSITIVE, _UNSET),
+             "slices": (_COUNT + (_LARGEST,), _UNSET)},
     "family": {"initial_scale": (_REAL, _REQUIRED),
-               "depth": (_COUNT, _REQUIRED)},
+               "depth": (_COUNT + (1075,), _REQUIRED)},
     "auto_horizon": {"start": (_REAL, _REQUIRED),
-                     "slices": (_COUNT, _REQUIRED)},
+                     "slices": (_COUNT + (_LARGEST,), _REQUIRED)},
     "solver": {"tol": (_REAL, PicardConfig),
-               "max_iter": (_COUNT, PicardConfig),
+               "max_iter": (_COUNT + (_LARGEST,), PicardConfig),
                "smallness_delta": (_REAL, PicardConfig)},
-    "remainder": {"shells": (_NODES, 16),
-                  "theta_nodes": (_NODES, remainder_decay_experiment),
+    "remainder": {"shells": (_NODES + (_LARGEST,), 16),
+                  "theta_nodes": (_NODES + (100,), remainder_decay_experiment),
                   "static": (_FLAG, False)},
     "gaussian": {"amplitude": (_COMPLEX, gaussian),
-                 "width": (_POSITIVE, gaussian),
+                 "width": (_WIDTH, gaussian),
                  "center": (_one_or_dim(_REAL), gaussian)},
     "plane_wave": {"mode": (_one_or_dim(_INT64), 1),
                    "amplitude": (_COMPLEX, plane_wave)},
     "random": {"band": (_NATURAL, 6)},
     "default": {"center": (_REAL, default_direction),
-                "width": (_POSITIVE, default_direction)},
+                "width": (_WIDTH, default_direction)},
 }
 _KINDS = {"datum": ("gaussian", "plane_wave", "random"),
           "direction": ("gaussian", "plane_wave", "random", "default")}
@@ -159,10 +163,13 @@ def _read(block: dict, table: dict, where: str, dim=None) -> dict:
     out = {}
     for key, value in block.items():
         spec = table[key][0]
-        test, noun, convert = spec(dim) if callable(spec) else spec
+        test, noun, convert, *largest = spec(dim) if callable(spec) else spec
         if not test(value):
             name = key if spec is _OBJECT else f"{where}.{key}"
             raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        if largest and value > largest[0]:
+            raise ConfigError(f"{where}.{key} must be at most "
+                              f"{largest[0]}, got {value!r}")
         out[key] = value if convert is None else convert(value)
     for key, (_, default) in table.items():
         if key in out or default is _UNSET:
@@ -200,6 +207,10 @@ def _read_config(raw: dict) -> dict:
         raise ConfigError("time needs either slices or dt")
     if {"slices", "dt"} <= set(config.get("time", ())):
         raise ConfigError("time takes slices or dt, not both")
+    time = config.get("time", {})
+    if "dt" in time and not time["horizon"] / time["dt"] < _LARGEST + 0.5:
+        raise ConfigError(f"time.dt must be at least horizon / {_LARGEST}, "
+                          f"got {time['dt']!r}")
     for where in ("datum", "direction"):
         if where in config:
             config[where] = _read_field(config[where], where,

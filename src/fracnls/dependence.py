@@ -451,6 +451,9 @@ def remainder_decay_experiment(params: ProblemParams,
     offset loop.  Each value is bitwise that of its own slice's call,
     and all is assembled by index, so output does not depend on threads.
     """
+    if shells < 2 or theta_nodes < 2:
+        raise ValueError("need at least 2 radial shells and 2 quadrature "
+                         f"nodes, got {shells} and {theta_nodes}")
     nl = PowerNonlinearity.from_params(params)
     exponents = _remainder_exponents(params, cfg)
     time_exponent = dual(cfg.metric_pair[0])

@@ -66,9 +66,10 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not _is_power_of_two(self.points) or self.points < 8:
-            raise ValueError(
-                f"points must be a power of two >= 8, got {self.points}")
+        if not (_is_power_of_two(self.points) and self.points >= 8
+                and self.points ** self.dim <= 2 ** 24):
+            raise ValueError("points must be a power of two >= 8 with "
+                             f"points**dim <= 2**24, got {self.points}")
         if not self.period > 0:
             raise ValueError(f"period must be positive, got {self.period}")
 
@@ -128,20 +129,11 @@ class Grid:
 
     def sobolev_weight(self, s: float, homogeneous: bool) -> np.ndarray:
         """|k|^(2s) (homogeneous; 0^s = 0 drops the mean) or (1+|k|^2)^s
-        on the mesh, read-only and built once per (s, homogeneous): the
-        power of each |k|^2 level, gathered through the level index."""
-        key = (float(s), bool(homogeneous))
-        if key not in self._sobolev_weights:
-            levels = self.wavenumber_levels[0]
-            weight = self.gather(np.power(levels if homogeneous
-                                          else 1.0 + levels, key[0]))
-            weight.setflags(write=False)
-            self._sobolev_weights[key] = weight
-        return self._sobolev_weights[key]
-
-    @cached_property
-    def _sobolev_weights(self) -> dict:
-        return {}
+        on the mesh, not cached: the power of each |k|^2 level, gathered
+        through the level index, the only mesh array a grid keeps."""
+        levels = self.wavenumber_levels[0]
+        return self.gather(np.power(levels if homogeneous else 1.0 + levels,
+                                    float(s)))
 
     @cached_property
     def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -178,9 +170,9 @@ class Grid:
         terms = (ka * ya for ka, ya in zip(self.wavenumber_arrays, y))
         return np.exp(-1j * _mesh_sum(self.shape, terms))
 
-    @cached_property
+    @property
     def dealias_mask(self) -> np.ndarray:
-        """Two-thirds-rule mask: True where every axis index |j| <= M/3."""
+        """Two-thirds mask, built per call: True where every |j| <= M/3."""
         return self.band_mask(self.points // 3)
 
     def band_mask(self, band: int) -> np.ndarray:

@@ -16,7 +16,6 @@ as the two fields approach each other in the companion Lebesgue norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,17 +96,12 @@ class PowerNonlinearity:
         return np.multiply(scale, out, out=out)
 
 
-@lru_cache(maxsize=8)
 def _gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], read-only."""
+    """Gauss-Legendre nodes and weights on [0, 1]."""
     if n < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 # -------------------------------------------------- pointwise power bounds

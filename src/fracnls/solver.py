@@ -38,9 +38,8 @@ __all__ = [
 class BlowUpError(RuntimeError):
     """An integrator left the finite range.
 
-    `time` is the substep time at which the closed-form modulus equation
-    degenerated, or None when the failure has no single time attached
-    (overflow inside a fixed-point sweep).
+    `time` is the substep or slice time at which a split-step run left
+    the finite range; None for a sweep whose distance is not finite.
     """
 
     def __init__(self, message: str, time: Optional[float] = None):
@@ -102,18 +101,21 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        # the public constructor copies; a solver hands its own fresh
-        # stack over through _adopt, so its result is never held twice
+        # the public constructor copies and checks; a solver hands its own
+        # checked stack over through _adopt, held and scanned once
         self._keep(np.array(self.values, dtype=complex, order="C"))
+        # slice by slice, so no stack-sized mask is built
+        if not all(np.isfinite(row.view(float)).all() for row in self.values):
+            raise ValueError("trajectory values must be finite")
 
     @classmethod
     def _adopt(cls, timegrid: TimeGrid, grid: Grid,
                values: np.ndarray) -> "Trajectory":
         """Keep a fresh complex C-ordered stack without copying it.
 
-        The stack is checked like the constructor's copy and marked
-        read-only; the caller must hold no other reference it writes
-        through."""
+        The shape is checked and the stack marked read-only, but not
+        scanned: the integrators check each slice as they build it.  The
+        caller must hold no other reference it writes through."""
         traj = object.__new__(cls)
         object.__setattr__(traj, "timegrid", timegrid)
         object.__setattr__(traj, "grid", grid)
@@ -126,9 +128,6 @@ class Trajectory:
             raise ValueError(
                 f"expected values of shape (slices + 1,) + grid.shape = "
                 f"{expected}, got {vals.shape}")
-        # slice by slice, so no stack-sized mask is built
-        if not all(np.isfinite(row.view(float)).all() for row in vals):
-            raise ValueError("trajectory values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -287,7 +286,7 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     distances = []
     for _ in range(cfg.max_iter):
         gaps = [0.0]  # slice 0 is the datum in both iterates
-        # divergence raises per slice below, not warned about mid-sweep
+        # no warnings: a non-finite slice makes the sweep's distance NaN
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for m in range(tg.slices + 1):
                 for b, _ in blocks:
@@ -315,18 +314,16 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                     np.multiply(0.5, running, out=half0)
                     continue
                 np.fft.ifftn(ghat, out=ghat)
-                if not all(np.isfinite(ghat[b].view(float)).all()
-                           for b, _ in blocks):
-                    raise BlowUpError(
-                        "fixed-point iterate overflowed; the datum or "
-                        "horizon is outside the contraction regime")
                 for b, a in blocks:
                     np.subtract(ghat[b], u[m][b], out=a)
                     u[m][b] = ghat[b]
                     np.abs(a, out=mags[b])
                 gaps.append(peak_factored_norms(mags[None], rho,
                                                 scale=cell)[0])
-        distances.append(trapezoid_norm(gaps, tg.dt, gamma))
+            distances.append(trapezoid_norm(gaps, tg.dt, gamma))
+        if not np.isfinite(distances[-1]):
+            raise BlowUpError("fixed-point iterate overflowed; the datum or "
+                              "horizon is outside the contraction regime")
         converged = distances[-1] <= cfg.tol * max(1.0, distances[0])
         if converged:
             break
@@ -397,11 +394,14 @@ def split_step(phi: Field, nl: PowerNonlinearity,
     coupling the power substep leaves the modulus untouched pointwise and
     the free flow is unitary, so the L^2 norm is conserved to rounding.
     The stack holds the slices of `_split_slices`, which callers may
-    stream instead.
+    stream instead; a non-finite slice raises BlowUpError at its time.
     """
     out = np.empty((tg.slices + 1,) + phi.grid.shape, dtype=complex)
-    for m, values in enumerate(_split_slices(phi, nl, tg)):
-        out[m] = values
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for m, values in enumerate(_split_slices(phi, nl, tg)):
+            if not np.isfinite(values.view(float)).all():
+                raise BlowUpError("split step overflowed", time=tg.times[m])
+            out[m] = values
     return Trajectory._adopt(tg, phi.grid, out)
 
 

@@ -4,6 +4,7 @@ reproducibility."""
 import json
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,21 @@ def test_solve_blowup_exits_3(tmp_path, capsys):
         time={"horizon": 1.0, "dt": 0.01})
     assert main(["solve", "--config", str(path)]) == 3
     assert "blew up" in capsys.readouterr().err
+
+
+def test_solve_split_step_overflow_exits_3_without_warning(tmp_path, capsys):
+    # a split-step overflow is a blow-up, as a Picard one is, and numpy
+    # warns about none of the overflow on the way to it
+    path, _ = _write_config(
+        tmp_path, integrator="split_step",
+        datum={"kind": "gaussian", "amplitude": 1e200, "width": 2.0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", str(path)]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "blew up" in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_unknown_integrator(tmp_path, capsys):
@@ -625,6 +641,28 @@ FIELD_NUMBER_CASES = [
     ("solve", "datum.band", {"datum": {"kind": "random", "band": 10 ** 400}}),
     ("dependence", "direction.band", {"direction": {"kind": "random",
                                                     "band": 10 ** 400}}),
+    # a width enters squared, and each count that sizes an array or a
+    # loop has a largest value; all are checked before any allocation
+    ("solve", "datum.width", {"datum": {"kind": "gaussian", "width": 1e300}}),
+    ("solve", "datum.width", {"datum": {"kind": "gaussian",
+                                        "width": 1e-300}}),
+    ("dependence", "direction.width", {"direction": {"kind": "gaussian",
+                                                     "width": 1e300}}),
+    ("dependence", "direction.width", {"direction": {"width": 1e300}}),
+    ("dependence", "auto_horizon.slices",
+     {"auto_horizon": {"start": 0.25, "slices": 2 ** 63}}),
+    ("remainder", "remainder.shells", {"remainder": {"shells": 2 ** 63}}),
+    ("remainder", "remainder.theta_nodes",
+     {"remainder": {"theta_nodes": 2 ** 62}}),
+    ("remainder", "remainder.theta_nodes",
+     {"remainder": {"theta_nodes": 2 ** 63}}),
+    ("dependence", "family.depth",
+     {"family": {"initial_scale": 0.01, "depth": 2 ** 63}}),
+    ("dependence", "family.depth",
+     {"family": {"initial_scale": 0.01, "depth": 1076}}),
+    ("solve", "time.slices", {"time": {"horizon": 0.25, "slices": 2 ** 40}}),
+    ("solve", "time.dt", {"time": {"horizon": 0.25, "dt": 1e-320}}),
+    ("solve", "solver.max_iter", {"solver": {"max_iter": 2 ** 63}}),
 ]
 
 
@@ -633,9 +671,8 @@ FIELD_NUMBER_CASES = [
                               for _, name, o in FIELD_NUMBER_CASES])
 def test_config_rejects_mistyped_field_number(tmp_path, capsys, command,
                                               name, overrides):
-    path, _ = _write_config(tmp_path, seed=3,
-                            family={"initial_scale": 0.01, "depth": 3},
-                            **overrides)
+    path, _ = _write_config(tmp_path, seed=3, **{
+        "family": {"initial_scale": 0.01, "depth": 3}, **overrides})
     assert main([command, "--config", str(path)]) == 2
     assert f"config error: {name} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -673,6 +710,20 @@ def test_config_accepts_field_lists(tmp_path):
                   {"kind": "plane_wave", "mode": [2], "amplitude": 0.05}):
         path, _ = _write_config(tmp_path, datum=datum)
         assert main(["solve", "--config", str(path)]) == 0
+
+
+def test_config_accepts_each_largest_count(tmp_path):
+    path, _ = _write_config(
+        tmp_path, grid={"points": 2 ** 24, "period": 32.0},
+        time={"horizon": 0.25, "dt": 0.25 / 2 ** 16},
+        family={"initial_scale": 0.01, "depth": 1075},
+        auto_horizon={"start": 0.25, "slices": 2 ** 16},
+        solver={"max_iter": 2 ** 16},
+        remainder={"shells": 2 ** 16, "theta_nodes": 100},
+        datum={"kind": "gaussian", "width": 1e150})
+    config = RunConfig.load(str(path), None, None).config
+    assert config["family"]["depth"] == 1075
+    assert _build_timegrid(config["time"]).slices == 2 ** 16
 
 
 def test_config_accepts_integer_reals(tmp_path):
@@ -739,6 +790,10 @@ FAIL_FAST_CASES = [
      "direction.kind random needs a top-level seed"),
     ("solve", {"remainder": {"shells": 1}},
      "remainder.shells must be an integer >= 2, got 1"),
+    ("solve", {"grid": {"points": 2 ** 13, "period": 32.0},
+               "problem": dict(PROBLEM, dimension=2, regularity=0.6)},
+     "points must be a power of two >= 8 with points**dim <= 2**24, "
+     "got 8192"),
     ("dependence", {"family": {"initial_scale": 0.01, "depth": 3},
                     "auto_horizon": {"start": 0.5, "slices": 8},
                     "time": {"horizon": 0.25}},

@@ -251,6 +251,22 @@ def test_thread_count_below_one_raises_before_any_solve(family, monkeypatch,
         choose_horizon(PARAMS, family, _config(), 0.25, 8, threads=threads)
 
 
+@pytest.mark.parametrize("shells, theta_nodes", [(1, 8), (LIGHT_SHELLS, 1)])
+def test_remainder_counts_below_two_raise_before_any_solve(
+        family, monkeypatch, shells, theta_nodes):
+    def solve(*args):
+        raise AssertionError("solved with a bad shell or node count")
+
+    monkeypatch.setattr(dep, "picard_duhamel", solve)
+    monkeypatch.setattr(dep, "smallness_check", solve)
+    message = (f"need at least 2 radial shells and 2 quadrature nodes, "
+               f"got {shells} and {theta_nodes}")
+    with pytest.raises(ValueError, match=message):
+        remainder_decay_experiment(PARAMS, family, _config(),
+                                   TimeGrid(0.25, 8), theta_nodes=theta_nodes,
+                                   shells=shells)
+
+
 def test_run_dependence_threads_match_serial(direction):
     fam = PerturbationFamily(BASE, direction, 0.01, 4, 0.4)
     tg = TimeGrid(0.25, 32)

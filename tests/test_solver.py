@@ -440,8 +440,8 @@ def test_picard_overflow_raises_blowup():
 
 
 def test_picard_overflow_in_multi_block_slice_raises_blowup():
-    # a 3D 32^3 slice is four row blocks; the finiteness check covers
-    # every block and raises before the slice's increment is taken
+    # a 3D 32^3 slice is four row blocks; a non-finite element in any of
+    # them makes the slice's gap, and so the sweep's distance, NaN
     grid = Grid(3, 32, 32.0)
     params = ProblemParams(dimension=3, regularity=0.4, power=2.0)
     cfg = PicardConfig(metric_pair=canonical_pair(params))
@@ -450,6 +450,28 @@ def test_picard_overflow_in_multi_block_slice_raises_blowup():
                        cfg)
     assert str(err.value) == ("fixed-point iterate overflowed; the datum or "
                               "horizon is outside the contraction regime")
+    assert err.value.time is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_picard_non_finite_element_in_a_new_slice_raises_blowup(monkeypatch,
+                                                                bad):
+    # the sweep scans no slice for finiteness: one non-finite element
+    # written into slice 3 of the first sweep is caught by its distance
+    grid = Grid(1, 64, 32.0)
+    tg = TimeGrid(0.25, 8)
+    real, calls = np.fft.ifftn, []
+
+    def ifftn(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        calls.append(out)
+        if len(calls) == tg.slices + 3:  # the first iterate takes slices
+            out[5] = bad
+        return out
+
+    monkeypatch.setattr(np.fft, "ifftn", ifftn)
+    with pytest.raises(BlowUpError) as err:
+        picard_duhamel(gaussian(grid, 0.1, 2.0), CUBIC, tg, _config())
     assert err.value.time is None
 
 
@@ -513,6 +535,16 @@ def test_split_step_pumping_coupling_blows_up():
     with pytest.raises(BlowUpError) as err:
         split_step(phi, PowerNonlinearity(-1.0j, 2.0), TimeGrid(0.1, 10))
     assert err.value.time == pytest.approx(0.005)
+
+
+def test_split_step_overflow_raises_blowup_at_its_slice_time():
+    # |u|^2 overflows in the first power substep, so slice 1 is the first
+    # non-finite slice; no numpy warning is emitted on the way
+    grid = Grid(1, 64, 32.0)
+    tg = TimeGrid(0.25, 8)
+    with pytest.raises(BlowUpError) as err:
+        split_step(gaussian(grid, 1e200, 2.0), CUBIC, tg)
+    assert err.value.time == tg.times[1]
 
 
 def test_split_step_initial_slice_bit_exact(line_grid):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracnls.exponents import ProblemParams, canonical_pair
 from fracnls.grid import (
     Field,
     Grid,
@@ -16,6 +17,8 @@ from fracnls.grid import (
     peak_factored_norms,
     plane_wave,
 )
+from fracnls.nonlinearity import PowerNonlinearity
+from fracnls.solver import PicardConfig, TimeGrid, picard_duhamel
 from fracnls.spaces import (
     _annulus_multipliers,
     _inverse_on_support,
@@ -296,15 +299,24 @@ def test_sobolev_norm_is_the_unphased_magnitude_sum_bitwise(grid):
 
 
 def test_sobolev_norm_caches_no_complex_mesh():
+    # after a Picard solve, which takes the two-thirds mask, and both
+    # norms of a slice, the level index is the grid's only mesh array
     grid = Grid(3, 16, 16.0)
+    params = ProblemParams(dimension=3, regularity=0.4, power=2.0)
+    picard_duhamel(gaussian(grid, 0.05), PowerNonlinearity(1.0, 2.0),
+                   TimeGrid(0.05, 2),
+                   PicardConfig(metric_pair=canonical_pair(params)))
     sobolev_norm(gaussian(grid), 0.4)
-    cached = [a for v in (*vars(grid).values(),
-                          *grid._sobolev_weights.values())
+    next(sobolev_besov_norms(grid, [gaussian(grid).values], 0.4, 2.0,
+                             homogeneous=True))
+    cached = [a for v in vars(grid).values()
               for a in (v if isinstance(v, tuple) else (v,))
               if isinstance(a, np.ndarray)]
     assert any(a.shape == grid.shape for a in cached)
     assert not any(np.iscomplexobj(a) for a in cached)
     assert not hasattr(grid, "origin_phase")
+    meshes = [a for a in cached if a.shape == grid.shape]
+    assert len(meshes) == 1 and meshes[0] is grid.wavenumber_levels[1]
 
 
 def test_sobolev_plancherel(line_grid, rng):
