@@ -119,7 +119,7 @@ _SCHEMA = {
         "direction": (_OBJECT, {}), "family": (_OBJECT, _UNSET),
         "auto_horizon": (_OBJECT, _UNSET), "solver": (_OBJECT, {}),
         "remainder": (_OBJECT, {}), "seed": (_COUNT, None),
-        "threads": (_COUNT, 1), "output_dir": (_TEXT, "."),
+        "output_dir": (_TEXT, "."),
         "integrator": (_INTEGRATOR, "picard"), "snapshots": (_LIST, []),
         "cross_check": (_FLAG, run_dependence),
         "cross_tol": (_POSITIVE, run_dependence)},
@@ -128,8 +128,8 @@ _SCHEMA = {
                 "power": (_REAL, _REQUIRED),
                 "coupling": (_COMPLEX, ProblemParams)},
     "grid": {"points": (_COUNT, _REQUIRED), "period": (_REAL, _REQUIRED)},
-    "time": {"horizon": (_REAL, _REQUIRED), "dt": (_POSITIVE, _UNSET),
-             "slices": (_COUNT + (_LARGEST,), _UNSET)},
+    "time": {"horizon": (_REAL, _REQUIRED),
+             "slices": (_COUNT + (_LARGEST,), _REQUIRED)},
     "family": {"initial_scale": (_REAL, _REQUIRED),
                "depth": (_COUNT + (1075,), _REQUIRED)},
     "auto_horizon": {"start": (_REAL, _REQUIRED),
@@ -203,14 +203,6 @@ def _read_config(raw: dict) -> dict:
                   "solver", "remainder"):
         if where in config:
             config[where] = _read(config[where], _SCHEMA[where], where)
-    if "time" in config and not {"slices", "dt"} & set(config["time"]):
-        raise ConfigError("time needs either slices or dt")
-    if {"slices", "dt"} <= set(config.get("time", ())):
-        raise ConfigError("time takes slices or dt, not both")
-    time = config.get("time", {})
-    if "dt" in time and not time["horizon"] / time["dt"] < _LARGEST + 0.5:
-        raise ConfigError(f"time.dt must be at least horizon / {_LARGEST}, "
-                          f"got {time['dt']!r}")
     for where in ("datum", "direction"):
         if where in config:
             config[where] = _read_field(config[where], where,
@@ -223,13 +215,6 @@ def _require(block: dict, key: str, where: str):
     if key not in block:
         raise ConfigError(f"missing key {where}.{key}")
     return block[key]
-
-
-def _build_timegrid(time: dict) -> TimeGrid:
-    if "slices" in time:
-        return TimeGrid(time["horizon"], time["slices"])
-    return TimeGrid(time["horizon"],
-                    max(2, int(round(time["horizon"] / time["dt"]))))
 
 
 def _build_field(field: tuple, grid: Grid, seed: Optional[int]) -> Field:
@@ -296,7 +281,7 @@ class RunConfig:
         config = _read_config(raw)
         params = ProblemParams(**config["problem"])
         validate(params)
-        resolved = config["threads"] if threads is None else threads
+        resolved = 1 if threads is None else threads
         if resolved < 1:
             raise ConfigError(f"thread count must be >= 1, got {resolved}")
         out = Path(output if output is not None else config["output_dir"])
@@ -383,7 +368,7 @@ def _slice_norm_rows(traj, params, rho):
 
 def cmd_solve(args) -> int:
     rc = RunConfig.load(args.config, args.output, args.threads)
-    tg = _build_timegrid(_require(rc.config, "time", "config"))
+    tg = TimeGrid(**_require(rc.config, "time", "config"))
     datum = _require(rc.config, "datum", "config")
     snapshots = rc.config["snapshots"]
     for i, m in enumerate(snapshots):
@@ -425,7 +410,7 @@ def cmd_dependence(args) -> int:
         except RuntimeError as exc:
             raise ConfigError(f"auto_horizon gave up: {exc}") from exc
     else:
-        tg = _build_timegrid(_require(rc.config, "time", "config"))
+        tg = TimeGrid(**_require(rc.config, "time", "config"))
     report = run_dependence(rc.params, family, rc.solver, tg,
                             cross_check=rc.config["cross_check"],
                             cross_tol=rc.config["cross_tol"],
@@ -454,7 +439,7 @@ def cmd_remainder(args) -> int:
         rows = static_remainder_decay(rc.params, family, rc.solver,
                                       theta_nodes=theta, shells=shells)
     else:
-        tg = _build_timegrid(_require(rc.config, "time", "config"))
+        tg = TimeGrid(**_require(rc.config, "time", "config"))
         rows = remainder_decay_experiment(rc.params, family, rc.solver, tg,
                                           theta_nodes=theta, shells=shells,
                                           threads=rc.threads)
@@ -496,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: config output_dir)")
         p.add_argument("--threads", type=int, default=None, help=(
             "ignored: solve runs on one thread" if name == "solve" else
-            "worker threads (default: config threads)"))
+            "worker threads (default: 1)"))
         p.set_defaults(func=func)
     return parser
 

@@ -56,7 +56,7 @@ class Grid:
     Args:
         dim: spatial dimension, 1, 2 or 3.
         points: samples per axis, a power of two, at least 8.
-        period: torus edge length L > 0.
+        period: torus edge length L in [1e-100, 1e100].
     """
 
     dim: int
@@ -70,8 +70,9 @@ class Grid:
                 and self.points ** self.dim <= 2 ** 24):
             raise ValueError("points must be a power of two >= 8 with "
                              f"points**dim <= 2**24, got {self.points}")
-        if not self.period > 0:
-            raise ValueError(f"period must be positive, got {self.period}")
+        if not 1e-100 <= self.period <= 1e100:  # see README's bounds
+            raise ValueError("period must lie in [1e-100, 1e100], "
+                             f"got {self.period}")
 
     @property
     def spacing(self) -> float:

@@ -12,8 +12,8 @@ import pytest
 
 import fracnls.cli
 import fracnls.dependence
-from fracnls.cli import (ConfigError, RunConfig, _build_timegrid,
-                         _slice_norm_rows, config_hash, main)
+from fracnls.cli import (ConfigError, RunConfig, _slice_norm_rows,
+                         config_hash, main)
 from fracnls.exponents import ProblemParams, canonical_pair
 from fracnls.grid import Grid, gaussian
 from fracnls.nonlinearity import PowerNonlinearity
@@ -140,7 +140,7 @@ def test_solve_free_flow_constant_sobolev(tmp_path):
 
 def test_solve_split_integrator(tmp_path):
     path, _ = _write_config(tmp_path, integrator="split_step",
-                            time={"horizon": 0.25, "dt": 0.01})
+                            time={"horizon": 0.25, "slices": 25})
     assert main(["solve", "--config", str(path)]) == 0
     _, rows = _read_csv(tmp_path / "out" / "solve.csv")
     assert len(rows) == 26
@@ -181,7 +181,7 @@ def test_solve_blowup_exits_3(tmp_path, capsys):
     path, _ = _write_config(
         tmp_path, problem=problem, integrator="split_step",
         datum={"kind": "gaussian", "amplitude": 8.0, "width": 2.0},
-        time={"horizon": 1.0, "dt": 0.01})
+        time={"horizon": 1.0, "slices": 100})
     assert main(["solve", "--config", str(path)]) == 3
     assert "blew up" in capsys.readouterr().err
 
@@ -497,6 +497,7 @@ def test_config_complex_amplitude(tmp_path):
     assert main(["solve", "--config", str(path)]) == 0
 
 
+INF, NAN = float("inf"), float("nan")
 UNKNOWN_KEY_CASES = [
     ("solve", {"integrater": "split_step"}, "config.integrater"),
     ("solve", {"grid": {"point": 64, "period": 32.0}}, "grid.point"),
@@ -510,6 +511,11 @@ UNKNOWN_KEY_CASES = [
      "problem.growth_const"),
     ("solve", {"problem": dict(PROBLEM, growth_coeff=0.0)},
      "problem.growth_coeff"),
+    # the slice count and the thread count are each set one way only
+    ("solve", {"threads": 1.5}, "config.threads"),
+    ("solve", {"time": {"horizon": 0.25, "dt": "0.01"}}, "time.dt"),
+    ("solve", {"time": {"horizon": 0.25, "slices": 16, "dt": INF}},
+     "time.dt"),
 ]
 
 
@@ -538,7 +544,6 @@ def test_config_block_must_be_object(tmp_path, capsys):
     assert "time must be a JSON object" in capsys.readouterr().err
 
 
-INF, NAN = float("inf"), float("nan")
 BAD_TYPE_CASES = [
     ("remainder", "remainder.static", "no"),
     ("remainder", "remainder.static", 1),
@@ -555,14 +560,12 @@ BAD_TYPE_CASES = [
     ("solve", "grid.period", "32"),
     ("solve", "time.slices", 8.7),
     ("solve", "time.horizon", None),
-    ("solve", "time.dt", "0.01"),
     ("solve", "problem.dimension", 1.9),
     ("solve", "problem.regularity", "0.4"),
     ("solve", "problem.power", True),
     ("solve", "solver.max_iter", 40.9),
     ("solve", "solver.tol", "1e-10"),
     ("solve", "solver.smallness_delta", False),
-    ("solve", "config.threads", 1.5),
     ("solve", "config.seed", 7.5),
     ("dependence", "family.depth", 3.0),
     ("dependence", "family.initial_scale", "0.01"),
@@ -574,7 +577,6 @@ BAD_TYPE_CASES = [
     ("solve", "grid.period", INF),
     ("solve", "time.horizon", INF),
     ("solve", "time.horizon", NAN),
-    ("solve", "time.dt", INF),
     ("solve", "problem.power", INF),
     ("solve", "problem.regularity", NAN),
     ("solve", "solver.tol", -INF),
@@ -661,7 +663,6 @@ FIELD_NUMBER_CASES = [
     ("dependence", "family.depth",
      {"family": {"initial_scale": 0.01, "depth": 1076}}),
     ("solve", "time.slices", {"time": {"horizon": 0.25, "slices": 2 ** 40}}),
-    ("solve", "time.dt", {"time": {"horizon": 0.25, "dt": 1e-320}}),
     ("solve", "solver.max_iter", {"solver": {"max_iter": 2 ** 63}}),
 ]
 
@@ -715,7 +716,7 @@ def test_config_accepts_field_lists(tmp_path):
 def test_config_accepts_each_largest_count(tmp_path):
     path, _ = _write_config(
         tmp_path, grid={"points": 2 ** 24, "period": 32.0},
-        time={"horizon": 0.25, "dt": 0.25 / 2 ** 16},
+        time={"horizon": 0.25, "slices": 2 ** 16},
         family={"initial_scale": 0.01, "depth": 1075},
         auto_horizon={"start": 0.25, "slices": 2 ** 16},
         solver={"max_iter": 2 ** 16},
@@ -723,7 +724,7 @@ def test_config_accepts_each_largest_count(tmp_path):
         datum={"kind": "gaussian", "width": 1e150})
     config = RunConfig.load(str(path), None, None).config
     assert config["family"]["depth"] == 1075
-    assert _build_timegrid(config["time"]).slices == 2 ** 16
+    assert TimeGrid(**config["time"]).slices == 2 ** 16
 
 
 def test_config_accepts_integer_reals(tmp_path):
@@ -758,18 +759,7 @@ def test_config_hash_ignores_key_order():
 def test_config_time_needs_step_or_slices(tmp_path, capsys):
     path, _ = _write_config(tmp_path, time={"horizon": 0.25})
     assert main(["solve", "--config", str(path)]) == 2
-    assert "slices or dt" in capsys.readouterr().err
-
-
-def test_time_dt_rounds_to_a_slice_count(tmp_path):
-    # dt 0.3 over a horizon of 1 rounds to 3 slices of 1/3, and a dt
-    # near the horizon still gives the 2 slices a TimeGrid needs
-    for dt, slices in ((0.3, 3), (0.9, 2)):
-        path, _ = _write_config(tmp_path, time={"horizon": 1.0, "dt": dt})
-        rc = RunConfig.load(str(path), None, None)
-        tg = _build_timegrid(rc.config["time"])
-        assert tg.slices == slices
-        assert tg.dt == pytest.approx(1.0 / slices)
+    assert "missing key time.slices" in capsys.readouterr().err
 
 
 def test_runconfig_rejects_empty(tmp_path):
@@ -794,16 +784,11 @@ FAIL_FAST_CASES = [
                "problem": dict(PROBLEM, dimension=2, regularity=0.6)},
      "points must be a power of two >= 8 with points**dim <= 2**24, "
      "got 8192"),
-    ("dependence", {"family": {"initial_scale": 0.01, "depth": 3},
-                    "auto_horizon": {"start": 0.5, "slices": 8},
-                    "time": {"horizon": 0.25}},
-     "time needs either slices or dt"),
-    ("solve", {"time": {"horizon": 0.2, "slices": 4, "dt": 0.001}},
-     "time takes slices or dt, not both"),
-    ("solve", {"time": {"horizon": 0.25, "dt": 0}},
-     "time.dt must be a positive number, got 0"),
-    ("solve", {"time": {"horizon": 0.25, "dt": -0.1}},
-     "time.dt must be a positive number, got -0.1"),
+    # the spacing to the N, |k|^2 and the Nyquist stay normal doubles
+    *[("solve", {"grid": {"points": 8, "period": period},
+                 "problem": dict(PROBLEM, dimension=dim, power=1.0)},
+       f"period must lie in [1e-100, 1e100], got {period}")
+      for period in (1e300, 1e-300) for dim in (2, 3)],
     ("dependence", {"family": {"initial_scale": 0.01, "depth": 3},
                     "cross_check": True, "cross_tol": -1},
      "config.cross_tol must be a positive number, got -1"),
@@ -841,13 +826,13 @@ DEFAULT_CASES = {
         "datum": {"kind": "plane_wave", "mode": 1, "amplitude": 1.0},
         "time": {"horizon": 0.05, "slices": 8},
         "solver": SOLVER_DEFAULTS, "integrator": "picard", "snapshots": [],
-        "threads": 1, "output_dir": ".",
+        "output_dir": ".",
     }),
     "solve-split": ("solve", {
         "problem": {"dimension": 2, "regularity": 0.4, "power": 2.0},
         "grid": {"points": 16, "period": 8.0},
         "datum": {"kind": "gaussian"},
-        "time": {"horizon": 0.1, "dt": 0.02},
+        "time": {"horizon": 0.1, "slices": 5},
         "integrator": "split_step", "snapshots": [0, 5],
     }, {
         "problem": {"dimension": 2, "regularity": 0.4, "power": 2.0,
@@ -855,7 +840,7 @@ DEFAULT_CASES = {
         "grid": {"points": 16, "period": 8.0},
         "datum": {"kind": "gaussian", "amplitude": [1.0, 0.0],
                   "width": 1.0, "center": 0.0},
-        "time": {"horizon": 0.1, "dt": 0.02},
+        "time": {"horizon": 0.1, "slices": 5},
         "integrator": "split_step", "snapshots": [0, 5],
     }),
     "dependence": ("dependence", {
@@ -872,7 +857,7 @@ DEFAULT_CASES = {
         "direction": {"kind": "default", "center": 3.0, "width": 1.5},
         "family": {"initial_scale": 0.01, "depth": 2},
         "time": {"horizon": 0.25, "slices": 16}, "cross_check": True,
-        "cross_tol": 1e-4, "solver": SOLVER_DEFAULTS, "threads": 1,
+        "cross_tol": 1e-4, "solver": SOLVER_DEFAULTS,
     }),
     # power 1 is odd, so every theta node is used
     "remainder": ("remainder", {

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import threading
+import warnings
 from functools import partial
 
 import numpy as np
@@ -83,6 +84,7 @@ def test_family_validation(direction):
 def test_family_scales_and_data(direction):
     fam = PerturbationFamily(BASE, direction, 0.01, 3, 0.4)
     assert fam.scales == (0.01, 0.005, 0.0025, 0.00125)
+    assert fam.scales is fam.scales  # built once, not per datum(k)
     expected = BASE + 0.005 * direction
     assert np.array_equal(fam.datum(1).values, expected.values)
 
@@ -426,6 +428,32 @@ def test_run_dependence_rows_bitwise_the_stacked_measurement(dim, points,
         report = run_dependence(params, fam, cfg, tg, cross_check=True,
                                 threads=threads).to_dict()
         assert report["rows"] == expected
+
+
+@pytest.mark.parametrize("poison", [math.nan, math.inf])
+def test_non_finite_oracle_fails_the_cross_check(monkeypatch, poison):
+    # an oracle that goes non-finite from slice 2 on gives a NaN gap
+    # (Python's max would skip a NaN after a number), so no row agrees
+    # and every row is flagged, with no numpy warning on the way
+    grid = Grid(1, 64, 32.0)
+    base = gaussian(grid, 0.08, 2.0)
+    fam = PerturbationFamily(base, default_direction(base, 0.4),
+                             0.01, 1, 0.4)
+    split_slices = dep._split_slices
+
+    def poisoned(phi, nl, tg):
+        for m, values in enumerate(split_slices(phi, nl, tg)):
+            yield values if m < 2 else np.full_like(values, poison)
+
+    monkeypatch.setattr(dep, "_split_slices", poisoned)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = run_dependence(PARAMS, fam, _config(), TimeGrid(0.25, 8),
+                                cross_check=True)
+    assert caught == []
+    assert all(math.isnan(row.oracle_gap) and row.oracle_agrees is False
+               for row in report.rows)
+    assert report.to_dict()["flags"] == [0, 1]
 
 
 def test_run_dependence_takes_sobolev_norm_only_for_input_distances(

@@ -1,7 +1,8 @@
 """The Python examples in README.md run as written, its command-line
 block names each subcommand once, its config table lists exactly the
-keys and defaults of the config schema, and every datum and direction
-kind builds from its documented defaults in every dimension."""
+keys and defaults of the config schema, every `<block>.<key>` it names
+is a key of the schema, and every datum and direction kind builds from
+its documented defaults in every dimension."""
 
 import argparse
 import inspect
@@ -32,6 +33,19 @@ def test_readme_command_line_names_each_subcommand_once():
     subparsers = next(action for action in cli.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     assert named == sorted(subparsers.choices)
+
+
+def test_readme_names_only_schema_keys():
+    # every `<block>.<key>` named whose block is a schema table is a key
+    # of it; datum and direction take kind or a key of one of their kinds
+    tables = {name: set(keys) for name, keys in cli._SCHEMA.items()}
+    for where, kinds in cli._KINDS.items():
+        tables[where] = {"kind"}.union(*(tables[kind] for kind in kinds))
+    named = [(block, key) for block, key
+             in re.findall(r"`(\w+)\.(\w+)`", README.read_text())
+             if block in tables]
+    assert named
+    assert [name for name in named if name[1] not in tables[name[0]]] == []
 
 
 def _config_table() -> dict:
