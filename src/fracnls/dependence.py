@@ -122,7 +122,8 @@ def choose_horizon(params: ProblemParams, family: PerturbationFamily,
     datum stays below the configured threshold.  With a large time
     exponent each halving only shaves a few percent off the norm, so a
     datum well above the threshold cannot be rescued by any reasonable
-    horizon; after 60 halvings that case raises rather than looping.
+    horizon; after 60 halvings that case raises rather than looping.  A
+    NaN gate norm fails the gate too, and so goes on halving.
     Returns the accepted grid and its (base, worst) gate norms, which
     `run_dependence` takes as `smallness` rather than recomputing them.
     The two gate norms of each horizon are tasks of one pool of
@@ -132,11 +133,12 @@ def choose_horizon(params: ProblemParams, family: PerturbationFamily,
     with _task_runner(threads) as submit:
         for _ in range(61):
             smallness = _endpoint_smallness(submit, family, tg, cfg, params)
-            if max(smallness) < cfg.smallness_delta:
+            worst = float(np.max(smallness))  # NaN if either norm is
+            if worst < cfg.smallness_delta:
                 return tg, smallness
             tg = TimeGrid(0.5 * tg.horizon, max(2, tg.slices // 2))
     raise RuntimeError(
-        f"smallness {max(smallness):.4f} still >= {cfg.smallness_delta} "
+        f"smallness {worst:.4f} still >= {cfg.smallness_delta} "
         "after 60 halvings; the datum itself is too large "
         "for the threshold")
 
@@ -336,8 +338,9 @@ def _solve_family(submit, params: ProblemParams, family: PerturbationFamily,
     the gate norms, the base trajectory and the row results by index."""
     if smallness is None:
         smallness = _endpoint_smallness(submit, family, tg, cfg, params)
-    if max(smallness) >= cfg.smallness_delta:
-        raise ValueError(f"free evolution reaches {max(smallness):.4f} >= "
+    worst = float(np.max(smallness))  # NaN if either norm is, and fails
+    if not worst < cfg.smallness_delta:
+        raise ValueError(f"free evolution reaches {worst:.4f} >= "
                          f"{cfg.smallness_delta} over the horizon; shrink "
                          "it (see choose_horizon)")
     base = submit(picard_duhamel, family.base, nl, tg, cfg)
@@ -431,9 +434,9 @@ class RemainderDecayRow:
 
 
 def _remainder_exponents(params: ProblemParams, cfg: PicardConfig) -> tuple:
-    """(s, p, q, r) of the standard bundle: p = rho', q = 2, r = rho."""
+    """(s, p, r) of the standard bundle: p = rho', r = rho."""
     rho = cfg.metric_pair[1]
-    return float(params.regularity), dual(rho), 2.0, rho
+    return float(params.regularity), dual(rho), rho
 
 
 def remainder_decay_experiment(params: ProblemParams,
@@ -446,8 +449,8 @@ def remainder_decay_experiment(params: ProblemParams,
 
     Each row solves the perturbed problem, evaluates the remainder
     functional slice by slice against the base solution at the standard
-    exponent bundle (p the dual of rho, q = 2, r = rho), and integrates
-    in time at the dual of the metric's time exponent.  The remainder
+    exponent bundle (p the dual of rho, r = rho), and integrates in
+    time at the dual of the metric's time exponent.  The remainder
     evaluations share the pool that solves the family (see
     `_solve_family`): the slices are split into one contiguous block per
     thread, and one remainder_K call takes a block, the base slice
@@ -465,8 +468,8 @@ def remainder_decay_experiment(params: ProblemParams,
     def block_remainders(block) -> tuple:
         return remainder_K([base_traj.field(m) for m in block],
                            [[traj.field(m) for traj, _ in solved]
-                            for m in block], nl,
-                           *exponents, theta_nodes, shells)
+                            for m in block], nl, *exponents,
+                           theta_nodes=theta_nodes, shells=shells)
 
     with _task_runner(threads) as submit:
         _, base_traj, solved = _solve_family(  # keep (trajectory, converged)
@@ -493,7 +496,7 @@ def static_remainder_decay(params: ProblemParams, family: PerturbationFamily,
     data = [family.datum(k) for k in range(family.depth + 1)]
     nl = PowerNonlinearity.from_params(params)
     (values,) = remainder_K([family.base], [data], nl,
-                            *_remainder_exponents(params, cfg), theta_nodes,
-                            shells)
+                            *_remainder_exponents(params, cfg),
+                            theta_nodes=theta_nodes, shells=shells)
     return tuple(RemainderDecayRow(eps, value)
                  for eps, value in zip(family.scales, values))

@@ -293,10 +293,12 @@ def plane_wave(grid: Grid, mode: Sequence[int] | int,
 
 def gaussian(grid: Grid, amplitude: complex = 1.0, width: float = 1.0,
              center: Sequence[float] | float = 0.0) -> Field:
-    """amplitude * exp(-|x - center|^2 / width^2)."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.shape != (grid.dim,):
-        center = np.full(grid.dim, float(center[0]))
+    """amplitude * exp(-|x - center|^2 / width^2); one center
+    coordinate is taken on every axis."""
+    center = np.asarray(center, dtype=float)
+    if center.shape not in ((), (grid.dim,)):
+        raise ValueError(f"center must have {grid.dim} components")
+    center = np.full(grid.dim, center)
     terms = ((xa - ca) ** 2 for xa, ca in zip(grid.coordinate_arrays, center))
     r2 = _mesh_sum(grid.shape, terms)
     return Field(grid, amplitude * np.exp(-r2 / width ** 2))

@@ -140,14 +140,12 @@ def count_pointwise_violations(z1, z2, alpha: float) -> tuple[int, int]:
 
 # ------------------------------------------------------ remainder functional
 
-def _check_difference_exponents(s: float, p: float, q: float, r: float,
+def _check_difference_exponents(s: float, p: float, r: float,
                                 power: float) -> float:
-    """Validate the exponent quadruple and return the companion Lebesgue
+    """Validate the exponent triple and return the companion Lebesgue
     order sigma defined by power/sigma = 1/p - 1/r."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"difference smoothness needs 0 < s < 1, got {s}")
-    if not 1.0 <= q < np.inf:
-        raise ValueError(f"summability needs 1 <= q < inf, got {q}")
     if not 1.0 <= p < np.inf:
         raise ValueError(f"inner exponent needs 1 <= p < inf, got {p}")
     if not p < r:
@@ -240,14 +238,13 @@ def _remainder_rows(nl: PowerNonlinearity, grid, rows: int,
 
 
 def remainder_K(u: Sequence[Field], v: Sequence[Sequence[Field]],
-                nl: PowerNonlinearity, s: float, p: float, q: float,
-                r: float, theta_nodes: int = THETA_NODES,
-                shells: int = 32) -> tuple:
+                nl: PowerNonlinearity, s: float, p: float, r: float, *,
+                theta_nodes: int = THETA_NODES, shells: int = 32) -> tuple:
     """Lower-order remainder of the Besov difference bound.
 
     For each offset y, the integrand is u's translation increment times
     the gap between the segment-averaged derivative pairs of v and of u;
-    its L^p norms are combined across offsets with the |y|^(-N-sq) kernel
+    its L^p norms are combined across offsets with the |y|^(-N-2s) kernel
     exactly like the finite-difference norm of smoothness s.  The result
     is zero when v = u (the gap vanishes identically) and also when u = 0
     (the increment does), and it decays as v -> u in the companion
@@ -274,8 +271,8 @@ def remainder_K(u: Sequence[Field], v: Sequence[Sequence[Field]],
     fields = bases + tuple(w for rows in row_sets for w in rows)
     if any(w.grid is not grid and w.grid != grid for w in fields):
         raise ValueError("fields live on different grids")
-    _check_difference_exponents(s, p, q, r, nl.power)
-    offsets, kernel = offsets_kernel(grid, s, q, shells)
+    _check_difference_exponents(s, p, r, nl.power)
+    offsets, kernel = offsets_kernel(grid, s, shells=shells)
     fill = _remainder_rows(nl, grid, max(map(len, row_sets)), theta_nodes,
                            p)
     # row 0 of each stack is its base and row 1 + j its entry j
@@ -284,7 +281,7 @@ def remainder_K(u: Sequence[Field], v: Sequence[Sequence[Field]],
     norms = [np.empty((len(rows), len(offsets))) for rows in row_sets]
     for i, j, incs in translation_increments(stacks, grid, offsets):
         fill(stacks[j], incs, norms[j][:, i])
-    return tuple(tuple(peak_factored_norms(block, q, kernel))
+    return tuple(tuple(peak_factored_norms(block, 2.0, kernel))
                  for block in norms)
 
 
@@ -307,7 +304,7 @@ class DifferenceReport:
 
 
 def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
-                            s: float, p: float, q: float, r: float,
+                            s: float, p: float, r: float, *,
                             theta_nodes: int = THETA_NODES,
                             shells: int = 32) -> DifferenceReport:
     """Evaluate the difference bound's pieces on one pair of fields, with
@@ -315,20 +312,20 @@ def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
     order sigma = power / (1/p - 1/r), possibly below one, where the
     quasi-norm convention applies):
 
-        lhs            = || g(v) - g(u) ||  at (s, p, q),
-        lipschitz_term = ||v||_sigma^power * || v - u ||  at (s, r, q),
+        lhs            = || g(v) - g(u) ||  at (s, p),
+        lipschitz_term = ||v||_sigma^power * || v - u ||  at (s, r),
         k_term         = remainder_K([u], [[v]], ...)[0][0].
 
     All smoothness norms are finite-difference norms sharing one offset
     quadrature, so the three numbers are directly comparable.  The
     refined right-hand side is evaluated too: the extra term is ||u|| at
-    (s, r, q) times ||v - u||_sigma^power for power <= 1, and times
+    (s, r) times ||v - u||_sigma^power for power <= 1, and times
     (||u||_sigma^(power-1) + ||v||_sigma^(power-1)) ||v - u||_sigma for
     power >= 1."""
-    sigma = _check_difference_exponents(s, p, q, r, nl.power)
+    sigma = _check_difference_exponents(s, p, r, nl.power)
     grid = u.grid
     gap = v - u
-    offsets, kernel = offsets_kernel(grid, s, q, shells)
+    offsets, kernel = offsets_kernel(grid, s, shells=shells)
     fill = _remainder_rows(nl, grid, 1, theta_nodes, p)
     # one offset loop: row 0 of norms is the remainder of u against v,
     # then the difference norms of g(v) - g(u) at p and of v - u at r,
@@ -342,8 +339,7 @@ def besov_difference_report(u: Field, v: Field, nl: PowerNonlinearity,
         norms[1, i] = lp_norm(incs[2], p, cell)
         norms[2, i] = lp_norm(incs[3], r, cell)
         norms[3, i] = lp_norm(incs[0], r, cell)
-    k_term, lhs, gap_smooth, u_smooth = peak_factored_norms(norms, q,
-                                                            kernel)
+    k_term, lhs, gap_smooth, u_smooth = peak_factored_norms(norms, 2.0, kernel)
     v_sigma = lebesgue_norm(v, sigma)
     lipschitz_term = v_sigma ** nl.power * gap_smooth
     gap_sigma = lebesgue_norm(gap, sigma)

@@ -255,39 +255,39 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     levels, index = grid.wavenumber_levels
     unwind, rewind = np.empty((2,) + levels.shape, dtype=complex)
     keep = grid.dealias_mask
-    phihat = np.fft.fftn(phi.values)
-    ghat = np.empty(grid.shape, dtype=complex)
+    # no warnings: a non-finite transform or slice gives a NaN distance
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        phihat = np.fft.fftn(phi.values)
+        ghat = np.empty(grid.shape, dtype=complex)
 
-    # the iterate; slice 0 is the datum and is never written again, so
-    # phi is not held through the sweeps
-    u = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
-    u[0] = phi.values
-    del phi
-    # complex multiply is not bitwise commutative, and for slices of
-    # 256 KiB and up numpy evaluates this product in its temporary, as
-    # conj * phihat; the expression stays as it is to keep those bits
-    for m in range(1, tg.slices + 1):
-        _phase_row(1j, tg.times[m], levels, unwind)
-        np.fft.ifftn(phihat * np.conj(grid.gather(unwind, ghat)), out=u[m])
-    # each block is written in place, in the operand order of
-    #   new = ifftn(rewind * (phihat + 1j dt (running - half0 - g / 2)))
-    # with the integrand g in ghat and the bracket in the block buffer,
-    # whose product with the rewind phase, conj(unwind), lands in ghat
-    running = np.empty(grid.shape, dtype=complex)
-    half0 = np.empty(grid.shape, dtype=complex)
-    blocks = _row_blocks(grid.shape)
-    buf = np.empty((blocks[0].stop,) + grid.shape[1:], dtype=complex)
-    blocks = [(b, buf[:b.stop - b.start]) for b in blocks]
-    # the increment's magnitudes, over the first half of ghat's bytes:
-    # float rows [start, stop) lie in complex rows [start/2, stop/2),
-    # copied into u[m] by then, as the blocks run in ascending order
-    mags = ghat.reshape(-1).view(float)[:grid.size].reshape(grid.shape)
-    cell = grid.cell_volume
-    distances = []
-    for _ in range(cfg.max_iter):
-        gaps = [0.0]  # slice 0 is the datum in both iterates
-        # no warnings: a non-finite slice makes the sweep's distance NaN
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        # the iterate; slice 0 is the datum and is never written again, so
+        # phi is not held through the sweeps
+        u = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
+        u[0] = phi.values
+        del phi
+        # complex multiply is not bitwise commutative, and for slices of
+        # 256 KiB and up numpy evaluates this product in its temporary, as
+        # conj * phihat; the expression stays as it is to keep those bits
+        for m in range(1, tg.slices + 1):
+            _phase_row(1j, tg.times[m], levels, unwind)
+            np.fft.ifftn(phihat * np.conj(grid.gather(unwind, ghat)), out=u[m])
+        # each block is written in place, in the operand order of
+        #   new = ifftn(rewind * (phihat + 1j dt (running - half0 - g / 2)))
+        # with the integrand g in ghat and the bracket in the block buffer,
+        # whose product with the rewind phase, conj(unwind), lands in ghat
+        running = np.empty(grid.shape, dtype=complex)
+        half0 = np.empty(grid.shape, dtype=complex)
+        blocks = _row_blocks(grid.shape)
+        buf = np.empty((blocks[0].stop,) + grid.shape[1:], dtype=complex)
+        blocks = [(b, buf[:b.stop - b.start]) for b in blocks]
+        # the increment's magnitudes, over the first half of ghat's bytes:
+        # float rows [start, stop) lie in complex rows [start/2, stop/2),
+        # copied into u[m] by then, as the blocks run in ascending order
+        mags = ghat.reshape(-1).view(float)[:grid.size].reshape(grid.shape)
+        cell = grid.cell_volume
+        distances = []
+        for _ in range(cfg.max_iter):
+            gaps = [0.0]  # slice 0 is the datum in both iterates
             for m in range(tg.slices + 1):
                 for b, _ in blocks:
                     nl.g(u[m][b], out=ghat[b])
@@ -321,12 +321,13 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                 gaps.append(peak_factored_norms(mags[None], rho,
                                                 scale=cell)[0])
             distances.append(trapezoid_norm(gaps, tg.dt, gamma))
-        if not np.isfinite(distances[-1]):
-            raise BlowUpError("fixed-point iterate overflowed; the datum or "
-                              "horizon is outside the contraction regime")
-        converged = distances[-1] <= cfg.tol * max(1.0, distances[0])
-        if converged:
-            break
+            if not np.isfinite(distances[-1]):
+                raise BlowUpError("fixed-point iterate overflowed; the "
+                                  "datum or horizon is outside the "
+                                  "contraction regime")
+            converged = distances[-1] <= cfg.tol * max(1.0, distances[0])
+            if converged:
+                break
     report = IterationReport(tuple(distances), converged)
     trajectory = Trajectory._adopt(tg, grid, u)
     if not converged:
@@ -420,6 +421,7 @@ def smallness_check(phi: Field, tg: TimeGrid, cfg: PicardConfig,
     `spacetime_norm` one at a time, so no trajectory stack is built.
     """
     gamma, rho = cfg.metric_pair
-    return spacetime_norm(phi.grid, _free_slices(phi, tg), tg.dt,
-                          float(params.regularity), rho, gamma,
-                          sobolev=False)[1]
+    # no warnings: a slice that is not finite gives a NaN norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spacetime_norm(phi.grid, _free_slices(phi, tg), tg.dt,
+                              float(params.regularity), rho, gamma)[1]

@@ -6,8 +6,10 @@ separate so they can cross-check each other:
   * sobolev_norm      -- Fourier multiplier |k|^s or (1+|k|^2)^(s/2),
   * besov_norm_lp     -- dyadic (Littlewood-Paley) block sums,
   * besov_norm_fd     -- finite-difference characterization
-                         ( integral ||f(.-y) - f||_Lp^q |y|^(-N-sq) dy )^(1/q),
+                         ( integral ||f(.-y) - f||_Lp^2 |y|^(-N-2s) dy )^(1/2),
                          valid for 0 < s < 1.
+
+Every Besov norm here is B^s_{p,2}, summed in l^2 over scales or offsets.
 
 Each is a plain function of a Field and its exponents, and so is
 `grid.lebesgue_norm`.  `sobolev_besov_norms` takes the Sobolev and
@@ -112,29 +114,28 @@ def _inverse_on_support(buf: np.ndarray, runs) -> np.ndarray:
     return buf
 
 
-def besov_norm_lp(f: Field, s: float, p: float, q: float = 2.0,
+def besov_norm_lp(f: Field, s: float, p: float, *,
                   homogeneous: bool = False) -> float:
-    """Dyadic-block Besov norm ( sum_j (2^(js) ||block_j||_Lp)^q )^(1/q).
+    """Dyadic-block Besov norm ( sum_j (2^(js) ||block_j||_Lp)^2 )^(1/2).
 
     homogeneous=True uses annuli only (constants get norm zero);
     otherwise the low-frequency block enters the scale sum with weight one.
     """
-    return next(sobolev_besov_norms(f.grid, [f.values], s, p, q,
-                                    homogeneous, sobolev=False))[1]
+    return next(sobolev_besov_norms(f.grid, [f.values], s, p,
+                                    homogeneous=homogeneous))[1]
 
 
-def sobolev_besov_norms(grid: Grid, slices, s: float, p: float,
-                        q: float = 2.0, homogeneous: bool = False,
-                        sobolev: bool = True):
-    """Yield (sobolev_norm(f, s), besov_norm_lp(f, s, p, q, homogeneous))
+def sobolev_besov_norms(grid: Grid, slices, s: float, p: float, *,
+                        homogeneous: bool = False):
+    """Yield (sobolev_norm(f, s), besov_norm_lp(f, s, p, homogeneous))
     for each array f of grid.shape in the stream `slices`, from one
     forward transform per slice, in one Besov scratch in which the
-    Sobolev sum runs too; sobolev=False yields None for it.  Each slice
-    is transformed before the next is asked for, so a stream may reuse
-    one buffer; a slice of another shape raises ValueError."""
+    Sobolev sum runs too.  Each slice is transformed before the next is
+    asked for, so a stream may reuse one buffer; a slice of another
+    shape raises ValueError."""
     jmin, jmax = default_band(grid)
     low, annuli = _annulus_multipliers(grid)
-    weight = grid.sobolev_weight(s, False) if sobolev else None
+    weight = grid.sobolev_weight(s, False)
     # gather each table into mult; fhat * mult is inverted in piece, and
     # the block's magnitudes go back into mult
     fhat = np.empty(grid.shape, dtype=complex)
@@ -149,13 +150,12 @@ def sobolev_besov_norms(grid: Grid, slices, s: float, p: float,
 
     for values in slices:
         np.fft.fftn(values, out=fhat)
-        norm = None if weight is None else _sobolev_sum(grid, fhat, weight,
-                                                        piece, mult)
+        norm = _sobolev_sum(grid, fhat, weight, piece, mult)
         terms = [2.0 ** (j * s) * block_norm(*block)
                  for j, block in zip(range(jmin, jmax + 1), annuli)]
         if not homogeneous:
             terms.append(block_norm(*low))
-        yield norm, peak_factored_norms([terms], q)[0]
+        yield norm, peak_factored_norms([terms], 2.0)[0]
 
 
 def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
@@ -219,16 +219,16 @@ def directions_weights(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _fibonacci_sphere(ANGLES), np.full(ANGLES, 4.0 * np.pi / ANGLES)
 
 
-def offsets_kernel(grid: Grid, s: float, q: float,
+def offsets_kernel(grid: Grid, s: float, *,
                    shells: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """All offset vectors y of the polar quadrature with `shells` radii,
-    and the kernel |y|^(-N-sq) times the dy weight of each, at
-    smoothness s and summability q."""
+    and the kernel |y|^(-N-2s) times the dy weight of each, at
+    smoothness s."""
     r, wr = radii_weights(grid, shells)
     dirs, wd = directions_weights(grid.dim)
     offsets = r[:, None, None] * dirs[None, :, :]
     weights = (r ** (grid.dim - 1) * wr)[:, None] * wd[None, :]
-    kernel = (r ** (-grid.dim - s * q))[:, None] * weights
+    kernel = (r ** (-grid.dim - s * 2.0))[:, None] * weights
     return offsets.reshape(-1, grid.dim), kernel.reshape(-1)
 
 
@@ -253,41 +253,36 @@ def translation_increments(stacks, grid: Grid, offsets):
             yield i, j, incs
 
 
-def besov_norm_fd(f: Field, s: float, p: float, q: float = 2.0,
+def besov_norm_fd(f: Field, s: float, p: float, *,
                   shells: int = 32) -> float:
     """Finite-difference Besov norm, truncated to offsets |y| <= L/2.
 
     ( sum over quadrature nodes of
-      ||f(.-y) - f||_Lp^q |y|^(-N-sq) * weight )^(1/q).
+      ||f(.-y) - f||_Lp^2 |y|^(-N-2s) * weight )^(1/2).
     The norm is homogeneous by construction (constants give zero).
     """
     if not 0.0 < s < 1.0:
         raise ValueError(
             f"difference characterization needs 0 < s < 1, got {s}")
-    if np.isinf(q):
-        raise ValueError("difference characterization needs q < inf")
-    offsets, kernel = offsets_kernel(f.grid, s, q, shells)
+    offsets, kernel = offsets_kernel(f.grid, s, shells=shells)
     diffs = [lp_norm(incs[0], p, f.grid.cell_volume)
              for _, _, incs in translation_increments([[f.values]], f.grid,
                                                       offsets)]
-    return peak_factored_norms([diffs], q, kernel)[0]
+    return peak_factored_norms([diffs], 2.0, kernel)[0]
 
 
 def spacetime_norm(grid: Grid, slices, dt: float, s: float, p: float,
-                   q: float, homogeneous: bool = False,
-                   sobolev: bool = True) -> tuple:
+                   q: float, *, homogeneous: bool = False) -> tuple:
     """(sup_t ||u(t)||_{H^s}, ( integral_0^T ||u(t)||_{B^s_{p,2}}^q dt )^(1/q))
     of the stream `slices` of arrays u(t_m) of grid.shape, t_m = m dt.
 
     Each slice's two norms come from `sobolev_besov_norms`, so a stream
     may reuse one buffer, and each column is integrated in time by
-    `trapezoid_norm`; sobolev=False gives None for the sup.
+    `trapezoid_norm`.
     """
     sup, besov = zip(*sobolev_besov_norms(grid, slices, s, p,
-                                          homogeneous=homogeneous,
-                                          sobolev=sobolev))
-    return (trapezoid_norm(sup, dt, math.inf) if sobolev else None,
-            trapezoid_norm(besov, dt, q))
+                                          homogeneous=homogeneous))
+    return trapezoid_norm(sup, dt, math.inf), trapezoid_norm(besov, dt, q)
 
 
 def trapezoid_norm(values, dt: float, q: float) -> float:

@@ -288,8 +288,8 @@ def _difference_bound(grid):
         c = float(rng.uniform(0.0, 1.0))
         delta = float(rng.uniform(0.05, 0.6))
         v = u + delta * (c * u + (1.0 - c) * w)
-        reports.append(besov_difference_report(u, v, CUBIC, 0.4, 2.0, 2.0,
-                                               6.0, theta_nodes=16,
+        reports.append(besov_difference_report(u, v, CUBIC, 0.4, 2.0, 6.0,
+                                               theta_nodes=16,
                                                shells=shells))
     calibration, held_out = reports[:25], reports[25:]
     constant = max((r.lhs - r.k_term) / r.lipschitz_term
@@ -307,10 +307,10 @@ def _difference_bound(grid):
     ratios = []
     for k in range(8):
         v = u + (2.0 ** -k) * psi
-        report = besov_difference_report(u, v, CUBIC, 0.4, 2.0, 2.0, 6.0,
+        report = besov_difference_report(u, v, CUBIC, 0.4, 2.0, 6.0,
                                          theta_nodes=16, shells=shells)
-        ratios.append(report.lhs / besov_norm_fd(v - u, 0.4, 6.0, 2.0,
-                                                 shells))
+        ratios.append(report.lhs / besov_norm_fd(v - u, 0.4, 6.0,
+                                                 shells=shells))
     assert max(ratios[4:]) <= 1.25 * max(ratios[:4])
 
 

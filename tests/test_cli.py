@@ -201,6 +201,21 @@ def test_solve_split_step_overflow_exits_3_without_warning(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_picard_overflow_exits_3_without_warning(tmp_path, capsys):
+    # the datum's transform overflows before the first sweep, and numpy
+    # warns about none of it
+    path, _ = _write_config(
+        tmp_path, integrator="picard",
+        datum={"kind": "gaussian", "amplitude": 1e308, "width": 2.0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", str(path)]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "blew up" in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_unknown_integrator(tmp_path, capsys):
     path, _ = _write_config(tmp_path, integrator="leapfrog")
     assert main(["solve", "--config", str(path)]) == 2

@@ -319,6 +319,26 @@ def test_failed_gate_raises_before_any_solve(direction, monkeypatch,
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+def test_nan_gate_norm_fails_the_gate(monkeypatch, threads):
+    # the largest datum's transform overflows, so its gate norm is NaN
+    # beside a finite base norm; the NaN fails the gate
+    grid = Grid(1, 16, 32.0)
+    base = gaussian(grid, 0.08, 2.0)
+    fam = PerturbationFamily(base, default_direction(base, 0.4), 1e308, 2,
+                             0.4)
+    tg = TimeGrid(0.25, 4)
+    gate = [smallness_check(phi, tg, _config(), PARAMS)
+            for phi in (fam.base, fam.datum(0))]
+    assert gate[0] < 0.1 and math.isnan(gate[1])
+    calls = _count_picard(monkeypatch)
+    with pytest.raises(ValueError, match="reaches nan"):
+        run_dependence(PARAMS, fam, _config(), tg, threads=threads)
+    assert calls["n"] == 0
+    with pytest.raises(RuntimeError, match="smallness nan"):
+        choose_horizon(PARAMS, fam, _config(), 0.25, 4, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 def test_nonconverging_base_solve_raises(family, threads):
     # every solve stops at the cap; rows are flagged, the base raises
     tg = TimeGrid(0.25, 8)
@@ -590,7 +610,7 @@ def test_remainder_decay_threads_match_serial(direction, multiplier_builds):
     # loop, so each block builds every multiplier once
     fam = PerturbationFamily(BASE, direction, 0.01, 3, 0.4)
     tg = TimeGrid(0.25, 8)
-    offsets, _ = offsets_kernel(GRID, 0.4, 2.0, shells=8)
+    offsets, _ = offsets_kernel(GRID, 0.4, shells=8)
     runs = []
     for threads in (1, 2, 3):
         multiplier_builds.clear()
@@ -616,7 +636,7 @@ def test_remainder_phase_peak_memory():
     bases = [trajs[0].field(m) for m in range(tg.slices + 1)]
     rows = [[traj.field(m) for traj in trajs[1:]]
             for m in range(tg.slices + 1)]
-    kwargs = dict(s=0.4, p=2.0, q=2.0, r=6.0, shells=12)
+    kwargs = dict(s=0.4, p=2.0, r=6.0, shells=12)
     remainder_K(bases[:1], rows[:1], CUBIC, **kwargs)  # warm grid caches
     stack, n_theta = 1 + len(rows[0]), 2  # the cubic map's exact nodes
     held = len(bases) * stack + stack + 2 * stack * n_theta + stack / 2
@@ -634,7 +654,7 @@ def test_remainder_row_scratch_stays_two_columns():
     bump = gaussian(grid, 0.5 - 0.2j, 1.5, center=[3.0, 3.0])
     rows = [base + (2.0 ** -k) * bump for k in range(9)]
     nl = PowerNonlinearity(0.7 - 0.3j, 3.0)
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, shells=2)
+    kwargs = dict(s=0.5, p=2.0, r=6.0, shells=2)
     remainder_K([base], [rows[:1]], nl, **kwargs)  # warm grid caches
     one, nine = (traced_peak(remainder_K, [base], [rows[:n]], nl, **kwargs)
                  for n in (1, 9))

@@ -172,6 +172,19 @@ def test_plane_wave_spreads_one_integer_mode(dim):
         plane_wave(grid, [1] * (dim + 1))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_center_has_one_coordinate_per_axis(dim):
+    # one number is taken on every axis; any other shape but (dim,) is
+    # refused rather than read at its first entry
+    grid = Grid(dim, 8, 8.0)
+    assert _same_bits(gaussian(grid, 0.5j, 1.5, 1.0).values,
+                      gaussian(grid, 0.5j, 1.5, [1.0] * dim).values)
+    for center in ([1.0] * (dim - 1), [1.0] * (dim + 1), [[1.0] * dim]):
+        with pytest.raises(ValueError,
+                           match=f"center must have {dim} components"):
+            gaussian(grid, center=center)
+
+
 # ---------------------------------------------------------------- transforms
 
 def forward_transform(f):
@@ -446,7 +459,7 @@ def test_peak_factored_norms_weighted_sums_are_the_old_form(rng, weights, q):
         weights = np.full(33, 0.25 / 32)
         weights[[0, -1]] *= 0.5
     elif weights == "kernel":
-        weights = offsets_kernel(Grid(2, 32, 10.0), 0.4, 2.0)[1]
+        weights = offsets_kernel(Grid(2, 32, 10.0), 0.4)[1]
     else:
         weights = 1.0
     n = np.size(weights) if np.ndim(weights) else 17

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from functools import partial
 
 import numpy as np
@@ -223,21 +224,18 @@ def bump_pair(line_grid):
 
 def test_remainder_vanishes_on_diagonal(bump_pair):
     u, _ = bump_pair
-    assert remainder_K([u], [[u]], CUBIC, s=0.5, p=2.0, q=2.0,
-                       r=6.0)[0][0] == 0.0
+    assert remainder_K([u], [[u]], CUBIC, s=0.5, p=2.0, r=6.0)[0][0] == 0.0
 
 
 def test_remainder_vanishes_for_zero_base(bump_pair, line_grid):
     _, v = bump_pair
     zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
-    assert remainder_K([zero], [[v]], CUBIC, s=0.5, p=2.0, q=2.0,
-                       r=6.0)[0][0] == 0.0
+    assert remainder_K([zero], [[v]], CUBIC, s=0.5, p=2.0, r=6.0)[0][0] == 0.0
 
 
 def test_remainder_positive_off_diagonal(bump_pair):
     u, v = bump_pair
-    assert remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0,
-                       r=6.0)[0][0] > 0.0
+    assert remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, r=6.0)[0][0] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -249,7 +247,7 @@ def test_remainder_batch_matches_single_calls(dim, nl):
     u = gaussian(grid, amplitude=1.0, width=2.0)
     bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
     others = [u + (2.0 ** -k) * bump for k in range(4)]
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, theta_nodes=8, shells=6)
+    kwargs = dict(s=0.5, p=2.0, r=6.0, theta_nodes=8, shells=6)
     (batched,) = remainder_K([u], [others], nl, **kwargs)
     assert batched == tuple(remainder_K([u], [[v]], nl, **kwargs)[0][0]
                             for v in others)
@@ -268,21 +266,21 @@ def test_remainder_exact_nodes_match_full_quadrature(dim, alpha, coupling):
     bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
     others = [u + (2.0 ** -k) * bump for k in range(4)]
     nl = PowerNonlinearity(coupling=coupling, power=alpha)
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, shells=6)
+    kwargs = dict(s=0.5, p=2.0, r=6.0, shells=6)
     (exact,) = remainder_K([u], [others], nl, theta_nodes=16, **kwargs)
     full = _rowwise_remainder(u, others, nl, n_theta=16, **kwargs)
     assert all(value > 0.0 for value in full)
     assert np.allclose(exact, full, rtol=1e-13, atol=0.0)
 
 
-def _rowwise_remainder(u, others, nl, s, p, q, r, n_theta, shells,
+def _rowwise_remainder(u, others, nl, s, p, r, n_theta, shells,
                        matmul=False):
     """remainder_K as it was written, one row and one offset at a time,
     kept here as the reference of the vectorized rows; with matmul the
     theta sum is the `wts @ gap` product it was before that."""
     grid = u.grid
     axes = tuple(range(1, grid.dim + 1))
-    offsets, kernel = offsets_kernel(grid, s, q, shells)
+    offsets, kernel = offsets_kernel(grid, s, shells=shells)
     nodes, wts = fracnls.nonlinearity._gauss_unit(n_theta)
     theta = nodes.astype(complex).reshape((-1,) + (1,) * grid.dim)
     weights = wts.reshape(theta.shape)
@@ -312,7 +310,7 @@ def _rowwise_remainder(u, others, nl, s, p, q, r, n_theta, shells,
                         + np.conj(inc_u) * averaged_gap(nl.dzbar(path_w),
                                                         nl.dzbar(path_u)))
             norms[j, i] = lp_norm(residual, p, grid.cell_volume)
-    return tuple(peak_factored_norms([row], q, kernel)[0] for row in norms)
+    return tuple(peak_factored_norms([row], 2.0, kernel)[0] for row in norms)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -323,7 +321,7 @@ def test_remainder_theta_sum_matches_matmul(dim):
     u = gaussian(grid, amplitude=1.0, width=2.0)
     bump = gaussian(grid, amplitude=0.5, width=1.5, center=[3.0] * dim)
     others = [u + (2.0 ** -k) * bump for k in range(3)]
-    kwargs = dict(s=0.5, p=2.0, q=2.0, r=6.0, shells=6)
+    kwargs = dict(s=0.5, p=2.0, r=6.0, shells=6)
     for nl, n_theta in ((PowerNonlinearity(0.7 - 0.3j, 2.0), 2),
                         (PowerNonlinearity(0.7 - 0.3j, 3.0), THETA_NODES)):
         (values,) = remainder_K([u], [others], nl, **kwargs)
@@ -344,7 +342,7 @@ ENGINE_MAPS = {
     "alpha4-complex": (PowerNonlinearity(0.7 - 0.3j, 4.0), 3),
     "alpha1.5": (PowerNonlinearity(0.7 - 0.3j, 1.5), 8),
 }
-ENGINE_KW = dict(s=0.5, p=2.0, q=2.0, r=6.0, shells=4)
+ENGINE_KW = dict(s=0.5, p=2.0, r=6.0, shells=4)
 
 
 def _engine_fields(dim, count):
@@ -409,12 +407,12 @@ def test_remainder_row_chunks_bitwise_the_rowwise_form(case, theta_nodes,
 def test_remainder_all_slices_checks_its_shape(bump_pair):
     u, v = bump_pair
     with pytest.raises(ValueError, match="2 bases but 1 row sequences"):
-        remainder_K([u, v], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0)
+        remainder_K([u, v], [[v]], CUBIC, s=0.5, p=2.0, r=6.0)
 
 
 def test_remainder_builds_each_multiplier_once(multiplier_builds):
     u, others = _engine_fields(2, 3)
-    offsets, _ = offsets_kernel(u.grid, 0.5, 2.0, ENGINE_KW["shells"])
+    offsets, _ = offsets_kernel(u.grid, 0.5, shells=ENGINE_KW["shells"])
     remainder_K([u, u * 0.5], [others, others[:2]], CUBIC, **ENGINE_KW)
     assert multiplier_builds == [tuple(y) for y in offsets]
 
@@ -431,7 +429,7 @@ def _node_counts(monkeypatch, nl, theta_nodes):
     monkeypatch.setattr(fracnls.nonlinearity, "_gauss_unit", spy)
     grid = Grid(1, 32, 16.0)
     u = gaussian(grid, amplitude=1.0, width=2.0)
-    remainder_K([u], [[u * 0.5, u * 0.25]], nl, s=0.5, p=2.0, q=2.0, r=6.0,
+    remainder_K([u], [[u * 0.5, u * 0.25]], nl, s=0.5, p=2.0, r=6.0,
                 theta_nodes=theta_nodes, shells=4)
     return asked
 
@@ -456,8 +454,7 @@ def test_remainder_node_count_is_an_upper_bound(monkeypatch):
 
 def test_remainder_batch_diagonal_row_is_zero(bump_pair):
     u, v = bump_pair
-    (values,) = remainder_K([u], [[v, u, v]], CUBIC, s=0.5, p=2.0, q=2.0,
-                            r=6.0)
+    (values,) = remainder_K([u], [[v, u, v]], CUBIC, s=0.5, p=2.0, r=6.0)
     assert values[1] == 0.0
     assert values[0] == values[2] > 0.0
 
@@ -466,25 +463,22 @@ def test_remainder_batch_checks_grids(bump_pair, plane_grid):
     u, v = bump_pair
     elsewhere = gaussian(plane_grid, amplitude=1.0, width=2.0)
     with pytest.raises(ValueError, match="different grids"):
-        remainder_K([u], [[v, elsewhere]], CUBIC, s=0.5, p=2.0, q=2.0,
-                    r=6.0)
+        remainder_K([u], [[v, elsewhere]], CUBIC, s=0.5, p=2.0, r=6.0)
 
 
 def test_remainder_validates_exponents(bump_pair):
     u, v = bump_pair
     with pytest.raises(ValueError, match="p < r"):
-        remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=2.0)
+        remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, r=2.0)
     with pytest.raises(ValueError, match="0 < s < 1"):
-        remainder_K([u], [[v]], CUBIC, s=1.2, p=2.0, q=2.0, r=6.0)
-    with pytest.raises(ValueError, match="summability"):
-        remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=np.inf, r=6.0)
+        remainder_K([u], [[v]], CUBIC, s=1.2, p=2.0, r=6.0)
 
 
 def test_remainder_self_convergence(bump_pair):
     u, v = bump_pair
-    coarse = remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
+    coarse = remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, r=6.0,
                          theta_nodes=32, shells=32)[0][0]
-    fine = remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0, r=6.0,
+    fine = remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, r=6.0,
                        theta_nodes=64, shells=64)[0][0]
     assert abs(coarse - fine) < 0.01 * fine
 
@@ -495,8 +489,8 @@ def test_remainder_decays_along_perturbations(line_grid):
     values = []
     for k in range(11):
         v = u + (2.0 ** -k) * psi
-        values.append(remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, q=2.0,
-                                  r=6.0, theta_nodes=16, shells=16)[0][0])
+        values.append(remainder_K([u], [[v]], CUBIC, s=0.5, p=2.0, r=6.0,
+                                  theta_nodes=16, shells=16)[0][0])
     values = np.array(values)
     assert np.all(np.diff(values) < 0.0)
     assert values[-1] < 1e-3 * values[0]
@@ -504,16 +498,29 @@ def test_remainder_decays_along_perturbations(line_grid):
 
 # ----------------------------------------------------------- difference report
 
+def test_difference_functions_take_no_summability(bump_pair):
+    # the exponents are (s, p, r); theta_nodes and shells are
+    # keyword-only, so a stale positional summability is refused
+    for fn in (remainder_K, besov_difference_report,
+               fracnls.nonlinearity._check_difference_exponents):
+        assert "q" not in inspect.signature(fn).parameters, fn.__name__
+    u, v = bump_pair
+    with pytest.raises(TypeError, match="positional"):
+        remainder_K([u], [[v]], CUBIC, 0.5, 2.0, 2.0, 6.0)
+    with pytest.raises(TypeError, match="positional"):
+        besov_difference_report(u, v, CUBIC, 0.5, 2.0, 2.0, 6.0)
+
+
 def test_difference_exponents_sigma():
     sigma = fracnls.nonlinearity._check_difference_exponents
-    assert sigma(0.5, 2.0, 2.0, 6.0, 2.0) == pytest.approx(6.0)
-    assert sigma(0.5, 2.0, 2.0, 6.0, 0.5) == pytest.approx(1.5)
-    assert sigma(0.5, 2.0, 2.0, np.inf, 1.0) == pytest.approx(2.0)
+    assert sigma(0.5, 2.0, 6.0, 2.0) == pytest.approx(6.0)
+    assert sigma(0.5, 2.0, 6.0, 0.5) == pytest.approx(1.5)
+    assert sigma(0.5, 2.0, np.inf, 1.0) == pytest.approx(2.0)
 
 
 def test_difference_report_diagonal(bump_pair):
     u, _ = bump_pair
-    report = besov_difference_report(u, u, CUBIC, 0.5, 2.0, 2.0, 6.0)
+    report = besov_difference_report(u, u, CUBIC, 0.5, 2.0, 6.0)
     assert report.lhs == 0.0
     assert report.k_term == 0.0
     assert report.lipschitz_term == 0.0
@@ -522,10 +529,9 @@ def test_difference_report_diagonal(bump_pair):
 def test_difference_report_zero_base(bump_pair, line_grid):
     _, v = bump_pair
     zero = Field(line_grid, np.zeros(line_grid.shape, dtype=complex))
-    report = besov_difference_report(zero, v, CUBIC, 0.5, 2.0, 2.0, 6.0)
+    report = besov_difference_report(zero, v, CUBIC, 0.5, 2.0, 6.0)
     assert report.k_term == 0.0
-    direct = besov_norm_fd(Field(line_grid, CUBIC.g(v.values)), 0.5, 2.0,
-                           2.0)
+    direct = besov_norm_fd(Field(line_grid, CUBIC.g(v.values)), 0.5, 2.0)
     assert report.lhs == pytest.approx(direct, rel=1e-12)
     assert report.sigma == pytest.approx(6.0)
     # with no base field the refined form collapses onto the Lipschitz term
@@ -533,33 +539,33 @@ def test_difference_report_zero_base(bump_pair, line_grid):
 
 
 def test_difference_report_lipschitz_ratio_bounded(line_grid):
-    # power >= 1: lhs / ||v - u|| at (s, r, q) must not blow up as v -> u
+    # power >= 1: lhs / ||v - u|| at (s, r) must not blow up as v -> u
     u = gaussian(line_grid, amplitude=1.0, width=2.0)
     psi = gaussian(line_grid, amplitude=1.0, width=1.5, center=2.0)
     shells = 16
     ratios = []
     for k in range(8):
         v = u + (2.0 ** -k) * psi
-        report = besov_difference_report(u, v, CUBIC, 0.5, 2.0, 2.0, 6.0,
+        report = besov_difference_report(u, v, CUBIC, 0.5, 2.0, 6.0,
                                          theta_nodes=16, shells=shells)
-        gap = besov_norm_fd(v - u, 0.5, 6.0, 2.0, shells)
+        gap = besov_norm_fd(v - u, 0.5, 6.0, shells=shells)
         ratios.append(report.lhs / gap)
     first = max(ratios[:4])
     second = max(ratios[4:])
     assert second <= 1.25 * first
 
 
-def _report_from_single_calls(u, v, nl, s, p, q, r, theta_nodes, shells):
+def _report_from_single_calls(u, v, nl, s, p, r, theta_nodes, shells):
     """besov_difference_report as it was written: each norm by its own
     single-field call, each with its own offset loop."""
-    sigma = fracnls.nonlinearity._check_difference_exponents(s, p, q, r,
+    sigma = fracnls.nonlinearity._check_difference_exponents(s, p, r,
                                                              nl.power)
-    smooth_r = partial(besov_norm_fd, s=s, p=r, q=q, shells=shells)
+    smooth_r = partial(besov_norm_fd, s=s, p=r, shells=shells)
     image_gap = Field(v.grid, nl.g(v.values)) - Field(u.grid, nl.g(u.values))
-    lhs = besov_norm_fd(image_gap, s, p, q, shells)
+    lhs = besov_norm_fd(image_gap, s, p, shells=shells)
     v_sigma = lebesgue_norm(v, sigma)
     lipschitz = v_sigma ** nl.power * smooth_r(v - u)
-    k_term = remainder_K([u], [[v]], nl, s, p, q, r,
+    k_term = remainder_K([u], [[v]], nl, s, p, r,
                          theta_nodes=theta_nodes, shells=shells)[0][0]
     u_smooth = smooth_r(u)
     gap_sigma = lebesgue_norm(v - u, sigma)
@@ -586,6 +592,6 @@ def test_difference_report_is_its_single_calls(dim, nl):
 def test_difference_report_builds_each_multiplier_once(multiplier_builds):
     u, (v,) = _engine_fields(2, 1)
     shells = ENGINE_KW["shells"]
-    offsets, _ = offsets_kernel(u.grid, 0.5, 2.0, shells)
-    besov_difference_report(u, v, CUBIC, 0.5, 2.0, 2.0, 6.0, shells=shells)
+    offsets, _ = offsets_kernel(u.grid, 0.5, shells=shells)
+    besov_difference_report(u, v, CUBIC, 0.5, 2.0, 6.0, shells=shells)
     assert multiplier_builds == [tuple(y) for y in offsets]

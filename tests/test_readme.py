@@ -5,13 +5,16 @@ is a key of the schema, and every datum and direction kind builds from
 its documented defaults in every dimension."""
 
 import argparse
+import importlib
 import inspect
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import fracnls
 from fracnls import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -114,3 +117,30 @@ def test_readme_field_defaults_build_in_every_dimension(tmp_path, dim):
             family = cli._build_family(rc.config, rc.grid, rc.params,
                                        rc.seed)
             assert family.base.grid.dim == dim, (where, kind)
+
+
+def _package_functions() -> dict:
+    """Every module-level function defined in the package, by name."""
+    functions = {}
+    for info in pkgutil.iter_modules(fracnls.__path__):
+        module = importlib.import_module(f"fracnls.{info.name}")
+        functions.update(
+            (name, fn) for name, fn in vars(module).items()
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__)
+    return functions
+
+
+def test_readme_signatures_match_the_code():
+    # an inline `name(a, b=...)` outside code blocks, for a package
+    # function and with bare names only, lists its parameters in order
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    functions = _package_functions()
+    quoted = []
+    for name, args in re.findall(r"`(?:\w+\.)*(\w+)\(([^`]*)\)`", prose):
+        names = [arg.split("=")[0] for arg in args.split(", ")]
+        if name in functions and all(n.isidentifier() for n in names):
+            quoted.append((name, names))
+    assert quoted
+    assert [(name, names) for name, names in quoted
+            if names != list(inspect.signature(functions[name]).parameters)
+            ] == []

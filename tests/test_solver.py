@@ -1,5 +1,7 @@
 """Integrator tests: free-flow exactness, oracle cross-checks, failure modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -437,6 +439,18 @@ def test_picard_overflow_raises_blowup():
     phi = gaussian(grid, 40.0, 2.0)
     with pytest.raises(BlowUpError):
         picard_duhamel(phi, CUBIC, TimeGrid(1.0, 64), _config())
+
+
+def test_picard_overflowing_datum_raises_blowup_without_warning():
+    # the datum's transform overflows before the first sweep; the first
+    # iterate and the sweep go NaN without a warning, and the sweep's
+    # distance raises
+    grid = Grid(1, 64, 32.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError):
+            picard_duhamel(gaussian(grid, 1e308, 2.0), CUBIC,
+                           TimeGrid(0.25, 8), _config())
 
 
 def test_picard_overflow_in_multi_block_slice_raises_blowup():
