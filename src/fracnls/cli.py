@@ -8,12 +8,12 @@ embeds a short hash of the canonicalized config so outputs can be
 matched to the exact run that produced them, and reruns with the same
 config, seed and thread count are byte-identical.
 
-Exit codes: 0 success, 1 check failure, 2 config or usage error,
+Exit codes: 0 success, 1 check failure, 2 config or usage error (a run
+whose arrays do not fit in memory included),
 3 solver non-convergence or blow-up.
 """
 
 import argparse
-import hashlib
 import inspect
 import json
 import sys
@@ -34,6 +34,16 @@ from .solver import (BlowUpError, NonConvergenceError, PicardConfig,
                      TimeGrid, picard_duhamel, split_step)
 from .spaces import sobolev_besov_norms, sobolev_norm
 
+# CPython's builtin SHA-256 gives hashlib's digest without loading
+# OpenSSL's libcrypto (3.5 MiB of resident memory)
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.11
+    except ImportError:
+        from hashlib import sha256
+
 __all__ = ["ConfigError", "RunConfig", "config_hash", "main"]
 
 
@@ -44,7 +54,7 @@ class ConfigError(Exception):
 def config_hash(config: dict) -> str:
     """Short stable digest of the canonicalized config."""
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+    return sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 # ----------------------------------------------------------- config schema
@@ -500,6 +510,10 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: grid.points and time.slices ask for more "
+              f"memory than there is: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)

@@ -130,11 +130,10 @@ class Grid:
 
     def sobolev_weight(self, s: float, homogeneous: bool) -> np.ndarray:
         """|k|^(2s) (homogeneous; 0^s = 0 drops the mean) or (1+|k|^2)^s
-        on the mesh, not cached: the power of each |k|^2 level, gathered
-        through the level index, the only mesh array a grid keeps."""
+        as a table over the |k|^2 levels, not cached: gathered through
+        the level index, it is bitwise the power taken on the mesh."""
         levels = self.wavenumber_levels[0]
-        return self.gather(np.power(levels if homogeneous else 1.0 + levels,
-                                    float(s)))
+        return np.power(levels if homogeneous else 1.0 + levels, float(s))
 
     @cached_property
     def wavenumber_levels(self) -> tuple[np.ndarray, np.ndarray]:

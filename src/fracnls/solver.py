@@ -232,14 +232,16 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     place.  The new slice is built in the integrand's slice, over axis-0
     row blocks of at most grid._BLOCK_BYTES; each block is copied into
     the stack, and the increment's magnitudes go over the integrand's
-    bytes.  Beside the stack a sweep holds phihat, three scratch slices
-    (the integrand, the running sum and its first half term), one row
-    block, the |k|^2 level index (an eighth of a slice at uint16) and the
-    slice's phases exp(+-i t_m |k|^2) on the |k|^2 levels.  The first
-    iterate is built before the running sum and its half term exist, and
-    phi is dropped once slice 0 and phihat are taken, so a caller that
-    does not keep the datum holds none during the sweeps.  The stack is
-    handed to the returned trajectory without a copy.
+    bytes.  Beside the stack a sweep holds phihat, two scratch slices
+    (the integrand and the running sum), one row block, the |k|^2 level
+    index (an eighth of a slice at uint16) and the slice's phases
+    exp(+-i t_m |k|^2) on the |k|^2 levels.  The running sum starts at
+    half the first integrand, so the trapezoid's end terms need no slice
+    of their own.  The first iterate is built in the integrand's slice,
+    in the sweep's operand order, so zero coupling gives distance 0.0
+    on every grid; phi is dropped once slice 0 and phihat are taken, so
+    a caller that does not keep the datum holds none during the sweeps.
+    The stack is handed to the returned trajectory without a copy.
 
     Returns (trajectory, report).  Raises NonConvergenceError when
     max_iter sweeps do not reach the relative tolerance (the usual cause
@@ -265,18 +267,17 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
         u = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
         u[0] = phi.values
         del phi
-        # complex multiply is not bitwise commutative, and for slices of
-        # 256 KiB and up numpy evaluates this product in its temporary, as
-        # conj * phihat; the expression stays as it is to keep those bits
+        # phihat * rewind, the sweep's last product at zero coupling
         for m in range(1, tg.slices + 1):
             _phase_row(1j, tg.times[m], levels, unwind)
-            np.fft.ifftn(phihat * np.conj(grid.gather(unwind, ghat)), out=u[m])
+            grid.gather(np.conj(unwind, out=rewind), ghat)
+            np.fft.ifftn(np.multiply(phihat, ghat, out=ghat), out=u[m])
         # each block is written in place, in the operand order of
-        #   new = ifftn(rewind * (phihat + 1j dt (running - half0 - g / 2)))
-        # with the integrand g in ghat and the bracket in the block buffer,
-        # whose product with the rewind phase, conj(unwind), lands in ghat
+        #   new = ifftn((phihat + 1j dt (running - g / 2)) * rewind)
+        # with running = g_0 / 2 + g_1 + ... + g_m, the integrand g in
+        # ghat and the bracket in the block buffer, whose product with the
+        # rewind phase, conj(unwind), lands in ghat
         running = np.empty(grid.shape, dtype=complex)
-        half0 = np.empty(grid.shape, dtype=complex)
         blocks = _row_blocks(grid.shape)
         buf = np.empty((blocks[0].stop,) + grid.shape[1:], dtype=complex)
         blocks = [(b, buf[:b.stop - b.start]) for b in blocks]
@@ -300,18 +301,16 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                     np.multiply(np.take(unwind, index[b], out=a,
                                         mode="wrap"), g, out=g)
                     if m == 0:
+                        np.multiply(0.5, g, out=running[b])
                         continue
                     running[b] += g
-                    np.subtract(running[b], half0[b], out=a)
-                    a -= np.multiply(0.5, g, out=g)
+                    np.subtract(running[b], np.multiply(0.5, g, out=g), out=a)
                     a *= tg.dt
                     a *= 1j
                     a += phihat[b]
                     np.multiply(a, np.take(rewind, index[b], out=g,
                                            mode="wrap"), out=g)
                 if m == 0:
-                    np.copyto(running, ghat)
-                    np.multiply(0.5, running, out=half0)
                     continue
                 np.fft.ifftn(ghat, out=ghat)
                 for b, a in blocks:

@@ -34,7 +34,7 @@ import itertools
 import math
 import numpy as np
 
-from .grid import Field, Grid, lp_norm, peak_factored_norms
+from .grid import Field, Grid, _row_blocks, lp_norm, peak_factored_norms
 
 
 # ------------------------------------------------------------- dyadic blocks
@@ -168,12 +168,17 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
 
 
 def _sobolev_sum(grid: Grid, fhat, weight, scaled, mags) -> float:
-    """sqrt(sum weight |c_k|^2): c_k = fhat h^N L^(-N/2) goes into the
-    complex array scaled (fhat allowed), |c_k|^2 into the float mags."""
+    """sqrt(sum weight[index] |c_k|^2) for the level table weight of
+    `Grid.sobolev_weight`: c_k = fhat h^N L^(-N/2) goes into the complex
+    array scaled (fhat allowed), |c_k|^2 into the float mags, which is
+    multiplied by the weight gathered one row block at a time, so no
+    mesh-sized weight is built."""
     np.multiply(fhat, grid.cell_volume / grid.period ** (grid.dim / 2.0),
                 out=scaled)
     np.square(np.abs(scaled, out=mags), out=mags)
-    mags *= weight
+    index = grid.wavenumber_levels[1]
+    for b in _row_blocks(grid.shape, np.dtype(np.intp).itemsize):
+        mags[b] *= np.take(weight, index[b], mode="wrap")
     return float(np.sqrt(np.sum(mags)))
 
 

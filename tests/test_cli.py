@@ -1,7 +1,11 @@
 """End-to-end checks of the batch front door: exit codes, artifacts,
 reproducibility."""
 
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -20,6 +24,8 @@ from fracnls.nonlinearity import PowerNonlinearity
 from fracnls.solver import PicardConfig, TimeGrid, picard_duhamel
 from trajectories import stack_bytes, traced_peak
 
+REPO = Path(__file__).resolve().parents[1]
+PERFBENCH, SRC = REPO / "perfbench", REPO / "src"
 PROBLEM = {"dimension": 1, "regularity": 0.4, "power": 2.0, "coupling": 1.0}
 
 
@@ -769,6 +775,82 @@ def test_config_hash_ignores_key_order():
     b = {"beta": {"y": 3, "x": 2}, "alpha": 1}
     assert config_hash(a) == config_hash(b)
     assert len(config_hash(a)) == 12
+
+
+def _benchmark_workloads():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+def test_config_hash_is_the_hashlib_digest():
+    # the builtin SHA-256 gives hashlib's digest, which is the hash line
+    # of each benchmark reference artifact
+    workloads = _benchmark_workloads()
+    for workload in workloads.WORKLOADS.values():
+        config = workload.config(workloads.DEFAULT_SEED)
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        assert config_hash(config) == digest
+        reference = workloads.REFERENCE_DIR / f"{workload.name}.csv"
+        assert reference.read_text().splitlines()[0] \
+            == f"# config_hash={digest}"
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name)
+                            for name in ("_sha2", "_sha256")),
+                    reason="no builtin SHA-256 module")
+def test_cli_import_loads_no_libcrypto():
+    # hashlib's _hashlib maps OpenSSL's libcrypto (3.5 MiB resident)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracnls.cli; print('_hashlib' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_solve_stack_beyond_memory_is_a_config_error(tmp_path):
+    # 2D 512^2 with 4096 slices asks for a 16 GiB stack; the child caps
+    # its own address space at 2 GiB first, so the request fails at once
+    path, config = _write_config(
+        tmp_path, problem=dict(PROBLEM, dimension=2),
+        grid={"points": 512, "period": 32.0},
+        time={"horizon": 0.25, "slices": 4096})
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "from fracnls.cli import main\n"
+             f"sys.exit(main(['solve', '--config', {str(path)!r}]))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", child],
+        env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+                 OMP_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("config error: grid.points and "
+                                    "time.slices ")
+    assert "16.0 GiB" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not Path(config["output_dir"]).exists()
+
+
+def test_remainder_matches_the_benchmark_reference_to_rounding(tmp_path):
+    # the benchmark's 1e-8 tolerance admits an FFT-backend change; a
+    # change meant to move only rounding must stay within 1e-12
+    workloads = _benchmark_workloads()
+    workload = workloads.WORKLOADS["remainder-2d"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(workload.config(workloads.DEFAULT_SEED)))
+    out = tmp_path / "out"
+    assert main(["remainder", "--config", str(path), "--output", str(out),
+                 "--threads", str(workload.threads)]) == 0
+    assert workloads.compare_to_reference(
+        out / "remainder.csv",
+        workloads.REFERENCE_DIR / "remainder-2d.csv", rtol=1e-12) == []
 
 
 def test_config_time_needs_step_or_slices(tmp_path, capsys):

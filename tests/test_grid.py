@@ -101,7 +101,8 @@ def test_narrow_index_gathers_are_the_intp_gathers_bitwise(dim, points,
     for table, _ in [low] + annuli:
         assert grid.gather(table).tobytes() == table[wide].tobytes()
     for s, homogeneous in ((0.4, False), (0.4, True), (1.0, False)):
-        assert grid.sobolev_weight(s, homogeneous).tobytes() == np.power(
+        weight = grid.gather(grid.sobolev_weight(s, homogeneous))
+        assert weight.tobytes() == np.power(
             levels if homogeneous else 1.0 + levels, s)[wide].tobytes()
     phases = np.exp(-0.37j * levels)
     out = np.empty(grid.shape, dtype=complex)
@@ -135,13 +136,15 @@ def test_open_mesh_functions_match_full_meshes_bitwise(grid):
     dim = grid.dim
     k2 = total(ka ** 2 for ka in ks)
     # |k|^2 is gathered from its level table and not cached; the
-    # multipliers of |k|^2 take their pow and exp on the levels
+    # multipliers of |k|^2 take their pow and exp on the levels, and the
+    # Sobolev weights are level tables, gathered onto the mesh here
     assert _same_bits(grid.wavenumber_square, k2)
     assert grid.wavenumber_square is not grid.wavenumber_square
     for s in (0.4, 0.75, 1.0):
-        assert _same_bits(grid.sobolev_weight(s, False),
+        assert _same_bits(grid.gather(grid.sobolev_weight(s, False)),
                           np.power(1.0 + k2, s))
-        assert _same_bits(grid.sobolev_weight(s, True), np.power(k2, s))
+        assert _same_bits(grid.gather(grid.sobolev_weight(s, True)),
+                          np.power(k2, s))
     f = gaussian(grid, 0.7 - 0.2j, 1.5, (0.4, -1.1, 2.0)[:dim])
     for t in (0.0, 0.37, -1.25):
         assert _same_bits(free_propagate(f, t).values, np.fft.ifftn(

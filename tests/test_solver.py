@@ -186,6 +186,20 @@ def test_picard_free_case_converges_in_one_sweep(line_grid):
         assert np.abs(traj.field(m).values - ref.field(m).values).max() < 1e-14
 
 
+@pytest.mark.parametrize("dim, points", [(2, 128), (3, 32)])
+def test_picard_zero_coupling_is_exact_on_elision_sized_slices(dim, points):
+    # slices of 256 KiB, numpy's temporary-elision size: the first iterate
+    # is built in the sweep's operand order, phihat * rewind, so the one
+    # sweep at zero coupling reproduces it bit for bit
+    grid = Grid(dim, points, 32.0)
+    params = ProblemParams(dimension=dim, regularity=0.4, power=2.0)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    _, report = picard_duhamel(gaussian(grid, 0.08, 2.0),
+                               PowerNonlinearity(0.0, 2.0),
+                               TimeGrid(0.25, 8), cfg)
+    assert report.distances == (0.0,)
+
+
 def test_picard_plane_wave_phase(line_grid):
     # single mode: exact solution is a pure phase rotation of the datum
     amp, mode = 0.5, 3
@@ -230,7 +244,7 @@ def test_picard_matches_split_step_oracle():
 
 def test_picard_peak_memory_one_stack():
     # the sweep overwrites one stack in place and hands it over; beside
-    # it a sweep holds phihat, three scratch slices, one row block, the
+    # it a sweep holds phihat, two scratch slices, one row block, the
     # slice's phase rows over the |k|^2 levels and the transforms' own
     # buffers
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
@@ -247,8 +261,7 @@ def test_picard_peak_memory_one_stack():
 def test_picard_peak_memory_multi_block_slices():
     # a 256^2 slice spans eight row blocks, and the new slice is built in
     # place in the integrand's slice: beside the stack the trace sees the
-    # caller's datum, phihat, three scratch slices and one row block; a
-    # fourth scratch slice would exceed 6.5
+    # caller's datum, phihat, two scratch slices and one row block
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 256, 32.0)
     warm(grid)
@@ -263,7 +276,7 @@ def test_picard_peak_memory_multi_block_slices():
                                                     (256, 8, 5.0)])
 def test_picard_peak_memory_no_phase_table_or_increment_mesh(points, slices,
                                                               beside):
-    # beside the stack and the caller's datum: phihat, three scratch
+    # beside the stack and the caller's datum: phihat, two scratch
     # slices, one row block and the transforms' buffers.  A phase table
     # over every slice time (nearly four slices at 128^2 with 32 slices)
     # or a float mesh of increment magnitudes (half a slice) would not fit
@@ -277,6 +290,21 @@ def test_picard_peak_memory_no_phase_table_or_increment_mesh(points, slices,
     assert peak <= stack_bytes(grid, tg) + beside * grid.size * 16
 
 
+def test_picard_peak_memory_two_scratch_slices():
+    # beside the stack and the caller's datum: phihat, the integrand and
+    # the running sum, one row block and the transforms' buffers (3.62
+    # slices measured); a mesh for the running sum's first half term, or
+    # a temporary for the first iterate's product, would exceed 4
+    params = ProblemParams(dimension=3, regularity=0.4, power=2.0)
+    grid = Grid(3, 32, 32.0)
+    warm(grid)
+    phi = gaussian(grid, 0.08, 2.0)
+    tg = TimeGrid(0.25, 16)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    peak = traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
+    assert peak <= stack_bytes(grid, tg) + 4.0 * grid.size * 16
+
+
 def _datum_solve_and_norms(grid):
     params = ProblemParams(dimension=grid.dim, regularity=0.4, power=2.0)
     phi = gaussian(grid, 0.1, 2.0)
@@ -288,8 +316,8 @@ def _datum_solve_and_norms(grid):
 
 def test_grid_and_norm_caches_retain_few_fields():
     # what a solve and its norms leave cached: the narrow |k|^2 level
-    # index, one Sobolev weight and the mask are mesh sized;
-    # |k|^2 is not kept, and the coordinates, wavenumbers and Besov
+    # index is the one mesh-sized array; |k|^2, the mask and the Sobolev
+    # weight are not kept, and the coordinates, wavenumbers and Besov
     # multipliers are axis vectors and level tables
     grid = Grid(3, 32, 32.0)
     spaces._annulus_multipliers.cache_clear()  # the trace counts the tables
@@ -308,7 +336,8 @@ def test_free_trajectory_peak_memory_one_stack():
 
 def _three_stack_picard(phi, nl, tg, cfg):
     """The Picard sweep as it was written with a phase stack and two
-    iterate stacks, kept here as the bitwise reference."""
+    iterate stacks, in the operand order of the one-stack sweep, kept
+    here as the bitwise reference."""
     grid = phi.grid
     tcol = tg.times.reshape((-1,) + (1,) * grid.dim)
     unwind = np.exp(1j * tcol * full_mesh_wavenumber_square(grid))
@@ -317,24 +346,24 @@ def _three_stack_picard(phi, nl, tg, cfg):
     current, new = np.empty_like(unwind), np.empty_like(unwind)
     current[0] = new[0] = phi.values
     for m in range(1, tg.slices + 1):
-        np.fft.ifftn(phihat * np.conj(unwind[m]), out=current[m])
-    ghat, integrand, running, half0 = (np.empty(grid.shape, dtype=complex)
-                                       for _ in range(4))
+        np.fft.ifftn(np.multiply(phihat, np.conj(unwind[m])), out=current[m])
+    ghat, integrand, running = (np.empty(grid.shape, dtype=complex)
+                                for _ in range(3))
     distances = []
     for _ in range(cfg.max_iter):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             for m in range(tg.slices + 1):
                 np.fft.fftn(nl.g(current[m]), out=ghat)
                 ghat *= keep
-                if m == 0:
-                    np.multiply(unwind[0], ghat, out=running)
-                    np.multiply(0.5, running, out=half0)
-                    continue
                 np.multiply(unwind[m], ghat, out=integrand)
+                if m == 0:
+                    # the running sum starts at half the first integrand
+                    np.multiply(0.5, integrand, out=running)
+                    continue
                 running += integrand
                 buf = new[m]
-                np.subtract(running, half0, out=buf)
-                buf -= np.multiply(0.5, integrand, out=ghat)
+                np.subtract(running, np.multiply(0.5, integrand, out=ghat),
+                            out=buf)
                 buf *= tg.dt
                 buf *= 1j
                 buf += phihat
