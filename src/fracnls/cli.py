@@ -102,12 +102,16 @@ _COUNT = (_is_count, "an integer", int)
 _NODES = (lambda v: _is_count(v) and v >= 2, "an integer >= 2", int)
 _NATURAL = (lambda v: _is_count(v) and _is_real(v) and v >= 0,
             "a non-negative integer in the float range", int)
+_SEED = (lambda v: _is_count(v) and v >= 0, "a non-negative integer",
+         int)  # np.random.default_rng takes no negative seed
 _INT64 = (lambda v: _is_count(v) and -2 ** 63 <= v < 2 ** 63,
           "a 64-bit integer", int)  # the integer numpy takes
 _REAL = (_is_real, "a number", float)
 _POSITIVE = (lambda v: _is_real(v) and v > 0, "a positive number", float)
 _WIDTH = (lambda v: _is_real(v) and 1e-150 <= v <= 1e150,
           "a number in [1e-150, 1e150]", float)  # width ** 2 is normal
+_CENTER = (lambda v: _is_real(v) and abs(v) <= 1e150,
+           "a number in [-1e150, 1e150]", float)  # (x - center) ** 2 is finite
 _COMPLEX = (_is_complex, "a number or [re, im]", _as_complex)
 
 _REQUIRED = object()  # a missing key is a config error
@@ -128,7 +132,7 @@ _SCHEMA = {
         "time": (_OBJECT, _UNSET), "datum": (_OBJECT, _UNSET),
         "direction": (_OBJECT, {}), "family": (_OBJECT, _UNSET),
         "auto_horizon": (_OBJECT, _UNSET), "solver": (_OBJECT, {}),
-        "remainder": (_OBJECT, {}), "seed": (_COUNT, None),
+        "remainder": (_OBJECT, {}), "seed": (_SEED, None),
         "output_dir": (_TEXT, "."),
         "integrator": (_INTEGRATOR, "picard"), "snapshots": (_LIST, []),
         "cross_check": (_FLAG, run_dependence),
@@ -152,11 +156,11 @@ _SCHEMA = {
                   "static": (_FLAG, False)},
     "gaussian": {"amplitude": (_COMPLEX, gaussian),
                  "width": (_WIDTH, gaussian),
-                 "center": (_one_or_dim(_REAL), gaussian)},
+                 "center": (_one_or_dim(_CENTER), gaussian)},
     "plane_wave": {"mode": (_one_or_dim(_INT64), 1),
                    "amplitude": (_COMPLEX, plane_wave)},
     "random": {"band": (_NATURAL, 6)},
-    "default": {"center": (_REAL, default_direction),
+    "default": {"center": (_CENTER, default_direction),
                 "width": (_WIDTH, default_direction)},
 }
 _KINDS = {"datum": ("gaussian", "plane_wave", "random"),

@@ -138,7 +138,7 @@ def choose_horizon(params: ProblemParams, family: PerturbationFamily,
                 return tg, smallness
             tg = TimeGrid(0.5 * tg.horizon, max(2, tg.slices // 2))
     raise RuntimeError(
-        f"smallness {worst:.4f} still >= {cfg.smallness_delta} "
+        f"smallness {worst:.5g} still >= {cfg.smallness_delta} "
         "after 60 halvings; the datum itself is too large "
         "for the threshold")
 
@@ -334,20 +334,21 @@ def _solve_family(submit, params: ProblemParams, family: PerturbationFamily,
     """Gate the family on tg, then solve the base and one task per row.
 
     A given (base, worst) smallness pair is checked as is.  Row k's task
-    returns row_step(k, datum, _solve(datum, ...), base future).  Returns
-    the gate norms, the base trajectory and the row results by index."""
+    returns row_step(k, _solve(datum k, ...), base future); the datum is
+    dropped once its solve returns, as the trajectory's slice 0 is the
+    datum bit for bit.  Returns the gate norms, the base trajectory and
+    the row results by index."""
     if smallness is None:
         smallness = _endpoint_smallness(submit, family, tg, cfg, params)
     worst = float(np.max(smallness))  # NaN if either norm is, and fails
     if not worst < cfg.smallness_delta:
-        raise ValueError(f"free evolution reaches {worst:.4f} >= "
+        raise ValueError(f"free evolution reaches {worst:.5g} >= "
                          f"{cfg.smallness_delta} over the horizon; shrink "
                          "it (see choose_horizon)")
     base = submit(picard_duhamel, family.base, nl, tg, cfg)
 
     def row(k: int):
-        datum = family.datum(k)
-        return row_step(k, datum, _solve(datum, nl, tg, cfg), base)
+        return row_step(k, _solve(family.datum(k), nl, tg, cfg), base)
 
     pending = [submit(row, k) for k in range(family.depth + 1)]
     # a failed base solve fails the rows waiting on it; raise its own
@@ -372,8 +373,10 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
 
     The family is solved on one pool of `threads` workers (see
     `_solve_family`).  Beside the shared base a row holds only its own
-    trajectory stack, dropped when its task ends: it streams the oracle
-    slices for its gap, then forms traj[m] - base[m] in one slice
+    trajectory stack, dropped when its task ends, and no datum: the
+    oracle and the input distance start from the stack's slice 0.  It
+    streams the oracle slices for its gap, stepped in place in a few
+    slices of their own, then forms traj[m] - base[m] in one slice
     buffer, takes its Lebesgue norm and hands it to `spacetime_norm`,
     whose one forward transform per slice gives the sup-Sobolev and
     Besov values, before the next slice is formed.
@@ -384,8 +387,9 @@ def run_dependence(params: ProblemParams, family: PerturbationFamily,
     p_sigma = sigma(params)
     grid = family.base.grid
 
-    def measure_row(k, datum, solved, base) -> DependenceRow:
+    def measure_row(k, solved, base) -> DependenceRow:
         traj, rep = solved
+        datum = traj.field(0)
         buf = np.empty(grid.shape, dtype=complex)
         gap = agrees = None
         if cross_check:
@@ -474,7 +478,7 @@ def remainder_decay_experiment(params: ProblemParams,
     with _task_runner(threads) as submit:
         _, base_traj, solved = _solve_family(  # keep (trajectory, converged)
             submit, params, family, cfg, tg, nl,
-            lambda k, datum, row, base: (row[0], row[1].converged))
+            lambda k, row, base: (row[0], row[1].converged))
         blocks = np.array_split(np.arange(tg.slices + 1),
                                 min(threads, tg.slices + 1))
         pending = [submit(block_remainders, block) for block in blocks]

@@ -340,48 +340,95 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
 # --------------------------------------------------------------- split step
 
 
+# numpy evaluates a * b in place in b when b is a temporary of at least
+# 256 KiB (its temporary elision), as b * a; the complex product is not
+# commutative bit for bit under FMA, so an in-place product that stands
+# for `a * temp` takes the operand order numpy would by the buffer's size
+_ELISION_BYTES = 256 * 1024
+
+
+def _times_temporary(a: np.ndarray, temp: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """a * temp into out, bitwise as numpy evaluates `a * temp` with temp
+    a temporary: temp * a from numpy's elision size on, else a * temp."""
+    if temp.nbytes >= _ELISION_BYTES:
+        return np.multiply(temp, a, out=out)
+    return np.multiply(a, temp, out=out)
+
+
 def _power_substep(values: np.ndarray, lam: complex, alpha: float,
-                   dt: float, at_time: float) -> np.ndarray:
-    """Exact solution of i u_t + lam |u|^alpha u = 0 over one substep.
+                   dt: float, at_time: float, mag: Optional[np.ndarray] = None,
+                   spec: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact solution of i u_t + lam |u|^alpha u = 0 over one substep,
+    written over values, which it returns.
 
     The modulus obeys d|u|^2/dt = -2 Im(lam) |u|^(alpha+2), a separable
     equation with closed form |u(dt)| = |u0| (1 + w)^(-1/alpha) for
     w = alpha Im(lam) |u0|^alpha dt; the phase advances by
     Re(lam) |u0|^alpha dt * log1p(w)/w.  Im(lam) < 0 pumps the modulus
-    and reaches the pole when 1 + w <= 0.
+    and reaches the pole when 1 + w <= 0, which raises before values is
+    written.  |u0|^alpha goes in the float slice mag and the phase
+    factor in the complex slice spec, both allocated when not given; a
+    complex lam also takes two float slices of its own.  The products
+    follow `_times_temporary`, so each value is bitwise that of the
+    allocating `values * exp(1j (Re(lam) dt) |u0|^alpha ...)`.
     """
-    mag = np.abs(values) ** alpha
-    if lam.imag == 0.0:
-        return values * np.exp(1j * (lam.real * dt) * mag)
-    w = (alpha * lam.imag * dt) * mag
-    floor = 1.0 + w
-    if np.any(floor <= 0.0):
-        raise BlowUpError("modulus equation blew up inside a substep",
-                          time=at_time)
-    out = values * floor ** (-1.0 / alpha)
-    if lam.real != 0.0:
-        safe = np.where(w == 0.0, 1.0, w)
-        ramp = np.where(w == 0.0, 1.0, np.log1p(w) / safe)
-        out = out * np.exp(1j * (lam.real * dt) * mag * ramp)
-    return out
+    mag = np.abs(values, out=mag)
+    mag **= alpha
+    spec = np.multiply(1j * (lam.real * dt), mag, out=spec)
+    if lam.imag != 0.0:
+        w = (alpha * lam.imag * dt) * mag
+        floor = 1.0 + w
+        if np.any(floor <= 0.0):
+            raise BlowUpError("modulus equation blew up inside a substep",
+                              time=at_time)
+        floor **= -1.0 / alpha
+        np.multiply(values, floor, out=values)
+        if lam.real == 0.0:
+            return values
+        # the ramp log1p(w) / w, 1 where w is 0, over floor's bytes
+        ramp = np.log1p(w, out=floor)
+        zero = w == 0.0
+        w[zero] = 1.0
+        ramp /= w
+        ramp[zero] = 1.0
+        spec *= ramp
+    return _times_temporary(values, np.exp(spec, out=spec), out=values)
 
 
 def _split_slices(phi: Field, nl: PowerNonlinearity, tg: TimeGrid):
-    """Yield the Strang split-step slices at t_0, ..., t_slices.
+    """Yield the Strang split-step slices at t_0, ..., t_slices, read-only.
 
-    Slice 0 is the datum itself; each later slice is a new array from
-    which the next step starts, so no stack is held."""
+    Slice 0 is the datum itself; each later slice is stepped in place in
+    one slice buffer that the next step overwrites, so a consumer is done
+    with a slice before it asks for the next one.  Beside it the stream
+    holds the half-step multiplier, one spectral buffer, which also takes
+    the substep's phase factor, and one float buffer of |u|^alpha.  Each
+    product stands for the allocating `half * fftn(work)` or
+    `values * exp(...)` and takes numpy's operand order for it (see
+    `_times_temporary`), so every slice is bitwise the allocating loop's.
+    """
+    grid = phi.grid
     h = tg.dt
-    half = phi.grid.gather(np.exp(-0.5j * h * phi.grid.wavenumber_levels[0]))
+    half = grid.gather(np.exp(-0.5j * h * grid.wavenumber_levels[0]))
     lam = complex(nl.coupling)
     alpha = float(nl.power)
-    work = phi.values
-    yield work
+    work = np.empty(grid.shape, dtype=complex)
+    spec = np.empty(grid.shape, dtype=complex)
+    mag = np.empty(grid.shape)
+
+    def half_step(source):
+        np.fft.fftn(source, out=spec)
+        np.fft.ifftn(_times_temporary(half, spec, out=spec), out=work)
+
+    view = work.view()
+    view.setflags(write=False)
+    yield phi.values
     for m in range(tg.slices):
-        work = np.fft.ifftn(half * np.fft.fftn(work))
-        work = _power_substep(work, lam, alpha, h, (m + 0.5) * h)
-        work = np.fft.ifftn(half * np.fft.fftn(work))
-        yield work
+        half_step(work if m else phi.values)
+        _power_substep(work, lam, alpha, h, (m + 0.5) * h, mag, spec)
+        half_step(work)
+        yield view
 
 
 def split_step(phi: Field, nl: PowerNonlinearity,
@@ -393,8 +440,12 @@ def split_step(phi: Field, nl: PowerNonlinearity,
     composition is exact.  One step spans one slice of tg.  For real
     coupling the power substep leaves the modulus untouched pointwise and
     the free flow is unitary, so the L^2 norm is conserved to rounding.
-    The stack holds the slices of `_split_slices`, which callers may
-    stream instead; a non-finite slice raises BlowUpError at its time.
+    The stack holds copies of the slices of `_split_slices`, which
+    callers may stream instead: it reuses one slice buffer, so a
+    consumer is done with a slice before it asks for the next, and its
+    products take numpy's elision operand order, so each slice is
+    bitwise the allocating loop's.  A non-finite slice raises
+    BlowUpError at its time.
     """
     out = np.empty((tg.slices + 1,) + phi.grid.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):

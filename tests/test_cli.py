@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -380,6 +381,35 @@ def test_dependence_auto_horizon_give_up_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "dependence.csv").exists()
 
 
+@pytest.mark.parametrize("timing, prefix", [
+    ({"time": {"horizon": 0.25, "slices": 16}}, "free evolution reaches "),
+    ({"auto_horizon": {"start": 0.25, "slices": 16}},
+     "auto_horizon gave up: smallness ")])
+def test_smallness_gate_message_prints_a_huge_norm_briefly(tmp_path, capsys,
+                                                           timing, prefix):
+    # a norm near 1e299 is printed in five significant digits, not as
+    # the 300 digits of fixed-point notation
+    config = {"problem": dict(PROBLEM), "grid": {"points": 64, "period": 32.0},
+              "datum": {"kind": "gaussian", "amplitude": 0.08, "width": 2.0},
+              "family": {"initial_scale": 1e300, "depth": 3},
+              "output_dir": str(tmp_path / "out"), **timing}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["dependence", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + prefix)
+    norm = err.split(prefix)[1].split(" ")[0]
+    assert re.fullmatch(r"\d\.\d{4}e\+299", norm)
+    assert len(err) < 200
+
+
+def test_smallness_gate_message_keeps_ordinary_digits(tmp_path, capsys):
+    path, _ = _dependence_config(
+        tmp_path, datum={"kind": "gaussian", "amplitude": 0.8, "width": 2.0})
+    assert main(["dependence", "--config", str(path)]) == 2
+    assert "free evolution reaches 0.75977 >= 0.1 " in capsys.readouterr().err
+
+
 def test_dependence_auto_horizon_gates_each_horizon_once(tmp_path,
                                                         monkeypatch):
     tried = []
@@ -588,6 +618,8 @@ BAD_TYPE_CASES = [
     ("solve", "solver.tol", "1e-10"),
     ("solve", "solver.smallness_delta", False),
     ("solve", "config.seed", 7.5),
+    # np.random.default_rng takes no negative seed
+    ("solve", "config.seed", -1),
     ("dependence", "family.depth", 3.0),
     ("dependence", "family.initial_scale", "0.01"),
     ("dependence", "auto_horizon.slices", 8.5),
@@ -685,6 +717,14 @@ FIELD_NUMBER_CASES = [
      {"family": {"initial_scale": 0.01, "depth": 1076}}),
     ("solve", "time.slices", {"time": {"horizon": 0.25, "slices": 2 ** 40}}),
     ("solve", "solver.max_iter", {"solver": {"max_iter": 2 ** 63}}),
+    # a center enters as (x - center) ** 2, which overflows past 1e154
+    ("solve", "datum.center", {"datum": {"kind": "gaussian",
+                                         "center": 1e300}}),
+    ("solve", "datum.center", {"datum": {"kind": "gaussian",
+                                         "center": [-1e300]}}),
+    ("dependence", "direction.center", {"direction": {"kind": "gaussian",
+                                                      "center": 1e300}}),
+    ("dependence", "direction.center", {"direction": {"center": 1e300}}),
 ]
 
 
@@ -851,6 +891,30 @@ def test_remainder_matches_the_benchmark_reference_to_rounding(tmp_path):
     assert workloads.compare_to_reference(
         out / "remainder.csv",
         workloads.REFERENCE_DIR / "remainder-2d.csv", rtol=1e-12) == []
+
+
+def test_dependence_matches_the_benchmark_reference_at_each_thread_count(
+        tmp_path):
+    # dependence-2d with its split-step cross-check on: both artifacts,
+    # the summary with each row's oracle gap included, are byte-identical
+    # at 1 and 2 threads, and the table is within 1e-12 of the reference
+    workloads = _benchmark_workloads()
+    workload = workloads.WORKLOADS["dependence-2d"]
+    config = workload.config(workloads.DEFAULT_SEED)
+    assert config["cross_check"] is True
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        assert main(["dependence", "--config", str(path), "--output",
+                     str(out), "--threads", str(threads)]) == 0
+        runs.append([(out / name).read_bytes() for name in
+                     ("dependence.csv", "dependence_summary.json")])
+    assert runs[0] == runs[1]
+    assert workloads.compare_to_reference(
+        tmp_path / "out1" / "dependence.csv",
+        workloads.REFERENCE_DIR / "dependence-2d.csv", rtol=1e-12) == []
 
 
 def test_config_time_needs_step_or_slices(tmp_path, capsys):
