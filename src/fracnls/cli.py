@@ -9,8 +9,8 @@ matched to the exact run that produced them, and reruns with the same
 config, seed and thread count are byte-identical.
 
 Exit codes: 0 success, 1 check failure, 2 config or usage error (a run
-whose arrays do not fit in memory included),
-3 solver non-convergence or blow-up.
+whose arrays do not fit in memory, or an output path under a file,
+included), 3 solver non-convergence or blow-up.
 """
 
 import argparse
@@ -298,7 +298,10 @@ class RunConfig:
         resolved = 1 if threads is None else threads
         if resolved < 1:
             raise ConfigError(f"thread count must be >= 1, got {resolved}")
-        out = Path(output if output is not None else config["output_dir"])
+        key = "config.output_dir" if output is None else "--output"
+        out = Path(config["output_dir"] if output is None else output)
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ConfigError(f"{key} {out} is a file or lies under one")
         return cls(config=config, digest=config_hash(raw), params=params,
                    grid=Grid(dim=params.dimension, **config["grid"]),
                    solver=PicardConfig(metric_pair=canonical_pair(params),
@@ -373,11 +376,12 @@ def cmd_verify_pointwise(args) -> int:
 
 
 def _slice_norm_rows(traj, params, rho):
+    # the L^2 column first, so its |u| mesh is not held beside the stream
+    l2 = [lp_norm(v, 2.0, traj.grid.cell_volume) for v in traj.values]
     pairs = sobolev_besov_norms(traj.grid, traj.values, params.regularity,
                                 rho, homogeneous=True)
-    return [(t, lp_norm(values, 2.0, traj.grid.cell_volume)) + pair
-            for t, values, pair in zip(traj.timegrid.times, traj.values,
-                                       pairs)]
+    return [(t, n) + pair
+            for t, n, pair in zip(traj.timegrid.times, l2, pairs)]
 
 
 def cmd_solve(args) -> int:

@@ -232,15 +232,15 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     place.  The new slice is built in the integrand's slice, over axis-0
     row blocks of at most grid._BLOCK_BYTES; each block is copied into
     the stack, and the increment's magnitudes go over the integrand's
-    bytes.  Beside the stack a sweep holds phihat, two scratch slices
-    (the integrand and the running sum), one row block, the |k|^2 level
-    index (an eighth of a slice at uint16) and the slice's phases
-    exp(+-i t_m |k|^2) on the |k|^2 levels.  The running sum starts at
-    half the first integrand, so the trapezoid's end terms need no slice
-    of their own.  The first iterate is built in the integrand's slice,
-    in the sweep's operand order, so zero coupling gives distance 0.0
-    on every grid; phi is dropped once slice 0 and phihat are taken, so
-    a caller that does not keep the datum holds none during the sweeps.
+    bytes.  Beside the stack a sweep holds two scratch slices (the
+    integrand and the Duhamel sum, which restarts each sweep at phihat =
+    fftn(u[0]) and takes each half trapezoid term twice, once into the
+    bracket), one row block, the |k|^2 level index (an eighth of a slice
+    at uint16) and the slice's phases exp(+-i t_m |k|^2) on the levels.
+    The first iterate is built in the integrand's slice, in the sweep's
+    operand order, so zero coupling gives distance 0.0 on every grid;
+    phi is dropped once copied into slice 0, so a caller that does not
+    keep the datum holds none during the sweeps.
     The stack is handed to the returned trajectory without a copy.
 
     Returns (trajectory, report).  Raises NonConvergenceError when
@@ -259,25 +259,21 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
     keep = grid.dealias_mask
     # no warnings: a non-finite transform or slice gives a NaN distance
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        phihat = np.fft.fftn(phi.values)
-        ghat = np.empty(grid.shape, dtype=complex)
-
+        # the integrand and the Duhamel sum; each transform writes into
+        # one of them, so none leaves a freed slice to grow the heap
+        ghat, acc = (np.empty(grid.shape, dtype=complex) for _ in range(2))
         # the iterate; slice 0 is the datum and is never written again, so
         # phi is not held through the sweeps
         u = np.empty((tg.slices + 1,) + grid.shape, dtype=complex)
         u[0] = phi.values
         del phi
-        # phihat * rewind, the sweep's last product at zero coupling
+        np.fft.fftn(u[0], out=acc)  # phihat; first iterate phihat * rewind
         for m in range(1, tg.slices + 1):
             _phase_row(1j, tg.times[m], levels, unwind)
             grid.gather(np.conj(unwind, out=rewind), ghat)
-            np.fft.ifftn(np.multiply(phihat, ghat, out=ghat), out=u[m])
-        # each block is written in place, in the operand order of
-        #   new = ifftn((phihat + 1j dt (running - g / 2)) * rewind)
-        # with running = g_0 / 2 + g_1 + ... + g_m, the integrand g in
-        # ghat and the bracket in the block buffer, whose product with the
-        # rewind phase, conj(unwind), lands in ghat
-        running = np.empty(grid.shape, dtype=complex)
+            np.fft.ifftn(np.multiply(acc, ghat, out=ghat), out=u[m])
+        # per block, h = (0.5j dt) unwind g; a = acc + h, the bracket phihat
+        # + 1j dt (g_0/2 + g_1 + ... + g_m/2), then acc = a + h, a * rewind
         blocks = _row_blocks(grid.shape)
         buf = np.empty((blocks[0].stop,) + grid.shape[1:], dtype=complex)
         blocks = [(b, buf[:b.stop - b.start]) for b in blocks]
@@ -296,20 +292,18 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
                 _phase_row(1j, tg.times[m], levels, unwind)
                 np.conj(unwind, out=rewind)
                 for b, a in blocks:
-                    g = ghat[b]
-                    g *= keep[b]
+                    h = ghat[b]
+                    h *= keep[b]
                     np.multiply(np.take(unwind, index[b], out=a,
-                                        mode="wrap"), g, out=g)
+                                        mode="wrap"), h, out=h)
+                    h *= 0.5j * tg.dt
                     if m == 0:
-                        np.multiply(0.5, g, out=running[b])
+                        acc[b] += h
                         continue
-                    running[b] += g
-                    np.subtract(running[b], np.multiply(0.5, g, out=g), out=a)
-                    a *= tg.dt
-                    a *= 1j
-                    a += phihat[b]
-                    np.multiply(a, np.take(rewind, index[b], out=g,
-                                           mode="wrap"), out=g)
+                    np.add(acc[b], h, out=a)
+                    np.add(a, h, out=acc[b])
+                    np.multiply(a, np.take(rewind, index[b], out=h,
+                                           mode="wrap"), out=h)
                 if m == 0:
                     continue
                 np.fft.ifftn(ghat, out=ghat)
@@ -327,6 +321,7 @@ def picard_duhamel(phi: Field, nl: PowerNonlinearity, tg: TimeGrid,
             converged = distances[-1] <= cfg.tol * max(1.0, distances[0])
             if converged:
                 break
+            np.fft.fftn(u[0], out=acc)  # the sum restarts at phihat
     report = IterationReport(tuple(distances), converged)
     trajectory = Trajectory._adopt(tg, grid, u)
     if not converged:

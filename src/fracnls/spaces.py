@@ -129,28 +129,26 @@ def sobolev_besov_norms(grid: Grid, slices, s: float, p: float, *,
                         homogeneous: bool = False):
     """Yield (sobolev_norm(f, s), besov_norm_lp(f, s, p, homogeneous))
     for each array f of grid.shape in the stream `slices`, from one
-    forward transform per slice, in one Besov scratch in which the
-    Sobolev sum runs too.  Each slice is transformed before the next is
-    asked for, so a stream may reuse one buffer; a slice of another
-    shape raises ValueError."""
+    forward transform per slice and one scratch slice, which takes each
+    block multiplier as complex values, then the magnitudes over its own
+    bytes, and in which the Sobolev sum runs too.  Each slice is
+    transformed before the next is asked for, so a stream may reuse one
+    buffer; a slice of another shape raises ValueError."""
     jmin, jmax = default_band(grid)
     low, annuli = _annulus_multipliers(grid)
     weight = grid.sobolev_weight(s, False)
-    # gather each table into mult; fhat * mult is inverted in piece, and
-    # the block's magnitudes go back into mult
     fhat = np.empty(grid.shape, dtype=complex)
     piece = np.empty_like(fhat)
-    mult = np.empty(grid.shape)
 
     def block_norm(table, runs):
-        grid.gather(table, mult)
-        np.multiply(fhat, mult, out=piece)
-        np.abs(_inverse_on_support(piece, runs), out=mult)
-        return peak_factored_norms(mult[None], p, scale=grid.cell_volume)[0]
+        np.multiply(grid.gather(table.astype(complex), piece), fhat,
+                    out=piece)
+        mags = _magnitudes(_inverse_on_support(piece, runs))
+        return peak_factored_norms(mags[None], p, scale=grid.cell_volume)[0]
 
     for values in slices:
         np.fft.fftn(values, out=fhat)
-        norm = _sobolev_sum(grid, fhat, weight, piece, mult)
+        norm = _sobolev_sum(grid, fhat, weight, piece)
         terms = [2.0 ** (j * s) * block_norm(*block)
                  for j, block in zip(range(jmin, jmax + 1), annuli)]
         if not homogeneous:
@@ -164,18 +162,31 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     coefficients (see `grid`), scaled in the transform's own array."""
     weight = f.grid.sobolev_weight(s, homogeneous)
     fhat = np.fft.fftn(f.values)
-    return _sobolev_sum(f.grid, fhat, weight, fhat, np.empty(f.grid.shape))
+    return _sobolev_sum(f.grid, fhat, weight, fhat)
 
 
-def _sobolev_sum(grid: Grid, fhat, weight, scaled, mags) -> float:
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """|values| over the first half of a C-ordered complex array's bytes,
+    by ascending row blocks; np.abs into memory overlapping its unread
+    input gives other last bits, so such a block uses a temporary."""
+    mags = values.reshape(-1).view(float)[:values.size].reshape(values.shape)
+    for b in _row_blocks(values.shape):
+        if b.stop > 2 * b.start:
+            mags[b] = np.abs(values[b])
+        else:
+            np.abs(values[b], out=mags[b])
+    return mags
+
+
+def _sobolev_sum(grid: Grid, fhat, weight, scaled) -> float:
     """sqrt(sum weight[index] |c_k|^2) for the level table weight of
     `Grid.sobolev_weight`: c_k = fhat h^N L^(-N/2) goes into the complex
-    array scaled (fhat allowed), |c_k|^2 into the float mags, which is
-    multiplied by the weight gathered one row block at a time, so no
-    mesh-sized weight is built."""
+    array scaled (fhat allowed), |c_k|^2 over its bytes, times the
+    weight gathered one row block at a time: no mesh of their own."""
     np.multiply(fhat, grid.cell_volume / grid.period ** (grid.dim / 2.0),
                 out=scaled)
-    np.square(np.abs(scaled, out=mags), out=mags)
+    mags = _magnitudes(scaled)
+    np.square(mags, out=mags)
     index = grid.wavenumber_levels[1]
     for b in _row_blocks(grid.shape, np.dtype(np.intp).itemsize):
         mags[b] *= np.take(weight, index[b], mode="wrap")

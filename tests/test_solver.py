@@ -244,9 +244,8 @@ def test_picard_matches_split_step_oracle():
 
 def test_picard_peak_memory_one_stack():
     # the sweep overwrites one stack in place and hands it over; beside
-    # it a sweep holds phihat, two scratch slices, one row block, the
-    # slice's phase rows over the |k|^2 levels and the transforms' own
-    # buffers
+    # it a sweep holds two scratch slices, one row block, the slice's
+    # phase rows over the |k|^2 levels and the transforms' own buffers
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 64, 32.0)
     warm(grid)
@@ -261,7 +260,7 @@ def test_picard_peak_memory_one_stack():
 def test_picard_peak_memory_multi_block_slices():
     # a 256^2 slice spans eight row blocks, and the new slice is built in
     # place in the integrand's slice: beside the stack the trace sees the
-    # caller's datum, phihat, two scratch slices and one row block
+    # caller's datum, two scratch slices and one row block
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
     grid = Grid(2, 256, 32.0)
     warm(grid)
@@ -276,8 +275,8 @@ def test_picard_peak_memory_multi_block_slices():
                                                     (256, 8, 5.0)])
 def test_picard_peak_memory_no_phase_table_or_increment_mesh(points, slices,
                                                               beside):
-    # beside the stack and the caller's datum: phihat, two scratch
-    # slices, one row block and the transforms' buffers.  A phase table
+    # beside the stack and the caller's datum: two scratch slices, one
+    # row block and the transforms' buffers.  A phase table
     # over every slice time (nearly four slices at 128^2 with 32 slices)
     # or a float mesh of increment magnitudes (half a slice) would not fit
     params = ProblemParams(dimension=2, regularity=0.4, power=2.0)
@@ -291,10 +290,11 @@ def test_picard_peak_memory_no_phase_table_or_increment_mesh(points, slices,
 
 
 def test_picard_peak_memory_two_scratch_slices():
-    # beside the stack and the caller's datum: phihat, the integrand and
-    # the running sum, one row block and the transforms' buffers (3.62
-    # slices measured); a mesh for the running sum's first half term, or
-    # a temporary for the first iterate's product, would exceed 4
+    # beside the stack and the caller's datum: the integrand and the
+    # Duhamel sum, one row block and the transforms' buffers (3.62 slices
+    # measured with phihat in a slice of its own); a mesh for the sum's
+    # first half term, or a temporary for the first iterate's product,
+    # would exceed 4
     params = ProblemParams(dimension=3, regularity=0.4, power=2.0)
     grid = Grid(3, 32, 32.0)
     warm(grid)
@@ -303,6 +303,23 @@ def test_picard_peak_memory_two_scratch_slices():
     cfg = PicardConfig(metric_pair=canonical_pair(params))
     peak = traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
     assert peak <= stack_bytes(grid, tg) + 4.0 * grid.size * 16
+
+
+@pytest.mark.parametrize("dim, points, slices, beside", [(3, 32, 16, 3.25),
+                                                         (2, 128, 32, 3.75)])
+def test_picard_peak_memory_no_slice_for_phihat(dim, points, slices, beside):
+    # beside the stack and the caller's datum: the integrand, the Duhamel
+    # sum, which starts each sweep at phihat, one row block and the
+    # transforms' buffers (2.63 and 3.31 slices measured); phihat and a
+    # running sum in slices of their own would not fit (3.63 and 4.31)
+    params = ProblemParams(dimension=dim, regularity=0.4, power=2.0)
+    grid = Grid(dim, points, 32.0)
+    warm(grid)
+    phi = gaussian(grid, 0.08, 2.0)
+    tg = TimeGrid(0.25, slices)
+    cfg = PicardConfig(metric_pair=canonical_pair(params))
+    peak = traced_peak(picard_duhamel, phi, CUBIC, tg, cfg)
+    assert peak <= stack_bytes(grid, tg) + beside * grid.size * 16
 
 
 def _datum_solve_and_norms(grid):
@@ -347,26 +364,25 @@ def _three_stack_picard(phi, nl, tg, cfg):
     current[0] = new[0] = phi.values
     for m in range(1, tg.slices + 1):
         np.fft.ifftn(np.multiply(phihat, np.conj(unwind[m])), out=current[m])
-    ghat, integrand, running = (np.empty(grid.shape, dtype=complex)
-                                for _ in range(3))
+    ghat, acc = (np.empty(grid.shape, dtype=complex) for _ in range(2))
     distances = []
     for _ in range(cfg.max_iter):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            # the Duhamel sum restarts at phihat, taken from slice 0
+            np.fft.fftn(current[0], out=acc)
             for m in range(tg.slices + 1):
                 np.fft.fftn(nl.g(current[m]), out=ghat)
                 ghat *= keep
-                np.multiply(unwind[m], ghat, out=integrand)
+                half = np.multiply(unwind[m], ghat)
+                half *= 0.5j * tg.dt
                 if m == 0:
-                    # the running sum starts at half the first integrand
-                    np.multiply(0.5, integrand, out=running)
+                    acc += half
                     continue
-                running += integrand
+                # the bracket phihat + 1j dt (g_0 / 2 + g_1 + ... + g_m / 2)
+                # in buf, then the sum passes g_m / 2 on to the next slice
                 buf = new[m]
-                np.subtract(running, np.multiply(0.5, integrand, out=ghat),
-                            out=buf)
-                buf *= tg.dt
-                buf *= 1j
-                buf += phihat
+                np.add(acc, half, out=buf)
+                np.add(buf, half, out=acc)
                 buf *= np.conjugate(unwind[m], out=ghat)
                 np.fft.ifftn(buf, out=buf)
         dist = trapezoid_norm([lp_norm(a - b, cfg.metric_pair[1],

@@ -264,16 +264,30 @@ def test_besov_lp_peak_memory(grid):
 
 
 def test_slice_norm_stream_holds_no_mesh_sized_weight():
-    # the stream's scratch is fhat, piece and mult, 2.5 complex slices;
-    # the Sobolev weight is gathered by row block, where a float mesh of
-    # it would add half a slice (3.03 slices measured with it, 2.57
-    # without, at 3D 64^3 over three slices)
+    # the stream's scratch is fhat and piece, two complex slices; the
+    # Sobolev weight is gathered by row block, where a float mesh of it
+    # would add half a slice (3.03 slices measured with it and a float
+    # magnitude mesh, 2.57 with the magnitude mesh alone, at 3D 64^3
+    # over three slices)
     grid = Grid(3, 64, 32.0)
     slices = [_random_complex(grid, seed) for seed in (17, 18, 19)]
     next(sobolev_besov_norms(grid, slices[:1], 0.4, 3.0))  # warm the tables
     peak = traced_peak(lambda: list(sobolev_besov_norms(grid, slices, 0.4,
                                                         3.0)))
     assert peak <= 2.75 * slices[0].nbytes
+
+
+def test_slice_norm_stream_holds_two_slices():
+    # beside the transform, one scratch slice: each block multiplier is
+    # gathered into it as complex values and the magnitudes go over its
+    # own bytes (2.07 slices measured at 3D 64^3); a float mesh for
+    # either would add half a slice (2.57 with one)
+    grid = Grid(3, 64, 32.0)
+    slices = [_random_complex(grid, seed) for seed in (17, 18, 19)]
+    next(sobolev_besov_norms(grid, slices[:1], 0.4, 3.0))  # warm the tables
+    peak = traced_peak(lambda: list(sobolev_besov_norms(grid, slices, 0.4,
+                                                        3.0)))
+    assert peak <= 2.25 * slices[0].nbytes
 
 
 SLICE_NORM_GRIDS = [Grid(1, 128, 32.0), Grid(2, 128, 32.0),
